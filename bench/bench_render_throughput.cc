@@ -19,21 +19,17 @@
  * process, runtime backend override — the same binary measures both
  * sides), with the fp32 outputs checked bit-identical across backends.
  *
- * Since PR 5 a "pipeline" section reports SPARW frames/s under the
- * window-loop schedules on the work-stealing scheduler, tagged with
- * the scheduler mode; all schedules' frames are checked bit-identical.
- *
- * Since PR 6 the pipeline section runs on a *straggler* trajectory
- * (one window's reference ~4x costlier than the rest — the case that
- * separates the per-window dependency-graph schedule from the batch
- * pipeline), adds the dependency-graph leg, replaces the wall-clock
- * idle-time estimates with measured scheduler counters (steals, idle
- * wakeups, measured idle fraction, overflow migrations,
- * dependency-stall time; the old estimate fields remain one release,
- * marked deprecated), and adds a "realtime" subsection: deadline-miss
- * and fallback rates of runRealtime() at a zero, a frame-paced, and an
- * unlimited budget, with the two deterministic extremes bit-compared
- * against runDownsampled() and run().
+ * A "pipeline" section reports SPARW frames/s of the window
+ * dependency graph on the work-stealing scheduler (tagged with the
+ * scheduler mode) against a one-thread run, on a *straggler*
+ * trajectory (one window's reference ~4x costlier than the rest), with
+ * the frames checked bit-identical to the one-thread run and measured
+ * scheduler counters of one graph run (steals, idle wakeups, idle
+ * fraction, overflow migrations, dependency-stall time). Its
+ * "realtime" subsection reports deadline-miss and fallback rates of
+ * runRealtime() at a zero, a frame-paced, and an unlimited budget,
+ * with the two deterministic extremes bit-compared against
+ * runDownsampled() and run().
  *
  * --quick cuts repetitions and kernel batch sizes for the CI smoke
  * step; every bit-identity check still runs.
@@ -335,114 +331,74 @@ main(int argc, char **argv)
     for (const SimdKernelResult &k : simdKernels)
         simdIdentical = simdIdentical && k.identical;
 
-    // ---- SPARW schedules on a straggler trajectory ------------------
-    // Same trajectory through all three window-loop schedules of the
-    // work-stealing scheduler. The trajectory dips toward the scene for
-    // the two poses one mid-run window extrapolates its reference from,
-    // making that window's reference render several times costlier than
-    // the rest: under the batch pipeline the straggler gates the whole
-    // next batch's lookahead, while the dependency-graph schedule lets
-    // every other window stream past it. Output is checked
-    // bit-identical across all schedules and the serial run — overlap
-    // must never change pixels.
+    // ---- SPARW window graph on a straggler trajectory ---------------
+    // The trajectory dips toward the scene for the two poses one
+    // mid-run window extrapolates its reference from, making that
+    // window's reference render several times costlier than the rest:
+    // the dependency graph lets every other window stream past it.
+    // The pool-width run is checked bit-identical to the one-thread
+    // run (the serial ref/frames walk) — overlap must never change
+    // pixels.
     setParallelThreadCount(0);
     const int sparwThreads = parallelThreadCount();
     const int sparwRes = 64;
-    SparwConfig twoPhaseCfg;
-    twoPhaseCfg.window = 2;
-    twoPhaseCfg.schedule = SparwSchedule::TwoPhase;
-    SparwConfig pipelinedCfg = twoPhaseCfg;
-    pipelinedCfg.schedule = SparwSchedule::Pipelined;
-    SparwConfig depGraphCfg = twoPhaseCfg;
-    depGraphCfg.schedule = SparwSchedule::DependencyGraph;
-    // At least two pool-width window batches, so the pipeline has a
-    // next batch to overlap with for most of the run.
-    const int sparwFrames =
-        std::max(8, 2 * sparwThreads * twoPhaseCfg.window);
+    SparwConfig sparwCfg;
+    sparwCfg.window = 2;
+    // At least two windows per pool thread, so references have frames
+    // to overlap with for most of the run.
+    const int sparwFrames = std::max(8, 2 * sparwThreads * sparwCfg.window);
     std::vector<Pose> sparwTraj = sceneOrbit(scene, sparwFrames);
     const int numWindows =
-        (sparwFrames + twoPhaseCfg.window - 1) / twoPhaseCfg.window;
+        (sparwFrames + sparwCfg.window - 1) / sparwCfg.window;
     // Pull the two poses that window `stragglerWindow` extrapolates its
     // reference from to ~0.22x the orbit radius: the predicted
     // reference lands close to the scene, where rays collect several
     // times more samples.
     const int stragglerWindow = numWindows / 2;
-    for (int k = stragglerWindow * twoPhaseCfg.window - 2;
-         k < stragglerWindow * twoPhaseCfg.window; ++k)
+    for (int k = stragglerWindow * sparwCfg.window - 2;
+         k < stragglerWindow * sparwCfg.window; ++k)
         if (k >= 0)
             sparwTraj[k].pos = sparwTraj[k].pos * 0.22f;
     Camera sparwCam =
         Camera::fromFov(sparwRes, sparwRes, scene.fovYDeg, sparwTraj[0]);
-    SparwPipeline twoPhase(*model, sparwCam, twoPhaseCfg);
-    SparwPipeline pipelined(*model, sparwCam, pipelinedCfg);
-    SparwPipeline depGraph(*model, sparwCam, depGraphCfg);
+    SparwPipeline sparw(*model, sparwCam, sparwCfg);
     const int sparwReps = quick ? 1 : 2;
 
     setParallelThreadCount(1);
-    SparwRun sparwSerial = twoPhase.run(sparwTraj);
+    SparwRun sparwSerial = sparw.run(sparwTraj);
     double sparwSerialS =
-        secondsOf([&] { twoPhase.run(sparwTraj); }, sparwReps);
+        secondsOf([&] { sparw.run(sparwTraj); }, sparwReps);
 
-    // Each leg is timed (best of reps), then bracketed once between a
-    // counter snapshot and a delta so the JSON reports *measured*
-    // scheduler behaviour for exactly one run of that schedule.
+    // The graph leg is timed (best of reps), then bracketed once
+    // between a counter snapshot and a delta so the JSON reports
+    // *measured* scheduler behaviour for exactly one run.
     // Snapshot-delta (not reset-snapshot): concurrent measurers — a
     // bench_serve in the same process, another bench thread — can't
     // yank this bracket's baseline, and this bracket can't zero
     // theirs.
-    struct SchedMeasure
-    {
-        double wallS = 0.0;
-        SchedulerCounters c;
-    };
-    auto measureCounters = [&](const std::function<void()> &fn) {
-        SchedMeasure m;
-        const SchedulerCounters base = parallelSchedulerCounters();
-        auto t0 = std::chrono::steady_clock::now();
-        fn();
-        auto t1 = std::chrono::steady_clock::now();
-        m.wallS = std::chrono::duration<double>(t1 - t0).count();
-        m.c = parallelSchedulerCountersSince(base);
-        return m;
-    };
-    auto idleFracMeasured = [&](const SchedMeasure &m) {
-        if (m.wallS <= 0.0 || sparwThreads <= 0)
-            return 0.0;
-        double capacityNs = sparwThreads * m.wallS * 1e9;
-        return std::min(1.0, static_cast<double>(m.c.idleNanos) /
-                                 capacityNs);
-    };
-
     setParallelThreadCount(0);
-    SparwRun sparwTwoPhase = twoPhase.run(sparwTraj);
-    double twoPhaseS =
-        secondsOf([&] { twoPhase.run(sparwTraj); }, sparwReps);
-    SchedMeasure twoPhaseM =
-        measureCounters([&] { twoPhase.run(sparwTraj); });
-    SparwRun sparwPipelined = pipelined.run(sparwTraj);
-    double pipelinedS =
-        secondsOf([&] { pipelined.run(sparwTraj); }, sparwReps);
-    SchedMeasure pipelinedM =
-        measureCounters([&] { pipelined.run(sparwTraj); });
-    SparwRun sparwDepGraph = depGraph.run(sparwTraj);
-    double depGraphS =
-        secondsOf([&] { depGraph.run(sparwTraj); }, sparwReps);
-    SchedMeasure depGraphM =
-        measureCounters([&] { depGraph.run(sparwTraj); });
+    SparwRun sparwGraph = sparw.run(sparwTraj);
+    double graphS = secondsOf([&] { sparw.run(sparwTraj); }, sparwReps);
+    const SchedulerCounters graphBase = parallelSchedulerCounters();
+    auto graphT0 = std::chrono::steady_clock::now();
+    sparw.run(sparwTraj);
+    const double graphWallS = std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - graphT0)
+                                  .count();
+    const SchedulerCounters graphC =
+        parallelSchedulerCountersSince(graphBase);
+    const double graphIdleFrac =
+        graphWallS > 0.0 && sparwThreads > 0
+            ? std::min(1.0, static_cast<double>(graphC.idleNanos) /
+                                (sparwThreads * graphWallS * 1e9))
+            : 0.0;
 
     bool sparwIdentical =
-        sparwSerial.frames.size() == sparwTwoPhase.frames.size() &&
-        sparwSerial.frames.size() == sparwPipelined.frames.size() &&
-        sparwSerial.frames.size() == sparwDepGraph.frames.size();
+        sparwSerial.frames.size() == sparwGraph.frames.size();
     for (std::size_t i = 0; sparwIdentical && i < sparwSerial.frames.size();
          ++i)
-        sparwIdentical =
-            identical(sparwSerial.frames[i].image,
-                      sparwTwoPhase.frames[i].image) &&
-            identical(sparwSerial.frames[i].image,
-                      sparwPipelined.frames[i].image) &&
-            identical(sparwSerial.frames[i].image,
-                      sparwDepGraph.frames[i].image);
+        sparwIdentical = identical(sparwSerial.frames[i].image,
+                                   sparwGraph.frames[i].image);
 
     // How much costlier the straggler reference really was (median
     // reference = 1.0).
@@ -474,13 +430,13 @@ main(int argc, char **argv)
     // window falls back), and a paced budget near the measured
     // per-frame cost (the interesting regime: miss/fallback rates are
     // machine-dependent and reported, not gated).
-    SparwRun dsBaseline = depGraph.runDownsampled(
+    SparwRun dsBaseline = sparw.runDownsampled(
         sparwTraj, SparwRealtimeConfig{}.fallbackFactor);
 
     SparwRealtimeConfig rtUnlimitedCfg;
     rtUnlimitedCfg.frameBudgetS = 1e9f;
     SparwRealtimeRun rtUnlimited =
-        depGraph.runRealtime(sparwTraj, rtUnlimitedCfg);
+        sparw.runRealtime(sparwTraj, rtUnlimitedCfg);
     bool rtUnlimitedIdentical =
         rtUnlimited.run.frames.size() == sparwSerial.frames.size();
     for (std::size_t i = 0;
@@ -490,7 +446,7 @@ main(int argc, char **argv)
 
     SparwRealtimeConfig rtZeroCfg;
     rtZeroCfg.frameBudgetS = 0.0f;
-    SparwRealtimeRun rtZero = depGraph.runRealtime(sparwTraj, rtZeroCfg);
+    SparwRealtimeRun rtZero = sparw.runRealtime(sparwTraj, rtZeroCfg);
     bool rtZeroMatchesDs =
         rtZero.run.frames.size() == dsBaseline.frames.size() &&
         rtZero.deadline.fallbackFrames == sparwFrames;
@@ -501,8 +457,8 @@ main(int argc, char **argv)
 
     SparwRealtimeConfig rtPacedCfg;
     rtPacedCfg.frameBudgetS = static_cast<float>(
-        twoPhaseS > 0.0 ? 0.9 * twoPhaseS / sparwFrames : 1.0 / 30.0);
-    SparwRealtimeRun rtPaced = depGraph.runRealtime(sparwTraj, rtPacedCfg);
+        graphS > 0.0 ? 0.9 * graphS / sparwFrames : 1.0 / 30.0);
+    SparwRealtimeRun rtPaced = sparw.runRealtime(sparwTraj, rtPacedCfg);
 
     const bool realtimeOk = rtUnlimitedIdentical && rtZeroMatchesDs;
 
@@ -547,57 +503,32 @@ main(int argc, char **argv)
                 "\"threads\": %d, "
                 "\"straggler_window\": %d, "
                 "\"straggler_ref_cost\": %.2f, "
-                "\"serial_s\": %.6f, "
-                "\"two_phase_s\": %.6f, \"pipelined_s\": %.6f, "
-                "\"dep_graph_s\": %.6f, "
-                "\"fps_serial\": %.2f, "
-                "\"fps_two_phase\": %.2f, \"fps_pipelined\": %.2f, "
-                "\"fps_dep_graph\": %.2f, "
-                "\"pipeline_speedup\": %.3f, "
-                "\"dep_graph_speedup_vs_pipelined\": %.3f, "
+                "\"serial_s\": %.6f, \"graph_s\": %.6f, "
+                "\"fps_serial\": %.2f, \"fps_graph\": %.2f, "
+                "\"speedup\": %.3f, "
                 "\"bit_identical\": %s",
                 parallelSchedulerName(), sparwRes, sparwFrames,
-                twoPhaseCfg.window, sparwThreads, stragglerWindow,
-                stragglerCost, sparwSerialS,
-                twoPhaseS, pipelinedS, depGraphS, fps(sparwSerialS),
-                fps(twoPhaseS), fps(pipelinedS), fps(depGraphS),
-                pipelinedS > 0.0 ? twoPhaseS / pipelinedS : 0.0,
-                depGraphS > 0.0 ? pipelinedS / depGraphS : 0.0,
+                sparwCfg.window, sparwThreads, stragglerWindow,
+                stragglerCost, sparwSerialS, graphS, fps(sparwSerialS),
+                fps(graphS), graphS > 0.0 ? sparwSerialS / graphS : 0.0,
                 sparwIdentical ? "true" : "false");
-    // Counter-based breakdown of one measured run per schedule: these
-    // are what the scheduler actually did, replacing the wall-clock
-    // idle estimates above.
-    {
-        struct NamedMeasure
-        {
-            const char *name;
-            const SchedMeasure *m;
-        } legs[] = {{"two_phase", &twoPhaseM},
-                    {"pipelined", &pipelinedM},
-                    {"dep_graph", &depGraphM}};
-        std::printf(", \"counters\": {");
-        for (std::size_t i = 0; i < 3; ++i) {
-            const SchedulerCounters &c = legs[i].m->c;
-            std::printf(
-                "%s\"%s\": {\"wall_s\": %.6f, "
+    // Counter-based breakdown of one measured graph run: what the
+    // scheduler actually did.
+    std::printf(", \"counters\": {\"wall_s\": %.6f, "
                 "\"idle_frac\": %.3f, "
                 "\"steals\": %llu, \"idle_wakeups\": %llu, "
                 "\"idle_ms\": %.3f, "
                 "\"overflow_migrations\": %llu, "
                 "\"tasks\": %llu, \"dep_tasks\": %llu, "
                 "\"dep_stall_ms\": %.3f}",
-                i ? ", " : "", legs[i].name, legs[i].m->wallS,
-                idleFracMeasured(*legs[i].m),
-                static_cast<unsigned long long>(c.steals),
-                static_cast<unsigned long long>(c.idleWakeups),
-                c.idleNanos / 1e6,
-                static_cast<unsigned long long>(c.overflowMigrations),
-                static_cast<unsigned long long>(c.tasksExecuted),
-                static_cast<unsigned long long>(c.depTasksSubmitted),
-                c.depStallNanos / 1e6);
-        }
-        std::printf("}");
-    }
+                graphWallS, graphIdleFrac,
+                static_cast<unsigned long long>(graphC.steals),
+                static_cast<unsigned long long>(graphC.idleWakeups),
+                graphC.idleNanos / 1e6,
+                static_cast<unsigned long long>(graphC.overflowMigrations),
+                static_cast<unsigned long long>(graphC.tasksExecuted),
+                static_cast<unsigned long long>(graphC.depTasksSubmitted),
+                graphC.depStallNanos / 1e6);
     std::printf(
         ", \"realtime\": {"
         "\"unlimited_budget_matches_run\": %s, "

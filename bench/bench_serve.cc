@@ -34,7 +34,8 @@
  *    the fair-share check.
  *
  * Exit code gates on (a) every session of every leg bit-identical to
- * its solo render, (b) — only when the pool has >= 2 threads AND
+ * its solo render (at the shed resolution for a session admission
+ * control shed to half size), (b) — only when the pool has >= 2 threads AND
  * the machine has >= 2 hardware cores — aggregate rays/s of the
  * 8-session fused uniform leg >= 1.5x the serial_unfused baseline,
  * and (c) under the same arming, the low_session fan-out gates. On
@@ -204,12 +205,26 @@ runLeg(const ModelKey &key, const std::vector<ClientSpec> &clients,
     leg.fusion = svc.cache().fusionStatsTotal();
     leg.service = svc.counters();
 
+    // A session shed at admission renders at max(8, w/2) x max(8, h/2)
+    // (RenderService's overload shedding), so its reference is a solo
+    // render at that resolution, not the full-size one.
+    const NerfModel &model = pin.model();
     for (std::size_t i = 0; i < clients.size(); ++i) {
         const auto &frames = results[i].frames;
         for (std::size_t f = 0; f < frames.size(); ++f) {
             leg.rays += frames[f].work.rays;
             leg.latencyS[i].push_back(frames[f].latencyS);
-            if (!identical(frames[f].image, solo[i][f]))
+            Image shedRef;
+            if (results[i].downsampled)
+                shedRef = model
+                              .render(Camera::fromFov(
+                                  std::max(8, clients[i].width / 2),
+                                  std::max(8, clients[i].height / 2),
+                                  model.scene().fovYDeg,
+                                  clients[i].trajectory[f]))
+                              .image;
+            if (!identical(frames[f].image,
+                           results[i].downsampled ? shedRef : solo[i][f]))
                 leg.bitIdentical = false;
         }
     }

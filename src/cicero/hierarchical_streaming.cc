@@ -259,14 +259,10 @@ HierarchicalStreamingRenderer::render(const Camera &camera,
         // Revert to the original data flow: per-sample random
         // fetches straight out of the hash table. Every sample
         // owns its feature slice, so the gather is
-        // sample-parallel; when tracing, each sample records its
-        // fetches into a RayTraceBuffer slot and the replay below
-        // restores the serial per-sample emission order.
-        // One thread runs the sample loop inline in order, so the
-        // accesses can stream straight into the sink un-buffered.
-        std::unique_ptr<RayTraceBuffer> buf;
-        if (trace && parallelThreadCount() > 1)
-            buf = std::make_unique<RayTraceBuffer>(samples.size(), trace);
+        // sample-parallel; the TraceCapture keyed by sample
+        // restores the serial per-sample emission order. The sink
+        // is flushed once, after the last level.
+        TraceCapture capture(samples.size(), trace);
         auto gatherSample = [&](std::uint32_t s, TraceSink *sink) {
             int c0[3];
             float frac[3];
@@ -297,17 +293,15 @@ HierarchicalStreamingRenderer::render(const Camera &camera,
                         for (std::int64_t si = b; si < e; ++si) {
                             std::uint32_t s =
                                 static_cast<std::uint32_t>(si);
-                            if (buf) {
-                                RayTraceBuffer::SlotSink sink =
-                                    buf->sink(s);
-                                gatherSample(s, &sink);
-                            } else {
-                                gatherSample(s, trace);
-                            }
+                            capture.record(s, [&](TraceSink *sink) {
+                                gatherSample(s, sink);
+                            });
                         }
+                        capture.markCompleted(
+                            static_cast<std::size_t>(b),
+                            static_cast<std::size_t>(e));
                     });
-        if (buf)
-            buf->replay();
+        capture.drain();
         _stats.randomBytes +=
             static_cast<std::uint64_t>(samples.size()) * 8ull * vb;
     };

@@ -12,9 +12,10 @@ namespace cicero {
 namespace {
 
 /**
- * Per-window dependency-graph driver (SparwSchedule::DependencyGraph):
- * for every window wi, frameTask(wi) depends on refTask(wi) and on
- * nothing else, so a straggling reference delays only its own window.
+ * Per-window dependency-graph driver of run() and runDownsampled() (the
+ * Fig. 11b overlap): for every window wi, frameTask(wi) depends on
+ * refTask(wi) and on nothing else, so a straggling reference delays
+ * only its own window.
  * References stream ahead continuously; the edge
  * refTask(wi) -> after frameTask(wi - cap) bounds the number of
  * windows whose reference can be alive at once to cap = max(2,
@@ -22,8 +23,9 @@ namespace {
  *
  * Tasks are submitted in topological order (frame wi-cap before ref
  * wi before frame wi), so on a one-thread pool the graph degenerates
- * to the serial ref/frames walk. Both callbacks write disjoint slots,
- * making output bit-identical to every other schedule.
+ * to the serial walk: ref(0), frames(0), ref(1), frames(1), ... Both
+ * callbacks write disjoint slots, so the output at any thread count is
+ * bit-identical to that walk.
  */
 void
 runWindowGraph(int numWindows, const std::function<void(int)> &renderRef,
@@ -42,49 +44,6 @@ runWindowGraph(int numWindows, const std::function<void(int)> &renderRef,
             {ref}, [&processWindow, wi] { processWindow(wi); });
     }
     graph.wait();
-}
-
-/**
- * Window-batch driver shared by run() and runDownsampled(): walks
- * [0, numWindows) in batches of @p batch windows, calling
- * renderRefs(w0, w1) and then processFrames(w0, w1) per batch.
- *
- * Pipelined (Fig. 11b), the next batch's renderRefs is submitted as a
- * scheduler task *before* the current batch's processFrames runs, so
- * reference rendering overlaps the in-flight warp + sparse-render
- * frames; the group wait after processFrames is the only barrier. The
- * lookahead is exactly one batch, so at most two batches of references
- * are alive at once. Both stages write disjoint slots and all merges
- * inside them are chunk-indexed, so the output is bit-identical to the
- * two-phase walk — scheduling is the only thing that changes.
- */
-void
-runWindowBatches(int numWindows, int batch, SparwSchedule schedule,
-                 const std::function<void(int, int)> &renderRefs,
-                 const std::function<void(int, int)> &processFrames)
-{
-    batch = std::max(1, batch);
-    if (schedule == SparwSchedule::TwoPhase) {
-        for (int w0 = 0; w0 < numWindows; w0 += batch) {
-            const int w1 = std::min(w0 + batch, numWindows);
-            renderRefs(w0, w1);
-            processFrames(w0, w1);
-        }
-        return;
-    }
-
-    if (numWindows > 0)
-        renderRefs(0, std::min(batch, numWindows));
-    for (int w0 = 0; w0 < numWindows; w0 += batch) {
-        const int w1 = std::min(w0 + batch, numWindows);
-        TaskGroup lookahead;
-        if (w1 < numWindows) {
-            const int n1 = std::min(w1 + batch, numWindows);
-            lookahead.run([&renderRefs, w1, n1] { renderRefs(w1, n1); });
-        }
-        processFrames(w0, w1);
-        lookahead.wait();
-    }
 }
 
 /**
@@ -174,100 +133,95 @@ SparwPipeline::cameraAt(const Pose &pose) const
     return c;
 }
 
+std::vector<SparwReference>
+SparwPipeline::resolveReferences(const std::vector<Pose> &trajectory) const
+{
+    const int n = static_cast<int>(trajectory.size());
+    const int window = std::max(1, _config.window);
+    std::vector<SparwReference> refs;
+    for (int i = 0; i < n; i += window) {
+        if (i >= 2)
+            refs.push_back(SparwReference{
+                extrapolateReferencePose(trajectory[i - 2],
+                                         trajectory[i - 1],
+                                         _config.dtSeconds, window),
+                StageWork{}, false});
+        else
+            refs.push_back(SparwReference{trajectory[0], StageWork{}, true});
+    }
+    return refs;
+}
+
+SparwFrame
+SparwPipeline::warpAndFill(const Image &refImage, const DepthMap &refDepth,
+                           const Camera &refCam, const Camera &target,
+                           int referenceIndex) const
+{
+    WarpOutput w = warpFrame(refImage, refDepth, refCam, target,
+                             &_model.occupancy(), _model.scene().background,
+                             _config.warp);
+    SparwFrame frame;
+    frame.warpStats = w.stats;
+    frame.warpPoints = w.stats.pointsTransformed;
+    frame.referenceIndex = referenceIndex;
+    frame.sparseWork =
+        _model.renderPixels(target, w.needRender, w.image, w.depth);
+    frame.image = std::move(w.image);
+    frame.depth = std::move(w.depth);
+    return frame;
+}
+
+SparwFrame
+SparwPipeline::downsampledFrame(const Image &low, int referenceIndex) const
+{
+    SparwFrame frame;
+    frame.referenceIndex = referenceIndex;
+    frame.warpStats.totalPixels =
+        static_cast<std::uint64_t>(_intrinsics.width) * _intrinsics.height;
+    frame.image = low.upsampleBilinear(_intrinsics.width, _intrinsics.height);
+    frame.depth = DepthMap(_intrinsics.width, _intrinsics.height);
+    return frame;
+}
+
 SparwRun
 SparwPipeline::run(const std::vector<Pose> &trajectory) const
 {
     SparwRun out;
     const int n = static_cast<int>(trajectory.size());
     const int window = std::max(1, _config.window);
-    if (n == 0)
-        return out;
 
     // Reference poses depend only on the *input* trajectory (the two
     // poses preceding each window, known before it starts — Fig. 10),
-    // never on rendered output. That makes the whole frame loop
-    // data-parallel: resolve every window's reference pose first,
-    // render the references, then warp + sparse-render each target
-    // frame independently. Results are identical to the serial
-    // window-by-window walk.
-    const int numWindows = (n + window - 1) / window;
-    out.references.resize(numWindows);
-    std::vector<Camera> refCams(numWindows);
+    // never on rendered output, so the window graph can render
+    // references ahead while earlier windows' frames are still in
+    // flight. Per window: render the reference (one heavy unit; its
+    // row loop shares the pool via work stealing), then warp every
+    // target frame from it and sparse-render the disocclusions
+    // (Eq. 4), and release the reference image once its frames are
+    // done.
+    out.references = resolveReferences(trajectory);
+    const int numWindows = static_cast<int>(out.references.size());
     std::vector<RenderResult> refRenders(numWindows);
-
-    for (int wi = 0; wi < numWindows; ++wi) {
-        const int i = wi * window;
-        Pose refPose;
-        bool onTraj = false;
-        if (i >= 2) {
-            refPose = extrapolateReferencePose(trajectory[i - 2],
-                                               trajectory[i - 1],
-                                               _config.dtSeconds, window);
-        } else {
-            refPose = trajectory[0];
-            onTraj = true;
-        }
-        refCams[wi] = cameraAt(refPose);
-        out.references[wi] = SparwReference{refPose, StageWork{}, onTraj};
-    }
-
-    // Work through windows in pool-width batches: render a batch's
-    // references (one heavy unit per window; nested row loops share
-    // the pool via work stealing), process the batch's target frames —
-    // warp from the window's reference, then sparse NeRF rendering of
-    // the disocclusions (Eq. 4) — and release each batch's reference
-    // images once its frames are done, so peak memory stays O(threads)
-    // full-resolution references instead of O(numWindows). Under the
-    // pipelined schedule the driver below overlaps the next batch's
-    // reference rendering with this batch's frames (Fig. 11b); the
-    // slots the two stages touch are disjoint, so output matches the
-    // two-phase walk bit for bit.
     out.frames.resize(n);
-    const int batch = std::max(1, parallelThreadCount());
 
-    auto renderRefs = [&](int w0, int w1) {
-        parallelForOuter(w1 - w0, [&, w0](std::int64_t k) {
-            const std::int64_t wi = w0 + k;
-            refRenders[wi] = _model.render(refCams[wi]);
-        });
-        for (int wi = w0; wi < w1; ++wi)
+    runWindowGraph(
+        numWindows,
+        [&](int wi) {
+            refRenders[wi] = _model.render(cameraAt(out.references[wi].pose));
             out.references[wi].work = refRenders[wi].work;
-    };
-
-    auto processFrames = [&](int w0, int w1) {
-        const int f0 = w0 * window;
-        const int f1 = std::min(w1 * window, n);
-        parallelForOuter(f1 - f0, [&, f0](std::int64_t k) {
-            const std::int64_t i = f0 + k;
-            const int wi = static_cast<int>(i) / window;
-            Camera tgtCam = cameraAt(trajectory[i]);
-            WarpOutput w = warpFrame(refRenders[wi].image,
-                                     refRenders[wi].depth, refCams[wi],
-                                     tgtCam, &_model.occupancy(),
-                                     _model.scene().background,
-                                     _config.warp);
-
-            SparwFrame frame;
-            frame.warpStats = w.stats;
-            frame.warpPoints = w.stats.pointsTransformed;
-            frame.referenceIndex = wi;
-            frame.sparseWork = _model.renderPixels(tgtCam, w.needRender,
-                                                   w.image, w.depth);
-            frame.image = std::move(w.image);
-            frame.depth = std::move(w.depth);
-            out.frames[i] = std::move(frame);
-        });
-        for (int wi = w0; wi < w1; ++wi)
+        },
+        [&](int wi) {
+            const int f0 = wi * window;
+            const int f1 = std::min(f0 + window, n);
+            const Camera refCam = cameraAt(out.references[wi].pose);
+            parallelForOuter(f1 - f0, [&](std::int64_t k) {
+                const int i = f0 + static_cast<int>(k);
+                out.frames[i] =
+                    warpAndFill(refRenders[wi].image, refRenders[wi].depth,
+                                refCam, cameraAt(trajectory[i]), wi);
+            });
             refRenders[wi] = RenderResult{};
-    };
-
-    if (_config.schedule == SparwSchedule::DependencyGraph)
-        runWindowGraph(
-            numWindows, [&](int wi) { renderRefs(wi, wi + 1); },
-            [&](int wi) { processFrames(wi, wi + 1); });
-    else
-        runWindowBatches(numWindows, batch, _config.schedule, renderRefs,
-                         processFrames);
+        });
     return out;
 }
 
@@ -310,20 +264,9 @@ SparwPipeline::runTemporal(const std::vector<Pose> &trajectory) const
             continue;
         }
 
-        WarpOutput w = warpFrame(refImage, refDepth, refCam, tgtCam,
-                                 &_model.occupancy(),
-                                 _model.scene().background, _config.warp);
-
-        SparwFrame frame;
-        frame.warpStats = w.stats;
-        frame.warpPoints = w.stats.pointsTransformed;
-        frame.referenceIndex =
-            static_cast<int>(out.references.size()) - 1;
-        frame.sparseWork = _model.renderPixels(tgtCam, w.needRender,
-                                               w.image, w.depth);
-        frame.image = std::move(w.image);
-        frame.depth = std::move(w.depth);
-
+        SparwFrame frame =
+            warpAndFill(refImage, refDepth, refCam, tgtCam,
+                        static_cast<int>(out.references.size()) - 1);
         if (i % window == 0) {
             // This output becomes the next reference (serialized reuse).
             refCam = tgtCam;
@@ -343,49 +286,27 @@ SparwPipeline::runDownsampled(const std::vector<Pose> &trajectory,
     Camera low = downsampledCamera(_intrinsics, factor);
 
     // Every frame is an independent downsampled render + upsample: a
-    // degenerate SPARW window whose reference *is* the displayed frame
-    // (upsampling stands in for the frame stage). Scheduling goes
-    // through the same window-batch driver as run(), so DS-k inherits
-    // the pipelined overlap instead of duplicating batch logic.
+    // one-frame SPARW window whose reference *is* the displayed frame
+    // (upsampling stands in for the frame stage), scheduled by the
+    // same window graph as run().
     const int n = static_cast<int>(trajectory.size());
     out.references.resize(n);
     out.frames.resize(n);
     std::vector<RenderResult> renders(n);
 
-    auto renderRefs = [&](int w0, int w1) {
-        parallelForOuter(w1 - w0, [&, w0](std::int64_t k) {
-            const std::int64_t i = w0 + k;
+    runWindowGraph(
+        n,
+        [&](int i) {
             Camera cam = low;
             cam.pose = trajectory[i];
             renders[i] = _model.render(cam);
             out.references[i] =
                 SparwReference{trajectory[i], renders[i].work, true};
-        });
-    };
-
-    auto processFrames = [&](int w0, int w1) {
-        parallelForOuter(w1 - w0, [&, w0](std::int64_t k) {
-            const std::int64_t i = w0 + k;
-            SparwFrame frame;
-            frame.referenceIndex = static_cast<int>(i);
-            frame.warpStats.totalPixels =
-                static_cast<std::uint64_t>(_intrinsics.width) *
-                _intrinsics.height;
-            frame.image = renders[i].image.upsampleBilinear(
-                _intrinsics.width, _intrinsics.height);
-            frame.depth = DepthMap(_intrinsics.width, _intrinsics.height);
-            out.frames[i] = std::move(frame);
+        },
+        [&](int i) {
+            out.frames[i] = downsampledFrame(renders[i].image, i);
             renders[i] = RenderResult{};
         });
-    };
-
-    if (_config.schedule == SparwSchedule::DependencyGraph)
-        runWindowGraph(
-            n, [&](int i) { renderRefs(i, i + 1); },
-            [&](int i) { processFrames(i, i + 1); });
-    else
-        runWindowBatches(n, parallelThreadCount(), _config.schedule,
-                         renderRefs, processFrames);
     return out;
 }
 
@@ -398,27 +319,11 @@ SparwPipeline::runRealtime(const std::vector<Pose> &trajectory,
     const int window = std::max(1, _config.window);
     if (n == 0)
         return out;
-    const int numWindows = (n + window - 1) / window;
 
     // Reference poses exactly as run() resolves them — an unlimited
     // budget must reproduce run()'s frames bit for bit.
-    std::vector<Camera> refCams(numWindows);
-    std::vector<SparwReference> refMeta(numWindows);
-    for (int wi = 0; wi < numWindows; ++wi) {
-        const int i = wi * window;
-        Pose refPose;
-        bool onTraj = false;
-        if (i >= 2) {
-            refPose = extrapolateReferencePose(trajectory[i - 2],
-                                               trajectory[i - 1],
-                                               _config.dtSeconds, window);
-        } else {
-            refPose = trajectory[0];
-            onTraj = true;
-        }
-        refCams[wi] = cameraAt(refPose);
-        refMeta[wi] = SparwReference{refPose, StageWork{}, onTraj};
-    }
+    std::vector<SparwReference> refMeta = resolveReferences(trajectory);
+    const int numWindows = static_cast<int>(refMeta.size());
 
     const Camera low =
         downsampledCamera(_intrinsics, std::max(1, rt.fallbackFactor));
@@ -444,8 +349,8 @@ SparwPipeline::runRealtime(const std::vector<Pose> &trajectory,
 
     auto startRef = [&](int wi) {
         refLive[wi] = 1;
-        groups[wi & 1].run([this, &renders, &refCams, wi] {
-            renders[wi & 1] = _model.render(refCams[wi]);
+        groups[wi & 1].run([this, &renders, &refMeta, wi] {
+            renders[wi & 1] = _model.render(cameraAt(refMeta[wi].pose));
         });
     };
 
@@ -474,22 +379,11 @@ SparwPipeline::runRealtime(const std::vector<Pose> &trajectory,
             out.run.references.push_back(refMeta[wi]);
             if (!refMeta[wi].onTrajectory)
                 ++dl.predictedReferences;
+            const Camera refCam = cameraAt(refMeta[wi].pose);
             for (int i = f0; i < f1; ++i) {
-                Camera tgtCam = cameraAt(trajectory[i]);
-                WarpOutput w = warpFrame(ref.image, ref.depth,
-                                         refCams[wi], tgtCam,
-                                         &_model.occupancy(),
-                                         _model.scene().background,
-                                         _config.warp);
-                SparwFrame frame;
-                frame.warpStats = w.stats;
-                frame.warpPoints = w.stats.pointsTransformed;
-                frame.referenceIndex = refIndex;
-                frame.sparseWork = _model.renderPixels(
-                    tgtCam, w.needRender, w.image, w.depth);
-                frame.image = std::move(w.image);
-                frame.depth = std::move(w.depth);
-                out.run.frames[i] = std::move(frame);
+                out.run.frames[i] =
+                    warpAndFill(ref.image, ref.depth, refCam,
+                                cameraAt(trajectory[i]), refIndex);
                 if (elapsedS() > deadlineOf(i))
                     ++dl.deadlineMisses;
             }
@@ -499,19 +393,10 @@ SparwPipeline::runRealtime(const std::vector<Pose> &trajectory,
                 Camera cam = low;
                 cam.pose = trajectory[i];
                 RenderResult r = _model.render(cam);
-                SparwFrame frame;
-                frame.referenceIndex =
-                    static_cast<int>(out.run.references.size());
-                frame.warpStats.totalPixels =
-                    static_cast<std::uint64_t>(_intrinsics.width) *
-                    _intrinsics.height;
-                frame.image = r.image.upsampleBilinear(
-                    _intrinsics.width, _intrinsics.height);
-                frame.depth =
-                    DepthMap(_intrinsics.width, _intrinsics.height);
+                out.run.frames[i] = downsampledFrame(
+                    r.image, static_cast<int>(out.run.references.size()));
                 out.run.references.push_back(
                     SparwReference{trajectory[i], r.work, true});
-                out.run.frames[i] = std::move(frame);
                 ++dl.fallbackFrames;
                 if (elapsedS() > deadlineOf(i))
                     ++dl.deadlineMisses;

@@ -26,45 +26,12 @@
 
 namespace cicero {
 
-/**
- * Schedule of the Cicero strategy's window loop. All schedules produce
- * bit-identical output — only the overlap structure differs.
- */
-enum class SparwSchedule
-{
-    /**
-     * Per-window dependency graph (the full Fig. 11b overlap): each
-     * window's warp + sparse frames depend only on *its own*
-     * reference, so one straggling reference render no longer gates
-     * any other window's lookahead. Reference renders stream ahead
-     * continuously, bounded by a live-reference cap of max(2, 2 x
-     * threads) windows (a frame->future-reference dependency edge), so
-     * peak memory stays O(threads) full-resolution references.
-     */
-    DependencyGraph,
-    /**
-     * The PR 5 batch overlap: while a batch of windows' target frames
-     * is in flight, the *whole next batch* of references is submitted
-     * as one task — a single slow reference delays every window in
-     * the batch. Kept selectable for the throughput bench and the
-     * bit-identity tests.
-     */
-    Pipelined,
-    /**
-     * The pre-pipelining baseline: per batch, render every reference,
-     * barrier, then process every target frame. Kept selectable for
-     * the throughput bench and the bit-identity tests.
-     */
-    TwoPhase,
-};
-
 /** SPARW configuration. */
 struct SparwConfig
 {
     int window = 6;    //!< N: target frames sharing one reference
     WarpParams warp;   //!< warping heuristic parameters
     float dtSeconds = 1.0f / 30.0f; //!< trajectory frame interval
-    SparwSchedule schedule = SparwSchedule::DependencyGraph;
 };
 
 /** Everything produced for one displayed (target) frame. */
@@ -183,6 +150,27 @@ class SparwPipeline
 
   private:
     Camera cameraAt(const Pose &pose) const;
+
+    /**
+     * One reference per window of the trajectory, at the pose Fig. 10
+     * resolves: the first window uses the first trajectory pose, every
+     * later one extrapolates the two poses preceding it (Eqs. 5-6).
+     * Depends only on the input trajectory, never on rendered output.
+     * The work fields are left empty.
+     */
+    std::vector<SparwReference>
+    resolveReferences(const std::vector<Pose> &trajectory) const;
+
+    /**
+     * Target frame @p target warped from a reference render, then its
+     * disocclusions sparse-rendered (Eq. 4).
+     */
+    SparwFrame warpAndFill(const Image &refImage, const DepthMap &refDepth,
+                           const Camera &refCam, const Camera &target,
+                           int referenceIndex) const;
+
+    /** The DS-k frame: @p low bilinearly upsampled to full size. */
+    SparwFrame downsampledFrame(const Image &low, int referenceIndex) const;
 
     const NerfModel &_model;
     Camera _intrinsics;

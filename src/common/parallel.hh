@@ -308,6 +308,21 @@ parallelMapChunks(std::int64_t n, Fn &&fn)
     return parts;
 }
 
+/** Concatenate per-chunk lists in chunk order. */
+template <typename T>
+std::vector<T>
+concatChunks(const std::vector<std::vector<T>> &parts)
+{
+    std::size_t total = 0;
+    for (const auto &p : parts)
+        total += p.size();
+    std::vector<T> out;
+    out.reserve(total);
+    for (const auto &p : parts)
+        out.insert(out.end(), p.begin(), p.end());
+    return out;
+}
+
 /**
  * Run @p fn(list, begin, end) over chunks of [0, n) and concatenate
  * the per-chunk lists in chunk order, reproducing the serial
@@ -317,16 +332,8 @@ template <typename T, typename Fn>
 std::vector<T>
 parallelConcatChunks(std::int64_t n, Fn &&fn)
 {
-    std::vector<std::vector<T>> parts =
-        parallelMapChunks<std::vector<T>>(n, std::forward<Fn>(fn));
-    std::size_t total = 0;
-    for (const auto &p : parts)
-        total += p.size();
-    std::vector<T> out;
-    out.reserve(total);
-    for (const auto &p : parts)
-        out.insert(out.end(), p.begin(), p.end());
-    return out;
+    return concatChunks(
+        parallelMapChunks<std::vector<T>>(n, std::forward<Fn>(fn)));
 }
 
 } // namespace cicero

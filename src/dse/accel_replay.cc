@@ -106,8 +106,8 @@ workloadFromTrace(const TraceFileReader &reader)
 {
     if (!reader.hasWorkloadSummary())
         throw std::runtime_error(
-            "trace has no workload summary (captured with a pre-v2 "
-            "writer?); re-capture to replay accelerator models");
+            "trace has no workload summary; re-capture with one to "
+            "replay accelerator models");
     return fromSummary(reader.workloadSummary());
 }
 

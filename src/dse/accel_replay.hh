@@ -9,7 +9,7 @@
  * the models consume derived quantities (StageWork op counts, the
  * encoding's StreamPlan, the vertex feature size) that the renderer
  * measures at capture time. Trace containers therefore persist a
- * TraceWorkloadSummary (file version 2) holding those exact integers;
+ * TraceWorkloadSummary in the header holding those exact integers;
  * a TraceWorkloadDescriptor is its in-memory form. A live run derives
  * the descriptor with measureWorkload(); a replay run recovers the
  * identical integers with workloadFromTrace() — so replayed
@@ -69,8 +69,8 @@ TraceWorkloadDescriptor measureWorkload(const NerfModel &model,
 
 /**
  * Recover the descriptor persisted in a trace container.
- * @throws std::runtime_error when the file predates version 2 or was
- *         captured without a summary.
+ * @throws std::runtime_error when the file was captured without a
+ *         summary.
  */
 TraceWorkloadDescriptor workloadFromTrace(const TraceFileReader &reader);
 

@@ -1,5 +1,7 @@
 #include "memory/trace.hh"
 
+#include "common/parallel.hh"
+
 namespace cicero {
 
 RayTraceBuffer::RayTraceBuffer(std::size_t slotCount,
@@ -123,6 +125,13 @@ RayTraceBuffer::replay()
     drainRange(_drained, _slots.size());
     _drained = _slots.size();
     _completed.clear();
+}
+
+TraceCapture::TraceCapture(std::size_t slotCount, TraceSink *sink)
+    : _sink(sink)
+{
+    if (sink && parallelThreadCount() > 1)
+        _buffer = std::make_unique<RayTraceBuffer>(slotCount, sink);
 }
 
 } // namespace cicero

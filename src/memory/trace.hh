@@ -17,6 +17,7 @@
 #include <cassert>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -290,6 +291,70 @@ class RayTraceBuffer
     std::mutex _drainMutex; //!< drain baton: one drainer at a time
     std::map<std::size_t, std::size_t> _completed; //!< merged intervals
     std::size_t _drained = 0; //!< slots [0, _drained) already delivered
+};
+
+/**
+ * The capture policy every parallel traced walk shares. With more than
+ * one pool thread, each work item (slot) records into a private
+ * RayTraceBuffer slot and the buffer replays the slots in canonical
+ * order. With one thread the chunks already run inline in slot order,
+ * so items emit straight into the sink and the trace is never
+ * materialized (O(1) memory). Without a sink every item records into
+ * nullptr and nothing is allocated.
+ *
+ * Per item call record(), per finished chunk markCompleted() (the
+ * windowed prefix drain), and after the parallel loop finish() — or
+ * drain() when the caller flushes the sink itself later.
+ */
+class TraceCapture
+{
+  public:
+    /** @param sink downstream sink, or nullptr for an untraced walk. */
+    TraceCapture(std::size_t slotCount, TraceSink *sink);
+    TraceCapture(const TraceCapture &) = delete;
+    TraceCapture &operator=(const TraceCapture &) = delete;
+
+    /** Run @p fn(TraceSink *) with the sink slot @p slot records into. */
+    template <typename Fn>
+    void
+    record(std::size_t slot, Fn &&fn)
+    {
+        if (!_buffer) {
+            fn(_sink);
+            return;
+        }
+        RayTraceBuffer::SlotSink sink = _buffer->sink(slot);
+        fn(static_cast<TraceSink *>(&sink));
+    }
+
+    /** Slots [begin, end) are complete: see RayTraceBuffer. */
+    void
+    markCompleted(std::size_t begin, std::size_t end)
+    {
+        if (_buffer)
+            _buffer->markCompleted(begin, end);
+    }
+
+    /** Deliver every slot not yet drained; does not flush the sink. */
+    void
+    drain()
+    {
+        if (_buffer)
+            _buffer->replay();
+    }
+
+    /** drain(), then end the trace with the sink's onFlush(). */
+    void
+    finish()
+    {
+        drain();
+        if (_sink)
+            _sink->onFlush();
+    }
+
+  private:
+    TraceSink *_sink;
+    std::unique_ptr<RayTraceBuffer> _buffer;
 };
 
 /** A sink that simply stores the trace (tests and small experiments). */

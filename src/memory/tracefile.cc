@@ -27,16 +27,14 @@ constexpr std::uint8_t kEvEnd = 3; //!< stream terminator
 constexpr std::uint8_t kFlagSameBytes = 1u << 2;
 constexpr std::uint8_t kFlagSameRay = 1u << 3;
 
-//! Version-3 checkpoint: the terminator type with bit 2 set, followed
-//! by varint(cumulative event count) + varint(section CRC32). Old
-//! writers never set high bits on non-access tags, so the encoding is
-//! unambiguous across versions.
+//! Checkpoint: the terminator type with bit 2 set, followed by
+//! varint(cumulative event count) + varint(section CRC32).
 constexpr std::uint8_t kFlagCheckpoint = 1u << 2;
 constexpr std::uint8_t kEvCheckpoint = kEvEnd | kFlagCheckpoint;
 
 // ---------------------------------------------------------------------
 // CRC32 (IEEE 802.3 polynomial, table-driven) — the per-section
-// payload checksums and the header checksum of version-3 containers.
+// payload checksums and the header checksum.
 // ---------------------------------------------------------------------
 
 struct Crc32Table
@@ -444,7 +442,7 @@ traceMetaStorageConsistent(const TraceFileMeta &meta)
       case TraceStorageMode::Unknown:
         break;
     }
-    return true; // legacy capture: nothing recorded, nothing to check
+    return true; // nothing recorded, nothing to check
 }
 
 // ---------------------------------------------------------------------
@@ -734,37 +732,31 @@ TraceFileReader::parse(const std::uint8_t *data, std::size_t size,
     _counts.accesses = c.u64();
     _counts.rayEnds = c.u64();
     _counts.flushes = c.u64();
-    if (version >= 2) {
-        _hasWorkload = c.u8() != 0;
-        if (_hasWorkload) {
-            _workload.rays = c.u64();
-            _workload.samples = c.u64();
-            _workload.indexOps = c.u64();
-            _workload.vertexFetches = c.u64();
-            _workload.gatherBytes = c.u64();
-            _workload.interpOps = c.u64();
-            _workload.mlpMacs = c.u64();
-            _workload.compositeOps = c.u64();
-            _workload.streamedBytes = c.u64();
-            _workload.randomBytes = c.u64();
-            _workload.ritEntries = c.u64();
-            _workload.ritBytes = c.u64();
-            _workload.vertexBytes = c.u32();
-        }
+    _hasWorkload = c.u8() != 0;
+    if (_hasWorkload) {
+        _workload.rays = c.u64();
+        _workload.samples = c.u64();
+        _workload.indexOps = c.u64();
+        _workload.vertexFetches = c.u64();
+        _workload.gatherBytes = c.u64();
+        _workload.interpOps = c.u64();
+        _workload.mlpMacs = c.u64();
+        _workload.compositeOps = c.u64();
+        _workload.streamedBytes = c.u64();
+        _workload.randomBytes = c.u64();
+        _workload.ritEntries = c.u64();
+        _workload.ritBytes = c.u64();
+        _workload.vertexBytes = c.u32();
     }
     _storedPayloadBytes = c.u64();
     std::uint64_t rawPayloadBytes = c.u64();
 
-    if (version >= 3) {
-        std::size_t crcPos = c.pos;
-        std::uint32_t storedCrc = c.u32();
-        // Header damage is unrecoverable in any mode: the counts,
-        // codec and sizes below the CRC are what salvage itself
-        // depends on.
-        if (crc32(data, crcPos) != storedCrc)
-            throw TraceFileError(
-                "corrupt trace file: header checksum mismatch");
-    }
+    const std::size_t crcPos = c.pos;
+    const std::uint32_t storedCrc = c.u32();
+    // Header damage is unrecoverable in any mode: the counts, codec and
+    // sizes below the CRC are what salvage itself depends on.
+    if (crc32(data, crcPos) != storedCrc)
+        throw TraceFileError("corrupt trace file: header checksum mismatch");
 
     // A forged header must not size an allocation or a decode loop:
     // bound the claimed raw payload by what the event counts and the
@@ -802,12 +794,11 @@ TraceFileReader::parse(const std::uint8_t *data, std::size_t size,
 
 /**
  * Walk the decoded varint event stream end to end, checking framing,
- * checkpoint CRCs (version >= 3), and that the walked event counts
- * match the header. Strict mode throws on the first defect; Salvage
- * mode cuts the stream back to the last trustworthy prefix — the last
- * CRC-verified checkpoint for version >= 3, the last well-formed event
- * boundary for older files — re-terminates it, and recomputes the
- * counts from what was kept.
+ * checkpoint CRCs, and that the walked event counts match the header.
+ * Strict mode throws on the first defect; Salvage mode cuts the stream
+ * back to the last trustworthy prefix — the last CRC-verified
+ * checkpoint — re-terminates it, and recomputes the counts from what
+ * was kept.
  */
 void
 TraceFileReader::validatePayload(TraceReadMode mode)
@@ -888,11 +879,6 @@ TraceFileReader::validatePayload(TraceReadMode mode)
             }
             if (terminated)
                 break;
-            // Pre-checkpoint files have no CRC anchors; the best
-            // trustworthy prefix is the last well-formed event.
-            if (_version < 3)
-                lastGood = pos, lastGoodCounts = walked,
-                lastGoodEvents = walkedEvents;
         }
         if (!terminated)
             throw TraceFileError(

@@ -19,20 +19,23 @@
  *   str scene  str encoding  str model        (u32 length + bytes)
  *   u32 width  u32 height  u32 threads  u32 featureBytes
  *   u64 accesses  u64 rayEnds  u64 flushes
- *   u8 hasWorkload  [12 x u64 + u32 summary]      (version >= 2)
+ *   u8 hasWorkload  [12 x u64 + u32 summary]
  *   u64 storedPayloadBytes  u64 rawPayloadBytes
- *   u32 headerCrc32                               (version >= 3)
+ *   u32 headerCrc32
  *   payload
  *
- * Version 2 adds the optional workload-summary block: the StageWork
- * and StreamPlan counters of the captured frame. The accel models
+ * This build reads and writes version 3 only; no older container is
+ * kept anywhere, since every corpus is regenerable from its scene.
+ *
+ * The optional workload-summary block holds the StageWork and
+ * StreamPlan counters of the captured frame. The accel models
  * (GPU/NPU/GU/baselines) price *derived* workload quantities — MLP
  * MACs depend on occupancy, the streaming footprint on sample
  * positions — which cannot be re-derived from the access stream alone,
  * so replay-driven accelerator runs read them from the header instead
- * of re-rendering. Version-1 files still parse (summary absent).
+ * of re-rendering.
  *
- * Version 3 adds crash-safety checksums. The header is covered by a
+ * Crash-safety checksums: the header is covered by a
  * trailing CRC32 (over every header byte before the CRC field), and
  * the varint-stage payload embeds *checkpoint events* (tag 7): every
  * ~kTraceCheckpointInterval events, and once more right before the
@@ -91,9 +94,9 @@ enum class TraceCodec : std::uint8_t
 constexpr std::uint16_t kTraceFileVersion = 3;
 
 /** Oldest container version this build still reads. */
-constexpr std::uint16_t kTraceFileMinVersion = 1;
+constexpr std::uint16_t kTraceFileMinVersion = 3;
 
-/** Events between embedded payload checkpoints (version >= 3). */
+/** Events between embedded payload checkpoints. */
 constexpr std::uint64_t kTraceCheckpointInterval = 1024;
 
 /** How strictly TraceFileReader treats a damaged container. */
@@ -121,14 +124,12 @@ struct TraceRecoveryInfo
 };
 
 /**
- * Capture-time feature storage of the traced encoding. Occupies the
- * byte that was reserved in the original version-1 header, so legacy
- * files read back as Unknown and new files stay readable by old
- * builds.
+ * Capture-time feature storage of the traced encoding (the u8
+ * storageMode header byte).
  */
 enum class TraceStorageMode : std::uint8_t
 {
-    Unknown = 0, //!< legacy capture; storage mode not recorded
+    Unknown = 0, //!< storage mode not recorded
     Fp32 = 1,    //!< functional arrays held 4-byte floats
     Fp16 = 2,    //!< quantizeFeaturesFp16() storage (2-byte values)
 };
@@ -156,13 +157,13 @@ struct TraceFileMeta
  * the paper — which is only faithful to the functional run when the
  * encoding's storage really was fp16 (featuresFp16() set) at capture:
  * an Fp32 capture moved 4-byte channels the trace under-counts.
- * Unknown (legacy files) is vacuously consistent. `cicero_trace
+ * Unknown (not recorded) is vacuously consistent. `cicero_trace
  * stats`/`replay` flag inconsistent captures.
  */
 bool traceMetaStorageConsistent(const TraceFileMeta &meta);
 
 /**
- * Workload summary persisted in a version-2 container: the StageWork
+ * Workload summary persisted in a container header: the StageWork
  * counters of the captured frame plus its fully-streaming StreamPlan
  * and vertex size. Kept as plain integers (mirroring
  * nerf/workload.hh's StageWork and nerf/encoding.hh's StreamPlan) so
@@ -323,7 +324,7 @@ class TraceFileWriter : public TraceSink
  * Parses a `.ctrace` container and replays it into TraceSinks.
  *
  * The payload is decoded to the varint stage once at construction and
- * fully validated — every event parses, every version-3 checkpoint
+ * fully validated — every event parses, every checkpoint
  * CRC matches, the walked counts agree with the header; replay() then
  * re-walks that stream, so a reader replays any number of times (the
  * capture-once / replay-many pattern).
@@ -349,13 +350,13 @@ class TraceFileReader
     const TraceFileCounts &counts() const { return _counts; }
     TraceCodec codec() const { return _codec; }
 
-    /** Container version the file was written with (1, 2, or 3). */
+    /** Container version the file was written with. */
     std::uint16_t version() const { return _version; }
 
     /** What a Salvage-mode read recovered (all zeros when clean). */
     const TraceRecoveryInfo &recovery() const { return _recovery; }
 
-    /** True when a workload summary was captured (version >= 2). */
+    /** True when a workload summary was captured. */
     bool hasWorkloadSummary() const { return _hasWorkload; }
 
     /** The captured workload summary; zeros when absent. */

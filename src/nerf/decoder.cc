@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/fault.hh"
-#include "common/simd.hh"
 
 namespace cicero {
 
@@ -278,30 +277,6 @@ Decoder::decodeBlocksFused(const DecodeBlock *blocks, int numBlocks) const
             off += static_cast<std::size_t>(blk.count);
         }
         b = e;
-    }
-}
-
-void
-Decoder::decodeBatch(const float *features, int count,
-                     const Vec3 &viewDir, DecodedSample *out) const
-{
-    if (count <= 0)
-        return;
-
-    // Sample-major entry point (streaming renderers scatter-accumulate
-    // their feature buffers per sample): transpose chunk-wise into the
-    // channel-major layout the core consumes. Results are bit-identical
-    // to decodeBatchSoA — the layouts hold the same values.
-    thread_local std::vector<float> soa(
-        static_cast<std::size_t>(kFeatureDim) * kDecodeChunk);
-    const Vec3 viewNorm = viewDir.normalized();
-    for (int b0 = 0; b0 < count; b0 += kDecodeChunk) {
-        const int bn = std::min(kDecodeChunk, count - b0);
-        simd::transposeToChannelMajor(
-            features + static_cast<std::size_t>(b0) * kFeatureDim, bn,
-            kFeatureDim, soa.data());
-        decodeChunk(soa.data(), static_cast<std::size_t>(bn), bn, viewDir,
-                    viewNorm, out + b0);
     }
 }
 

@@ -123,21 +123,13 @@ class Decoder
 
     /**
      * Decode @p count feature vectors sharing one ray direction in
-     * batched MLP passes. @p features is sample-major
-     * (count x kFeatureDim); results are bit-identical to @p count
-     * scalar decode() calls. Thread-safe.
-     */
-    void decodeBatch(const float *features, int count,
-                     const Vec3 &viewDir, DecodedSample *out) const;
-
-    /**
-     * Channel-major (SoA) batched decode: channel c of sample i lives
-     * at features[c * featureStride + i] — the layout
+     * batched MLP passes, channel-major (SoA): channel c of sample i
+     * lives at features[c * featureStride + i] — the layout
      * Encoding::gatherFeatureBatch produces (featureStride = block
-     * size) and the layout the batched MLP kernel consumes, so the
-     * per-call feature transposition of the sample-major entry point
-     * disappears. Results are bit-identical to scalar decode().
-     * Thread-safe.
+     * size) and the layout the batched MLP kernel consumes, so no
+     * feature transposition happens per call (sample-major buffers go
+     * through simd::transposeToChannelMajor first). Results are
+     * bit-identical to @p count scalar decode() calls. Thread-safe.
      */
     void decodeBatchSoA(const float *features, std::size_t featureStride,
                         int count, const Vec3 &viewDir,

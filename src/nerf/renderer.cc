@@ -21,18 +21,142 @@ constexpr int kFirstDecodeBlock = 8;
 constexpr int kMaxDecodeBlock = 64;
 
 /**
- * Run @p fn(work, begin, end) over chunks of [0, n) and fold the
- * per-chunk StageWork accumulators in chunk order.
+ * The rays one walk visits, in canonical (serial) order: the rows
+ * [rowBegin, rowEnd) of the frame in raster order, or an explicit
+ * pixel-id list in list order. A ray's position in that order is its
+ * trace slot; its ray id is always its pixel id (y * width + x). A
+ * walk splits the set into chunks of items: whole rows, or list
+ * entries.
  */
-template <typename Fn>
+struct RaySet
+{
+    int width = 0;
+    int rowBegin = 0;
+    int rowEnd = 0;
+    const std::vector<std::uint32_t> *pixels = nullptr;
+
+    static RaySet
+    rows(const Camera &camera, int rowBegin, int rowEnd)
+    {
+        return RaySet{camera.width, rowBegin, rowEnd, nullptr};
+    }
+
+    static RaySet
+    list(const Camera &camera, const std::vector<std::uint32_t> &ids)
+    {
+        return RaySet{camera.width, 0, 0, &ids};
+    }
+
+    std::int64_t
+    items() const
+    {
+        return pixels ? static_cast<std::int64_t>(pixels->size())
+                      : rowEnd - rowBegin;
+    }
+
+    /** Trace slot of the first ray of item @p item. */
+    std::size_t
+    slotOf(std::int64_t item) const
+    {
+        return static_cast<std::size_t>(item) * (pixels ? 1 : width);
+    }
+
+    /** Call @p fn(slot, px, py, rayId) for every ray of items [b, e). */
+    template <typename Fn>
+    void
+    forEachRay(std::int64_t b, std::int64_t e, Fn &&fn) const
+    {
+        if (pixels) {
+            for (std::int64_t k = b; k < e; ++k) {
+                const std::uint32_t id = (*pixels)[k];
+                fn(static_cast<std::size_t>(k), static_cast<int>(id % width),
+                   static_cast<int>(id / width), id);
+            }
+            return;
+        }
+        std::size_t slot = slotOf(b);
+        for (int py = rowBegin + static_cast<int>(b);
+             py < rowBegin + e; ++py) {
+            std::uint32_t rayId = static_cast<std::uint32_t>(py) * width;
+            for (int px = 0; px < width; ++px, ++rayId, ++slot)
+                fn(slot, px, py, rayId);
+        }
+    }
+};
+
 StageWork
-accumulateWorkChunks(std::int64_t n, Fn &&fn)
+foldChunks(const std::vector<StageWork> &parts)
 {
     StageWork total;
-    for (const StageWork &w :
-         parallelMapChunks<StageWork>(n, std::forward<Fn>(fn)))
+    for (const StageWork &w : parts)
         total += w;
     return total;
+}
+
+std::vector<Vec3>
+foldChunks(const std::vector<std::vector<Vec3>> &parts)
+{
+    return concatChunks(parts);
+}
+
+/** Where a walk runs: chunked on the global pool, or inline. */
+enum class Walk
+{
+    Parallel,
+    Serial, //!< one chunk on the calling thread
+};
+
+/**
+ * The one frame-level pixel walk behind every NerfModel entry point:
+ * runs @p op(acc, px, py, rayId, sink) for every ray of @p rays. A
+ * parallel walk splits the items into pool chunks, each with its own
+ * accumulator, folded in chunk order; pixels land in disjoint slots
+ * and ray ids are a function of the pixel, so the result is
+ * bit-identical at any thread count. Every ray records its trace
+ * events through a TraceCapture slot and each finished chunk is marked
+ * completed, so @p trace sees the serial access stream, followed by
+ * one onFlush().
+ */
+template <typename Acc, typename RayOp>
+Acc
+walkRays(const RaySet &rays, TraceSink *trace, Walk mode, RayOp &&op)
+{
+    TraceCapture capture(rays.slotOf(rays.items()), trace);
+    auto chunk = [&](Acc &acc, std::int64_t b, std::int64_t e) {
+        rays.forEachRay(b, e, [&](std::size_t slot, int px, int py,
+                                  std::uint32_t rayId) {
+            capture.record(slot, [&](TraceSink *sink) {
+                op(acc, px, py, rayId, sink);
+            });
+        });
+        capture.markCompleted(rays.slotOf(b), rays.slotOf(e));
+    };
+    std::vector<Acc> parts;
+    if (mode == Walk::Serial) {
+        parts.resize(1);
+        chunk(parts[0], 0, rays.items());
+    } else {
+        parts = parallelMapChunks<Acc>(rays.items(), chunk);
+    }
+    capture.finish();
+    return foldChunks(parts);
+}
+
+/** Positions of the samples @p sampler marches along every ray. */
+std::vector<Vec3>
+collectPositions(const RaySampler &sampler, const Camera &camera,
+                 const RaySet &rays)
+{
+    return walkRays<std::vector<Vec3>>(
+        rays, nullptr, Walk::Parallel,
+        [&](std::vector<Vec3> &out, int px, int py, std::uint32_t,
+            TraceSink *) {
+            thread_local std::vector<RaySample> samples;
+            const int n = sampler.sample(camera.generateRay(px, py),
+                                         samples);
+            for (int i = 0; i < n; ++i)
+                out.push_back(samples[i].pn);
+        });
 }
 
 } // namespace
@@ -73,10 +197,6 @@ NerfModel::renderOne(const Camera &camera, int px, int py,
 
     Ray ray = camera.generateRay(px, py);
     int n = _sampler.sample(ray, samples);
-
-    ++work.rays;
-    work.indexOps += static_cast<std::uint64_t>(n) *
-                     _encoding->indexOpsPerSample();
 
     // Optional G-buffer accumulation: opacity-weighted material
     // attributes, normalized at the end.
@@ -193,16 +313,7 @@ NerfModel::renderOne(const Camera &camera, int px, int py,
         }
     }
 
-    work.samples += computed;
-    work.vertexFetches += static_cast<std::uint64_t>(computed) *
-                          _encoding->fetchesPerSample();
-    work.gatherBytes += static_cast<std::uint64_t>(computed) *
-                        _encoding->fetchesPerSample() *
-                        (_encoding->featureDim() * kBytesPerChannel);
-    work.interpOps += static_cast<std::uint64_t>(computed) *
-                      _encoding->interpOpsPerSample();
-    work.mlpMacs += static_cast<std::uint64_t>(computed) * _nominalMlpMacs;
-    work.compositeOps += static_cast<std::uint64_t>(computed) * 12;
+    chargeRay(work, n, computed, computed);
 
     if (trace)
         trace->onRayEnd(rayId);
@@ -210,6 +321,22 @@ NerfModel::renderOne(const Camera &camera, int px, int py,
     CompositeResult r = comp.finish(_scene.background);
     rgbOut = r.rgb;
     depthOut = r.depth;
+}
+
+void
+NerfModel::chargeRay(StageWork &work, std::uint64_t marched,
+                     std::uint64_t gathered, std::uint64_t shaded) const
+{
+    const std::uint64_t fetches = _encoding->fetchesPerSample();
+    ++work.rays;
+    work.indexOps += marched * _encoding->indexOpsPerSample();
+    work.samples += gathered;
+    work.vertexFetches += gathered * fetches;
+    work.gatherBytes +=
+        gathered * fetches * (_encoding->featureDim() * kBytesPerChannel);
+    work.interpOps += gathered * _encoding->interpOpsPerSample();
+    work.mlpMacs += shaded * _nominalMlpMacs;
+    work.compositeOps += shaded * 12;
 }
 
 RenderResult
@@ -221,92 +348,14 @@ NerfModel::render(const Camera &camera, TraceSink *trace,
     out.depth = DepthMap(camera.width, camera.height);
     if (wantGBuffer)
         out.gbuffer = GBuffer(camera.width, camera.height);
-
-    const int W = camera.width;
-    const int H = camera.height;
-
-    if (trace) {
-        // Buffered parallel trace capture: each ray records its access
-        // stream into a private RayTraceBuffer slot while the rows run
-        // tile-parallel, and the replay below walks the slots in
-        // canonical ray-id order — the TraceSink sees a stream
-        // byte-identical to the old serial walk. Completed row chunks
-        // are marked so the buffer drains its finished prefix while
-        // trailing chunks still render (windowed replay: peak buffer
-        // memory tracks the out-of-order window, not the frame). With
-        // one thread the chunks already run inline in order, so rays
-        // emit straight into the sink and the trace is never
-        // materialized (the old O(1)-memory serial behavior).
-        std::unique_ptr<RayTraceBuffer> buf;
-        if (parallelThreadCount() > 1)
-            buf = std::make_unique<RayTraceBuffer>(
-                static_cast<std::size_t>(W) * H, trace);
-        out.work = accumulateWorkChunks(
-            H, [&](StageWork &w, std::int64_t y0, std::int64_t y1) {
-                for (int py = static_cast<int>(y0); py < y1; ++py) {
-                    std::uint32_t rayId =
-                        static_cast<std::uint32_t>(py) * W;
-                    for (int px = 0; px < W; ++px, ++rayId) {
-                        Vec3 rgb;
-                        float d;
-                        BakedPoint *g =
-                            wantGBuffer ? &out.gbuffer.at(px, py)
-                                        : nullptr;
-                        if (buf) {
-                            RayTraceBuffer::SlotSink sink =
-                                buf->sink(rayId);
-                            renderOne(camera, px, py, rayId, rgb, d, w,
-                                      &sink, g);
-                        } else {
-                            renderOne(camera, px, py, rayId, rgb, d, w,
-                                      trace, g);
-                        }
-                        out.image.at(px, py) = rgb;
-                        out.depth.at(px, py) = d;
-                    }
-                }
-                if (buf)
-                    buf->markCompleted(
-                        static_cast<std::size_t>(y0) * W,
-                        static_cast<std::size_t>(y1) * W);
-            });
-        if (buf)
-            buf->replay();
-        trace->onFlush();
-        return out;
-    }
-
-    // Tile-parallel: row chunks, per-chunk work accumulators merged in
-    // chunk order. Pixels are written to disjoint locations and ray
-    // ids are a function of the pixel, so the output is bit-identical
-    // to the serial path at any thread count.
-    out.work = accumulateWorkChunks(
-        H, [&](StageWork &w, std::int64_t y0, std::int64_t y1) {
-            for (int py = static_cast<int>(y0); py < y1; ++py) {
-                std::uint32_t rayId =
-                    static_cast<std::uint32_t>(py) * W;
-                for (int px = 0; px < W; ++px, ++rayId) {
-                    Vec3 rgb;
-                    float d;
-                    renderOne(camera, px, py, rayId, rgb, d, w, nullptr,
-                              wantGBuffer ? &out.gbuffer.at(px, py)
-                                          : nullptr);
-                    out.image.at(px, py) = rgb;
-                    out.depth.at(px, py) = d;
-                }
-            }
+    out.work = walkRays<StageWork>(
+        RaySet::rows(camera, 0, camera.height), trace, Walk::Parallel,
+        [&](StageWork &w, int px, int py, std::uint32_t id,
+            TraceSink *sink) {
+            renderOne(camera, px, py, id, out.image.at(px, py),
+                      out.depth.at(px, py), w, sink,
+                      wantGBuffer ? &out.gbuffer.at(px, py) : nullptr);
         });
-    return out;
-}
-
-RenderResult
-NerfModel::renderServe(const Camera &camera, DecodeSink *sink) const
-{
-    RenderResult out;
-    out.image = Image(camera.width, camera.height);
-    out.depth = DepthMap(camera.width, camera.height);
-    out.work = renderServeRows(camera, 0, camera.height, out.image,
-                               out.depth, sink);
     return out;
 }
 
@@ -315,32 +364,12 @@ NerfModel::renderServeRows(const Camera &camera, int rowBegin,
                            int rowEnd, Image &image, DepthMap &depth,
                            DecodeSink *sink) const
 {
-    // Serial pixel walk on the calling thread over [rowBegin, rowEnd).
-    // Same traversal order and per-ray math as render(); only the
-    // decode call site differs (routed through the sink). Per-ray
-    // decode blocking lives inside renderOne, so composing disjoint
-    // row ranges reproduces renderServe bit-for-bit.
-    StageWork work;
-    const int W = camera.width;
-    for (int py = rowBegin; py < rowEnd; ++py) {
-        std::uint32_t rayId = static_cast<std::uint32_t>(py) * W;
-        for (int px = 0; px < W; ++px, ++rayId) {
-            Vec3 rgb;
-            float d;
-            renderOne(camera, px, py, rayId, rgb, d, work, nullptr,
-                      nullptr, sink);
-            image.at(px, py) = rgb;
-            depth.at(px, py) = d;
-        }
-    }
-    return work;
-}
-
-void
-NerfModel::quantizeFp16()
-{
-    _encoding->quantizeFeaturesFp16();
-    _decoder.quantizeWeightsFp16();
+    return walkRays<StageWork>(
+        RaySet::rows(camera, rowBegin, rowEnd), nullptr, Walk::Serial,
+        [&](StageWork &w, int px, int py, std::uint32_t id, TraceSink *) {
+            renderOne(camera, px, py, id, image.at(px, py),
+                      depth.at(px, py), w, nullptr, nullptr, sink);
+        });
 }
 
 StageWork
@@ -349,59 +378,20 @@ NerfModel::renderPixels(const Camera &camera,
                         Image &image, DepthMap &depth,
                         TraceSink *trace) const
 {
-    StageWork work;
-    if (trace) {
-        // Buffered parallel capture over the sparse pixel list; replay
-        // follows the list order (the serial emission order), whatever
-        // the ids are, with completed chunks prefix-drained as above.
-        // One thread emits directly (see render()).
-        std::unique_ptr<RayTraceBuffer> buf;
-        if (parallelThreadCount() > 1)
-            buf = std::make_unique<RayTraceBuffer>(pixelIds.size(),
-                                                   trace);
-        work = accumulateWorkChunks(
-            static_cast<std::int64_t>(pixelIds.size()),
-            [&](StageWork &w, std::int64_t b, std::int64_t e) {
-                for (std::int64_t k = b; k < e; ++k) {
-                    std::uint32_t id = pixelIds[k];
-                    int px = id % camera.width;
-                    int py = id / camera.width;
-                    Vec3 rgb;
-                    float d;
-                    if (buf) {
-                        RayTraceBuffer::SlotSink sink =
-                            buf->sink(static_cast<std::size_t>(k));
-                        renderOne(camera, px, py, id, rgb, d, w, &sink);
-                    } else {
-                        renderOne(camera, px, py, id, rgb, d, w, trace);
-                    }
-                    image.at(px, py) = rgb;
-                    depth.at(px, py) = d;
-                }
-                if (buf)
-                    buf->markCompleted(static_cast<std::size_t>(b),
-                                       static_cast<std::size_t>(e));
-            });
-        if (buf)
-            buf->replay();
-        trace->onFlush();
-        return work;
-    }
-
-    return accumulateWorkChunks(
-        static_cast<std::int64_t>(pixelIds.size()),
-        [&](StageWork &w, std::int64_t b, std::int64_t e) {
-            for (std::int64_t k = b; k < e; ++k) {
-                std::uint32_t id = pixelIds[k];
-                int px = id % camera.width;
-                int py = id / camera.width;
-                Vec3 rgb;
-                float d;
-                renderOne(camera, px, py, id, rgb, d, w, nullptr);
-                image.at(px, py) = rgb;
-                depth.at(px, py) = d;
-            }
+    return walkRays<StageWork>(
+        RaySet::list(camera, pixelIds), trace, Walk::Parallel,
+        [&](StageWork &w, int px, int py, std::uint32_t id,
+            TraceSink *sink) {
+            renderOne(camera, px, py, id, image.at(px, py),
+                      depth.at(px, py), w, sink);
         });
+}
+
+void
+NerfModel::quantizeFp16()
+{
+    _encoding->quantizeFeaturesFp16();
+    _decoder.quantizeWeightsFp16();
 }
 
 void
@@ -415,10 +405,6 @@ NerfModel::traceOne(const Camera &camera, int px, int py,
 
     Ray ray = camera.generateRay(px, py);
     int n = _workloadSampler.sample(ray, samples);
-
-    ++work.rays;
-    work.indexOps += static_cast<std::uint64_t>(n) *
-                     _encoding->indexOpsPerSample();
 
     if (trace && n > 0) {
         // Workload mode never early-terminates, so the whole ray's
@@ -443,70 +429,16 @@ NerfModel::traceOne(const Camera &camera, int px, int py,
     if (trace)
         trace->onRayEnd(rayId);
 
-    work.samples += n;
-    work.vertexFetches += static_cast<std::uint64_t>(n) *
-                          _encoding->fetchesPerSample();
-    work.gatherBytes += static_cast<std::uint64_t>(n) *
-                        _encoding->fetchesPerSample() *
-                        (_encoding->featureDim() * kBytesPerChannel);
-    work.interpOps += static_cast<std::uint64_t>(n) *
-                      _encoding->interpOpsPerSample();
-    work.mlpMacs += shaded * _nominalMlpMacs;
-    work.compositeOps += shaded * 12;
+    chargeRay(work, n, n, shaded);
 }
 
 StageWork
 NerfModel::traceWorkload(const Camera &camera, TraceSink *trace) const
 {
-    StageWork work;
-    const int W = camera.width;
-    const int H = camera.height;
-
-    if (trace) {
-        // Buffered parallel trace: rows run tile-parallel recording
-        // into per-ray slots; the replay delivers the canonical
-        // (serial) access stream to the sink, prefix-draining
-        // completed row chunks while trailing chunks still render.
-        // One thread emits directly (see render()).
-        std::unique_ptr<RayTraceBuffer> buf;
-        if (parallelThreadCount() > 1)
-            buf = std::make_unique<RayTraceBuffer>(
-                static_cast<std::size_t>(W) * H, trace);
-        work = accumulateWorkChunks(
-            H, [&](StageWork &w, std::int64_t y0, std::int64_t y1) {
-                for (int py = static_cast<int>(y0); py < y1; ++py) {
-                    std::uint32_t rayId =
-                        static_cast<std::uint32_t>(py) * W;
-                    for (int px = 0; px < W; ++px, ++rayId) {
-                        if (buf) {
-                            RayTraceBuffer::SlotSink sink =
-                                buf->sink(rayId);
-                            traceOne(camera, px, py, rayId, w, &sink);
-                        } else {
-                            traceOne(camera, px, py, rayId, w, trace);
-                        }
-                    }
-                }
-                if (buf)
-                    buf->markCompleted(
-                        static_cast<std::size_t>(y0) * W,
-                        static_cast<std::size_t>(y1) * W);
-            });
-        if (buf)
-            buf->replay();
-        trace->onFlush();
-        return work;
-    }
-
-    return accumulateWorkChunks(
-        H, [&](StageWork &w, std::int64_t y0, std::int64_t y1) {
-            for (int py = static_cast<int>(y0); py < y1; ++py) {
-                std::uint32_t rayId =
-                    static_cast<std::uint32_t>(py) * W;
-                for (int px = 0; px < W; ++px, ++rayId)
-                    traceOne(camera, px, py, rayId, w, nullptr);
-            }
-        });
+    return walkRays<StageWork>(
+        RaySet::rows(camera, 0, camera.height), trace, Walk::Parallel,
+        [&](StageWork &w, int px, int py, std::uint32_t id,
+            TraceSink *sink) { traceOne(camera, px, py, id, w, sink); });
 }
 
 StageWork
@@ -514,69 +446,17 @@ NerfModel::traceWorkloadPixels(const Camera &camera,
                                const std::vector<std::uint32_t> &pixelIds,
                                TraceSink *trace) const
 {
-    StageWork work;
-    if (trace) {
-        std::unique_ptr<RayTraceBuffer> buf;
-        if (parallelThreadCount() > 1)
-            buf = std::make_unique<RayTraceBuffer>(pixelIds.size(),
-                                                   trace);
-        work = accumulateWorkChunks(
-            static_cast<std::int64_t>(pixelIds.size()),
-            [&](StageWork &w, std::int64_t b, std::int64_t e) {
-                for (std::int64_t k = b; k < e; ++k) {
-                    std::uint32_t id = pixelIds[k];
-                    if (buf) {
-                        RayTraceBuffer::SlotSink sink =
-                            buf->sink(static_cast<std::size_t>(k));
-                        traceOne(camera, id % camera.width,
-                                 id / camera.width, id, w, &sink);
-                    } else {
-                        traceOne(camera, id % camera.width,
-                                 id / camera.width, id, w, trace);
-                    }
-                }
-                if (buf)
-                    buf->markCompleted(static_cast<std::size_t>(b),
-                                       static_cast<std::size_t>(e));
-            });
-        if (buf)
-            buf->replay();
-        trace->onFlush();
-        return work;
-    }
-
-    return accumulateWorkChunks(
-        static_cast<std::int64_t>(pixelIds.size()),
-        [&](StageWork &w, std::int64_t b, std::int64_t e) {
-            for (std::int64_t k = b; k < e; ++k) {
-                std::uint32_t id = pixelIds[k];
-                traceOne(camera, id % camera.width, id / camera.width,
-                         id, w, nullptr);
-            }
-        });
+    return walkRays<StageWork>(
+        RaySet::list(camera, pixelIds), trace, Walk::Parallel,
+        [&](StageWork &w, int px, int py, std::uint32_t id,
+            TraceSink *sink) { traceOne(camera, px, py, id, w, sink); });
 }
 
 std::vector<Vec3>
 NerfModel::collectSamplePositions(const Camera &camera) const
 {
-    const int W = camera.width;
-    const int H = camera.height;
-
-    // Per-chunk position lists, concatenated in chunk (= row) order so
-    // the result matches the serial traversal exactly.
-    return parallelConcatChunks<Vec3>(
-        H, [&](std::vector<Vec3> &out, std::int64_t y0,
-               std::int64_t y1) {
-            thread_local std::vector<RaySample> samples;
-            for (int py = static_cast<int>(y0); py < y1; ++py) {
-                for (int px = 0; px < W; ++px) {
-                    Ray ray = camera.generateRay(px, py);
-                    int n = _sampler.sample(ray, samples);
-                    for (int i = 0; i < n; ++i)
-                        out.push_back(samples[i].pn);
-                }
-            }
-        });
+    return collectPositions(_sampler, camera,
+                            RaySet::rows(camera, 0, camera.height));
 }
 
 std::vector<Vec3>
@@ -584,19 +464,8 @@ NerfModel::collectSamplePositionsPixels(
     const Camera &camera,
     const std::vector<std::uint32_t> &pixelIds) const
 {
-    return parallelConcatChunks<Vec3>(
-        static_cast<std::int64_t>(pixelIds.size()),
-        [&](std::vector<Vec3> &out, std::int64_t b, std::int64_t e) {
-            thread_local std::vector<RaySample> samples;
-            for (std::int64_t k = b; k < e; ++k) {
-                std::uint32_t id = pixelIds[k];
-                Ray ray = camera.generateRay(id % camera.width,
-                                             id / camera.width);
-                int cnt = _sampler.sample(ray, samples);
-                for (int i = 0; i < cnt; ++i)
-                    out.push_back(samples[i].pn);
-            }
-        });
+    return collectPositions(_sampler, camera,
+                            RaySet::list(camera, pixelIds));
 }
 
 RenderResult

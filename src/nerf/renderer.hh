@@ -111,33 +111,21 @@ class NerfModel
                         bool wantGBuffer = false) const;
 
     /**
-     * Serving-path render: walk the frame's pixels serially on the
-     * *calling* thread (no internal parallelFor — when the serve
-     * layer wants intra-frame parallelism it fans the frame out into
-     * row-block tasks itself via renderServeRows), decoding each ray
-     * block through @p sink when given. The pixel walk, ray ids and
-     * per-sample math are identical to render(), so with a conforming
-     * sink (one whose results are bit-identical to
-     * Decoder::decodeBatchSoA per block — see DecodeSink) the output
-     * is bit-identical to render() on the same camera.
-     * @p sink == nullptr decodes directly (the unfused serving
-     * baseline).
-     */
-    RenderResult renderServe(const Camera &camera,
-                             DecodeSink *sink = nullptr) const;
-
-    /**
      * Serving-path render of the contiguous row range
      * [@p rowBegin, @p rowEnd): the building block of the serve
-     * layer's intra-frame ray-block fan-out. Walks exactly the pixels
-     * renderServe would visit in those rows, with the same ray ids and
-     * per-sample math, writing into @p image / @p depth (pre-sized to
-     * the camera resolution; rows are disjoint, so concurrent calls on
-     * non-overlapping ranges compose to the full frame bit-identically
-     * to renderServe — per-ray decode blocking is internal to each
-     * ray, so the row decomposition cannot change bits). Returns the
-     * StageWork for the range; StageWork is all summed counters, so
-     * accumulation order across blocks is irrelevant.
+     * layer's intra-frame ray-block fan-out. Walks the rows serially
+     * on the *calling* thread (no internal parallelFor — the serve
+     * layer owns the fan-out), with the same ray ids and per-sample
+     * math as render(), writing into @p image / @p depth (pre-sized to
+     * the camera resolution). Each ray block decodes through @p sink
+     * when given, or directly (the unfused serving baseline). With a
+     * conforming sink (one whose results are bit-identical to
+     * Decoder::decodeBatchSoA per block — see DecodeSink), disjoint
+     * row ranges compose to a frame bit-identical to render(): per-ray
+     * decode blocking is internal to each ray, so the row
+     * decomposition cannot change bits. Returns the StageWork for the
+     * range; StageWork is all summed counters, so accumulation order
+     * across blocks is irrelevant.
      */
     StageWork renderServeRows(const Camera &camera, int rowBegin,
                               int rowEnd, Image &image, DepthMap &depth,
@@ -210,6 +198,14 @@ class NerfModel
     void traceOne(const Camera &camera, int px, int py,
                   std::uint32_t rayId, StageWork &work,
                   TraceSink *trace) const;
+
+    /**
+     * Charge one ray to @p work: @p marched samples indexed,
+     * @p gathered samples' features fetched, @p shaded samples through
+     * Feature Computation and compositing.
+     */
+    void chargeRay(StageWork &work, std::uint64_t marched,
+                   std::uint64_t gathered, std::uint64_t shaded) const;
 
     Scene _scene;
     std::unique_ptr<Encoding> _encoding;

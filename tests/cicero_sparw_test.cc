@@ -182,153 +182,6 @@ TEST_F(SparwFixture, MeanOverlapHighAtVideoRate)
     EXPECT_LT(run.meanRerender(), 0.1);
 }
 
-TEST_F(SparwFixture, PipelinedScheduleBitIdenticalToTwoPhase)
-{
-    // Same trajectory, both schedules, several thread widths: every
-    // frame pixel, depth sample and work counter must match — the
-    // pipelined overlap changes scheduling, never output.
-    struct Guard
-    {
-        ~Guard() { setParallelThreadCount(0); }
-    } guard;
-
-    SparwConfig twoPhaseCfg = config(4);
-    twoPhaseCfg.schedule = SparwSchedule::TwoPhase;
-    SparwConfig pipelinedCfg = config(4);
-    pipelinedCfg.schedule = SparwSchedule::Pipelined;
-    SparwPipeline twoPhase(*model, intrinsics, twoPhaseCfg);
-    SparwPipeline pipelined(*model, intrinsics, pipelinedCfg);
-
-    setParallelThreadCount(1);
-    SparwRun baseline = twoPhase.run(traj);
-
-    for (int threads : {1, 4, 7}) {
-        setParallelThreadCount(threads);
-        SparwRun run = pipelined.run(traj);
-        ASSERT_EQ(run.frames.size(), baseline.frames.size());
-        ASSERT_EQ(run.references.size(), baseline.references.size());
-        for (std::size_t i = 0; i < run.frames.size(); ++i) {
-            const SparwFrame &a = baseline.frames[i];
-            const SparwFrame &b = run.frames[i];
-            EXPECT_EQ(a.referenceIndex, b.referenceIndex);
-            EXPECT_EQ(a.warpStats.warped, b.warpStats.warped);
-            EXPECT_EQ(a.sparseWork.samples, b.sparseWork.samples);
-            std::size_t mismatches = 0;
-            for (std::size_t p = 0; p < a.image.pixelCount(); ++p)
-                if (a.image.at(p).x != b.image.at(p).x ||
-                    a.image.at(p).y != b.image.at(p).y ||
-                    a.image.at(p).z != b.image.at(p).z)
-                    ++mismatches;
-            EXPECT_EQ(mismatches, 0u) << "frame " << i << " at "
-                                      << threads << " threads";
-        }
-        for (std::size_t i = 0; i < run.references.size(); ++i)
-            EXPECT_EQ(run.references[i].work.samples,
-                      baseline.references[i].work.samples);
-    }
-}
-
-TEST_F(SparwFixture, DownsampledSharesPipelinedSchedule)
-{
-    struct Guard
-    {
-        ~Guard() { setParallelThreadCount(0); }
-    } guard;
-
-    SparwConfig twoPhaseCfg = config(4);
-    twoPhaseCfg.schedule = SparwSchedule::TwoPhase;
-    SparwConfig pipelinedCfg = config(4);
-    pipelinedCfg.schedule = SparwSchedule::Pipelined;
-    SparwPipeline twoPhase(*model, intrinsics, twoPhaseCfg);
-    SparwPipeline pipelined(*model, intrinsics, pipelinedCfg);
-
-    setParallelThreadCount(1);
-    SparwRun baseline = twoPhase.runDownsampled(traj, 2);
-    for (int threads : {1, 4, 7}) {
-        setParallelThreadCount(threads);
-        SparwRun run = pipelined.runDownsampled(traj, 2);
-        ASSERT_EQ(run.frames.size(), baseline.frames.size());
-        for (std::size_t i = 0; i < run.frames.size(); ++i) {
-            std::size_t mismatches = 0;
-            const Image &a = baseline.frames[i].image;
-            const Image &b = run.frames[i].image;
-            ASSERT_EQ(a.pixelCount(), b.pixelCount());
-            for (std::size_t p = 0; p < a.pixelCount(); ++p)
-                if (a.at(p).x != b.at(p).x || a.at(p).y != b.at(p).y ||
-                    a.at(p).z != b.at(p).z)
-                    ++mismatches;
-            EXPECT_EQ(mismatches, 0u) << "frame " << i << " at "
-                                      << threads << " threads";
-            EXPECT_EQ(run.references[i].work.rays,
-                      baseline.references[i].work.rays);
-        }
-    }
-}
-
-TEST_F(SparwFixture, DependencyGraphScheduleBitIdenticalToTwoPhase)
-{
-    // The dependency-graph schedule streams references ahead of any
-    // window barrier (bounded by the live-reference cap); like the
-    // batch pipeline it must never change a pixel, a depth sample or a
-    // work counter at any thread width — for run() and for the
-    // runDownsampled path, which routes through the same drivers.
-    struct Guard
-    {
-        ~Guard() { setParallelThreadCount(0); }
-    } guard;
-
-    SparwConfig twoPhaseCfg = config(4);
-    twoPhaseCfg.schedule = SparwSchedule::TwoPhase;
-    SparwConfig depGraphCfg = config(4);
-    depGraphCfg.schedule = SparwSchedule::DependencyGraph;
-    SparwPipeline twoPhase(*model, intrinsics, twoPhaseCfg);
-    SparwPipeline depGraph(*model, intrinsics, depGraphCfg);
-
-    setParallelThreadCount(1);
-    SparwRun baseline = twoPhase.run(traj);
-    SparwRun dsBaseline = twoPhase.runDownsampled(traj, 2);
-
-    for (int threads : {1, 4, 7}) {
-        setParallelThreadCount(threads);
-        SparwRun run = depGraph.run(traj);
-        ASSERT_EQ(run.frames.size(), baseline.frames.size());
-        ASSERT_EQ(run.references.size(), baseline.references.size());
-        for (std::size_t i = 0; i < run.frames.size(); ++i) {
-            const SparwFrame &a = baseline.frames[i];
-            const SparwFrame &b = run.frames[i];
-            EXPECT_EQ(a.referenceIndex, b.referenceIndex);
-            EXPECT_EQ(a.warpStats.warped, b.warpStats.warped);
-            EXPECT_EQ(a.sparseWork.samples, b.sparseWork.samples);
-            std::size_t mismatches = 0;
-            for (std::size_t p = 0; p < a.image.pixelCount(); ++p)
-                if (a.image.at(p).x != b.image.at(p).x ||
-                    a.image.at(p).y != b.image.at(p).y ||
-                    a.image.at(p).z != b.image.at(p).z)
-                    ++mismatches;
-            EXPECT_EQ(mismatches, 0u) << "frame " << i << " at "
-                                      << threads << " threads";
-        }
-        for (std::size_t i = 0; i < run.references.size(); ++i)
-            EXPECT_EQ(run.references[i].work.samples,
-                      baseline.references[i].work.samples);
-
-        SparwRun ds = depGraph.runDownsampled(traj, 2);
-        ASSERT_EQ(ds.frames.size(), dsBaseline.frames.size());
-        for (std::size_t i = 0; i < ds.frames.size(); ++i) {
-            std::size_t mismatches = 0;
-            const Image &a = dsBaseline.frames[i].image;
-            const Image &b = ds.frames[i].image;
-            ASSERT_EQ(a.pixelCount(), b.pixelCount());
-            for (std::size_t p = 0; p < a.pixelCount(); ++p)
-                if (a.at(p).x != b.at(p).x || a.at(p).y != b.at(p).y ||
-                    a.at(p).z != b.at(p).z)
-                    ++mismatches;
-            EXPECT_EQ(mismatches, 0u) << "ds frame " << i << " at "
-                                      << threads << " threads";
-        }
-    }
-}
-
 TEST_F(SparwFixture, RealtimeUnlimitedBudgetReproducesRun)
 {
     // With an effectively infinite budget no deadline can pass:

@@ -367,10 +367,26 @@ TEST(TraceFileTest, RejectsBadMagic)
 
 TEST(TraceFileTest, RejectsVersionMismatch)
 {
-    std::vector<std::uint8_t> buf = syntheticContainer();
-    buf[4] = 99; // version field follows the 4-byte magic
-    buf[5] = 0;
-    EXPECT_THROW(TraceFileReader{buf}, std::runtime_error);
+    // Only the current container version parses. The pre-checksum
+    // versions 1 and 2 and every newer version are refused by the
+    // version check itself (not by a later checksum), in both modes.
+    for (int version : {1, 2, 4, 99}) {
+        std::vector<std::uint8_t> buf = syntheticContainer();
+        buf[4] = static_cast<std::uint8_t>(version); // follows the magic
+        buf[5] = 0;
+        for (TraceReadMode mode :
+             {TraceReadMode::Strict, TraceReadMode::Salvage}) {
+            try {
+                TraceFileReader reader(buf, mode);
+                ADD_FAILURE() << "version " << version << " accepted";
+            } catch (const TraceFileError &e) {
+                EXPECT_NE(std::string(e.what()).find(
+                              "unsupported trace-file version"),
+                          std::string::npos)
+                    << "version " << version << ": " << e.what();
+            }
+        }
+    }
 }
 
 TEST(TraceFileTest, RejectsUnknownCodec)

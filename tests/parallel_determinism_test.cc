@@ -306,97 +306,44 @@ expectSparwRunsIdentical(const SparwRun &a, const SparwRun &b)
         expectWorkIdentical(a.references[i].work, b.references[i].work);
 }
 
-TEST(ParallelDeterminismTest, SparwRunMatchesAcrossThreadCounts)
+TEST(ParallelDeterminismTest, SparwWindowGraphMatchesOneThreadWalk)
 {
+    // run() and runDownsampled() schedule their windows on a
+    // dependency graph that streams references ahead of the frames.
+    // On a one-thread pool the graph runs ref(w) and then frames(w) in
+    // window order — the serial walk — so that run is the reference:
+    // at every width, including ones that don't divide the window
+    // count, both must reproduce it byte for byte. Three
+    // trajectory / window / resolution shapes.
     ThreadCountGuard guard;
     auto model = test::tinyModel();
-    std::vector<Pose> traj = test::tinyOrbit(5);
-    Camera intrinsics = test::tinyCamera(32);
-    SparwConfig cfg;
-    cfg.window = 2;
-    SparwPipeline pipeline(*model, intrinsics, cfg);
+    struct Shape
+    {
+        int frames;
+        int window;
+        int res;
+    };
+    for (const Shape &shape : {Shape{5, 2, 32}, Shape{9, 2, 32},
+                               Shape{12, 4, 40}}) {
+        SCOPED_TRACE(testing::Message()
+                     << shape.frames << " frames, window "
+                     << shape.window << ", " << shape.res << " px");
+        std::vector<Pose> traj = test::tinyOrbit(shape.frames);
+        SparwConfig cfg;
+        cfg.window = shape.window;
+        SparwPipeline pipeline(*model, test::tinyCamera(shape.res), cfg);
 
-    setParallelThreadCount(1);
-    SparwRun run1 = pipeline.run(traj);
-    setParallelThreadCount(4);
-    SparwRun run4 = pipeline.run(traj);
+        setParallelThreadCount(1);
+        SparwRun baseline = pipeline.run(traj);
+        SparwRun dsBaseline = pipeline.runDownsampled(traj, 2);
 
-    expectSparwRunsIdentical(run1, run4);
-}
-
-TEST(ParallelDeterminismTest, SparwPipelinedMatchesTwoPhaseAtAnyThreadCount)
-{
-    // The Fig. 11b pipelined schedule overlaps window w+1's reference
-    // render with window w's frames — scheduling only. Its output must
-    // be byte-identical to the two-phase barrier walk at every thread
-    // count (including widths that don't divide the window count).
-    ThreadCountGuard guard;
-    auto model = test::tinyModel();
-    std::vector<Pose> traj = test::tinyOrbit(9);
-    Camera intrinsics = test::tinyCamera(32);
-
-    SparwConfig twoPhaseCfg;
-    twoPhaseCfg.window = 2;
-    twoPhaseCfg.schedule = SparwSchedule::TwoPhase;
-    SparwConfig pipelinedCfg = twoPhaseCfg;
-    pipelinedCfg.schedule = SparwSchedule::Pipelined;
-
-    SparwPipeline twoPhase(*model, intrinsics, twoPhaseCfg);
-    SparwPipeline pipelined(*model, intrinsics, pipelinedCfg);
-
-    setParallelThreadCount(1);
-    SparwRun baseline = twoPhase.run(traj);
-
-    for (int threads : {1, 4, 7}) {
-        setParallelThreadCount(threads);
-        SparwRun p = pipelined.run(traj);
-        expectSparwRunsIdentical(baseline, p);
-        SparwRun t = twoPhase.run(traj);
-        expectSparwRunsIdentical(baseline, t);
-    }
-}
-
-TEST(ParallelDeterminismTest, SparwDependencyGraphMatchesAllSchedules)
-{
-    // The per-window dependency-graph schedule reorders work the most
-    // aggressively (references stream ahead of any window barrier). It
-    // must still be byte-identical to the two-phase baseline and the
-    // batch pipeline at every thread count — including widths that
-    // don't divide the window count.
-    ThreadCountGuard guard;
-    auto model = test::tinyModel();
-    std::vector<Pose> traj = test::tinyOrbit(9);
-    Camera intrinsics = test::tinyCamera(32);
-
-    SparwConfig twoPhaseCfg;
-    twoPhaseCfg.window = 2;
-    twoPhaseCfg.schedule = SparwSchedule::TwoPhase;
-    SparwConfig pipelinedCfg = twoPhaseCfg;
-    pipelinedCfg.schedule = SparwSchedule::Pipelined;
-    SparwConfig depGraphCfg = twoPhaseCfg;
-    depGraphCfg.schedule = SparwSchedule::DependencyGraph;
-
-    SparwPipeline twoPhase(*model, intrinsics, twoPhaseCfg);
-    SparwPipeline pipelined(*model, intrinsics, pipelinedCfg);
-    SparwPipeline depGraph(*model, intrinsics, depGraphCfg);
-
-    setParallelThreadCount(1);
-    SparwRun baseline = twoPhase.run(traj);
-    SparwRun dsBaseline = twoPhase.runDownsampled(traj, 2);
-
-    for (int threads : {1, 4, 7}) {
-        setParallelThreadCount(threads);
-        SparwRun d = depGraph.run(traj);
-        expectSparwRunsIdentical(baseline, d);
-        SparwRun p = pipelined.run(traj);
-        expectSparwRunsIdentical(baseline, p);
-
-        // runDownsampled routes through the same window drivers; its
-        // output must not depend on the schedule either.
-        SparwRun dsD = depGraph.runDownsampled(traj, 2);
-        expectSparwRunsIdentical(dsBaseline, dsD);
-        SparwRun dsP = pipelined.runDownsampled(traj, 2);
-        expectSparwRunsIdentical(dsBaseline, dsP);
+        for (int threads : {1, 4, 7}) {
+            SCOPED_TRACE(testing::Message() << threads << " threads");
+            setParallelThreadCount(threads);
+            expectSparwRunsIdentical(baseline, pipeline.run(traj));
+            expectSparwRunsIdentical(dsBaseline,
+                                     pipeline.runDownsampled(traj, 2));
+        }
     }
 }
 
@@ -467,6 +414,33 @@ TEST(ParallelDeterminismTest, BatchedMlpMatchesScalarExactly)
     }
 }
 
+/**
+ * Decode @p count sample-major feature vectors through the channel-major
+ * decodeBatchSoA (after simd::transposeToChannelMajor) and require every
+ * result to equal the scalar decode() of the same vector, bit for bit.
+ */
+void
+expectSoADecodeMatchesScalar(const Decoder &decoder,
+                             const std::vector<float> &features, int count,
+                             const Vec3 &viewDir)
+{
+    std::vector<float> soa(static_cast<std::size_t>(count) * kFeatureDim);
+    simd::transposeToChannelMajor(features.data(), count, kFeatureDim,
+                                  soa.data());
+    std::vector<DecodedSample> batch(count);
+    decoder.decodeBatchSoA(soa.data(), static_cast<std::size_t>(count),
+                           count, viewDir, batch.data());
+    for (int b = 0; b < count; ++b) {
+        DecodedSample s = decoder.decode(
+            features.data() + static_cast<std::size_t>(b) * kFeatureDim,
+            viewDir);
+        EXPECT_EQ(s.sigma, batch[b].sigma) << "item " << b;
+        EXPECT_EQ(s.rgb.x, batch[b].rgb.x) << "item " << b;
+        EXPECT_EQ(s.rgb.y, batch[b].rgb.y) << "item " << b;
+        EXPECT_EQ(s.rgb.z, batch[b].rgb.z) << "item " << b;
+    }
+}
+
 TEST(ParallelDeterminismTest, BatchedDecoderMatchesScalarExactly)
 {
     Scene scene = test::tinyScene();
@@ -484,22 +458,11 @@ TEST(ParallelDeterminismTest, BatchedDecoderMatchesScalarExactly)
         pt.shininess = 4.0f + b;
         encodeBakedPoint(pt, features.data() + b * kFeatureDim);
     }
+    expectSoADecodeMatchesScalar(decoder, features, count, viewDir);
 
-    std::vector<DecodedSample> batch(count);
-    decoder.decodeBatch(features.data(), count, viewDir, batch.data());
-
-    for (int b = 0; b < count; ++b) {
-        DecodedSample s =
-            decoder.decode(features.data() + b * kFeatureDim, viewDir);
-        EXPECT_EQ(s.sigma, batch[b].sigma) << "item " << b;
-        EXPECT_EQ(s.rgb.x, batch[b].rgb.x) << "item " << b;
-        EXPECT_EQ(s.rgb.y, batch[b].rgb.y) << "item " << b;
-        EXPECT_EQ(s.rgb.z, batch[b].rgb.z) << "item " << b;
-    }
-
-    // The channel-major entry point must agree exactly too — same
-    // values, transposed layout, wider-than-buffer stride, and a count
-    // above kDecodeChunk to cross the internal chunking boundary.
+    // A count above kDecodeChunk crosses the internal chunking
+    // boundary, and a stride wider than the count (the block stride of
+    // a sub-block decode) must read the same channel values.
     const int big = kDecodeChunk + 37;
     std::vector<float> featBig(static_cast<std::size_t>(big) *
                                kFeatureDim);
@@ -509,18 +472,23 @@ TEST(ParallelDeterminismTest, BatchedDecoderMatchesScalarExactly)
                 features[static_cast<std::size_t>(b % count) *
                              kFeatureDim +
                          c];
+    expectSoADecodeMatchesScalar(decoder, featBig, big, viewDir);
+
     std::vector<float> soa(featBig.size());
     simd::transposeToChannelMajor(featBig.data(), big, kFeatureDim,
                                   soa.data());
-    std::vector<DecodedSample> aosOut(big), soaOut(big);
-    decoder.decodeBatch(featBig.data(), big, viewDir, aosOut.data());
-    decoder.decodeBatchSoA(soa.data(), static_cast<std::size_t>(big),
-                           big, viewDir, soaOut.data());
-    for (int b = 0; b < big; ++b) {
-        EXPECT_EQ(aosOut[b].sigma, soaOut[b].sigma) << "item " << b;
-        EXPECT_EQ(aosOut[b].rgb.x, soaOut[b].rgb.x) << "item " << b;
-        EXPECT_EQ(aosOut[b].rgb.y, soaOut[b].rgb.y) << "item " << b;
-        EXPECT_EQ(aosOut[b].rgb.z, soaOut[b].rgb.z) << "item " << b;
+    const int sub = big - 5;
+    std::vector<DecodedSample> strided(sub);
+    decoder.decodeBatchSoA(soa.data(), static_cast<std::size_t>(big), sub,
+                           viewDir, strided.data());
+    for (int b = 0; b < sub; ++b) {
+        DecodedSample s = decoder.decode(
+            featBig.data() + static_cast<std::size_t>(b) * kFeatureDim,
+            viewDir);
+        EXPECT_EQ(s.sigma, strided[b].sigma) << "item " << b;
+        EXPECT_EQ(s.rgb.x, strided[b].rgb.x) << "item " << b;
+        EXPECT_EQ(s.rgb.y, strided[b].rgb.y) << "item " << b;
+        EXPECT_EQ(s.rgb.z, strided[b].rgb.z) << "item " << b;
     }
 }
 
@@ -545,16 +513,7 @@ TEST(ParallelDeterminismTest, Fp16DecoderStaysBatchScalarIdentical)
         pt.shininess = 2.0f + b;
         encodeBakedPoint(pt, features.data() + b * kFeatureDim);
     }
-    std::vector<DecodedSample> batch(count);
-    decoder.decodeBatch(features.data(), count, viewDir, batch.data());
-    for (int b = 0; b < count; ++b) {
-        DecodedSample s =
-            decoder.decode(features.data() + b * kFeatureDim, viewDir);
-        EXPECT_EQ(s.sigma, batch[b].sigma) << "item " << b;
-        EXPECT_EQ(s.rgb.x, batch[b].rgb.x) << "item " << b;
-        EXPECT_EQ(s.rgb.y, batch[b].rgb.y) << "item " << b;
-        EXPECT_EQ(s.rgb.z, batch[b].rgb.z) << "item " << b;
-    }
+    expectSoADecodeMatchesScalar(decoder, features, count, viewDir);
 }
 
 } // namespace
