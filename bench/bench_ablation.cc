@@ -1,6 +1,6 @@
 /**
  * @file
- * Ablations of Cicero's design choices (DESIGN.md):
+ * Ablations of Cicero's design choices:
  *
  *  A. Reference pose selection — extrapolated off-trajectory (Cicero)
  *     vs holding the last known pose vs oracle mid-window pose: how

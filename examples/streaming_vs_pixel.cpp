@@ -9,7 +9,6 @@
 
 #include <cstdio>
 
-#include "cicero/hierarchical_streaming.hh"
 #include "cicero/streaming_renderer.hh"
 #include "common/stats.hh"
 #include "memory/cache_model.hh"
@@ -77,7 +76,7 @@ main(int argc, char **argv)
     std::printf("\nstreaming stats: %llu MVoxels loaded once "
                 "(%s), %llu RIT entries (%llu partial/boundary), "
                 "%llu samples\n",
-                static_cast<unsigned long long>(stats.mvoxelsLoaded),
+                static_cast<unsigned long long>(stats.blocksLoaded),
                 formatBytes(static_cast<double>(stats.streamedBytes))
                     .c_str(),
                 static_cast<unsigned long long>(stats.ritEntries),
@@ -92,7 +91,7 @@ main(int argc, char **argv)
     // reverts to random access for the hashed ones (Sec. IV-A).
     std::printf("\n--- hierarchical encoding (Instant-NGP-like) ---\n");
     auto ngp = buildModel(ModelKind::InstantNgp, scene, opts);
-    HierarchicalStreamingRenderer hier(*ngp);
+    StreamingRenderer hier(*ngp);
     DramModel hierDram;
     RenderResult h = hier.render(cam, &hierDram);
     RenderResult hRef = ngp->render(cam);

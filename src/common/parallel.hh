@@ -29,7 +29,7 @@
  *    runAfter() is the continuation/dependency layer on top: a task may
  *    be submitted with predecessor handles and stays dormant until its
  *    last dependency completes — dependency-graph pipelines (SPARW's
- *    per-window schedule, the streaming renderers' stage overlap) are
+ *    per-window schedule, the streaming renderer's merge/walk chain) are
  *    built from it.
  *  - The first exception thrown by a chunk (or group task) is captured
  *    and rethrown to the waiter once the loop has drained; remaining

@@ -2,7 +2,7 @@
  * @file
  * Feature-to-radiance decoder (the Feature Computation stage).
  *
- * Substitution note (DESIGN.md §2): the paper's models use a *trained*
+ * Substitution note: the paper's models use a *trained*
  * MLP. We decode the baked semantic channels analytically — which keeps
  * images meaningful — and add a small residual from a frozen
  * randomly-initialized MLP that is *actually executed* per sample, so

@@ -324,7 +324,8 @@ DenseGridEncoding::streamingFootprint(
     for (const Vec3 &pn : positions) {
         auto cs = corners(pn);
         // RIT entries: one per (sample, distinct MVoxel) pair — partial
-        // interpolation accumulates across MVoxel boundaries (DESIGN.md).
+        // interpolation accumulates across MVoxel boundaries, so a
+        // straddling sample is queued once in each MVoxel it touches.
         std::uint32_t seen[8];
         int nSeen = 0;
         for (const GridCorner &c : cs) {

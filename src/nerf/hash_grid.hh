@@ -7,7 +7,7 @@
  * are hashed (with real collisions — baking averages colliding vertices,
  * reproducing NGP's characteristic reconstruction artifacts).
  *
- * Deviation from Instant-NGP noted in DESIGN.md §3: each level stores
+ * Deviation from Instant-NGP: each level stores
  * all kFeatureDim semantic channels (a residual pyramid) rather than 2
  * learned channels; the access pattern — 8 fetches x L levels, hashed
  * addresses on fine levels — is preserved, which is what the memory
@@ -93,9 +93,8 @@ class HashGridEncoding : public Encoding
     /** Whether feature storage has been quantized to fp16 values. */
     bool featuresFp16() const { return _featuresFp16; }
 
-    // --- Level internals exposed for the hierarchical streaming
-    // --- renderer (Sec. IV-A "Accommodating Hierarchical Data
-    // --- Encodings").
+    // --- Level internals exposed for the streaming renderer
+    // --- (Sec. IV-A "Accommodating Hierarchical Data Encodings").
 
     /** Storage slot of vertex (ix,iy,iz) at level @p l. */
     std::uint32_t levelSlot(int l, int ix, int iy, int iz) const

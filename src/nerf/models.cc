@@ -1,5 +1,6 @@
 #include "nerf/models.hh"
 
+#include <cctype>
 #include <stdexcept>
 
 #include "nerf/hash_grid.hh"
@@ -21,6 +22,27 @@ modelName(ModelKind kind)
         return "EfficientNeRF";
     }
     return "?";
+}
+
+bool
+parseModelKind(const std::string &name, ModelKind &kind)
+{
+    std::string s;
+    for (char c : name)
+        if (c != '-' && c != '_')
+            s += static_cast<char>(
+                std::tolower(static_cast<unsigned char>(c)));
+    if (s == "ngp" || s == "instantngp")
+        kind = ModelKind::InstantNgp;
+    else if (s == "dvgo" || s == "directvoxgo")
+        kind = ModelKind::DirectVoxGO;
+    else if (s == "tensorf")
+        kind = ModelKind::TensoRF;
+    else if (s == "enerf" || s == "efficientnerf")
+        kind = ModelKind::EfficientNeRF;
+    else
+        return false;
+    return true;
 }
 
 const std::vector<ModelKind> &

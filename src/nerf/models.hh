@@ -36,6 +36,14 @@ enum class ModelKind
 /** Display name matching the paper's figures. */
 const char *modelName(ModelKind kind);
 
+/**
+ * Parse a model-kind name as the command-line tools spell it: case and
+ * '-'/'_' are ignored; "ngp"/"instantngp", "dvgo"/"directvoxgo",
+ * "tensorf" and "enerf"/"efficientnerf" are accepted. Returns false,
+ * leaving @p kind unchanged, for any other name.
+ */
+bool parseModelKind(const std::string &name, ModelKind &kind);
+
 /** The four fully-implemented algorithms, in figure order. */
 const std::vector<ModelKind> &allModelKinds();
 

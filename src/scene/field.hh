@@ -5,7 +5,8 @@
  * The paper evaluates on trained NeRF checkpoints; we substitute a
  * procedural ground-truth field (signed-distance primitives with smooth
  * density falloff, per-primitive albedo and a controllable specular lobe)
- * that the NeRF encodings in src/nerf are *baked* from. See DESIGN.md §2.
+ * that the NeRF encodings in src/nerf are *baked* from, so every model
+ * has an exact ground truth to be measured against.
  */
 
 #ifndef CICERO_SCENE_FIELD_HH
@@ -65,7 +66,7 @@ struct FieldSample
 
 /**
  * The view-independent appearance of a point, i.e. what NeRF encodings
- * bake into their feature grids (DESIGN.md §2). The view-dependent
+ * bake into their feature grids. The view-dependent
  * radiance is reconstructed from it by shadePoint().
  */
 struct BakedPoint

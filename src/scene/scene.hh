@@ -2,7 +2,7 @@
  * @file
  * The procedural scene library.
  *
- * Substitutes the paper's datasets (DESIGN.md §2):
+ * Substitutes the paper's datasets, which need trained checkpoints:
  *  - 8 "synthetic" scenes stand in for Synthetic-NeRF (chair, drums,
  *    ficus, hotdog, lego, materials, mic, ship);
  *  - "bonsai" stands in for Unbounded-360 Bonsai;

@@ -1,40 +1,27 @@
 /**
  * @file
- * Tests for the hierarchical (hash-grid) fully-streaming renderer.
+ * Tests for StreamingRenderer over a hierarchical (hash-grid) encoding:
+ * functional equivalence with the pixel-centric order, the per-level
+ * dense/hashed split, and the streamed vs random DRAM traffic of each
+ * kind of level.
  */
 
 #include <gtest/gtest.h>
 
-#include "cicero/hierarchical_streaming.hh"
-#include "common/parallel.hh"
+#include "cicero/streaming_renderer.hh"
 #include "memory/dram_model.hh"
+#include "nerf/hash_grid.hh"
 #include "test_util.hh"
 
 namespace cicero {
 namespace {
-
-std::unique_ptr<NerfModel>
-hashModel()
-{
-    Scene s = test::tinyScene();
-    HashGridConfig cfg;
-    cfg.numLevels = 5;
-    cfg.baseRes = 6;
-    cfg.perLevelScale = 1.8f;
-    cfg.tableSize = 4096; // forces the top levels to hash
-    SamplerConfig sampler;
-    sampler.stepsAcross = 96;
-    sampler.occupancyRes = 32;
-    return std::make_unique<NerfModel>(
-        s, std::make_unique<HashGridEncoding>(cfg), 8192, sampler);
-}
 
 struct HierFixture : public ::testing::Test
 {
     void
     SetUp() override
     {
-        model = hashModel();
+        model = test::tinyHashModel();
         cam = test::tinyCamera(40);
     }
 
@@ -44,7 +31,7 @@ struct HierFixture : public ::testing::Test
 
 TEST_F(HierFixture, MatchesPixelCentricImage)
 {
-    HierarchicalStreamingRenderer streaming(*model);
+    StreamingRenderer streaming(*model);
     RenderResult ours = streaming.render(cam);
     RenderResult ref = model->render(cam);
     EXPECT_GT(psnr(ours.image, ref.image), 45.0);
@@ -52,7 +39,7 @@ TEST_F(HierFixture, MatchesPixelCentricImage)
 
 TEST_F(HierFixture, SplitsLevelsByStorage)
 {
-    HierarchicalStreamingRenderer streaming(*model);
+    StreamingRenderer streaming(*model);
     streaming.render(cam);
     auto stats = streaming.lastStats();
     auto *grid =
@@ -68,7 +55,7 @@ TEST_F(HierFixture, HashedLevelsDominateRandomTraffic)
 {
     // The paper: Instant-NGP reverts mid-hierarchy, leaving about half
     // (here: the hashed share) of DRAM traffic non-streaming.
-    HierarchicalStreamingRenderer streaming(*model);
+    StreamingRenderer streaming(*model);
     streaming.render(cam);
     auto stats = streaming.lastStats();
     // Hashed levels re-fetch per sample while dense levels stream each
@@ -83,7 +70,7 @@ TEST_F(HierFixture, DenseLevelTrafficIsStreamingAtTheDram)
 {
     // Feed only the trace into the DRAM model: dense-level block loads
     // burst-split into sequential accesses; hashed fetches are random.
-    HierarchicalStreamingRenderer streaming(*model);
+    StreamingRenderer streaming(*model);
     DramModel dram;
     streaming.render(cam, &dram);
     auto stats = streaming.lastStats();
@@ -99,19 +86,12 @@ TEST_F(HierFixture, DenseLevelTrafficIsStreamingAtTheDram)
 
 TEST_F(HierFixture, WorkCountersPopulated)
 {
-    HierarchicalStreamingRenderer streaming(*model);
+    StreamingRenderer streaming(*model);
     RenderResult r = streaming.render(cam);
     EXPECT_EQ(r.work.rays, 40u * 40);
     EXPECT_EQ(r.work.vertexFetches,
               r.work.samples * 8ull * 5);
     EXPECT_GT(r.work.mlpMacs, 0u);
-}
-
-TEST(HierarchicalStreamingTest, RequiresHashGrid)
-{
-    auto dense = test::tinyModel();
-    EXPECT_THROW(HierarchicalStreamingRenderer r(*dense),
-                 std::invalid_argument);
 }
 
 TEST(HierarchicalStreamingTest, AllDenseConfigFullyStreams)
@@ -127,60 +107,10 @@ TEST(HierarchicalStreamingTest, AllDenseConfigFullyStreams)
     sampler.occupancyRes = 24;
     NerfModel model(s, std::make_unique<HashGridEncoding>(cfg), 4096,
                     sampler);
-    HierarchicalStreamingRenderer streaming(model);
+    StreamingRenderer streaming(model);
     streaming.render(test::tinyCamera(32));
     EXPECT_EQ(streaming.lastStats().randomBytes, 0u);
     EXPECT_EQ(streaming.lastStats().hashedLevels, 0);
-}
-
-TEST_F(HierFixture, BitIdenticalAcrossThreadCounts)
-{
-    // The level-build lookahead overlaps level l+1's RIT construction
-    // with level l's accumulation; accumulation itself stays
-    // level-ordered on the driver thread, so image, stats and the
-    // trace stream must be byte-identical to the 1-thread run.
-    struct Guard
-    {
-        ~Guard() { setParallelThreadCount(0); }
-    } guard;
-
-    HierarchicalStreamingRenderer streaming(*model);
-    setParallelThreadCount(1);
-    TraceRecorder rec1;
-    RenderResult serial = streaming.render(cam, &rec1);
-    HierarchicalStreamingRenderer::Stats stats1 = streaming.lastStats();
-
-    for (int threads : {4, 7}) {
-        setParallelThreadCount(threads);
-        TraceRecorder recN;
-        RenderResult parallel = streaming.render(cam, &recN);
-        const HierarchicalStreamingRenderer::Stats &statsN =
-            streaming.lastStats();
-
-        std::size_t mismatches = 0;
-        for (std::size_t i = 0; i < serial.image.pixelCount(); ++i)
-            if (serial.image.at(i).x != parallel.image.at(i).x ||
-                serial.image.at(i).y != parallel.image.at(i).y ||
-                serial.image.at(i).z != parallel.image.at(i).z)
-                ++mismatches;
-        EXPECT_EQ(mismatches, 0u) << threads << " threads";
-
-        EXPECT_EQ(stats1.samples, statsN.samples);
-        EXPECT_EQ(stats1.streamedBytes, statsN.streamedBytes);
-        EXPECT_EQ(stats1.randomBytes, statsN.randomBytes);
-        EXPECT_EQ(stats1.ritEntries, statsN.ritEntries);
-        EXPECT_EQ(stats1.blocksLoaded, statsN.blocksLoaded);
-        EXPECT_EQ(stats1.denseLevels, statsN.denseLevels);
-        EXPECT_EQ(stats1.hashedLevels, statsN.hashedLevels);
-
-        ASSERT_EQ(rec1.trace().size(), recN.trace().size());
-        std::size_t traceMismatches = 0;
-        for (std::size_t i = 0; i < rec1.trace().size(); ++i)
-            if (rec1.trace()[i].addr != recN.trace()[i].addr ||
-                rec1.trace()[i].bytes != recN.trace()[i].bytes)
-                ++traceMismatches;
-        EXPECT_EQ(traceMismatches, 0u) << threads << " threads";
-    }
 }
 
 } // namespace

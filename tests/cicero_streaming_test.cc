@@ -1,8 +1,11 @@
 /**
  * @file
- * Tests for the fully-streaming (memory-centric) renderer: functional
- * equivalence with the pixel-centric order, single-visit streaming DRAM
- * behaviour, and boundary partial-interpolation accounting.
+ * Tests for the fully-streaming (memory-centric) renderer over dense
+ * grids and hash grids: functional equivalence with the pixel-centric
+ * order, single-visit streaming DRAM behaviour, boundary
+ * partial-interpolation accounting and bit-identity across pool
+ * widths. The per-level dense/hashed split of a hash grid is covered
+ * in cicero_hierarchical_test.cc.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +15,7 @@
 #include "cicero/streaming_renderer.hh"
 #include "common/parallel.hh"
 #include "memory/dram_model.hh"
-#include "nerf/hash_grid.hh"
+#include "nerf/tensorf.hh"
 #include "test_util.hh"
 
 namespace cicero {
@@ -99,7 +102,7 @@ TEST_F(StreamingFixture, EachMVoxelLoadedAtMostOnce)
         EXPECT_TRUE(seen.insert(a.addr).second)
             << "MVoxel at " << a.addr << " loaded twice";
     }
-    EXPECT_EQ(seen.size(), streaming.lastStats().mvoxelsLoaded);
+    EXPECT_EQ(seen.size(), streaming.lastStats().blocksLoaded);
 }
 
 TEST_F(StreamingFixture, MVoxelsStreamInAddressOrder)
@@ -149,18 +152,45 @@ TEST_F(StreamingFixture, WorkCountersPopulated)
     EXPECT_EQ(r.work.gatherBytes, streaming.lastStats().streamedBytes);
 }
 
-TEST(StreamingRendererTest, RequiresDenseGrid)
+TEST(StreamingRendererTest, DenseGridIsOneDenseLevel)
 {
+    auto model = test::tinyModel(GridLayout::MVoxelBlocked, 24);
+    StreamingRenderer streaming(*model);
+    streaming.render(test::tinyCamera(24));
+    const StreamingRenderer::Stats &stats = streaming.lastStats();
+    EXPECT_EQ(stats.denseLevels, 1);
+    EXPECT_EQ(stats.hashedLevels, 0);
+    EXPECT_EQ(stats.randomBytes, 0u);
+    EXPECT_EQ(stats.nonStreamingFraction(), 0.0);
+}
+
+TEST(StreamingRendererTest, RejectsTensoRF)
+{
+    // Only dense grids and hash grids have vertex levels to stream.
     Scene s = test::tinyScene();
     SamplerConfig cfg;
     cfg.stepsAcross = 32;
     cfg.occupancyRes = 16;
-    HashGridConfig hcfg;
-    hcfg.numLevels = 2;
-    hcfg.baseRes = 4;
-    hcfg.tableSize = 4096;
-    NerfModel model(s, std::make_unique<HashGridEncoding>(hcfg), 1000,
+    TensoRFConfig tcfg;
+    tcfg.res = 16;
+    tcfg.ranks = 1;
+    tcfg.alsIters = 1;
+    NerfModel model(s, std::make_unique<TensoRFEncoding>(tcfg), 1000,
                     cfg);
+    EXPECT_THROW(StreamingRenderer r(model), std::invalid_argument);
+}
+
+TEST(StreamingRendererTest, RejectsBlocksWiderThan256Vertices)
+{
+    // RIT entries hold block-local vertex coordinates in 8 bits.
+    Scene s = test::tinyScene();
+    SamplerConfig cfg;
+    cfg.stepsAcross = 32;
+    cfg.occupancyRes = 16;
+    NerfModel model(s,
+                    std::make_unique<DenseGridEncoding>(
+                        8, GridLayout::MVoxelBlocked, 257),
+                    1000, cfg);
     EXPECT_THROW(StreamingRenderer r(model), std::invalid_argument);
 }
 
@@ -180,57 +210,78 @@ TEST(StreamingRendererTest, FewerBytesThanPixelCentricMisses)
     EXPECT_LT(streamed, w.gatherBytes / 4);
 }
 
-TEST_F(StreamingFixture, BitIdenticalAcrossThreadCounts)
+TEST(StreamingRendererTest, BitIdenticalAcrossThreadCounts)
 {
-    // The merge/walk dependency chain parallelizes RIT merging while
-    // walks stay MVoxel-ordered: image, depth, stats and the trace
-    // stream must all be byte-identical to the 1-thread run at any
-    // pool width.
+    // Dense levels parallelize their RIT build and merge while the
+    // block walk stays address-ordered; hashed levels gather
+    // sample-parallel behind a TraceCapture. Image, depth, every stat
+    // and the full trace stream must be byte-identical to the 1-thread
+    // run at any pool width, for a dense grid and a hash grid alike.
     struct Guard
     {
         ~Guard() { setParallelThreadCount(0); }
     } guard;
 
-    StreamingRenderer streaming(*model);
-    setParallelThreadCount(1);
-    TraceRecorder rec1;
-    RenderResult serial = streaming.render(cam, &rec1);
-    StreamingRenderer::Stats stats1 = streaming.lastStats();
+    std::unique_ptr<NerfModel> models[] = {
+        test::tinyModel(GridLayout::MVoxelBlocked, 24),
+        test::tinyHashModel()};
+    const Camera cam = test::tinyCamera(40);
+    for (const auto &model : models) {
+        const std::string name = model->encoding().name();
+        StreamingRenderer streaming(*model);
+        setParallelThreadCount(1);
+        TraceRecorder rec1;
+        RenderResult serial = streaming.render(cam, &rec1);
+        const StreamingRenderer::Stats stats1 = streaming.lastStats();
+        EXPECT_GT(rec1.trace().size(), 0u) << name;
 
-    for (int threads : {4, 7}) {
-        setParallelThreadCount(threads);
-        TraceRecorder recN;
-        RenderResult parallel = streaming.render(cam, &recN);
-        const StreamingRenderer::Stats &statsN = streaming.lastStats();
+        for (int threads : {4, 7}) {
+            SCOPED_TRACE(name + " at " + std::to_string(threads) +
+                         " threads");
+            setParallelThreadCount(threads);
+            TraceRecorder recN;
+            RenderResult parallel = streaming.render(cam, &recN);
+            const StreamingRenderer::Stats &statsN =
+                streaming.lastStats();
 
-        std::size_t mismatches = 0;
-        for (std::size_t i = 0; i < serial.image.pixelCount(); ++i)
-            if (serial.image.at(i).x != parallel.image.at(i).x ||
-                serial.image.at(i).y != parallel.image.at(i).y ||
-                serial.image.at(i).z != parallel.image.at(i).z)
-                ++mismatches;
-        EXPECT_EQ(mismatches, 0u) << threads << " threads";
-        for (int y = 0; y < cam.height; ++y)
-            for (int x = 0; x < cam.width; ++x) {
-                float a = serial.depth.at(x, y);
-                float b = parallel.depth.at(x, y);
-                EXPECT_TRUE(a == b || (a != a && b != b))
-                    << x << "," << y << " at " << threads;
+            std::size_t mismatches = 0;
+            for (std::size_t i = 0; i < serial.image.pixelCount(); ++i)
+                if (serial.image.at(i).x != parallel.image.at(i).x ||
+                    serial.image.at(i).y != parallel.image.at(i).y ||
+                    serial.image.at(i).z != parallel.image.at(i).z)
+                    ++mismatches;
+            EXPECT_EQ(mismatches, 0u);
+            std::size_t depthMismatches = 0;
+            for (int y = 0; y < cam.height; ++y)
+                for (int x = 0; x < cam.width; ++x) {
+                    float a = serial.depth.at(x, y);
+                    float b = parallel.depth.at(x, y);
+                    if (!(a == b || (a != a && b != b)))
+                        ++depthMismatches;
+                }
+            EXPECT_EQ(depthMismatches, 0u);
+
+            EXPECT_EQ(stats1.samples, statsN.samples);
+            EXPECT_EQ(stats1.ritEntries, statsN.ritEntries);
+            EXPECT_EQ(stats1.ritBytes, statsN.ritBytes);
+            EXPECT_EQ(stats1.boundaryEntries, statsN.boundaryEntries);
+            EXPECT_EQ(stats1.blocksLoaded, statsN.blocksLoaded);
+            EXPECT_EQ(stats1.streamedBytes, statsN.streamedBytes);
+            EXPECT_EQ(stats1.randomBytes, statsN.randomBytes);
+            EXPECT_EQ(stats1.denseLevels, statsN.denseLevels);
+            EXPECT_EQ(stats1.hashedLevels, statsN.hashedLevels);
+
+            ASSERT_EQ(rec1.trace().size(), recN.trace().size());
+            std::size_t traceMismatches = 0;
+            for (std::size_t i = 0; i < rec1.trace().size(); ++i) {
+                const MemAccess &a = rec1.trace()[i];
+                const MemAccess &b = recN.trace()[i];
+                if (a.addr != b.addr || a.bytes != b.bytes ||
+                    a.rayId != b.rayId)
+                    ++traceMismatches;
             }
-
-        EXPECT_EQ(stats1.mvoxelsLoaded, statsN.mvoxelsLoaded);
-        EXPECT_EQ(stats1.streamedBytes, statsN.streamedBytes);
-        EXPECT_EQ(stats1.ritEntries, statsN.ritEntries);
-        EXPECT_EQ(stats1.samples, statsN.samples);
-        EXPECT_EQ(stats1.boundaryEntries, statsN.boundaryEntries);
-
-        ASSERT_EQ(rec1.trace().size(), recN.trace().size());
-        std::size_t traceMismatches = 0;
-        for (std::size_t i = 0; i < rec1.trace().size(); ++i)
-            if (rec1.trace()[i].addr != recN.trace()[i].addr ||
-                rec1.trace()[i].bytes != recN.trace()[i].bytes)
-                ++traceMismatches;
-        EXPECT_EQ(traceMismatches, 0u) << threads << " threads";
+            EXPECT_EQ(traceMismatches, 0u);
+        }
     }
 }
 

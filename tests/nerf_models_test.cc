@@ -23,6 +23,56 @@ TEST(ModelFactoryTest, NamesAndLists)
     EXPECT_EQ(mainModelKinds().size(), 3u);
 }
 
+TEST(ModelFactoryTest, ParseModelKindAcceptsEveryAlias)
+{
+    const struct
+    {
+        const char *name;
+        ModelKind kind;
+    } cases[] = {
+        {"ngp", ModelKind::InstantNgp},
+        {"instantngp", ModelKind::InstantNgp},
+        {"dvgo", ModelKind::DirectVoxGO},
+        {"directvoxgo", ModelKind::DirectVoxGO},
+        {"tensorf", ModelKind::TensoRF},
+        {"enerf", ModelKind::EfficientNeRF},
+        {"efficientnerf", ModelKind::EfficientNeRF},
+        // Case and '-'/'_' are folded away, anywhere in the name.
+        {"Instant-NGP", ModelKind::InstantNgp},
+        {"instant_ngp", ModelKind::InstantNgp},
+        {"DirectVoxGO", ModelKind::DirectVoxGO},
+        {"Direct-Vox_GO", ModelKind::DirectVoxGO},
+        {"TensoRF", ModelKind::TensoRF},
+        {"-tenso_rf-", ModelKind::TensoRF},
+        {"EfficientNeRF", ModelKind::EfficientNeRF},
+        {"E-NeRF", ModelKind::EfficientNeRF},
+    };
+    for (const auto &c : cases) {
+        ModelKind kind = c.kind == ModelKind::TensoRF
+                             ? ModelKind::InstantNgp
+                             : ModelKind::TensoRF;
+        EXPECT_TRUE(parseModelKind(c.name, kind)) << c.name;
+        EXPECT_EQ(kind, c.kind) << c.name;
+    }
+    // modelName() output parses back to its own kind.
+    for (ModelKind k : allModelKinds()) {
+        ModelKind kind = ModelKind::InstantNgp;
+        EXPECT_TRUE(parseModelKind(modelName(k), kind)) << modelName(k);
+        EXPECT_EQ(kind, k);
+    }
+}
+
+TEST(ModelFactoryTest, ParseModelKindRejectsUnknownNames)
+{
+    for (const char *name :
+         {"", "-", "_", "nerf", "mobilenerf", "ngp2", "dvgo ", "tenso rf",
+          "instant"}) {
+        ModelKind kind = ModelKind::EfficientNeRF;
+        EXPECT_FALSE(parseModelKind(name, kind)) << '"' << name << '"';
+        EXPECT_EQ(kind, ModelKind::EfficientNeRF) << "kind left unchanged";
+    }
+}
+
 TEST(ModelFactoryTest, KindsGetMatchingEncodings)
 {
     Scene scene = test::tinyScene();

@@ -7,6 +7,7 @@
 #ifndef CICERO_TESTS_TEST_UTIL_HH
 #define CICERO_TESTS_TEST_UTIL_HH
 
+#include "nerf/hash_grid.hh"
 #include "nerf/models.hh"
 #include "scene/scene.hh"
 #include "scene/trajectory.hh"
@@ -66,6 +67,26 @@ tinyModel(GridLayout layout = GridLayout::Linear, int gridRes = 32)
     return std::make_unique<NerfModel>(
         s, std::make_unique<DenseGridEncoding>(gridRes, layout), 4096,
         sampler);
+}
+
+/**
+ * A small hash-grid model over the tiny scene whose hash table is small
+ * enough that the finer levels hash while the coarse ones stay dense.
+ */
+inline std::unique_ptr<NerfModel>
+tinyHashModel()
+{
+    Scene s = tinyScene();
+    HashGridConfig cfg;
+    cfg.numLevels = 5;
+    cfg.baseRes = 6;
+    cfg.perLevelScale = 1.8f;
+    cfg.tableSize = 4096; // forces the top levels to hash
+    SamplerConfig sampler;
+    sampler.stepsAcross = 96;
+    sampler.occupancyRes = 32;
+    return std::make_unique<NerfModel>(
+        s, std::make_unique<HashGridEncoding>(cfg), 8192, sampler);
 }
 
 /** A short orbit around the tiny scene. */

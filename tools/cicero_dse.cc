@@ -21,16 +21,15 @@
  *       Print the per-config summary table of a sweep result.
  */
 
-#include <cctype>
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <exception>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "cli.hh"
 #include "common/errors.hh"
 #include "common/parallel.hh"
 #include "dse/corpus.hh"
@@ -68,62 +67,6 @@ usage()
     return 2;
 }
 
-const char *
-optValue(int argc, char **argv, const char *name)
-{
-    for (int i = 2; i + 1 < argc; ++i)
-        if (std::strcmp(argv[i], name) == 0)
-            return argv[i + 1];
-    return nullptr;
-}
-
-bool
-optFlag(int argc, char **argv, const char *name)
-{
-    for (int i = 2; i < argc; ++i)
-        if (std::strcmp(argv[i], name) == 0)
-            return true;
-    return false;
-}
-
-const char *
-positional(int argc, char **argv, int index)
-{
-    int seen = 0;
-    for (int i = 2; i < argc; ++i) {
-        if (argv[i][0] == '-' && argv[i][1] == '-') {
-            if (std::strcmp(argv[i], "--serial") != 0 &&
-                std::strcmp(argv[i], "--check") != 0 &&
-                std::strcmp(argv[i], "--check-all") != 0)
-                ++i; // skip the option's value
-            continue;
-        }
-        if (seen++ == index)
-            return argv[i];
-    }
-    return nullptr;
-}
-
-/** --threads N, validated like CICERO_THREADS; invalid warns + default. */
-void
-applyThreadsOption(int argc, char **argv)
-{
-    const char *v = optValue(argc, argv, "--threads");
-    if (!v)
-        return;
-    int n = parallelParseThreadSpec(v);
-    if (n == 0) {
-        std::fprintf(stderr,
-                     "cicero_dse: ignoring invalid --threads=\"%s\" "
-                     "(want an integer in [1, %d]); falling back to "
-                     "the automatic default\n",
-                     v, kMaxParallelThreads);
-        setParallelThreadCount(0);
-        return;
-    }
-    setParallelThreadCount(n);
-}
-
 std::string
 readFile(const std::string &path)
 {
@@ -153,19 +96,7 @@ bool
 checkReplayMatchesLive(const Corpus &corpus, const CorpusEntry &entry)
 {
     ModelKind kind = ModelKind::DirectVoxGO;
-    std::string token;
-    for (char c : entry.model)
-        if (c != '-' && c != '_')
-            token += static_cast<char>(std::tolower(c));
-    if (token == "ngp" || token == "instantngp")
-        kind = ModelKind::InstantNgp;
-    else if (token == "dvgo" || token == "directvoxgo")
-        kind = ModelKind::DirectVoxGO;
-    else if (token == "tensorf")
-        kind = ModelKind::TensoRF;
-    else if (token == "enerf" || token == "efficientnerf")
-        kind = ModelKind::EfficientNeRF;
-    else
+    if (!parseModelKind(entry.model, kind))
         throw std::runtime_error("check: unknown model kind \"" +
                                  entry.model + "\" in manifest");
 
@@ -225,20 +156,20 @@ checkReplayMatchesLive(const Corpus &corpus, const CorpusEntry &entry)
 }
 
 int
-cmdSweep(int argc, char **argv)
+cmdSweep(const cli::Args &cli)
 {
-    const char *corpusDir = optValue(argc, argv, "--corpus");
+    const char *corpusDir = cli.optValue("--corpus");
     if (!corpusDir) {
         std::fprintf(stderr, "sweep: missing --corpus DIR\n");
         return usage();
     }
-    const char *specFile = optValue(argc, argv, "--spec");
-    const char *outFile = optValue(argc, argv, "-o");
+    const char *specFile = cli.optValue("--spec");
+    const char *outFile = cli.optValue("-o");
     if (!outFile)
-        outFile = optValue(argc, argv, "--out");
-    bool serial = optFlag(argc, argv, "--serial");
-    bool checkAll = optFlag(argc, argv, "--check-all");
-    bool check = checkAll || optFlag(argc, argv, "--check");
+        outFile = cli.optValue("--out");
+    bool serial = cli.optFlag("--serial");
+    bool checkAll = cli.optFlag("--check-all");
+    bool check = checkAll || cli.optFlag("--check");
 
     SweepAxes axes;
     if (specFile)
@@ -323,9 +254,9 @@ loadSweepJson(const std::string &path)
 }
 
 int
-printSummary(int argc, char **argv, bool paretoOnly)
+printSummary(const cli::Args &cli, bool paretoOnly)
 {
-    const char *file = positional(argc, argv, 0);
+    const char *file = cli.positional(0);
     if (!file) {
         std::fprintf(stderr, "%s: missing result file\n",
                      paretoOnly ? "pareto" : "show");
@@ -369,14 +300,16 @@ main(int argc, char **argv)
     if (argc < 2)
         return usage();
     std::string cmd = argv[1];
-    applyThreadsOption(argc, argv);
+    const cli::Args cli(argc, argv, 2, "cicero_dse",
+                        {"--serial", "--check", "--check-all"});
+    cli.applyThreadsOption();
     try {
         if (cmd == "sweep")
-            return cmdSweep(argc, argv);
+            return cmdSweep(cli);
         if (cmd == "pareto")
-            return printSummary(argc, argv, true);
+            return printSummary(cli, true);
         if (cmd == "show")
-            return printSummary(argc, argv, false);
+            return printSummary(cli, false);
     } catch (const IoError &e) {
         std::fprintf(stderr, "cicero_dse: %s\n", e.what());
         return 3;

@@ -27,17 +27,13 @@
  */
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "cli.hh"
 #include "common/errors.hh"
-#include "common/fault.hh"
 #include "common/parallel.hh"
 #include "scene/trajectory.hh"
 #include "serve/render_service.hh"
@@ -45,74 +41,6 @@
 using namespace cicero;
 
 namespace {
-
-const char *
-optValue(int argc, char **argv, const char *name)
-{
-    for (int i = 1; i + 1 < argc; ++i)
-        if (std::strcmp(argv[i], name) == 0)
-            return argv[i + 1];
-    return nullptr;
-}
-
-const char *
-optValueOr(int argc, char **argv, const char *name, const char *fallback)
-{
-    const char *v = optValue(argc, argv, name);
-    return v ? v : fallback;
-}
-
-bool
-optFlag(int argc, char **argv, const char *name)
-{
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], name) == 0)
-            return true;
-    return false;
-}
-
-bool
-optUint(int argc, char **argv, const char *name, std::uint32_t fallback,
-        std::uint32_t minV, std::uint32_t maxV, std::uint32_t &out)
-{
-    const char *v = optValue(argc, argv, name);
-    if (!v) {
-        out = fallback;
-        return true;
-    }
-    char *end = nullptr;
-    errno = 0;
-    unsigned long parsed = std::strtoul(v, &end, 10);
-    if (end == v || *end != '\0' || errno == ERANGE || parsed < minV ||
-        parsed > maxV) {
-        std::fprintf(stderr,
-                     "%s: want an integer in [%u, %u], got \"%s\"\n",
-                     name, minV, maxV, v);
-        return false;
-    }
-    out = static_cast<std::uint32_t>(parsed);
-    return true;
-}
-
-bool
-parseModelKind(const std::string &name, ModelKind &kind)
-{
-    std::string s;
-    for (char c : name)
-        if (c != '-' && c != '_')
-            s += static_cast<char>(std::tolower(c));
-    if (s == "ngp" || s == "instantngp")
-        kind = ModelKind::InstantNgp;
-    else if (s == "dvgo" || s == "directvoxgo")
-        kind = ModelKind::DirectVoxGO;
-    else if (s == "tensorf")
-        kind = ModelKind::TensoRF;
-    else if (s == "enerf" || s == "efficientnerf")
-        kind = ModelKind::EfficientNeRF;
-    else
-        return false;
-    return true;
-}
 
 int
 usage()
@@ -132,26 +60,6 @@ usage()
     return 2;
 }
 
-/** --threads N, validated like CICERO_THREADS; invalid warns + default. */
-void
-applyThreadsOption(int argc, char **argv)
-{
-    const char *v = optValue(argc, argv, "--threads");
-    if (!v)
-        return;
-    int n = parallelParseThreadSpec(v);
-    if (n == 0) {
-        std::fprintf(stderr,
-                     "cicero_serve: ignoring invalid --threads=\"%s\" "
-                     "(want an integer in [1, %d]); falling back to "
-                     "the automatic default\n",
-                     v, kMaxParallelThreads);
-        setParallelThreadCount(0);
-        return;
-    }
-    setParallelThreadCount(n);
-}
-
 double
 percentileMs(std::vector<double> v, double p)
 {
@@ -165,47 +73,32 @@ percentileMs(std::vector<double> v, double p)
     return 1e3 * (v[lo] * (1.0 - frac) + v[hi] * frac);
 }
 
-/** --faults SPEC: a malformed CLI spec is a usage error. */
-bool
-applyFaultsOption(int argc, char **argv)
-{
-    const char *v = optValue(argc, argv, "--faults");
-    if (!v)
-        return true;
-    try {
-        faultArmSpec(v);
-    } catch (const FaultSpecError &e) {
-        std::fprintf(stderr, "cicero_serve: --faults: %s\n", e.what());
-        return false;
-    }
-    return true;
-}
-
 int
 run(int argc, char **argv)
 {
-    applyThreadsOption(argc, argv);
-    if (!applyFaultsOption(argc, argv))
+    const cli::Args cli(argc, argv, 1, "cicero_serve");
+    cli.applyThreadsOption();
+    if (!cli.applyFaultsOption())
         return usage();
     std::uint32_t sessions, frames, res, window, quantum, premium;
-    if (!optUint(argc, argv, "--sessions", 4, 1, 1024, sessions) ||
-        !optUint(argc, argv, "--frames", 8, 1, 100000, frames) ||
-        !optUint(argc, argv, "--res", 64, 1, 4096, res) ||
-        !optUint(argc, argv, "--window", 2, 1, 1024, window) ||
-        !optUint(argc, argv, "--quantum", 128, 1, 1 << 20, quantum) ||
-        !optUint(argc, argv, "--premium-weight", 1, 1, 1024, premium))
+    if (!cli.optUint("--sessions", 4, 1, 1024, sessions) ||
+        !cli.optUint("--frames", 8, 1, 100000, frames) ||
+        !cli.optUint("--res", 64, 1, 4096, res) ||
+        !cli.optUint("--window", 2, 1, 1024, window) ||
+        !cli.optUint("--quantum", 128, 1, 1 << 20, quantum) ||
+        !cli.optUint("--premium-weight", 1, 1, 1024, premium))
         return usage();
 
     ModelKind kind = ModelKind::DirectVoxGO;
-    if (!parseModelKind(optValueOr(argc, argv, "--model", "dvgo"),
+    if (!parseModelKind(cli.optValueOr("--model", "dvgo"),
                         kind)) {
         std::fprintf(stderr, "unknown --model\n");
         return usage();
     }
-    const std::string sceneName = optValueOr(argc, argv, "--scene", "lego");
+    const std::string sceneName = cli.optValueOr("--scene", "lego");
     const std::string presetStr =
-        optValueOr(argc, argv, "--preset", "fast");
-    const std::string mix = optValueOr(argc, argv, "--mix", "uniform");
+        cli.optValueOr("--preset", "fast");
+    const std::string mix = cli.optValueOr("--mix", "uniform");
     if (mix != "uniform" && mix != "bursty" && mix != "heavy") {
         std::fprintf(stderr, "unknown --mix\n");
         return usage();
@@ -216,11 +109,11 @@ run(int argc, char **argv)
     key.kind = kind;
     key.preset =
         presetStr == "full" ? ModelPreset::Full : ModelPreset::Fast;
-    key.fp16 = optFlag(argc, argv, "--fp16");
+    key.fp16 = cli.optFlag("--fp16");
 
     RenderServiceConfig cfg;
-    cfg.fuseDecode = !optFlag(argc, argv, "--no-fuse");
-    cfg.intraFrameFanOut = !optFlag(argc, argv, "--no-fanout");
+    cfg.fuseDecode = !cli.optFlag("--no-fuse");
+    cfg.intraFrameFanOut = !cli.optFlag("--no-fanout");
     cfg.fusionQuantumSamples = static_cast<int>(quantum);
     cfg.maxSessions = static_cast<int>(sessions) + 1;
     cfg.defaultInflightWindow = static_cast<int>(window);

@@ -38,10 +38,8 @@
  */
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <cstdint>
-#include <cstdlib>
 #include <cstdio>
 #include <cstring>
 #include <exception>
@@ -50,8 +48,8 @@
 
 #include <sys/stat.h>
 
+#include "cli.hh"
 #include "common/errors.hh"
-#include "common/fault.hh"
 #include "common/parallel.hh"
 #include "dse/accel_replay.hh"
 #include "dse/corpus.hh"
@@ -106,136 +104,11 @@ usage()
     return 2;
 }
 
-/** Value of option --name in argv, or nullptr. */
-const char *
-optValue(int argc, char **argv, const char *name)
-{
-    for (int i = 2; i + 1 < argc; ++i)
-        if (std::strcmp(argv[i], name) == 0)
-            return argv[i + 1];
-    return nullptr;
-}
-
-const char *
-optValueOr(int argc, char **argv, const char *name, const char *fallback)
-{
-    const char *v = optValue(argc, argv, name);
-    return v ? v : fallback;
-}
-
-/** True when valueless flag --name appears in argv. */
-bool
-optFlag(int argc, char **argv, const char *name)
-{
-    for (int i = 2; i < argc; ++i)
-        if (std::strcmp(argv[i], name) == 0)
-            return true;
-    return false;
-}
-
-/**
- * Strict numeric option: absent -> @p fallback; present -> must parse
- * as a decimal integer in [@p minV, @p maxV] (atoi-style silent
- * garbage = 0 is exactly the failure mode the memory-model configs
- * cannot tolerate: 0 banks is a division by zero, 0 rays a livelock).
- */
-bool
-optUint(int argc, char **argv, const char *name, std::uint32_t fallback,
-        std::uint32_t minV, std::uint32_t maxV, std::uint32_t &out)
-{
-    const char *v = optValue(argc, argv, name);
-    if (!v) {
-        out = fallback;
-        return true;
-    }
-    char *end = nullptr;
-    errno = 0;
-    unsigned long parsed = std::strtoul(v, &end, 10);
-    if (end == v || *end != '\0' || errno == ERANGE || parsed < minV ||
-        parsed > maxV) {
-        std::fprintf(stderr,
-                     "%s: want an integer in [%u, %u], got \"%s\"\n",
-                     name, minV, maxV, v);
-        return false;
-    }
-    out = static_cast<std::uint32_t>(parsed);
-    return true;
-}
-
-/** Options that take no value (everything else is --name VALUE). */
-bool
-optIsValueless(const char *name)
-{
-    return std::strcmp(name, "--fp16") == 0 ||
-           std::strcmp(name, "--salvage") == 0;
-}
-
-/** First non-option argument after the command, or nullptr. */
-const char *
-positional(int argc, char **argv, int index)
-{
-    int seen = 0;
-    for (int i = 2; i < argc; ++i) {
-        if (argv[i][0] == '-') {
-            if (!optIsValueless(argv[i]))
-                ++i; // skip the option's value
-            continue;
-        }
-        if (seen++ == index)
-            return argv[i];
-    }
-    return nullptr;
-}
-
-/**
- * Apply --threads N: validated with the CICERO_THREADS parser; an
- * invalid spec warns and falls back to the automatic default instead
- * of silently running with a garbage count.
- */
-void
-applyThreadsOption(int argc, char **argv)
-{
-    const char *v = optValue(argc, argv, "--threads");
-    if (!v)
-        return;
-    int n = parallelParseThreadSpec(v);
-    if (n == 0) {
-        std::fprintf(stderr,
-                     "cicero_trace: ignoring invalid --threads=\"%s\" "
-                     "(want an integer in [1, %d]); falling back to "
-                     "the automatic default\n",
-                     v, kMaxParallelThreads);
-        setParallelThreadCount(0);
-        return;
-    }
-    setParallelThreadCount(n);
-}
-
-/**
- * Apply --faults SPEC. Unlike the CICERO_FAULTS env (operator typo →
- * warn and ignore), an explicit CLI spec that fails to parse is a
- * usage error.
- */
-bool
-applyFaultsOption(int argc, char **argv)
-{
-    const char *v = optValue(argc, argv, "--faults");
-    if (!v)
-        return true;
-    try {
-        faultArmSpec(v);
-    } catch (const FaultSpecError &e) {
-        std::fprintf(stderr, "cicero_trace: --faults: %s\n", e.what());
-        return false;
-    }
-    return true;
-}
-
 /** Read mode for commands accepting --salvage. */
 TraceReadMode
-readMode(int argc, char **argv)
+readMode(const cli::Args &cli)
 {
-    return optFlag(argc, argv, "--salvage") ? TraceReadMode::Salvage
+    return cli.optFlag("--salvage") ? TraceReadMode::Salvage
                                             : TraceReadMode::Strict;
 }
 
@@ -253,26 +126,6 @@ reportRecovery(const char *file, const TraceFileReader &reader)
                  file, static_cast<unsigned long long>(r.keptEvents),
                  static_cast<unsigned long long>(r.checkpointsVerified),
                  static_cast<unsigned long long>(r.droppedPayloadBytes));
-}
-
-bool
-parseModelKind(const std::string &name, ModelKind &kind)
-{
-    std::string s;
-    for (char c : name)
-        if (c != '-' && c != '_')
-            s += static_cast<char>(std::tolower(c));
-    if (s == "ngp" || s == "instantngp")
-        kind = ModelKind::InstantNgp;
-    else if (s == "dvgo" || s == "directvoxgo")
-        kind = ModelKind::DirectVoxGO;
-    else if (s == "tensorf")
-        kind = ModelKind::TensoRF;
-    else if (s == "enerf" || s == "efficientnerf")
-        kind = ModelKind::EfficientNeRF;
-    else
-        return false;
-    return true;
 }
 
 std::string
@@ -387,15 +240,15 @@ captureOne(const CaptureSpec &spec, const NerfModel &model,
 
 /** Parse shared capture options into @p spec. */
 bool
-parseCaptureOpts(int argc, char **argv, CaptureSpec &spec)
+parseCaptureOpts(const cli::Args &cli, CaptureSpec &spec)
 {
-    if (!optUint(argc, argv, "--res", 64, 1, 4096, spec.res) ||
-        !optUint(argc, argv, "--frame", 0, 0, 100000, spec.frame))
+    if (!cli.optUint("--res", 64, 1, 4096, spec.res) ||
+        !cli.optUint("--frame", 0, 0, 100000, spec.frame))
         return false;
-    std::string presetStr = optValueOr(argc, argv, "--preset", "fast");
-    std::string layoutStr = optValueOr(argc, argv, "--layout", "linear");
-    std::string codecStr = optValueOr(argc, argv, "--codec", "range");
-    std::string mode = optValueOr(argc, argv, "--mode", "workload");
+    std::string presetStr = cli.optValueOr("--preset", "fast");
+    std::string layoutStr = cli.optValueOr("--layout", "linear");
+    std::string codecStr = cli.optValueOr("--codec", "range");
+    std::string mode = cli.optValueOr("--mode", "workload");
     spec.opts.preset =
         presetStr == "full" ? ModelPreset::Full : ModelPreset::Fast;
     spec.opts.gridLayout = layoutStr == "mvoxel"
@@ -403,30 +256,30 @@ parseCaptureOpts(int argc, char **argv, CaptureSpec &spec)
                                : GridLayout::Linear;
     spec.codec =
         codecStr == "varint" ? TraceCodec::Varint : TraceCodec::Range;
-    spec.fp16 = optFlag(argc, argv, "--fp16");
+    spec.fp16 = cli.optFlag("--fp16");
     spec.renderMode = mode == "render";
     return true;
 }
 
 int
-cmdCapture(int argc, char **argv)
+cmdCapture(const cli::Args &cli)
 {
-    const char *out = optValue(argc, argv, "-o");
+    const char *out = cli.optValue("-o");
     if (!out)
-        out = optValue(argc, argv, "--out");
+        out = cli.optValue("--out");
     if (!out) {
         std::fprintf(stderr, "capture: missing -o FILE\n");
         return usage();
     }
 
     CaptureSpec spec;
-    if (!parseModelKind(optValueOr(argc, argv, "--model", "dvgo"),
+    if (!parseModelKind(cli.optValueOr("--model", "dvgo"),
                         spec.kind)) {
         std::fprintf(stderr, "capture: unknown --model\n");
         return usage();
     }
-    spec.sceneName = optValueOr(argc, argv, "--scene", "lego");
-    if (!parseCaptureOpts(argc, argv, spec))
+    spec.sceneName = cli.optValueOr("--scene", "lego");
+    if (!parseCaptureOpts(cli, spec))
         return usage();
 
     Scene scene = makeScene(spec.sceneName);
@@ -461,24 +314,24 @@ splitCsv(const std::string &text)
 }
 
 int
-cmdCaptureSet(int argc, char **argv)
+cmdCaptureSet(const cli::Args &cli)
 {
-    const char *dir = optValue(argc, argv, "-o");
+    const char *dir = cli.optValue("-o");
     if (!dir)
-        dir = optValue(argc, argv, "--out");
+        dir = cli.optValue("--out");
     if (!dir) {
         std::fprintf(stderr, "capture-set: missing -o DIR\n");
         return usage();
     }
 
     std::vector<std::string> scenes =
-        splitCsv(optValueOr(argc, argv, "--scenes", "lego"));
+        splitCsv(cli.optValueOr("--scenes", "lego"));
     std::vector<std::string> models =
-        splitCsv(optValueOr(argc, argv, "--models", "dvgo"));
+        splitCsv(cli.optValueOr("--models", "dvgo"));
     std::uint32_t frames;
     CaptureSpec base;
-    if (!optUint(argc, argv, "--frames", 1, 1, 1000, frames) ||
-        !parseCaptureOpts(argc, argv, base))
+    if (!cli.optUint("--frames", 1, 1, 1000, frames) ||
+        !parseCaptureOpts(cli, base))
         return usage();
     if (scenes.empty() || models.empty()) {
         std::fprintf(stderr, "capture-set: empty --scenes/--models\n");
@@ -543,14 +396,14 @@ cmdCaptureSet(int argc, char **argv)
 // ---------------------------------------------------------------------
 
 int
-cmdReplay(int argc, char **argv)
+cmdReplay(const cli::Args &cli)
 {
-    const char *file = positional(argc, argv, 0);
+    const char *file = cli.positional(0);
     if (!file) {
         std::fprintf(stderr, "replay: missing trace file\n");
         return usage();
     }
-    std::string stack = optValueOr(argc, argv, "--stack", "cache");
+    std::string stack = cli.optValueOr("--stack", "cache");
     if (stack != "cache" && stack != "bank" && stack != "dram" &&
         stack != "gpu" && stack != "npu" && stack != "gu" &&
         stack != "accels") {
@@ -559,7 +412,7 @@ cmdReplay(int argc, char **argv)
         return usage();
     }
 
-    TraceFileReader reader(file, readMode(argc, argv));
+    TraceFileReader reader(file, readMode(cli));
     reportRecovery(file, reader);
     if (!traceMetaStorageConsistent(reader.meta()))
         std::fprintf(stderr,
@@ -576,8 +429,8 @@ cmdReplay(int argc, char **argv)
     if (stack == "cache") {
         CacheStackConfig cfg;
         std::uint32_t capacityMb;
-        if (!optUint(argc, argv, "--ways", 32, 1, 4096, cfg.warpWays) ||
-            !optUint(argc, argv, "--capacity-mb", 2, 1, 65536,
+        if (!cli.optUint("--ways", 32, 1, 4096, cfg.warpWays) ||
+            !cli.optUint("--capacity-mb", 2, 1, 65536,
                      capacityMb))
             return usage();
         cfg.cache.capacityBytes = static_cast<std::uint64_t>(capacityMb)
@@ -585,14 +438,14 @@ cmdReplay(int argc, char **argv)
         stats = statsJson(runCacheStack(fileSource(reader), cfg));
     } else if (stack == "bank") {
         SramBankConfig cfg;
-        if (!optUint(argc, argv, "--banks", 16, 1, 65536, cfg.numBanks) ||
-            !optUint(argc, argv, "--rays", 16, 1, 65536,
+        if (!cli.optUint("--banks", 16, 1, 65536, cfg.numBanks) ||
+            !cli.optUint("--rays", 16, 1, 65536,
                      cfg.concurrentRays))
             return usage();
         cfg.featureBytes = reader.meta().featureBytes
                                ? reader.meta().featureBytes
                                : cfg.featureBytes;
-        cfg.layout = std::string(optValueOr(argc, argv, "--sram-layout",
+        cfg.layout = std::string(cli.optValueOr("--sram-layout",
                                             "feature")) == "channel"
                          ? SramLayout::ChannelMajor
                          : SramLayout::FeatureMajor;
@@ -606,9 +459,9 @@ cmdReplay(int argc, char **argv)
         if (stack == "gpu") {
             GpuStackConfig cfg;
             std::uint32_t capacityMb;
-            if (!optUint(argc, argv, "--ways", 32, 1, 4096,
+            if (!cli.optUint("--ways", 32, 1, 4096,
                          cfg.warpWays) ||
-                !optUint(argc, argv, "--capacity-mb", 2, 1, 65536,
+                !cli.optUint("--capacity-mb", 2, 1, 65536,
                          capacityMb))
                 return usage();
             cfg.cache.capacityBytes =
@@ -618,17 +471,17 @@ cmdReplay(int argc, char **argv)
             stats = statsJson(runNpuStack(fileSource(reader), desc));
         } else if (stack == "gu") {
             GuStackConfig cfg;
-            if (!optUint(argc, argv, "--banks", 32, 1, 65536,
+            if (!cli.optUint("--banks", 32, 1, 65536,
                          cfg.gu.banks) ||
-                !optUint(argc, argv, "--rays", 16, 1, 65536,
+                !cli.optUint("--rays", 16, 1, 65536,
                          cfg.concurrentRays))
                 return usage();
             stats = statsJson(runGuStack(fileSource(reader), desc, cfg));
         } else { // accels: the NeuRex/NGPC baselines
             BaselineStackConfig cfg;
-            if (!optUint(argc, argv, "--banks", 16, 1, 65536,
+            if (!cli.optUint("--banks", 16, 1, 65536,
                          cfg.bank.numBanks) ||
-                !optUint(argc, argv, "--rays", 16, 1, 65536,
+                !cli.optUint("--rays", 16, 1, 65536,
                          cfg.bank.concurrentRays))
                 return usage();
             stats = statsJson(
@@ -679,14 +532,14 @@ struct HistogramScan : public TraceSink
 };
 
 int
-cmdStats(int argc, char **argv)
+cmdStats(const cli::Args &cli)
 {
-    const char *file = positional(argc, argv, 0);
+    const char *file = cli.positional(0);
     if (!file) {
         std::fprintf(stderr, "stats: missing trace file\n");
         return usage();
     }
-    TraceFileReader reader(file, readMode(argc, argv));
+    TraceFileReader reader(file, readMode(cli));
     reportRecovery(file, reader);
 
     // Two streaming replays (range, then histogram) keep memory O(1)
@@ -864,10 +717,10 @@ describe(const EventLog::Event &e)
 }
 
 int
-cmdDiff(int argc, char **argv)
+cmdDiff(const cli::Args &cli)
 {
-    const char *fileA = positional(argc, argv, 0);
-    const char *fileB = positional(argc, argv, 1);
+    const char *fileA = cli.positional(0);
+    const char *fileB = cli.positional(1);
     if (!fileA || !fileB) {
         std::fprintf(stderr, "diff: need two trace files\n");
         return usage();
@@ -908,16 +761,16 @@ cmdDiff(int argc, char **argv)
 // ---------------------------------------------------------------------
 
 int
-cmdRecover(int argc, char **argv)
+cmdRecover(const cli::Args &cli)
 {
-    const char *file = positional(argc, argv, 0);
+    const char *file = cli.positional(0);
     if (!file) {
         std::fprintf(stderr, "recover: missing trace file\n");
         return usage();
     }
-    const char *out = optValue(argc, argv, "-o");
+    const char *out = cli.optValue("-o");
     if (!out)
-        out = optValue(argc, argv, "--out");
+        out = cli.optValue("--out");
 
     TraceFileReader reader(file, TraceReadMode::Salvage);
     const TraceRecoveryInfo &r = reader.recovery();
@@ -958,22 +811,24 @@ main(int argc, char **argv)
     if (argc < 2)
         return usage();
     std::string cmd = argv[1];
-    applyThreadsOption(argc, argv);
-    if (!applyFaultsOption(argc, argv))
+    const cli::Args cli(argc, argv, 2, "cicero_trace",
+                        {"--fp16", "--salvage"});
+    cli.applyThreadsOption();
+    if (!cli.applyFaultsOption())
         return usage();
     try {
         if (cmd == "capture")
-            return cmdCapture(argc, argv);
+            return cmdCapture(cli);
         if (cmd == "capture-set")
-            return cmdCaptureSet(argc, argv);
+            return cmdCaptureSet(cli);
         if (cmd == "replay")
-            return cmdReplay(argc, argv);
+            return cmdReplay(cli);
         if (cmd == "stats")
-            return cmdStats(argc, argv);
+            return cmdStats(cli);
         if (cmd == "diff")
-            return cmdDiff(argc, argv);
+            return cmdDiff(cli);
         if (cmd == "recover")
-            return cmdRecover(argc, argv);
+            return cmdRecover(cli);
     } catch (const IoError &e) {
         std::fprintf(stderr, "cicero_trace: %s\n", e.what());
         return 3;
