@@ -9,8 +9,9 @@
  * Since PR 2 the object additionally reports:
  *  - batched-gather vs scalar-gather samples/s for each encoding
  *    (gatherFeatureBatch must not lose to per-sample gatherFeature);
- *  - traced-run rays/s, 1 thread vs N threads through RayTraceBuffer,
- *    with the trace streams checked byte-identical.
+ *  - traced-run rays/s, 1 thread vs N threads (per-chunk event logs
+ *    delivered in chunk order), with the trace streams checked
+ *    byte-identical.
  *
  * Since PR 4 the object carries a "simd_backend" field (the backend
  * the process dispatches to by default) and a "simd" section:
@@ -225,7 +226,7 @@ main(int argc, char **argv)
         serialOut.work.mlpMacs == parallelOut.work.mlpMacs;
     const double speedup = parallelS > 0.0 ? serialS / parallelS : 0.0;
 
-    // ---- traced run: serial vs buffered-parallel capture ------------
+    // ---- traced run: serial vs chunk-logged parallel capture -------
     const int traceRes = 64;
     Camera traceCam =
         Camera::fromFov(traceRes, traceRes, scene.fovYDeg, traj[0]);

@@ -1,6 +1,7 @@
 #include "cicero/streaming_renderer.hh"
 
 #include <stdexcept>
+#include <variant>
 
 #include "common/parallel.hh"
 #include "common/simd.hh"
@@ -325,9 +326,11 @@ streamDenseLevel(const GridLevel &lvl,
 /**
  * Stage G over one hashed level: revert to the original data flow,
  * per-sample random fetches straight out of the hash table. Every
- * sample owns its feature slice, so the gather is sample-parallel; the
- * TraceCapture keyed by sample restores the serial per-sample emission
- * order. The sink is flushed once, after the last level.
+ * sample owns its feature slice, so the gather is sample-parallel; each
+ * chunk of samples logs its accesses and the logs are delivered in
+ * chunk order, which restores the serial per-sample emission order.
+ * Chunks produce no partial result (std::monostate). The sink is
+ * flushed once, after the last level.
  */
 void
 gatherHashedLevel(const GridLevel &lvl,
@@ -337,7 +340,6 @@ gatherHashedLevel(const GridLevel &lvl,
     const HashGridEncoding &grid = *lvl.hashed;
     const int l = lvl.index;
     const std::uint32_t vb = grid.vertexBytes();
-    TraceCapture capture(samples.size(), trace);
     auto gatherSample = [&](std::uint32_t s, TraceSink *sink) {
         int c0[3];
         float frac[3];
@@ -359,19 +361,13 @@ gatherHashedLevel(const GridLevel &lvl,
                 dst[ch] += w * v[ch];
         }
     };
-    parallelFor(0, static_cast<std::int64_t>(samples.size()), -1,
-                [&](std::int64_t b, std::int64_t e) {
-                    for (std::int64_t si = b; si < e; ++si) {
-                        const std::uint32_t s =
-                            static_cast<std::uint32_t>(si);
-                        capture.record(s, [&](TraceSink *sink) {
-                            gatherSample(s, sink);
-                        });
-                    }
-                    capture.markCompleted(static_cast<std::size_t>(b),
-                                          static_cast<std::size_t>(e));
-                });
-    capture.drain();
+    parallelMapTracedChunks<std::monostate>(
+        static_cast<std::int64_t>(samples.size()), trace,
+        [&](std::monostate &, std::int64_t b, std::int64_t e,
+            TraceSink *sink) {
+            for (std::int64_t s = b; s < e; ++s)
+                gatherSample(static_cast<std::uint32_t>(s), sink);
+        });
 }
 
 } // namespace

@@ -20,24 +20,6 @@ fmt(const char *format, double v)
     return buf;
 }
 
-std::string
-axisJson(const std::vector<double> &v)
-{
-    std::string out = "[";
-    for (std::size_t i = 0; i < v.size(); ++i)
-        out += (i ? ", " : "") + fmt("%g", v[i]);
-    return out + "]";
-}
-
-std::string
-axisJson(const std::vector<std::uint32_t> &v)
-{
-    std::string out = "[";
-    for (std::size_t i = 0; i < v.size(); ++i)
-        out += (i ? ", " : "") + std::to_string(v[i]);
-    return out + "]";
-}
-
 void
 parseDoubleAxis(const JsonValue &arr, const char *name,
                 std::vector<double> &out)

@@ -13,13 +13,13 @@
 #define CICERO_MEMORY_TRACE_HH
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
+
+#include "common/parallel.hh"
 
 namespace cicero {
 
@@ -172,190 +172,104 @@ class WarpInterleaver : public TraceSink
 };
 
 /**
- * Deterministic parallel trace capture.
+ * Deterministic parallel trace capture, one event log per walk chunk.
  *
- * A traced render used to be serial by necessity: the access-stream
- * order is part of the memory-model contract, and a shared TraceSink
- * cannot be fed from several workers at once. RayTraceBuffer decouples
- * capture from delivery: each ray (more generally, each *slot* of a
- * canonically ordered work list) records its MemAccess stream into a
- * private buffer during a parallel render, and replay() then walks the
- * slots in canonical order, reproducing the serial TraceSink stream
- * byte-for-byte — accesses, onRayEnd markers and all.
+ * The access-stream order is part of the memory-model contract, and a
+ * shared TraceSink cannot be fed from several workers at once. A
+ * parallel traced walk therefore gives each of its pool chunks a log:
+ * chunk c records its accesses and onRayEnd markers, in order, into
+ * chunkSink(c), and calls chunkDone(c) once it records nothing more. A
+ * finished chunk is delivered to the downstream sink only after every
+ * earlier chunk, so the sink sees the serial stream byte for byte.
+ * Whenever finished chunks extend the delivered prefix they are
+ * delivered and freed while later chunks still run, so buffered memory
+ * tracks the out-of-order window instead of the whole walk.
  *
- * Concurrency contract: distinct slots may record concurrently; a
- * single slot is only ever touched by one thread. replay() must be
- * called after the parallel loop has completed (it is not itself
- * thread-safe). replay() does not flush the downstream sink — the
- * caller ends the trace with downstream->onFlush(), exactly where the
- * serial code did.
+ * Only one thread is in the sink at a time. The first thread to find a
+ * deliverable prefix sets a delivering flag and delivers it, and before
+ * it clears the flag it re-checks under the lock for chunks that
+ * finished meanwhile. Any other thread just records its chunk as done
+ * and returns; no thread waits on another thread's delivery.
  *
- * Windowed prefix drain: waiting for the whole frame before replaying
- * buffers every ray's accesses at once, so peak memory grows with the
- * frame. Workers can instead call markCompleted(begin, end) once a
- * chunk of slots will receive no further events; whenever the
- * completed set forms a prefix beyond what has been delivered, one
- * thread (guarded by a drain baton) streams those slots into the
- * downstream sink — in canonical order, while trailing chunks still
- * render — and frees their storage. The final replay() delivers
- * whatever remains, so the stream stays byte-identical to the
- * full-buffer path no matter how completions interleave. The
- * downstream sink is only ever entered by one thread at a time, with
- * the baton mutex ordering successive drains.
- */
-class RayTraceBuffer
-{
-  public:
-    /**
-     * @param slotCount  number of rays (work items) in canonical order.
-     * @param downstream sink receiving the ordered replay.
-     */
-    RayTraceBuffer(std::size_t slotCount, TraceSink *downstream);
-
-    /**
-     * Lightweight per-slot recording sink, handed to the per-ray render
-     * in place of the real downstream sink. Cheap to construct; value
-     * semantics (holds a pointer into the parent buffer).
-     */
-    class SlotSink : public TraceSink
-    {
-      public:
-        void onAccess(const MemAccess &access) override;
-        void onRayEnd(std::uint32_t rayId) override;
-
-      private:
-        friend class RayTraceBuffer;
-        SlotSink(RayTraceBuffer &buf, std::size_t slot)
-            : _buf(&buf), _slot(slot)
-        {
-        }
-        RayTraceBuffer *_buf;
-        std::size_t _slot;
-    };
-
-    /** The recording sink of slot @p slot (0 .. slotCount-1). */
-    SlotSink sink(std::size_t slot)
-    {
-        assert(slot < _slots.size());
-        return SlotSink(*this, slot);
-    }
-
-    /**
-     * Note that slots [begin, end) are complete — no further events
-     * will be recorded into them — and opportunistically drain the
-     * completed prefix into the downstream sink. Thread-safe; called
-     * by workers as their chunks finish. Purely an optimization: peak
-     * buffered memory drops from the whole frame to roughly the
-     * out-of-order window, while the delivered stream is unchanged.
-     */
-    void markCompleted(std::size_t begin, std::size_t end);
-
-    /**
-     * Replay every not-yet-drained slot's recorded stream into the
-     * downstream sink, in slot order: all accesses of slot 0, its
-     * onRayEnd (if recorded), then slot 1, ... Does not call
-     * onFlush(). Call after the parallel loop; with markCompleted in
-     * play this delivers only the un-drained suffix.
-     */
-    void replay();
-
-    /**
-     * High-water mark of buffered accesses (windowed-drain
-     * effectiveness metric): with prefix draining this stays near the
-     * completion out-of-order window instead of the full trace size.
-     */
-    std::uint64_t
-    peakBufferedAccesses() const
-    {
-        return _peakBuffered.load(std::memory_order_relaxed);
-    }
-
-  private:
-    struct Slot
-    {
-        std::vector<MemAccess> accesses;
-        std::uint32_t endRayId = 0;
-        bool ended = false;
-    };
-
-    void drainRange(std::size_t begin, std::size_t end);
-    void tryDrain();
-
-    std::vector<Slot> _slots;
-    TraceSink *_downstream;
-
-    std::atomic<std::uint64_t> _buffered{0};
-    std::atomic<std::uint64_t> _peakBuffered{0};
-
-    std::mutex _stateMutex; //!< guards _completed and _drained
-    std::mutex _drainMutex; //!< drain baton: one drainer at a time
-    std::map<std::size_t, std::size_t> _completed; //!< merged intervals
-    std::size_t _drained = 0; //!< slots [0, _drained) already delivered
-};
-
-/**
- * The capture policy every parallel traced walk shares. With more than
- * one pool thread, each work item (slot) records into a private
- * RayTraceBuffer slot and the buffer replays the slots in canonical
- * order. With one thread the chunks already run inline in slot order,
- * so items emit straight into the sink and the trace is never
- * materialized (O(1) memory). Without a sink every item records into
- * nullptr and nothing is allocated.
- *
- * Per item call record(), per finished chunk markCompleted() (the
- * windowed prefix drain), and after the parallel loop finish() — or
- * drain() when the caller flushes the sink itself later.
+ * With one pool thread the chunks run inline in order, so chunkSink()
+ * is the downstream sink itself and nothing is materialized. Without a
+ * sink chunkSink() is nullptr and nothing is allocated. Nothing here
+ * flushes the sink: the caller ends the trace with onFlush().
  */
 class TraceCapture
 {
   public:
     /** @param sink downstream sink, or nullptr for an untraced walk. */
-    TraceCapture(std::size_t slotCount, TraceSink *sink);
+    TraceCapture(std::size_t chunks, TraceSink *sink);
     TraceCapture(const TraceCapture &) = delete;
     TraceCapture &operator=(const TraceCapture &) = delete;
 
-    /** Run @p fn(TraceSink *) with the sink slot @p slot records into. */
-    template <typename Fn>
-    void
-    record(std::size_t slot, Fn &&fn)
+    /** Where chunk @p c records its events (nullptr when untraced). */
+    TraceSink *
+    chunkSink(std::size_t c)
     {
-        if (!_buffer) {
-            fn(_sink);
-            return;
-        }
-        RayTraceBuffer::SlotSink sink = _buffer->sink(slot);
-        fn(static_cast<TraceSink *>(&sink));
+        return _logs.empty() ? _sink : &_logs[c];
     }
 
-    /** Slots [begin, end) are complete: see RayTraceBuffer. */
-    void
-    markCompleted(std::size_t begin, std::size_t end)
-    {
-        if (_buffer)
-            _buffer->markCompleted(begin, end);
-    }
-
-    /** Deliver every slot not yet drained; does not flush the sink. */
-    void
-    drain()
-    {
-        if (_buffer)
-            _buffer->replay();
-    }
-
-    /** drain(), then end the trace with the sink's onFlush(). */
-    void
-    finish()
-    {
-        drain();
-        if (_sink)
-            _sink->onFlush();
-    }
+    /**
+     * Chunk @p c records nothing more: deliver every finished chunk
+     * the delivered prefix now reaches. Thread-safe; a repeated call
+     * for a chunk is a no-op.
+     */
+    void chunkDone(std::size_t c);
 
   private:
+    /** One chunk's events; aligned so neighbouring logs never share a
+     *  cache line while their chunks record concurrently. */
+    struct alignas(64) ChunkLog final : TraceSink
+    {
+        std::vector<MemAccess> accesses;
+        /** (accesses recorded before it, ray id) of each onRayEnd. */
+        std::vector<std::pair<std::size_t, std::uint32_t>> rayEnds;
+        bool done = false; //!< guarded by TraceCapture::_mutex
+
+        void onAccess(const MemAccess &a) override { accesses.push_back(a); }
+
+        void
+        onRayEnd(std::uint32_t rayId) override
+        {
+            rayEnds.emplace_back(accesses.size(), rayId);
+        }
+
+        /** Replay the log into @p sink and free its storage. */
+        void deliverTo(TraceSink &sink);
+    };
+
     TraceSink *_sink;
-    std::unique_ptr<RayTraceBuffer> _buffer;
+    std::vector<ChunkLog> _logs; //!< empty: chunks emit into _sink
+    std::mutex _mutex;           //!< guards done flags, _next, _delivering
+    std::size_t _next = 0;       //!< chunks [0, _next) are delivered
+    bool _delivering = false;
 };
+
+/**
+ * parallelMapChunks for a traced walk: runs @p fn(part, b, e, sink)
+ * over the pool chunks of [0, @p n), where @p sink is where the chunk
+ * records its trace events, and returns the per-chunk partials in chunk
+ * order. By the time it returns @p trace has received every chunk's
+ * events in chunk order, i.e. the serial stream; it is not flushed.
+ * The capture's chunk count and the loop's chunk indices come from one
+ * decomposition, paired here.
+ */
+template <typename T, typename Fn>
+std::vector<T>
+parallelMapTracedChunks(std::int64_t n, TraceSink *trace, Fn &&fn)
+{
+    const std::size_t chunks = parallelChunkCount(0, n, -1);
+    TraceCapture capture(chunks, trace);
+    std::vector<T> parts(chunks);
+    parallelForChunks(0, n, -1,
+                      [&](std::size_t c, std::int64_t b, std::int64_t e) {
+                          fn(parts[c], b, e, capture.chunkSink(c));
+                          capture.chunkDone(c);
+                      });
+    return parts;
+}
 
 /** A sink that simply stores the trace (tests and small experiments). */
 class TraceRecorder : public TraceSink

@@ -6,8 +6,9 @@
  * Every memory-model experiment in this repo is a function of the
  * access stream a functional render emits into a TraceSink. A
  * TraceFileWriter is itself a TraceSink, so it drops into any existing
- * capture path (including the parallel RayTraceBuffer replay) and
- * persists the stream into a versioned `.ctrace` container; a
+ * capture path (a parallel traced walk delivers its per-chunk event
+ * logs to it in chunk order) and persists the stream into a versioned
+ * `.ctrace` container; a
  * TraceFileReader replays a container into any TraceSink — so the
  * cache, DRAM, SRAM-bank and energy models consume persisted traces
  * with zero changes. One expensive render becomes a reusable artifact:

@@ -23,10 +23,9 @@ constexpr int kMaxDecodeBlock = 64;
 /**
  * The rays one walk visits, in canonical (serial) order: the rows
  * [rowBegin, rowEnd) of the frame in raster order, or an explicit
- * pixel-id list in list order. A ray's position in that order is its
- * trace slot; its ray id is always its pixel id (y * width + x). A
- * walk splits the set into chunks of items: whole rows, or list
- * entries.
+ * pixel-id list in list order. A ray's id is always its pixel id
+ * (y * width + x). A walk splits the set into chunks of items: whole
+ * rows, or list entries.
  */
 struct RaySet
 {
@@ -54,14 +53,7 @@ struct RaySet
                       : rowEnd - rowBegin;
     }
 
-    /** Trace slot of the first ray of item @p item. */
-    std::size_t
-    slotOf(std::int64_t item) const
-    {
-        return static_cast<std::size_t>(item) * (pixels ? 1 : width);
-    }
-
-    /** Call @p fn(slot, px, py, rayId) for every ray of items [b, e). */
+    /** Call @p fn(px, py, rayId) for every ray of items [b, e). */
     template <typename Fn>
     void
     forEachRay(std::int64_t b, std::int64_t e, Fn &&fn) const
@@ -69,17 +61,16 @@ struct RaySet
         if (pixels) {
             for (std::int64_t k = b; k < e; ++k) {
                 const std::uint32_t id = (*pixels)[k];
-                fn(static_cast<std::size_t>(k), static_cast<int>(id % width),
+                fn(static_cast<int>(id % width),
                    static_cast<int>(id / width), id);
             }
             return;
         }
-        std::size_t slot = slotOf(b);
         for (int py = rowBegin + static_cast<int>(b);
              py < rowBegin + e; ++py) {
             std::uint32_t rayId = static_cast<std::uint32_t>(py) * width;
-            for (int px = 0; px < width; ++px, ++rayId, ++slot)
-                fn(slot, px, py, rayId);
+            for (int px = 0; px < width; ++px, ++rayId)
+                fn(px, py, rayId);
         }
     }
 };
@@ -110,35 +101,30 @@ enum class Walk
  * The one frame-level pixel walk behind every NerfModel entry point:
  * runs @p op(acc, px, py, rayId, sink) for every ray of @p rays. A
  * parallel walk splits the items into pool chunks, each with its own
- * accumulator, folded in chunk order; pixels land in disjoint slots
- * and ray ids are a function of the pixel, so the result is
- * bit-identical at any thread count. Every ray records its trace
- * events through a TraceCapture slot and each finished chunk is marked
- * completed, so @p trace sees the serial access stream, followed by
- * one onFlush().
+ * accumulator and trace log, folded and delivered in chunk order;
+ * pixels land in disjoint slots and ray ids are a function of the
+ * pixel, so the result is bit-identical at any thread count and
+ * @p trace sees the serial access stream, followed by one onFlush().
  */
 template <typename Acc, typename RayOp>
 Acc
 walkRays(const RaySet &rays, TraceSink *trace, Walk mode, RayOp &&op)
 {
-    TraceCapture capture(rays.slotOf(rays.items()), trace);
-    auto chunk = [&](Acc &acc, std::int64_t b, std::int64_t e) {
-        rays.forEachRay(b, e, [&](std::size_t slot, int px, int py,
-                                  std::uint32_t rayId) {
-            capture.record(slot, [&](TraceSink *sink) {
-                op(acc, px, py, rayId, sink);
-            });
+    auto chunk = [&](Acc &acc, std::int64_t b, std::int64_t e,
+                     TraceSink *sink) {
+        rays.forEachRay(b, e, [&](int px, int py, std::uint32_t rayId) {
+            op(acc, px, py, rayId, sink);
         });
-        capture.markCompleted(rays.slotOf(b), rays.slotOf(e));
     };
     std::vector<Acc> parts;
     if (mode == Walk::Serial) {
         parts.resize(1);
-        chunk(parts[0], 0, rays.items());
+        chunk(parts[0], 0, rays.items(), trace);
     } else {
-        parts = parallelMapChunks<Acc>(rays.items(), chunk);
+        parts = parallelMapTracedChunks<Acc>(rays.items(), trace, chunk);
     }
-    capture.finish();
+    if (trace)
+        trace->onFlush();
     return foldChunks(parts);
 }
 

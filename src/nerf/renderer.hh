@@ -97,10 +97,11 @@ class NerfModel
      *
      * Runs tile-parallel on the global pool (common/parallel.hh) with
      * bit-identical output at any thread count. Traced runs also go
-     * parallel: each ray records its gather accesses into a private
-     * RayTraceBuffer slot, and the buffer replays the slots in
-     * canonical ray-id order, so @p trace sees a stream byte-identical
-     * to the serial walk (the memory-model access-order contract).
+     * parallel: each pool chunk of rows records its rays' gather
+     * accesses into its own event log, and the logs are delivered in
+     * chunk order as soon as every earlier chunk has been, so @p trace
+     * sees a stream byte-identical to the serial walk (the
+     * memory-model access-order contract).
      *
      * @param trace optional sink receiving every gather access.
      * @param wantGBuffer also accumulate the per-pixel material buffer

@@ -457,24 +457,19 @@ RenderService::findSession(int sessionId) const
 ServeFrame
 RenderService::waitFrame(int sessionId, int frameIndex)
 {
-    std::shared_ptr<Session> s = findSession(sessionId);
-    if (frameIndex < 0 ||
-        frameIndex >= static_cast<int>(s->frames.size()))
-        throw std::runtime_error("RenderService: frame index out of range");
-
-    std::unique_lock<std::mutex> lock(s->mu);
-    s->cv.wait(lock, [&] { return s->done[frameIndex] != 0; });
-    if (s->failed[frameIndex]) {
-        if (s->skipped[frameIndex])
-            throw SessionQuarantinedError(sessionId);
-        std::rethrow_exception(s->error);
-    }
-    return s->frames[frameIndex];
+    return awaitFrame(sessionId, frameIndex, std::nullopt);
 }
 
 ServeFrame
 RenderService::waitFrameFor(int sessionId, int frameIndex,
                             double timeoutS)
+{
+    return awaitFrame(sessionId, frameIndex, timeoutS);
+}
+
+ServeFrame
+RenderService::awaitFrame(int sessionId, int frameIndex,
+                          std::optional<double> timeoutS)
 {
     std::shared_ptr<Session> s = findSession(sessionId);
     if (frameIndex < 0 ||
@@ -482,11 +477,16 @@ RenderService::waitFrameFor(int sessionId, int frameIndex,
         throw std::runtime_error("RenderService: frame index out of range");
 
     std::unique_lock<std::mutex> lock(s->mu);
-    bool done = s->cv.wait_for(
-        lock, std::chrono::duration<double>(timeoutS),
-        [&] { return s->done[frameIndex] != 0; });
-    if (!done)
-        throw WaitTimeoutError(sessionId, frameIndex, timeoutS);
+    auto done = [&] { return s->done[frameIndex] != 0; };
+    // An untimed wait is a real wait(): a huge wait_for() timeout can
+    // overflow the clock conversion.
+    if (!timeoutS) {
+        s->cv.wait(lock, done);
+    } else if (!s->cv.wait_for(lock,
+                               std::chrono::duration<double>(*timeoutS),
+                               done)) {
+        throw WaitTimeoutError(sessionId, frameIndex, *timeoutS);
+    }
     if (s->failed[frameIndex]) {
         if (s->skipped[frameIndex])
             throw SessionQuarantinedError(sessionId);

@@ -57,6 +57,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -311,6 +312,9 @@ class RenderService
     struct Session;
 
     std::shared_ptr<Session> findSession(int sessionId) const;
+    /** waitFrame(), or waitFrameFor() when @p timeoutS is set. */
+    ServeFrame awaitFrame(int sessionId, int frameIndex,
+                          std::optional<double> timeoutS);
     int admitImpl(const ServeSessionConfig &config, bool throwOnFull);
     void setupSession(const std::shared_ptr<Session> &s,
                       const ServeSessionConfig &config);

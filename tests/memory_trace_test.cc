@@ -1,13 +1,19 @@
 /**
  * @file
  * Unit tests for the trace-plumbing layer: TraceTee fan-out,
- * WarpInterleaver interleaving/ray-id integrity, and RayTraceBuffer's
- * ordered replay (the deterministic parallel trace-capture contract).
+ * WarpInterleaver interleaving/ray-id integrity, and TraceCapture's
+ * chunk-ordered delivery (the deterministic parallel trace-capture
+ * contract).
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/parallel.hh"
@@ -153,76 +159,93 @@ TEST(WarpInterleaverTest, ImplicitRayBoundaryOnIdChange)
 }
 
 // ---------------------------------------------------------------------
-// RayTraceBuffer
+// TraceCapture
 // ---------------------------------------------------------------------
 
-TEST(RayTraceBufferTest, ReplaysSlotsInCanonicalOrder)
+/** Pins the pool's thread count for one test, restoring the default. */
+struct PoolThreads
 {
-    EventRecorder rec;
-    RayTraceBuffer buf(3, &rec);
+    explicit PoolThreads(int n) { setParallelThreadCount(n); }
+    ~PoolThreads() { setParallelThreadCount(0); }
+};
 
-    // Record out of order (as parallel workers would).
-    {
-        RayTraceBuffer::SlotSink s2 = buf.sink(2);
-        s2.onAccess(acc(200, 64, 2));
-        s2.onRayEnd(2);
-    }
-    {
-        RayTraceBuffer::SlotSink s0 = buf.sink(0);
-        s0.onAccess(acc(0, 64, 0));
-        s0.onAccess(acc(64, 64, 0));
-        s0.onRayEnd(0);
-    }
-    {
-        RayTraceBuffer::SlotSink s1 = buf.sink(1); // empty ray
-        s1.onRayEnd(1);
-    }
-
-    buf.replay();
-    rec.onFlush();
-
-    std::vector<std::string> expect = {"A0:r0", "A64:r0", "E0", "E1",
-                                       "A200:r2", "E2", "F"};
-    EXPECT_EQ(rec.events, expect);
+/** Ray @p ray's serial event stream: 0-7 accesses, then its end. */
+void
+emitRay(std::uint32_t ray, TraceSink *sink)
+{
+    static const int accessesOf[5] = {3, 0, 7, 1, 2};
+    for (int i = 0; i < accessesOf[ray % 5]; ++i)
+        sink->onAccess(acc(ray * 1000ull + i * 64, 64, ray));
+    sink->onRayEnd(ray);
 }
 
-TEST(RayTraceBufferTest, SerialAndParallelCaptureAreByteIdentical)
+/** The serial stream of rays [0, numRays), flushed. */
+EventRecorder
+serialStream(std::uint32_t numRays)
 {
-    // The core contract: recording under a parallel loop replays a
-    // stream byte-identical to the serial emission.
-    const int numRays = 64;
-    const int accessesOf[4] = {3, 0, 7, 1}; // cycle of ray lengths
-
-    auto emitRay = [&](std::uint32_t ray, TraceSink *sink) {
-        int n = accessesOf[ray % 4];
-        for (int i = 0; i < n; ++i)
-            sink->onAccess(acc(ray * 1000ull + i * 64, 64, ray));
-        sink->onRayEnd(ray);
-    };
-
-    // Serial reference stream.
-    EventRecorder serial;
+    EventRecorder rec;
     for (std::uint32_t r = 0; r < numRays; ++r)
-        emitRay(r, &serial);
-    serial.onFlush();
+        emitRay(r, &rec);
+    rec.onFlush();
+    return rec;
+}
 
-    // Parallel capture through the buffer.
-    setParallelThreadCount(4);
+/** Every ray of [0, numRays) through a traced parallel chunk loop. */
+void
+captureInParallel(std::uint32_t numRays, TraceSink *sink)
+{
+    parallelMapTracedChunks<int>(
+        numRays, sink,
+        [](int &, std::int64_t b, std::int64_t e, TraceSink *chunkSink) {
+            for (std::int64_t r = b; r < e; ++r)
+                emitRay(static_cast<std::uint32_t>(r), chunkSink);
+        });
+    sink->onFlush();
+}
+
+/** Record rays [first, first + count) as chunk @p c, then finish it. */
+void
+recordChunk(TraceCapture &capture, std::size_t c, std::uint32_t first,
+            std::uint32_t count)
+{
+    for (std::uint32_t r = first; r < first + count; ++r)
+        emitRay(r, capture.chunkSink(c));
+    capture.chunkDone(c);
+}
+
+TEST(TraceCaptureTest, DeliversChunksInCanonicalOrder)
+{
+    // Chunks finish out of order (as parallel workers would); the sink
+    // still sees chunk 0, then 1, then 2 — empty rays included.
+    PoolThreads pool(4);
+    EventRecorder rec;
+    TraceCapture capture(3, &rec);
+    recordChunk(capture, 2, 4, 2);
+    recordChunk(capture, 0, 0, 2);
+    recordChunk(capture, 1, 2, 2);
+    rec.onFlush();
+
+    EXPECT_EQ(rec.events, serialStream(6).events);
+    // Spot-check the shape: ray 1 has no accesses.
+    std::vector<std::string> head = {"A0:r0", "A64:r0", "A128:r0", "E0",
+                                     "E1"};
+    EXPECT_EQ(std::vector<std::string>(rec.events.begin(),
+                                       rec.events.begin() + 5),
+              head);
+}
+
+TEST(TraceCaptureTest, SerialAndParallelCaptureAreByteIdentical)
+{
+    // The core contract: recording under a parallel loop delivers a
+    // stream byte-identical to the serial emission.
+    const std::uint32_t numRays = 64;
+    const EventRecorder serial = serialStream(numRays);
+
     EventRecorder parallel;
     {
-        RayTraceBuffer buf(numRays, &parallel);
-        parallelFor(0, numRays, 1, [&](std::int64_t b, std::int64_t e) {
-            for (std::int64_t r = b; r < e; ++r) {
-                RayTraceBuffer::SlotSink sink =
-                    buf.sink(static_cast<std::size_t>(r));
-                emitRay(static_cast<std::uint32_t>(r), &sink);
-            }
-        });
-        buf.replay();
-        parallel.onFlush();
+        PoolThreads pool(4);
+        captureInParallel(numRays, &parallel);
     }
-    setParallelThreadCount(0);
-
     EXPECT_EQ(serial.events, parallel.events);
     ASSERT_EQ(serial.accesses.size(), parallel.accesses.size());
     for (std::size_t i = 0; i < serial.accesses.size(); ++i) {
@@ -230,175 +253,191 @@ TEST(RayTraceBufferTest, SerialAndParallelCaptureAreByteIdentical)
         EXPECT_EQ(serial.accesses[i].bytes, parallel.accesses[i].bytes);
         EXPECT_EQ(serial.accesses[i].rayId, parallel.accesses[i].rayId);
     }
+
+    // One pool thread: chunks emit straight into the sink, unbuffered.
+    PoolThreads pool(1);
+    EventRecorder direct;
+    TraceCapture capture(4, &direct);
+    EXPECT_EQ(capture.chunkSink(3), &direct);
+    captureInParallel(numRays, &direct);
+    EXPECT_EQ(serial.events, direct.events);
 }
 
-TEST(RayTraceBufferTest, WindowedPrefixDrainMatchesFullBufferReplay)
+TEST(TraceCaptureTest, DeliversCompletedPrefixWhileLaterChunksPend)
 {
-    // The windowed drain (markCompleted) must deliver a stream
-    // byte-identical to the full-buffer replay no matter how chunk
-    // completions interleave with slot order.
-    const int numRays = 96;
-    const int accessesOf[5] = {2, 0, 5, 1, 3};
-
-    auto record = [&](RayTraceBuffer &buf, std::uint32_t ray) {
-        RayTraceBuffer::SlotSink sink = buf.sink(ray);
-        int n = accessesOf[ray % 5];
-        for (int i = 0; i < n; ++i)
-            sink.onAccess(acc(ray * 500ull + i * 64, 64, ray));
-        sink.onRayEnd(ray);
-    };
-
-    // Reference: full-buffer replay, no windowing.
-    EventRecorder full;
-    {
-        RayTraceBuffer buf(numRays, &full);
-        for (std::uint32_t r = 0; r < numRays; ++r)
-            record(buf, r);
-        buf.replay();
-        full.onFlush();
-    }
-
-    // Windowed: chunks complete out of order (middle, tail, head...),
-    // so some marks extend no drainable prefix and the final replay
-    // has to pick up the remainder.
-    EventRecorder windowed;
-    {
-        RayTraceBuffer buf(numRays, &windowed);
-        for (std::uint32_t r = 0; r < numRays; ++r)
-            record(buf, r);
-        buf.markCompleted(32, 64); // no prefix yet — nothing drains
-        buf.markCompleted(80, 96);
-        buf.markCompleted(0, 32);  // prefix [0, 64) becomes drainable
-        buf.replay();              // delivers [64, 96)
-        windowed.onFlush();
-    }
-    EXPECT_EQ(full.events, windowed.events);
-}
-
-TEST(RayTraceBufferTest, WindowedDrainBoundsPeakBufferedAccesses)
-{
-    // In-order completion drains as it goes: the high-water mark stays
-    // near one chunk's worth of accesses instead of the whole trace.
-    const std::uint32_t numRays = 64;
-    const std::uint32_t chunk = 8;
-    const int perRay = 4;
-
+    // A finished chunk is delivered as soon as every earlier chunk is,
+    // not at the end of the walk; one that finishes early waits.
+    PoolThreads pool(4);
     EventRecorder rec;
-    RayTraceBuffer buf(numRays, &rec);
-    for (std::uint32_t c = 0; c < numRays / chunk; ++c) {
-        for (std::uint32_t r = c * chunk; r < (c + 1) * chunk; ++r) {
-            RayTraceBuffer::SlotSink sink = buf.sink(r);
-            for (int i = 0; i < perRay; ++i)
-                sink.onAccess(acc(r * 100ull + i, 64, r));
-            sink.onRayEnd(r);
+    TraceCapture capture(4, &rec);
+    const EventRecorder upTo2 = serialStream(2);
+    const EventRecorder upTo4 = serialStream(4);
+
+    recordChunk(capture, 1, 1, 1);
+    EXPECT_TRUE(rec.events.empty()); // chunk 0 still pending
+    recordChunk(capture, 0, 0, 1);   // prefix [0, 2) is deliverable
+    EXPECT_EQ(rec.events.size(), upTo2.events.size() - 1); // no flush
+    recordChunk(capture, 3, 3, 1);
+    EXPECT_EQ(rec.events.size(), upTo2.events.size() - 1);
+    recordChunk(capture, 2, 2, 1); // [2, 4) follows at once
+    rec.onFlush();
+    EXPECT_EQ(rec.events, upTo4.events);
+}
+
+TEST(TraceCaptureTest, InOrderChunksAreDeliveredBeforeTheNextRecords)
+{
+    // In-order completion buffers at most one chunk: every chunk is in
+    // the sink before the next one records.
+    PoolThreads pool(4);
+    EventRecorder rec;
+    const std::uint32_t chunks = 8, perChunk = 8;
+    TraceCapture capture(chunks, &rec);
+    for (std::uint32_t c = 0; c < chunks; ++c) {
+        recordChunk(capture, c, c * perChunk, perChunk);
+        EXPECT_EQ(rec.events.size(),
+                  serialStream((c + 1) * perChunk).events.size() - 1);
+    }
+}
+
+TEST(TraceCaptureTest, DuplicateChunkDoneNeverDeliversTwice)
+{
+    // Regression: a repeated chunkDone for a delivered chunk must not
+    // rewind the delivered prefix and re-deliver events.
+    PoolThreads pool(4);
+    EventRecorder rec;
+    TraceCapture capture(4, &rec);
+    for (std::uint32_t c = 0; c < 4; ++c)
+        recordChunk(capture, c, 2 * c, 2);
+    const std::size_t delivered = rec.events.size();
+    capture.chunkDone(0);
+    capture.chunkDone(2);
+    capture.chunkDone(3);
+    rec.onFlush();
+    EXPECT_EQ(rec.events.size(), delivered + 1); // just the flush
+    EXPECT_EQ(rec.events, serialStream(8).events);
+}
+
+TEST(TraceCaptureTest, ConcurrentRecordingReproducesTheSerialStream)
+{
+    // Full contract under a real parallel loop: concurrent recording
+    // and concurrent chunkDone calls reproduce the serial stream.
+    const std::uint32_t numRays = 256;
+    const EventRecorder serial = serialStream(numRays);
+    for (int threads : {4, 7}) {
+        PoolThreads pool(threads);
+        EventRecorder parallel;
+        captureInParallel(numRays, &parallel);
+        EXPECT_EQ(serial.events, parallel.events) << threads
+                                                  << " threads";
+    }
+}
+
+TEST(TraceCaptureTest, NeverEntersTheSinkFromTwoThreadsAtOnce)
+{
+    // Thread A delivers chunk 0 into a sink that holds it there until
+    // thread B has finished chunk 1. B must neither enter the sink
+    // while A is inside (an atomic reentrancy detector trips) nor wait
+    // for A's delivery (A's hold would then time out); A delivers
+    // chunk 1 after chunk 0, so the stream stays serial.
+    struct GatedSink : public EventRecorder
+    {
+        std::atomic<int> inside{0};
+        std::atomic<bool> overlapped{false};
+        std::mutex mu;
+        std::condition_variable cv;
+        bool aInside = false;
+        bool bDone = false;
+        bool timedOut = false;
+
+        void
+        enter()
+        {
+            if (inside.fetch_add(1) != 0)
+                overlapped = true;
+            std::unique_lock<std::mutex> lock(mu);
+            if (!aInside) {
+                aInside = true;
+                cv.notify_all();
+                timedOut = !cv.wait_for(lock, std::chrono::seconds(5),
+                                        [&] { return bDone; });
+            }
         }
-        buf.markCompleted(c * chunk, (c + 1) * chunk);
-    }
-    buf.replay();
-    rec.onFlush();
+        void leave() { inside.fetch_sub(1); }
 
-    EXPECT_EQ(rec.accesses.size(), std::size_t(numRays) * perRay);
-    // Every chunk drained before the next recorded: peak == one chunk.
-    EXPECT_EQ(buf.peakBufferedAccesses(),
-              std::uint64_t(chunk) * perRay);
-}
-
-TEST(RayTraceBufferTest, DuplicateCompletionMarksNeverReplayDrainedSlots)
-{
-    // Regression: a markCompleted covering already-drained slots must
-    // not rewind the drained prefix and re-deliver events.
-    EventRecorder rec;
-    RayTraceBuffer buf(8, &rec);
-    for (std::uint32_t r = 0; r < 8; ++r) {
-        RayTraceBuffer::SlotSink sink = buf.sink(r);
-        sink.onAccess(acc(r * 64, 64, r));
-        sink.onRayEnd(r);
-    }
-    buf.markCompleted(0, 8); // drains everything
-    std::size_t drainedEvents = rec.events.size();
-    buf.markCompleted(0, 4); // stray duplicate — must be a no-op
-    buf.markCompleted(2, 6);
-    buf.replay();
-    rec.onFlush();
-    EXPECT_EQ(rec.events.size(), drainedEvents + 1); // just the flush
-}
-
-TEST(RayTraceBufferTest, WindowedDrainUnderParallelRecordingIsIdentical)
-{
-    // Full contract under a real parallel loop: concurrent recording +
-    // concurrent markCompleted calls still reproduce the serial stream.
-    const int numRays = 256;
-    const int accessesOf[4] = {3, 0, 7, 1};
-
-    auto emitRay = [&](std::uint32_t ray, TraceSink *sink) {
-        int n = accessesOf[ray % 4];
-        for (int i = 0; i < n; ++i)
-            sink->onAccess(acc(ray * 1000ull + i * 64, 64, ray));
-        sink->onRayEnd(ray);
+        void
+        onAccess(const MemAccess &a) override
+        {
+            enter();
+            EventRecorder::onAccess(a);
+            leave();
+        }
+        void
+        onRayEnd(std::uint32_t rayId) override
+        {
+            enter();
+            EventRecorder::onRayEnd(rayId);
+            leave();
+        }
     };
 
-    EventRecorder serial;
-    for (std::uint32_t r = 0; r < numRays; ++r)
-        emitRay(r, &serial);
-    serial.onFlush();
-
-    setParallelThreadCount(4);
-    EventRecorder windowed;
+    PoolThreads pool(4);
+    GatedSink sink;
+    TraceCapture capture(2, &sink);
+    std::thread a([&] { recordChunk(capture, 0, 0, 3); });
     {
-        RayTraceBuffer buf(numRays, &windowed);
-        parallelFor(0, numRays, 16,
-                    [&](std::int64_t b, std::int64_t e) {
-                        for (std::int64_t r = b; r < e; ++r) {
-                            RayTraceBuffer::SlotSink sink =
-                                buf.sink(static_cast<std::size_t>(r));
-                            emitRay(static_cast<std::uint32_t>(r),
-                                    &sink);
-                        }
-                        buf.markCompleted(
-                            static_cast<std::size_t>(b),
-                            static_cast<std::size_t>(e));
-                    });
-        buf.replay();
-        windowed.onFlush();
+        std::unique_lock<std::mutex> lock(sink.mu);
+        sink.cv.wait(lock, [&] { return sink.aInside; });
     }
-    setParallelThreadCount(0);
+    recordChunk(capture, 1, 3, 3); // this thread is B
+    {
+        std::lock_guard<std::mutex> lock(sink.mu);
+        sink.bDone = true;
+    }
+    sink.cv.notify_all();
+    a.join();
+    sink.onFlush();
 
-    EXPECT_EQ(serial.events, windowed.events);
+    EXPECT_FALSE(sink.overlapped);
+    EXPECT_FALSE(sink.timedOut) << "chunkDone waited on a delivery";
+    EXPECT_EQ(sink.events, serialStream(6).events);
 }
 
-TEST(RayTraceBufferTest, FeedsBufferingSinksCorrectly)
+TEST(TraceCaptureTest, FeedsBufferingSinksCorrectly)
 {
-    // Replay through a WarpInterleaver: the interleaver must see the
-    // canonical stream and therefore produce its usual round-robin.
+    // Delivery into a WarpInterleaver: the interleaver must see the
+    // canonical stream, so its round-robin and its ray ids match a
+    // direct feed.
     EventRecorder direct;
     {
         WarpInterleaver il(2);
         il.addSink(&direct);
-        for (std::uint32_t r = 0; r < 4; ++r) {
-            for (int i = 0; i < 2; ++i)
-                il.onAccess(acc(r * 100ull + i, 64, r));
-            il.onRayEnd(r);
-        }
+        for (std::uint32_t r = 0; r < 8; ++r)
+            emitRay(r, &il);
         il.onFlush();
     }
 
+    PoolThreads pool(4);
     EventRecorder buffered;
     {
         WarpInterleaver il(2);
         il.addSink(&buffered);
-        RayTraceBuffer buf(4, &il);
-        for (std::uint32_t r = 0; r < 4; ++r) { // any order works
-            std::uint32_t slot = 3 - r;
-            RayTraceBuffer::SlotSink sink = buf.sink(slot);
-            for (int i = 0; i < 2; ++i)
-                sink.onAccess(acc(slot * 100ull + i, 64, slot));
-            sink.onRayEnd(slot);
+        TraceCapture capture(4, &il);
+        for (std::uint32_t k = 0; k < 4; ++k) { // any order works
+            const std::uint32_t c = 3 - k;
+            recordChunk(capture, c, 2 * c, 2);
         }
-        buf.replay();
         il.onFlush();
     }
 
     EXPECT_EQ(direct.events, buffered.events);
+    // Ray ids survive: one end per ray that issued accesses (rays 1
+    // and 6 issued none, so the interleaver drops their ends).
+    std::vector<std::string> rayEnds;
+    for (const std::string &e : buffered.events)
+        if (e[0] == 'E')
+            rayEnds.push_back(e);
+    EXPECT_EQ(rayEnds, (std::vector<std::string>{"E0", "E2", "E3", "E4",
+                                                 "E5", "E7"}));
 }
 
 } // namespace

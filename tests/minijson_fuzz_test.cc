@@ -160,5 +160,28 @@ TEST(MiniJsonFuzzTest, HostileScalarsAreTyped)
     }
 }
 
+TEST(MiniJsonFuzzTest, EscapeRoundTripsEveryAsciiByte)
+{
+    // jsonEscape output embedded in a string literal parses back to
+    // the original bytes, and carries no raw control character (strict
+    // parsers such as Python's json reject those).
+    auto roundTrip = [](const std::string &raw) {
+        const std::string escaped = jsonEscape(raw);
+        for (char c : escaped)
+            EXPECT_GE(static_cast<unsigned char>(c), 0x20u)
+                << "raw control byte in escape of byte "
+                << static_cast<int>(static_cast<unsigned char>(raw[0]));
+        EXPECT_EQ(parseJson("\"" + escaped + "\"").str, raw);
+    };
+    std::string all;
+    for (int b = 0x01; b <= 0x7F; ++b) {
+        roundTrip(std::string(1, static_cast<char>(b)));
+        all += static_cast<char>(b);
+    }
+    roundTrip(all);
+    roundTrip("\"quoted\" \\back\\slashed\\\" \\\\");
+    roundTrip("lego\n\x01");
+}
+
 } // namespace
 } // namespace cicero::dse

@@ -167,10 +167,11 @@ TEST(ParallelDeterminismTest, WorkloadTraceMatchesAcrossThreadCounts)
 
 TEST(ParallelDeterminismTest, TracedWorkloadStreamIsByteIdentical)
 {
-    // A traced run now parallelizes through RayTraceBuffer: the
-    // TraceSink stream at N threads must equal the 1-thread stream
-    // access-by-access, and the downstream DRAM/cache models (which
-    // are order-sensitive) must land on identical counters.
+    // A traced run parallelizes through per-chunk event logs
+    // delivered in chunk order: the TraceSink stream at N threads must
+    // equal the 1-thread stream access-by-access, and the downstream
+    // DRAM/cache models (which are order-sensitive) must land on
+    // identical counters.
     ThreadCountGuard guard;
     auto model = test::tinyModel();
     Camera cam = test::tinyCamera(24);

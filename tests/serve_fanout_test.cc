@@ -144,8 +144,9 @@ TEST(ServeFanoutTest, SameFrameBlocksFeedTheFusedQueue)
     // tasks must actually fuse. A single-core machine only time-slices
     // the pool, so concurrent submitters are rare there and fusion is
     // best-effort, like the perf gates in bench_serve.
-    if (std::thread::hardware_concurrency() >= 2)
+    if (std::thread::hardware_concurrency() >= 2) {
         EXPECT_GE(fu.fusedPasses, 1u);
+    }
 }
 
 TEST(ServeFanoutTest, QosWeightReachesFusionStats)

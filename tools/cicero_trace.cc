@@ -53,6 +53,7 @@
 #include "common/parallel.hh"
 #include "dse/accel_replay.hh"
 #include "dse/corpus.hh"
+#include "dse/minijson.hh"
 #include "memory/replay.hh"
 #include "memory/tracefile.hh"
 #include "nerf/models.hh"
@@ -129,18 +130,6 @@ reportRecovery(const char *file, const TraceFileReader &reader)
 }
 
 std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
-
-std::string
 metaJson(const TraceFileReader &reader)
 {
     const TraceFileMeta &m = reader.meta();
@@ -157,9 +146,10 @@ metaJson(const TraceFileReader &reader)
                   static_cast<unsigned long long>(c.accesses),
                   static_cast<unsigned long long>(c.rayEnds),
                   static_cast<unsigned long long>(c.flushes));
-    return "{\"scene\": \"" + jsonEscape(m.scene) + "\", \"encoding\": \"" +
-           jsonEscape(m.encoding) + "\", \"model\": \"" +
-           jsonEscape(m.model) + "\", " + buf + "}";
+    return "{\"scene\": \"" + dse::jsonEscape(m.scene) +
+           "\", \"encoding\": \"" + dse::jsonEscape(m.encoding) +
+           "\", \"model\": \"" + dse::jsonEscape(m.model) + "\", " + buf +
+           "}";
 }
 
 // ---------------------------------------------------------------------
