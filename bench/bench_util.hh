@@ -1,8 +1,7 @@
 /**
  * @file
- * Shared helpers for the figure-reproduction benches: standard scene /
- * model / trajectory setup at bench scale, workload probing, and table
- * headers that print the paper's reported value next to ours.
+ * Helpers shared by the bench programs: a banner, and the standard
+ * scene orbit, Full-preset model and quality camera at bench scale.
  */
 
 #ifndef CICERO_BENCH_BENCH_UTIL_HH
@@ -49,77 +48,11 @@ fullModel(ModelKind kind, const Scene &scene,
     return buildModel(kind, scene, opts);
 }
 
-/** Default probe options used across the performance benches. */
-inline ProbeOptions
-probeOptions(int window = 16)
-{
-    ProbeOptions opts;
-    opts.traceRes = 64;
-    opts.targetRes = 800;
-    opts.window = window;
-    return opts;
-}
-
 /** Camera at bench quality resolution. */
 inline Camera
 qualityCamera(const Scene &scene, const Pose &pose, int res = 72)
 {
     return Camera::fromFov(res, res, scene.fovYDeg, pose);
-}
-
-/**
- * Mean of a per-frame metric over a trajectory. Frames are
- * independent; parallelForOuter picks frame- vs row-level
- * parallelism, and per-frame values summarize in frame order either
- * way, so the mean is deterministic. @p metric receives the frame's
- * camera and index.
- */
-template <typename Fn>
-inline double
-meanFrameMetric(const Camera &intrinsics, const std::vector<Pose> &traj,
-                Fn &&metric)
-{
-    std::vector<double> vals(traj.size(), 0.0);
-    parallelForOuter(static_cast<std::int64_t>(traj.size()),
-                     [&](std::int64_t i) {
-                         Camera cam = intrinsics;
-                         cam.pose = traj[i];
-                         vals[i] = metric(cam, static_cast<std::size_t>(i));
-                     });
-    Summary s;
-    for (double v : vals)
-        s.add(v);
-    return s.mean();
-}
-
-/**
- * Mean PSNR of a SPARW run against per-frame ground truth, capped at
- * 60 dB per frame so infinities do not dominate.
- */
-inline double
-meanPsnrVsGroundTruth(const Scene &scene, const Camera &intrinsics,
-                      const std::vector<Pose> &traj,
-                      const SparwRun &run, int gtSteps = 256)
-{
-    return meanFrameMetric(
-        intrinsics, traj, [&](const Camera &cam, std::size_t i) {
-            RenderResult gt = renderGroundTruth(scene, cam, gtSteps);
-            return std::min(60.0, psnr(run.frames[i].image, gt.image));
-        });
-}
-
-/** Mean PSNR of full (baseline) NeRF rendering against ground truth. */
-inline double
-baselinePsnr(const Scene &scene, const NerfModel &model,
-             const Camera &intrinsics, const std::vector<Pose> &traj,
-             int gtSteps = 256)
-{
-    return meanFrameMetric(
-        intrinsics, traj, [&](const Camera &cam, std::size_t) {
-            RenderResult gt = renderGroundTruth(scene, cam, gtSteps);
-            RenderResult r = model.render(cam);
-            return std::min(60.0, psnr(r.image, gt.image));
-        });
 }
 
 } // namespace cicero::bench

@@ -472,7 +472,8 @@ class Pool
                         begin + static_cast<std::int64_t>(c) * g;
                     std::int64_t e = std::min(b + g, end);
                     fn(c, b, e);
-                }});
+                },
+                nullptr});
         }
 
         LaneHandle &h = myLane();

@@ -5,6 +5,8 @@
  * Figs. 17-24 as invariants.
  */
 
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "cicero/pipeline.hh"
@@ -80,8 +82,8 @@ TEST(PerformanceModelTest, RemoteBaselineBeatsLocalOnEnergy)
     // Sec. VI-C observation: offloading everything leaves the device
     // paying wireless energy only, below any local rendering variant.
     // (Whether it also beats remote-Cicero depends on the sparse
-    // workload's size; bench_fig19b reports that comparison at paper
-    // scale.)
+    // workload's size; the Fig. 19b row of bench_claims checks that
+    // comparison at paper scale.)
     PerformanceModel pm;
     double base =
         pm.priceRemote(SystemVariant::Baseline, inputs()).energyNj;
@@ -203,6 +205,75 @@ TEST(ProbeTest, ScalesToTargetResolution)
     // Streamed bytes saturate (not scaled).
     EXPECT_EQ(a.fullStreamPlan.streamedBytes,
               b.fullStreamPlan.streamedBytes);
+}
+
+/** The bit pattern of @p v, so doubles compare exactly. */
+std::uint64_t
+bits(double v)
+{
+    std::uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+}
+
+void
+expectSameWork(const StageWork &a, const StageWork &b)
+{
+    EXPECT_EQ(a.rays, b.rays);
+    EXPECT_EQ(a.samples, b.samples);
+    EXPECT_EQ(a.indexOps, b.indexOps);
+    EXPECT_EQ(a.vertexFetches, b.vertexFetches);
+    EXPECT_EQ(a.gatherBytes, b.gatherBytes);
+    EXPECT_EQ(a.interpOps, b.interpOps);
+    EXPECT_EQ(a.mlpMacs, b.mlpMacs);
+    EXPECT_EQ(a.compositeOps, b.compositeOps);
+}
+
+void
+expectSamePlan(const StreamPlan &a, const StreamPlan &b)
+{
+    EXPECT_EQ(a.streamedBytes, b.streamedBytes);
+    EXPECT_EQ(a.randomBytes, b.randomBytes);
+    EXPECT_EQ(a.ritEntries, b.ritEntries);
+    EXPECT_EQ(a.ritBytes, b.ritBytes);
+}
+
+void
+expectSameInputs(const WorkloadInputs &a, const WorkloadInputs &b)
+{
+    expectSameWork(a.fullFrame, b.fullFrame);
+    EXPECT_EQ(bits(a.gatherProfile.cacheMissRate),
+              bits(b.gatherProfile.cacheMissRate));
+    EXPECT_EQ(bits(a.gatherProfile.randomFraction),
+              bits(b.gatherProfile.randomFraction));
+    EXPECT_EQ(bits(a.bankConflictRate), bits(b.bankConflictRate));
+    expectSamePlan(a.fullStreamPlan, b.fullStreamPlan);
+    EXPECT_EQ(a.vertexBytes, b.vertexBytes);
+    expectSameWork(a.sparsePerFrame, b.sparsePerFrame);
+    expectSamePlan(a.sparseStreamPlan, b.sparseStreamPlan);
+    EXPECT_EQ(a.warpPointsPerFrame, b.warpPointsPerFrame);
+    EXPECT_EQ(a.window, b.window);
+    EXPECT_EQ(a.framePixels, b.framePixels);
+}
+
+TEST(ProbeTest, DependsOnlyOnReferenceAndMidWindowPose)
+{
+    // The paper-claims bench memoizes probes by (model, window, target
+    // pose). That is sound only if a probe reads nothing but the
+    // reference pose and the mid-window pose, and orbit pose i does
+    // not depend on the orbit's frame count.
+    auto model = test::tinyModel(GridLayout::MVoxelBlocked, 24);
+    ProbeOptions opts;
+    opts.traceRes = 32;
+    opts.window = 16;
+    WorkloadInputs short18 =
+        probeWorkload(*model, test::tinyOrbit(18), opts);
+    WorkloadInputs long33 =
+        probeWorkload(*model, test::tinyOrbit(33), opts);
+    WorkloadInputs again =
+        probeWorkload(*model, test::tinyOrbit(18), opts);
+    expectSameInputs(short18, long33);
+    expectSameInputs(short18, again);
 }
 
 } // namespace
