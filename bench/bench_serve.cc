@@ -8,25 +8,23 @@
  *  - solo: every session's trajectory rendered alone through
  *    NerfModel::render (full-pool parallel) — the bit-identity
  *    reference for every serve leg, and a context throughput number.
- *  - serial_unfused: the serving baseline — sessions handled one at a
- *    time, in-flight window 1, decode unfused. This is what a naive
- *    server that serializes clients achieves; the headline gate
- *    compares against it.
+ *  - serial: the serving baseline — sessions handled one at a time,
+ *    in-flight window 1, fan-out off. This is what a naive server that
+ *    serializes clients achieves; the headline gate compares against
+ *    it.
  *  - uniform: S identical sessions admitted together for
- *    S in {1,2,4,8,16}, cross-session decode fusion on; reports
- *    p50/p95/p99 frame latency, aggregate rays/s, fusion counters and
- *    scheduler-counter deltas per S.
+ *    S in {1,2,4,8,16}; reports p50/p95/p99 frame latency, aggregate
+ *    rays/s, packet decode counters and scheduler-counter deltas per
+ *    S.
  *  - low_session: S in {1,2} run twice, intra-frame ray-block fan-out
- *    off vs on (decode fused both ways) — the batching-density story
- *    at low occupancy: fan-out feeds the fusion queue same-frame
- *    blocks, so the decode kernel runs dense even without many
- *    sessions. Gated (multi-core only): fan-out on must be strictly
- *    denser (avg fused batch size) and faster (aggregate rays/s) than
- *    off at both counts, the 2-session fan-out-on leg must reach
- *    >= 1.2x the serial_unfused baseline, and its mean blocks per
- *    kernel pass must exceed 1.
+ *    off vs on — what fan-out buys at low occupancy. Gated (multi-core
+ *    only): fan-out on must be faster (aggregate rays/s) than off at
+ *    both counts, the 2-session fan-out-on leg must reach >= 1.2x the
+ *    serial baseline, and its ray packets must average more than one
+ *    block per decode pass.
  *  - fp16: the 8-session uniform mix on the fp16-storage model
- *    variant (fusion also amortizes the per-call weight widening).
+ *    variant (packet decode also amortizes the per-call weight
+ *    widening).
  *  - bursty: half the sessions admitted immediately, the second wave
  *    admitted only after the first wave's first frames completed.
  *  - heavy_tailed: one elephant session (4x the frames, jittered
@@ -37,11 +35,11 @@
  * its solo render (at the shed resolution for a session admission
  * control shed to half size), (b) — only when the pool has >= 2 threads AND
  * the machine has >= 2 hardware cores — aggregate rays/s of the
- * 8-session fused uniform leg >= 1.5x the serial_unfused baseline,
- * and (c) under the same arming, the low_session fan-out gates. On
- * a single-core runner extra software threads only time-slice the one
- * core, so concurrent sessions cannot beat the serial walk and the
- * perf legs are smoke tests there, like the other parallel benches.
+ * 8-session uniform leg >= 1.5x the serial baseline, and (c) under
+ * the same arming, the low_session fan-out gates. On a single-core
+ * runner extra software threads only time-slice the one core, so
+ * concurrent sessions cannot beat the serial walk and the perf legs
+ * are smoke tests there, like the other parallel benches.
  *
  * --quick cuts resolution, frame counts and the session sweep for the
  * CI smoke step; every bit-identity check still runs.
@@ -113,19 +111,12 @@ struct LegResult
     std::uint64_t rays = 0;
     bool bitIdentical = true;
     std::vector<std::vector<double>> latencyS; //!< per client, per frame
-    FusionStats fusion;
+    FusionStats fusion; //!< packet decode counters
     SchedulerCounters sched;
     ServiceCounters service;
 
     double raysPerS() const { return wallS > 0.0 ? rays / wallS : 0.0; }
-    /** Mean samples per fused-queue kernel pass (batch density). */
-    double avgBatchSamples() const
-    {
-        return fusion.passes > 0 ? static_cast<double>(fusion.samples) /
-                                       static_cast<double>(fusion.passes)
-                                 : 0.0;
-    }
-    /** Mean ray blocks per fused-queue kernel pass. */
+    /** Mean ray blocks per packet decode pass. */
     double avgBatchBlocks() const
     {
         return fusion.passes > 0 ? static_cast<double>(fusion.blocks) /
@@ -149,12 +140,11 @@ struct LegResult
  */
 LegResult
 runLeg(const ModelKey &key, const std::vector<ClientSpec> &clients,
-       const std::vector<std::vector<Image>> &solo, bool fuse, int window,
+       const std::vector<std::vector<Image>> &solo, int window,
        bool fanOut = true, const std::vector<int> *admitWave = nullptr,
        bool serializeClients = false)
 {
     RenderServiceConfig cfg;
-    cfg.fuseDecode = fuse;
     cfg.intraFrameFanOut = fanOut;
     cfg.maxSessions = static_cast<int>(clients.size()) + 1;
     RenderService svc(cfg);
@@ -238,22 +228,16 @@ printFusion(const FusionStats &f)
         f.passes > 0 ? static_cast<double>(f.passes) : 1.0;
     std::printf("\"fusion\": {\"blocks\": %llu, \"samples\": %llu, "
                 "\"passes\": %llu, \"fused_passes\": %llu, "
-                "\"cross_session_passes\": %llu, "
                 "\"avg_batch_samples\": %.2f, "
                 "\"avg_batch_blocks\": %.2f, "
-                "\"max_batch_samples\": %llu, "
-                "\"max_batch_blocks\": %llu, "
-                "\"weighted_sessions\": %llu}",
+                "\"max_batch_samples\": %llu}",
                 static_cast<unsigned long long>(f.blocks),
                 static_cast<unsigned long long>(f.samples),
                 static_cast<unsigned long long>(f.passes),
                 static_cast<unsigned long long>(f.fusedPasses),
-                static_cast<unsigned long long>(f.crossSessionPasses),
                 static_cast<double>(f.samples) / passes,
                 static_cast<double>(f.blocks) / passes,
-                static_cast<unsigned long long>(f.maxBatchSamples),
-                static_cast<unsigned long long>(f.maxBatchBlocks),
-                static_cast<unsigned long long>(f.weightedSessions));
+                static_cast<unsigned long long>(f.maxBatchSamples));
 }
 
 void
@@ -273,20 +257,17 @@ printSched(const SchedulerCounters &c)
 
 /**
  * Robustness counters: retries/quarantines/shedding from the service,
- * solo-retry fallbacks from the fusion queue, drained tasks from the
- * scheduler. All zero on a healthy leg — the bench asserts nothing
+ * drained tasks from the scheduler. All zero on a healthy leg — the bench asserts nothing
  * about them, it *surfaces* them so a regression that starts tripping
  * the degradation machinery is visible in the JSON.
  */
 void
-printRobust(const ServiceCounters &s, const FusionStats &f,
-            const SchedulerCounters &c)
+printRobust(const ServiceCounters &s, const SchedulerCounters &c)
 {
     std::printf("\"robustness\": {\"frame_retries\": %llu, "
                 "\"frames_failed\": %llu, \"frames_skipped\": %llu, "
                 "\"quarantined_sessions\": %llu, "
                 "\"shed_admissions\": %llu, \"deadline_misses\": %llu, "
-                "\"split_retries\": %llu, \"failed_blocks\": %llu, "
                 "\"tasks_drained\": %llu, \"groups_cancelled\": %llu}",
                 static_cast<unsigned long long>(s.frameRetries),
                 static_cast<unsigned long long>(s.framesFailed),
@@ -294,8 +275,6 @@ printRobust(const ServiceCounters &s, const FusionStats &f,
                 static_cast<unsigned long long>(s.quarantinedSessions),
                 static_cast<unsigned long long>(s.shedAdmissions),
                 static_cast<unsigned long long>(s.deadlineMisses),
-                static_cast<unsigned long long>(f.splitRetries),
-                static_cast<unsigned long long>(f.failedBlocks),
                 static_cast<unsigned long long>(c.tasksDrained),
                 static_cast<unsigned long long>(c.groupsCancelled));
 }
@@ -332,7 +311,7 @@ main(int argc, char **argv)
     key.kind = ModelKind::DirectVoxGO;
     key.preset = ModelPreset::Fast;
 
-    banner("serve", "multi-session render service, fused MLP decode");
+    banner("serve", "multi-session render service, packet MLP decode");
 
     const Scene scene = makeScene(key.scene);
 
@@ -413,8 +392,8 @@ main(int argc, char **argv)
     std::vector<std::vector<Image>> soloGate(
         soloUniform.begin(), soloUniform.begin() + gateSessions);
 
-    const LegResult serialUnfused =
-        runLeg(key, gateClients, soloGate, /*fuse=*/false, /*window=*/1,
+    const LegResult serial =
+        runLeg(key, gateClients, soloGate, /*window=*/1,
                /*fanOut=*/false, nullptr, /*serializeClients=*/true);
 
     std::vector<LegResult> uniformLegs;
@@ -423,26 +402,24 @@ main(int argc, char **argv)
                                         uniform.begin() + s);
         std::vector<std::vector<Image>> solo(soloUniform.begin(),
                                              soloUniform.begin() + s);
-        uniformLegs.push_back(
-            runLeg(key, clients, solo, /*fuse=*/true, window));
+        uniformLegs.push_back(runLeg(key, clients, solo, window));
     }
 
     const LegResult fp16Leg =
-        runLeg(fp16Key, fp16Clients, soloFp16, /*fuse=*/true, window);
+        runLeg(fp16Key, fp16Clients, soloFp16, window);
 
     std::vector<int> waves(gateClients.size(), 0);
     for (std::size_t i = waves.size() / 2; i < waves.size(); ++i)
         waves[i] = 1;
     const LegResult bursty =
-        runLeg(key, gateClients, soloGate, /*fuse=*/true, window,
-               /*fanOut=*/true, &waves);
+        runLeg(key, gateClients, soloGate, window, /*fanOut=*/true,
+               &waves);
 
-    const LegResult heavyLeg =
-        runLeg(key, heavy, soloHeavy, /*fuse=*/true, window);
+    const LegResult heavyLeg = runLeg(key, heavy, soloHeavy, window);
 
-    // Low-session density legs: fan-out off vs on at 1 and 2 sessions,
-    // decode fused both ways — isolates what intra-frame ray-block
-    // fan-out buys when cross-session traffic is thin.
+    // Low-session legs: fan-out off vs on at 1 and 2 sessions —
+    // isolates what intra-frame ray-block fan-out buys when few
+    // sessions compete for the pool.
     const std::vector<int> lowCounts{1, 2};
     std::vector<LegResult> lowOff, lowOn;
     for (int s : lowCounts) {
@@ -450,14 +427,14 @@ main(int argc, char **argv)
                                         uniform.begin() + s);
         std::vector<std::vector<Image>> solo(soloUniform.begin(),
                                              soloUniform.begin() + s);
-        lowOff.push_back(runLeg(key, clients, solo, /*fuse=*/true,
-                                window, /*fanOut=*/false));
-        lowOn.push_back(runLeg(key, clients, solo, /*fuse=*/true,
-                               window, /*fanOut=*/true));
+        lowOff.push_back(
+            runLeg(key, clients, solo, window, /*fanOut=*/false));
+        lowOn.push_back(
+            runLeg(key, clients, solo, window, /*fanOut=*/true));
     }
 
     // ---- verdicts ---------------------------------------------------
-    bool allIdentical = serialUnfused.bitIdentical &&
+    bool allIdentical = serial.bitIdentical &&
                         fp16Leg.bitIdentical && bursty.bitIdentical &&
                         heavyLeg.bitIdentical;
     for (const LegResult &leg : uniformLegs)
@@ -470,9 +447,8 @@ main(int argc, char **argv)
     for (std::size_t i = 0; i < sessionCounts.size(); ++i)
         if (sessionCounts[i] == gateSessions)
             gateRaysPerS = uniformLegs[i].raysPerS();
-    const double gain = serialUnfused.raysPerS() > 0.0
-                            ? gateRaysPerS / serialUnfused.raysPerS()
-                            : 0.0;
+    const double gain =
+        serial.raysPerS() > 0.0 ? gateRaysPerS / serial.raysPerS() : 0.0;
     // The gain gate asserts a property of parallel hardware: with a
     // single physical core, extra software threads only time-slice it
     // and concurrent sessions cannot beat the serial baseline, so the
@@ -483,34 +459,30 @@ main(int argc, char **argv)
     const bool gainOk = !gateActive || gain >= 1.5;
 
     // Fan-out gates (same multi-core arming as the 1.5x gate): at 1
-    // and 2 sessions fan-out must strictly raise both the average
-    // fused batch size and aggregate rays/s over fan-out off; the
-    // 2-session fan-out-on leg must reach 1.2x the serial-unfused
-    // baseline; and its fused batches must average > 1 block. The
-    // strict on-vs-off comparisons additionally require the pool to
-    // have spare threads beyond the off leg's own frame concurrency
-    // (sessions x window): with threads <= sessions x window the off
-    // leg already saturates the pool via window pipelining, fan-out
-    // cannot mechanically add parallelism, and the comparison is a
-    // coin flip on scheduler noise.
-    bool fanoutDenser = true;
+    // and 2 sessions fan-out must strictly raise aggregate rays/s over
+    // fan-out off; the 2-session fan-out-on leg must reach 1.2x the
+    // serial baseline; and its packets must average > 1 block per
+    // decode pass. The strict on-vs-off comparison additionally
+    // requires the pool to have spare threads beyond the off leg's own
+    // frame concurrency (sessions x window): with threads <= sessions
+    // x window the off leg already saturates the pool via window
+    // pipelining, fan-out cannot mechanically add parallelism, and the
+    // comparison is a coin flip on scheduler noise.
     bool fanoutFaster = true;
     for (std::size_t i = 0; i < lowCounts.size(); ++i) {
         if (threads <= lowCounts[i] * window)
             continue;
-        fanoutDenser = fanoutDenser && lowOn[i].avgBatchSamples() >
-                                           lowOff[i].avgBatchSamples();
         fanoutFaster =
             fanoutFaster && lowOn[i].raysPerS() > lowOff[i].raysPerS();
     }
     const double fanoutGain2 =
-        serialUnfused.raysPerS() > 0.0
-            ? lowOn.back().raysPerS() / serialUnfused.raysPerS()
+        serial.raysPerS() > 0.0
+            ? lowOn.back().raysPerS() / serial.raysPerS()
             : 0.0;
     const bool batchDensityOk = lowOn.back().avgBatchBlocks() > 1.0;
     const bool fanoutOk =
-        !gateActive || (fanoutDenser && fanoutFaster &&
-                        fanoutGain2 >= 1.2 && batchDensityOk);
+        !gateActive ||
+        (fanoutFaster && fanoutGain2 >= 1.2 && batchDensityOk);
 
     // ---- JSON -------------------------------------------------------
     std::printf("{\"bench\": \"serve\", \"scheduler\": \"%s\", "
@@ -523,13 +495,12 @@ main(int argc, char **argv)
                 modelName(key.kind), res, frames, window,
                 soloWallS > 0.0 ? soloRays / soloWallS : 0.0);
 
-    std::printf("\"serial_unfused\": {\"sessions\": %d, "
+    std::printf("\"serial\": {\"sessions\": %d, "
                 "\"wall_s\": %.6f, \"rays_per_s\": %.1f, ",
-                gateSessions, serialUnfused.wallS,
-                serialUnfused.raysPerS());
-    printLatencies(serialUnfused.allLatencies());
+                gateSessions, serial.wallS, serial.raysPerS());
+    printLatencies(serial.allLatencies());
     std::printf(", \"bit_identical\": %s}, ",
-                serialUnfused.bitIdentical ? "true" : "false");
+                serial.bitIdentical ? "true" : "false");
 
     std::printf("\"uniform\": [");
     for (std::size_t i = 0; i < uniformLegs.size(); ++i) {
@@ -545,7 +516,7 @@ main(int argc, char **argv)
         std::printf(", ");
         printSched(leg.sched);
         std::printf(", ");
-        printRobust(leg.service, leg.fusion, leg.sched);
+        printRobust(leg.service, leg.sched);
         std::printf("}");
     }
     std::printf("], ");

@@ -55,9 +55,10 @@ struct DecodedSample
 /**
  * One ray block's decode request: a channel-major feature span sharing
  * a single ray direction, and the output slots to fill. The unit of
- * work the fused decode entry point (and the serve layer's
- * cross-session queue) batches — fusion may interleave *blocks*
- * freely, but a block's samples always stay contiguous and in order.
+ * work the fused decode entry point batches — the renderer's ray
+ * packets hand it one block per live ray. Fusion may interleave
+ * *blocks* freely, but a block's samples always stay contiguous and in
+ * order.
  */
 struct DecodeBlock
 {
@@ -66,28 +67,6 @@ struct DecodeBlock
     int count = 0;                   //!< samples in the block
     Vec3 viewDir;                    //!< the block's ray direction
     DecodedSample *out = nullptr;    //!< count output slots
-};
-
-/**
- * Consumer of ray-block decode requests. The render paths decode
- * through one of these when given instead of calling the model's
- * decoder directly; the serve layer's FusedDecodeQueue implements it
- * to gather blocks from many sessions — and, with intra-frame
- * fan-out, from many concurrent ray-block tasks of the *same* frame —
- * into one batched MLP pass. Implementations must fill
- * out[0..count) with results bit-identical to Decoder::decodeBatchSoA
- * on the same block before returning, and must tolerate concurrent
- * decodeBlock() calls from multiple threads (several submitters of
- * one frame/session may be in flight at once).
- */
-class DecodeSink
-{
-  public:
-    virtual ~DecodeSink() = default;
-
-    virtual void decodeBlock(const float *features,
-                             std::size_t featureStride, int count,
-                             const Vec3 &viewDir, DecodedSample *out) = 0;
 };
 
 /**
@@ -136,10 +115,9 @@ class Decoder
                         DecodedSample *out) const;
 
     /**
-     * Fused batched decode of @p numBlocks ray blocks (possibly from
-     * different rays, frames or serving sessions of the same model):
-     * consecutive blocks are packed into one channel-major staging
-     * buffer and pushed through a single Mlp::forwardBatch pass per
+     * Fused batched decode of @p numBlocks ray blocks (one per live
+     * ray of a renderer packet): consecutive blocks are packed into
+     * one channel-major staging buffer and pushed through a single Mlp::forwardBatch pass per
      * <= kDecodeChunk samples, with each block's own view direction in
      * the direction channels. Because forwardBatch accumulates every
      * item independently in the same channel order at any batch size,
@@ -148,7 +126,8 @@ class Decoder
      * changes bits. What fusion buys is kernel efficiency: full vector
      * lanes instead of per-block remainders, and (in fp16 weight mode)
      * one weight-widening pass amortized over every fused block.
-     * Thread-safe.
+     * Every render walk decodes through here, so this is the
+     * `mlp_decode` fault-injection site. Thread-safe.
      */
     void decodeBlocksFused(const DecodeBlock *blocks,
                            int numBlocks) const;

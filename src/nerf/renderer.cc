@@ -53,27 +53,57 @@ struct RaySet
                       : rowEnd - rowBegin;
     }
 
-    /** Call @p fn(px, py, rayId) for every ray of items [b, e). */
+    /**
+     * Call @p fn(rays, count) for every packet of up to kPacketRays
+     * consecutive rays of items [b, e).
+     */
     template <typename Fn>
     void
-    forEachRay(std::int64_t b, std::int64_t e, Fn &&fn) const
+    forEachPacket(std::int64_t b, std::int64_t e, Fn &&fn) const
     {
-        if (pixels) {
-            for (std::int64_t k = b; k < e; ++k) {
-                const std::uint32_t id = (*pixels)[k];
-                fn(static_cast<int>(id % width),
-                   static_cast<int>(id / width), id);
+        PixelRay packet[kPacketRays];
+        int count = 0;
+        auto push = [&](std::uint32_t id) {
+            packet[count++] = PixelRay{static_cast<int>(id % width),
+                                       static_cast<int>(id / width), id};
+            if (count == kPacketRays) {
+                fn(packet, count);
+                count = 0;
             }
-            return;
+        };
+        if (pixels) {
+            for (std::int64_t k = b; k < e; ++k)
+                push((*pixels)[k]);
+        } else {
+            const std::uint32_t first =
+                static_cast<std::uint32_t>(rowBegin + b) * width;
+            const std::uint32_t last =
+                static_cast<std::uint32_t>(rowBegin + e) * width;
+            for (std::uint32_t id = first; id < last; ++id)
+                push(id);
         }
-        for (int py = rowBegin + static_cast<int>(b);
-             py < rowBegin + e; ++py) {
-            std::uint32_t rayId = static_cast<std::uint32_t>(py) * width;
-            for (int px = 0; px < width; ++px, ++rayId)
-                fn(px, py, rayId);
-        }
+        if (count > 0)
+            fn(packet, count);
     }
 };
+
+/** A render walk's per-chunk accumulator. */
+struct RenderAcc
+{
+    StageWork work;
+    FusionStats fusion;
+};
+
+RenderAcc
+foldChunks(const std::vector<RenderAcc> &parts)
+{
+    RenderAcc total;
+    for (const RenderAcc &a : parts) {
+        total.work += a.work;
+        total.fusion += a.fusion;
+    }
+    return total;
+}
 
 StageWork
 foldChunks(const std::vector<StageWork> &parts)
@@ -99,21 +129,22 @@ enum class Walk
 
 /**
  * The one frame-level pixel walk behind every NerfModel entry point:
- * runs @p op(acc, px, py, rayId, sink) for every ray of @p rays. A
+ * runs @p op(acc, rays, count, sink) for every packet of @p rays. A
  * parallel walk splits the items into pool chunks, each with its own
  * accumulator and trace log, folded and delivered in chunk order;
- * pixels land in disjoint slots and ray ids are a function of the
- * pixel, so the result is bit-identical at any thread count and
- * @p trace sees the serial access stream, followed by one onFlush().
+ * packets never span chunks, pixels land in disjoint slots and ray ids
+ * are a function of the pixel, so the result is bit-identical at any
+ * thread count and @p trace sees the serial access stream, followed
+ * by one onFlush().
  */
-template <typename Acc, typename RayOp>
+template <typename Acc, typename PacketOp>
 Acc
-walkRays(const RaySet &rays, TraceSink *trace, Walk mode, RayOp &&op)
+walkRays(const RaySet &rays, TraceSink *trace, Walk mode, PacketOp &&op)
 {
     auto chunk = [&](Acc &acc, std::int64_t b, std::int64_t e,
                      TraceSink *sink) {
-        rays.forEachRay(b, e, [&](int px, int py, std::uint32_t rayId) {
-            op(acc, px, py, rayId, sink);
+        rays.forEachPacket(b, e, [&](const PixelRay *packet, int count) {
+            op(acc, packet, count, sink);
         });
     };
     std::vector<Acc> parts;
@@ -135,13 +166,16 @@ collectPositions(const RaySampler &sampler, const Camera &camera,
 {
     return walkRays<std::vector<Vec3>>(
         rays, nullptr, Walk::Parallel,
-        [&](std::vector<Vec3> &out, int px, int py, std::uint32_t,
+        [&](std::vector<Vec3> &out, const PixelRay *packet, int count,
             TraceSink *) {
             thread_local std::vector<RaySample> samples;
-            const int n = sampler.sample(camera.generateRay(px, py),
-                                         samples);
-            for (int i = 0; i < n; ++i)
-                out.push_back(samples[i].pn);
+            for (int r = 0; r < count; ++r) {
+                const int n = sampler.sample(
+                    camera.generateRay(packet[r].px, packet[r].py),
+                    samples);
+                for (int i = 0; i < n; ++i)
+                    out.push_back(samples[i].pn);
+            }
         });
 }
 
@@ -169,144 +203,193 @@ NerfModel::modelBytes() const
     return _encoding->modelBytes() + _decoder.weightBytes();
 }
 
-void
-NerfModel::renderOne(const Camera &camera, int px, int py,
-                     std::uint32_t rayId, Vec3 &rgbOut, float &depthOut,
-                     StageWork &work, TraceSink *trace,
-                     BakedPoint *gbufOut, DecodeSink *decodeSink) const
+namespace {
+
+/**
+ * One ray of a packet in flight: its samples, compositing state and,
+ * when traced, the accesses of the samples it consumed so far.
+ */
+struct PacketLane
 {
-    thread_local std::vector<RaySample> samples;
-    thread_local std::vector<MemAccess> accessBuf;
-    thread_local std::vector<Vec3> posBuf;
-    thread_local std::vector<float> featureBuf;
-    thread_local std::vector<DecodedSample> decodedBuf;
+    std::vector<RaySample> samples;
+    std::vector<MemAccess> accesses;
+    Vec3 dir;
+    int n = 0;        //!< samples marched
+    int base = 0;     //!< first sample of the current block
+    int block = 0;    //!< current block size
+    int computed = 0; //!< samples consumed by the compositor
+    bool live = false;
+    Compositor comp;
 
-    Ray ray = camera.generateRay(px, py);
-    int n = _sampler.sample(ray, samples);
-
-    // Optional G-buffer accumulation: opacity-weighted material
-    // attributes, normalized at the end.
+    // Opacity-weighted material attributes for the G-buffer,
+    // normalized when the ray retires.
     BakedPoint gAcc;
     Vec3 gNormal;
     float gWeight = 0.0f;
-    gAcc.diffuse = Vec3{};
-    gAcc.specular = 0.0f;
-    gAcc.shininess = 0.0f;
+};
 
-    // Reads one sample's channels out of the channel-major block
-    // (stride = block size) — only on the rare G-buffer path.
-    auto accumulateGBuffer = [&](const float *feats, int stride, int j,
-                                 const DecodedSample &d,
-                                 const RaySample &s, float tBefore) {
-        float alpha = 1.0f - std::exp(-d.sigma * s.dt);
-        float w = tBefore * alpha;
-        float feature[kFeatureDim];
-        for (int ch = 0; ch < kFeatureDim; ++ch)
-            feature[ch] =
-                feats[static_cast<std::size_t>(ch) * stride + j];
-        BakedPoint bp = decodeBakedFeature(feature);
-        gAcc.diffuse += bp.diffuse * w;
-        gNormal += bp.normal * w;
-        gAcc.specular += bp.specular * w;
-        gAcc.shininess += bp.shininess * w;
-        gWeight += w;
-    };
+} // namespace
 
-    Compositor comp;
-    int computed = 0;
+FusionStats &
+FusionStats::operator+=(const FusionStats &o)
+{
+    blocks += o.blocks;
+    samples += o.samples;
+    passes += o.passes;
+    fusedPasses += o.fusedPasses;
+    crossSessionPasses += o.crossSessionPasses;
+    maxBatchSamples = std::max(maxBatchSamples, o.maxBatchSamples);
+    return *this;
+}
 
-    // Block-batched sample loop, traced or not: gather a block of
-    // samples through one batched encoding call and decode it through
-    // one batched MLP pass instead of per-sample virtual-call
-    // ping-pong. Numerically identical to the per-sample loop (same
-    // per-sample accumulation order everywhere). When tracing, the
-    // block's access stream is gathered up front and emitted
-    // per-sample at consumption time, so the TraceSink still sees
-    // exactly the samples the compositor consumed, in consumption
-    // order — accesses of samples past the early-termination point are
-    // never emitted, matching the scalar walk byte-for-byte.
-    if (featureBuf.size() <
-        static_cast<std::size_t>(kMaxDecodeBlock) * kFeatureDim) {
-        featureBuf.resize(
-            static_cast<std::size_t>(kMaxDecodeBlock) * kFeatureDim);
-        decodedBuf.resize(kMaxDecodeBlock);
-        posBuf.resize(kMaxDecodeBlock);
-    }
+void
+NerfModel::renderPacket(const Camera &camera, const PixelRay *rays,
+                        int count, Image &image, DepthMap &depth,
+                        GBuffer *gbuffer, StageWork &work,
+                        FusionStats &fusion, TraceSink *trace) const
+{
+    constexpr std::size_t laneFloats =
+        static_cast<std::size_t>(kMaxDecodeBlock) * kFeatureDim;
+    thread_local PacketLane lanes[kPacketRays];
+    thread_local std::vector<float> featureBuf(kPacketRays * laneFloats);
+    thread_local std::vector<DecodedSample> decodedBuf(
+        static_cast<std::size_t>(kPacketRays) * kMaxDecodeBlock);
+    thread_local std::vector<Vec3> posBuf(kMaxDecodeBlock);
+    DecodeBlock blocks[kPacketRays];
+    int blockLane[kPacketRays];
+
     const std::uint32_t accessesPerSample =
         trace ? _encoding->fetchesPerSample() : 0;
 
-    int block = kFirstDecodeBlock;
-    bool stopped = false;
-    for (int base = 0; base < n && !stopped; base += block,
-             block = std::min(2 * block, kMaxDecodeBlock)) {
-        const int m = std::min(block, n - base);
-        for (int j = 0; j < m; ++j)
-            posBuf[j] = samples[base + j].pn;
+    for (int r = 0; r < count; ++r) {
+        PacketLane &L = lanes[r];
+        const Ray ray = camera.generateRay(rays[r].px, rays[r].py);
+        L.dir = ray.dir;
+        L.n = _sampler.sample(ray, L.samples);
+        L.base = 0;
+        L.block = kFirstDecodeBlock;
+        L.computed = 0;
+        L.live = L.n > 0;
+        L.comp = Compositor{};
+        L.accesses.clear();
+        L.gAcc = BakedPoint{};
+        L.gAcc.diffuse = Vec3{};
+        L.gAcc.specular = 0.0f;
+        L.gAcc.shininess = 0.0f;
+        L.gNormal = Vec3{};
+        L.gWeight = 0.0f;
+    }
+
+    // One round per block: every live ray gathers its next block into
+    // its own slice of the packet buffer (channel-major, stride = the
+    // block size, the layout the decoder consumes without
+    // transposition), then one fused call decodes every block. When
+    // tracing, each block's accesses are appended to its ray's log and
+    // cut back to the samples the compositor consumed, so accesses of
+    // samples past the early-termination point are never emitted.
+    for (;;) {
+        int nb = 0;
+        std::uint64_t roundSamples = 0;
+        for (int r = 0; r < count; ++r) {
+            PacketLane &L = lanes[r];
+            if (!L.live)
+                continue;
+            const int m = std::min(L.block, L.n - L.base);
+            for (int j = 0; j < m; ++j)
+                posBuf[j] = L.samples[L.base + j].pn;
+            if (trace)
+                _encoding->gatherAccessesBatch(posBuf.data(), m,
+                                               rays[r].id, L.accesses);
+            float *feats = featureBuf.data() + r * laneFloats;
+            _encoding->gatherFeatureBatch(posBuf.data(), m, feats);
+            blocks[nb] = DecodeBlock{
+                feats, static_cast<std::size_t>(m), m, L.dir,
+                decodedBuf.data() +
+                    static_cast<std::size_t>(r) * kMaxDecodeBlock};
+            blockLane[nb++] = r;
+            roundSamples += static_cast<std::uint64_t>(m);
+        }
+        if (nb == 0)
+            break;
+        _decoder.decodeBlocksFused(blocks, nb);
+        ++fusion.passes;
+        fusion.blocks += static_cast<std::uint64_t>(nb);
+        fusion.samples += roundSamples;
+        if (nb > 1)
+            ++fusion.fusedPasses;
+        fusion.maxBatchSamples =
+            std::max(fusion.maxBatchSamples, roundSamples);
+
+        for (int k = 0; k < nb; ++k) {
+            PacketLane &L = lanes[blockLane[k]];
+            const DecodeBlock &blk = blocks[k];
+            const int m = blk.count;
+            int j = 0;
+            bool stopped = false;
+            while (j < m && !stopped) {
+                const RaySample &s = L.samples[L.base + j];
+                const DecodedSample &d = blk.out[j];
+                if (gbuffer && d.sigma > 0.0f) {
+                    // Reads the sample's channels out of the
+                    // channel-major block (stride = block size).
+                    const float alpha = 1.0f - std::exp(-d.sigma * s.dt);
+                    const float w = L.comp.transmittance() * alpha;
+                    float feature[kFeatureDim];
+                    for (int ch = 0; ch < kFeatureDim; ++ch)
+                        feature[ch] =
+                            blk.features[static_cast<std::size_t>(ch) * m +
+                                         j];
+                    const BakedPoint bp = decodeBakedFeature(feature);
+                    L.gAcc.diffuse += bp.diffuse * w;
+                    L.gNormal += bp.normal * w;
+                    L.gAcc.specular += bp.specular * w;
+                    L.gAcc.shininess += bp.shininess * w;
+                    L.gWeight += w;
+                }
+                stopped = !L.comp.add(d.sigma, d.rgb, s.t, s.dt);
+                ++j;
+            }
+            L.computed += j;
+            if (trace)
+                L.accesses.resize(static_cast<std::size_t>(L.computed) *
+                                  accessesPerSample);
+            L.base += m;
+            L.block = std::min(2 * L.block, kMaxDecodeBlock);
+            L.live = !stopped && L.base < L.n;
+        }
+    }
+
+    for (int r = 0; r < count; ++r) {
+        PacketLane &L = lanes[r];
+        const int px = rays[r].px;
+        const int py = rays[r].py;
+        if (gbuffer) {
+            BakedPoint &g = gbuffer->at(px, py);
+            if (L.gWeight > 1e-4f) {
+                const float inv = 1.0f / L.gWeight;
+                g.diffuse = L.gAcc.diffuse * inv;
+                g.normal = L.gNormal.normalized();
+                g.specular = L.gAcc.specular * inv;
+                g.shininess = L.gAcc.shininess * inv;
+                g.sigma = L.gWeight; // records accumulated opacity
+            } else {
+                g = BakedPoint{};
+                g.sigma = 0.0f;
+            }
+        }
+
+        chargeRay(work, L.n, L.computed, L.computed);
 
         if (trace) {
-            accessBuf.clear();
-            _encoding->gatherAccessesBatch(posBuf.data(), m, rayId,
-                                           accessBuf);
+            for (const MemAccess &a : L.accesses)
+                trace->onAccess(a);
+            trace->onRayEnd(rays[r].id);
         }
 
-        // Channel-major block: gatherFeatureBatch writes channel c of
-        // sample j at feats[c * m + j], and the SoA decode consumes it
-        // without any transposition.
-        float *feats = featureBuf.data();
-        _encoding->gatherFeatureBatch(posBuf.data(), m, feats);
-        if (decodeSink)
-            decodeSink->decodeBlock(feats, static_cast<std::size_t>(m),
-                                    m, ray.dir, decodedBuf.data());
-        else
-            _decoder.decodeBatchSoA(feats, static_cast<std::size_t>(m),
-                                    m, ray.dir, decodedBuf.data());
-
-        for (int j = 0; j < m; ++j) {
-            const RaySample &s = samples[base + j];
-            const DecodedSample &d = decodedBuf[j];
-            ++computed;
-
-            if (trace) {
-                const MemAccess *slice =
-                    accessBuf.data() +
-                    static_cast<std::size_t>(j) * accessesPerSample;
-                for (std::uint32_t a = 0; a < accessesPerSample; ++a)
-                    trace->onAccess(slice[a]);
-            }
-
-            if (gbufOut && d.sigma > 0.0f)
-                accumulateGBuffer(feats, m, j, d, s,
-                                  comp.transmittance());
-
-            if (!comp.add(d.sigma, d.rgb, s.t, s.dt)) {
-                stopped = true;
-                break;
-            }
-        }
+        const CompositeResult c = L.comp.finish(_scene.background);
+        image.at(px, py) = c.rgb;
+        depth.at(px, py) = c.depth;
     }
-
-    if (gbufOut) {
-        if (gWeight > 1e-4f) {
-            float inv = 1.0f / gWeight;
-            gbufOut->diffuse = gAcc.diffuse * inv;
-            gbufOut->normal = gNormal.normalized();
-            gbufOut->specular = gAcc.specular * inv;
-            gbufOut->shininess = gAcc.shininess * inv;
-            gbufOut->sigma = gWeight; // records accumulated opacity
-        } else {
-            *gbufOut = BakedPoint{};
-            gbufOut->sigma = 0.0f;
-        }
-    }
-
-    chargeRay(work, n, computed, computed);
-
-    if (trace)
-        trace->onRayEnd(rayId);
-
-    CompositeResult r = comp.finish(_scene.background);
-    rgbOut = r.rgb;
-    depthOut = r.depth;
 }
 
 void
@@ -334,28 +417,33 @@ NerfModel::render(const Camera &camera, TraceSink *trace,
     out.depth = DepthMap(camera.width, camera.height);
     if (wantGBuffer)
         out.gbuffer = GBuffer(camera.width, camera.height);
-    out.work = walkRays<StageWork>(
-        RaySet::rows(camera, 0, camera.height), trace, Walk::Parallel,
-        [&](StageWork &w, int px, int py, std::uint32_t id,
-            TraceSink *sink) {
-            renderOne(camera, px, py, id, out.image.at(px, py),
-                      out.depth.at(px, py), w, sink,
-                      wantGBuffer ? &out.gbuffer.at(px, py) : nullptr);
-        });
+    out.work =
+        walkRays<RenderAcc>(
+            RaySet::rows(camera, 0, camera.height), trace, Walk::Parallel,
+            [&](RenderAcc &acc, const PixelRay *rays, int count,
+                TraceSink *sink) {
+                renderPacket(camera, rays, count, out.image, out.depth,
+                             wantGBuffer ? &out.gbuffer : nullptr,
+                             acc.work, acc.fusion, sink);
+            })
+            .work;
     return out;
 }
 
 StageWork
 NerfModel::renderServeRows(const Camera &camera, int rowBegin,
                            int rowEnd, Image &image, DepthMap &depth,
-                           DecodeSink *sink) const
+                           FusionStats *fusion) const
 {
-    return walkRays<StageWork>(
+    const RenderAcc acc = walkRays<RenderAcc>(
         RaySet::rows(camera, rowBegin, rowEnd), nullptr, Walk::Serial,
-        [&](StageWork &w, int px, int py, std::uint32_t id, TraceSink *) {
-            renderOne(camera, px, py, id, image.at(px, py),
-                      depth.at(px, py), w, nullptr, nullptr, sink);
+        [&](RenderAcc &a, const PixelRay *rays, int count, TraceSink *) {
+            renderPacket(camera, rays, count, image, depth, nullptr,
+                         a.work, a.fusion, nullptr);
         });
+    if (fusion)
+        *fusion += acc.fusion;
+    return acc.work;
 }
 
 StageWork
@@ -364,13 +452,14 @@ NerfModel::renderPixels(const Camera &camera,
                         Image &image, DepthMap &depth,
                         TraceSink *trace) const
 {
-    return walkRays<StageWork>(
-        RaySet::list(camera, pixelIds), trace, Walk::Parallel,
-        [&](StageWork &w, int px, int py, std::uint32_t id,
-            TraceSink *sink) {
-            renderOne(camera, px, py, id, image.at(px, py),
-                      depth.at(px, py), w, sink);
-        });
+    return walkRays<RenderAcc>(
+               RaySet::list(camera, pixelIds), trace, Walk::Parallel,
+               [&](RenderAcc &acc, const PixelRay *rays, int count,
+                   TraceSink *sink) {
+                   renderPacket(camera, rays, count, image, depth, nullptr,
+                                acc.work, acc.fusion, sink);
+               })
+        .work;
 }
 
 void
@@ -423,8 +512,12 @@ NerfModel::traceWorkload(const Camera &camera, TraceSink *trace) const
 {
     return walkRays<StageWork>(
         RaySet::rows(camera, 0, camera.height), trace, Walk::Parallel,
-        [&](StageWork &w, int px, int py, std::uint32_t id,
-            TraceSink *sink) { traceOne(camera, px, py, id, w, sink); });
+        [&](StageWork &w, const PixelRay *rays, int count,
+            TraceSink *sink) {
+            for (int r = 0; r < count; ++r)
+                traceOne(camera, rays[r].px, rays[r].py, rays[r].id, w,
+                         sink);
+        });
 }
 
 StageWork
@@ -434,8 +527,12 @@ NerfModel::traceWorkloadPixels(const Camera &camera,
 {
     return walkRays<StageWork>(
         RaySet::list(camera, pixelIds), trace, Walk::Parallel,
-        [&](StageWork &w, int px, int py, std::uint32_t id,
-            TraceSink *sink) { traceOne(camera, px, py, id, w, sink); });
+        [&](StageWork &w, const PixelRay *rays, int count,
+            TraceSink *sink) {
+            for (int r = 0; r < count; ++r)
+                traceOne(camera, rays[r].px, rays[r].py, rays[r].id, w,
+                         sink);
+        });
 }
 
 std::vector<Vec3>

@@ -55,6 +55,44 @@ class GBuffer
     std::vector<BakedPoint> _points;
 };
 
+/**
+ * How densely a walk's ray packets fed the decoder. A pass is one
+ * Decoder::decodeBlocksFused call over the current blocks of a
+ * packet's live rays (see NerfModel::render).
+ */
+struct FusionStats
+{
+    std::uint64_t blocks = 0;      //!< ray blocks decoded
+    std::uint64_t samples = 0;     //!< samples decoded
+    std::uint64_t passes = 0;      //!< decodeBlocksFused calls
+    std::uint64_t fusedPasses = 0; //!< passes decoding > 1 block
+    /**
+     * Passes mixing serve sessions: always 0, since a packet holds
+     * rays of one walk. Kept for readers of the serve counters.
+     */
+    std::uint64_t crossSessionPasses = 0;
+    std::uint64_t maxBatchSamples = 0; //!< widest pass (samples)
+
+    /** Aggregate (sums counts, maxes maxBatchSamples). */
+    FusionStats &operator+=(const FusionStats &o);
+};
+
+/**
+ * Rays per packet: the render walks march this many consecutive rays
+ * of one pool chunk in lock step, so each round decodes up to this
+ * many ray blocks in one fused decoder call. A packet never spans
+ * chunks.
+ */
+constexpr int kPacketRays = 8;
+
+/** One camera ray of a walk: its pixel and its id (y * width + x). */
+struct PixelRay
+{
+    int px = 0;
+    int py = 0;
+    std::uint32_t id = 0;
+};
+
 /** Output of rendering a frame (or a sparse subset of it). */
 struct RenderResult
 {
@@ -95,7 +133,13 @@ class NerfModel
     /**
      * Render a full frame, pixel-centric (the baseline order).
      *
-     * Runs tile-parallel on the global pool (common/parallel.hh) with
+     * Rays march in packets of consecutive rays: each round, every
+     * live ray of a packet gathers its next sample block (8 samples,
+     * doubling to 64) and the packet decodes all of those blocks in
+     * one Decoder::decodeBlocksFused call. The fused decode is
+     * per-block bit-identical to a lone decodeBatchSoA and each ray
+     * sees the same block sequence, so the packet width never changes
+     * bits. Runs tile-parallel on the global pool (common/parallel.hh) with
      * bit-identical output at any thread count. Traced runs also go
      * parallel: each pool chunk of rows records its rays' gather
      * accesses into its own event log, and the logs are delivered in
@@ -116,21 +160,17 @@ class NerfModel
      * [@p rowBegin, @p rowEnd): the building block of the serve
      * layer's intra-frame ray-block fan-out. Walks the rows serially
      * on the *calling* thread (no internal parallelFor — the serve
-     * layer owns the fan-out), with the same ray ids and per-sample
-     * math as render(), writing into @p image / @p depth (pre-sized to
-     * the camera resolution). Each ray block decodes through @p sink
-     * when given, or directly (the unfused serving baseline). With a
-     * conforming sink (one whose results are bit-identical to
-     * Decoder::decodeBatchSoA per block — see DecodeSink), disjoint
-     * row ranges compose to a frame bit-identical to render(): per-ray
-     * decode blocking is internal to each ray, so the row
-     * decomposition cannot change bits. Returns the StageWork for the
-     * range; StageWork is all summed counters, so accumulation order
-     * across blocks is irrelevant.
+     * layer owns the fan-out), with the same ray ids, packets and
+     * per-sample math as render(), writing into @p image / @p depth
+     * (pre-sized to the camera resolution). Disjoint row ranges
+     * compose to a frame bit-identical to render(). Adds the range's
+     * packet decode counts to @p fusion when given. Returns the
+     * StageWork for the range; StageWork is all summed counters, so
+     * accumulation order across blocks is irrelevant.
      */
     StageWork renderServeRows(const Camera &camera, int rowBegin,
                               int rowEnd, Image &image, DepthMap &depth,
-                              DecodeSink *sink = nullptr) const;
+                              FusionStats *fusion = nullptr) const;
 
     /**
      * Render only @p pixelIds (y * width + x), writing into @p image and
@@ -190,11 +230,16 @@ class NerfModel
     void quantizeFp16();
 
   private:
-    void renderOne(const Camera &camera, int px, int py,
-                   std::uint32_t rayId, Vec3 &rgbOut, float &depthOut,
-                   StageWork &work, TraceSink *trace,
-                   BakedPoint *gbufOut = nullptr,
-                   DecodeSink *decodeSink = nullptr) const;
+    /**
+     * Render one packet of rays into @p image / @p depth (and
+     * @p gbuffer when given), charging @p work and @p fusion. Each
+     * ray's consumed accesses and its onRayEnd reach @p trace in ray
+     * order once the whole packet has terminated.
+     */
+    void renderPacket(const Camera &camera, const PixelRay *rays,
+                      int count, Image &image, DepthMap &depth,
+                      GBuffer *gbuffer, StageWork &work,
+                      FusionStats &fusion, TraceSink *trace) const;
 
     void traceOne(const Camera &camera, int px, int py,
                   std::uint32_t rayId, StageWork &work,

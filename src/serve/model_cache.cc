@@ -10,10 +10,11 @@ SharedModelCache::Lease::model() const
     return *_entry->model;
 }
 
-FusedDecodeQueue &
-SharedModelCache::Lease::fusion() const
+void
+SharedModelCache::Lease::addFusion(const FusionStats &fusion) const
 {
-    return *_entry->fusion;
+    std::lock_guard<std::mutex> lock(_cache->_mu);
+    _entry->fusion += fusion;
 }
 
 const ModelKey &
@@ -65,8 +66,6 @@ SharedModelCache::acquire(const ModelKey &key)
             entry->model = buildModel(key.kind, scene, opts);
             if (key.fp16)
                 entry->model->quantizeFp16();
-            entry->fusion = std::make_unique<FusedDecodeQueue>(
-                entry->model->decoder());
             entry->built = true;
         }
     }
@@ -79,8 +78,7 @@ SharedModelCache::releaseEntry(Entry *entry)
     std::lock_guard<std::mutex> lock(_mu);
     if (--entry->refs > 0)
         return;
-    if (entry->fusion)
-        _retiredFusion += entry->fusion->stats();
+    _retiredFusion += entry->fusion;
     ++_stats.evictions;
     _entries.erase(entry->key);
 }
@@ -105,8 +103,7 @@ SharedModelCache::fusionStatsTotal() const
     std::lock_guard<std::mutex> lock(_mu);
     FusionStats total = _retiredFusion;
     for (const auto &kv : _entries)
-        if (kv.second->fusion)
-            total += kv.second->fusion->stats();
+        total += kv.second->fusion;
     return total;
 }
 

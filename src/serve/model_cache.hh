@@ -4,9 +4,9 @@
  *
  * N sessions of the same scene/model configuration share ONE baked
  * NerfModel instance (the encoding is immutable after bake; every
- * render entry point is const) and one FusedDecodeQueue, so resident
- * footprint and fused-decode opportunity both scale with *distinct*
- * models, not with sessions. Entries are refcounted through move-only
+ * render entry point is const), so resident footprint scales with
+ * *distinct* models, not with sessions. Each entry also totals the
+ * packet decode counts (FusionStats) of the renders run on it. Entries are refcounted through move-only
  * Lease handles: the first acquire of a key builds and bakes the
  * model (expensive — seconds at Full preset), later acquires bump the
  * refcount, and the last release evicts the entry. fp16 and fp32
@@ -24,7 +24,6 @@
 #include <string>
 
 #include "nerf/models.hh"
-#include "serve/fused_decode_queue.hh"
 
 namespace cicero {
 
@@ -89,9 +88,10 @@ class SharedModelCache
     std::size_t liveEntries() const;
 
     /**
-     * Fusion counters summed over live entries *and* entries already
-     * evicted (their totals are folded into a retired accumulator at
-     * eviction, so a finished session's fusion work stays visible).
+     * Packet decode counters summed over live entries *and* entries
+     * already evicted (their totals are folded into a retired
+     * accumulator at eviction, so a finished session's decode work
+     * stays visible).
      */
     FusionStats fusionStatsTotal() const;
 
@@ -126,8 +126,10 @@ class SharedModelCache
         explicit operator bool() const { return _entry != nullptr; }
 
         const NerfModel &model() const;
-        FusedDecodeQueue &fusion() const;
         const ModelKey &key() const;
+
+        /** Add a render's packet decode counts to the entry's total. */
+        void addFusion(const FusionStats &fusion) const;
 
         /** Drop the share now (idempotent). */
         void release();
@@ -153,7 +155,7 @@ class SharedModelCache
         int refs = 0;
         bool built = false;
         std::unique_ptr<NerfModel> model;
-        std::unique_ptr<FusedDecodeQueue> fusion;
+        FusionStats fusion; //!< guarded by SharedModelCache::_mu
         std::mutex buildMu; //!< serializes the one-time build
     };
     using Entry = Lease::Entry;

@@ -42,7 +42,6 @@ struct RenderService::Session
     ServeSessionConfig cfg;
     int window = 1;
     SharedModelCache::Lease lease;
-    std::unique_ptr<FusedDecodeQueue::SessionSink> sink;
     TaskGroup group;
 
     int maxRetries = 0;     //!< resolved per-frame retry budget
@@ -186,14 +185,6 @@ RenderService::setupSession(const std::shared_ptr<Session> &s,
 {
     s->cfg = config;
     s->lease = _cache.acquire(config.model);
-    if (_config.fuseDecode) {
-        s->sink = std::make_unique<FusedDecodeQueue::SessionSink>(
-            &s->lease.fusion(), s->id);
-        // QoS: a premium session's ray blocks earn a larger share of
-        // each fused batch (weighted deficit round-robin).
-        s->lease.fusion().setSessionWeight(
-            s->id, std::max(1, config.qosWeight));
-    }
 
     const int n = static_cast<int>(config.trajectory.size());
     int window = config.inflightWindow > 0 ? config.inflightWindow
@@ -216,8 +207,7 @@ RenderService::setupSession(const std::shared_ptr<Session> &s,
     // Intra-frame ray-block decomposition: contiguous row ranges,
     // identical for every frame. Auto-sizing targets ~2x the pool's
     // thread count blocks per frame — enough slack for load balancing
-    // and for same-frame blocks to meet in the fusion queue, without
-    // drowning the scheduler in tiny tasks. Fan-out off = one block
+    // without drowning the scheduler in tiny tasks. Fan-out off = one block
     // spanning the frame (the whole frame renders on one worker).
     {
         const int H = config.height;
@@ -249,8 +239,8 @@ RenderService::setupSession(const std::shared_ptr<Session> &s,
     // one-thread pool runnable tasks execute inline right here in
     // submission order (blocks, then finalize, frame by frame), so
     // admit() of a later session sees earlier sessions already done;
-    // with workers one frame's blocks spread across the pool and
-    // their decode submissions fuse in the queue. Lambdas capture the
+    // with workers one frame's blocks spread across the pool. Lambdas
+    // capture the
     // session by raw pointer on purpose: the captures stay trivially
     // destructible, so a worker retiring a task cannot run the
     // session destructor (see the Session doc).
@@ -305,8 +295,10 @@ RenderService::setupSession(const std::shared_ptr<Session> &s,
                 // Re-rendering is safe — renderServeRows is
                 // deterministic and rewrites only this block's rows,
                 // so a retried block is bit-identical to an
-                // untroubled one.
+                // untroubled one. The task decodes only its own rays,
+                // so a decode fault fails this block attempt alone.
                 StageWork work;
+                FusionStats fusion;
                 std::exception_ptr err;
                 int retries = 0;
                 for (int attempt = 0;; ++attempt) {
@@ -319,7 +311,7 @@ RenderService::setupSession(const std::shared_ptr<Session> &s,
                             s->cfg.trajectory[f]);
                         work = s->lease.model().renderServeRows(
                             cam, r0, r1, s->frames[f].image,
-                            s->frames[f].depth, s->sink.get());
+                            s->frames[f].depth, &fusion);
                         break;
                     } catch (...) {
                         err = std::current_exception();
@@ -328,10 +320,11 @@ RenderService::setupSession(const std::shared_ptr<Session> &s,
                         break;
                     ++retries;
                     std::this_thread::sleep_for(
-                        std::chrono::duration<double>(
-                            _config.retryBackoffS *
-                            static_cast<double>(1 << attempt)));
+                        std::chrono::duration<double>(std::ldexp(
+                            _config.retryBackoffS, attempt)));
                 }
+                if (!err)
+                    s->lease.addFusion(fusion);
 
                 std::lock_guard<std::mutex> lock(s->mu);
                 Session::FrameState &fs = s->fstate[f];
@@ -436,8 +429,6 @@ RenderService::setupSession(const std::shared_ptr<Session> &s,
                 if (sessionDone)
                     --_active;
             }
-            if (sessionDone && s->sink)
-                s->lease.fusion().releaseSession(s->id);
         };
         frameDone[f] = s->group.runAfter(blockHandles, finalize);
     }
@@ -547,24 +538,8 @@ RenderService::activeSessions() const
 ServiceCounters
 RenderService::counters() const
 {
-    ServiceCounters out;
-    {
-        std::lock_guard<std::mutex> lock(_mu);
-        out = _counters;
-    }
-    // Fused-batch density, derived from the model cache's fusion
-    // totals (live + retired entries): how full the decode kernel ran.
-    const FusionStats fusion = _cache.fusionStatsTotal();
-    out.decodeKernelPasses = fusion.passes;
-    if (fusion.passes > 0) {
-        out.avgBatchSamples = static_cast<double>(fusion.samples) /
-                              static_cast<double>(fusion.passes);
-        out.avgBatchBlocks = static_cast<double>(fusion.blocks) /
-                             static_cast<double>(fusion.passes);
-    }
-    out.maxBatchSamples = fusion.maxBatchSamples;
-    out.maxBatchBlocks = fusion.maxBatchBlocks;
-    return out;
+    std::lock_guard<std::mutex> lock(_mu);
+    return _counters;
 }
 
 } // namespace cicero

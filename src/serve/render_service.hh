@@ -15,29 +15,23 @@
  * bookkeeping; the finalize task is what the next window frame chains
  * on, so window pipelining is preserved. Parallelism therefore comes
  * from two axes: many sessions' frames running concurrently AND one
- * frame's ray blocks spreading across workers — the intra-frame
- * fan-out is what feeds the MLP decode fusion queue
- * (FusedDecodeQueue) dense batches even at 1-2 live sessions, since
- * same-frame blocks fuse into one kernel pass just like cross-session
- * blocks do. `intraFrameFanOut` / `fanOutBlockRows` control the
- * decomposition (off = one block per frame, the PR 7 behavior).
+ * frame's ray blocks spreading across workers. Each block task decodes
+ * its own rays in packets (NerfModel::renderServeRows): the packet,
+ * not a cross-thread queue, is what hands the MLP several ray blocks
+ * per pass, so no block task ever waits on another to decode.
+ * `intraFrameFanOut` / `fanOutBlockRows` control the decomposition
+ * (off = one block per frame).
  *
  * Fairness: admission control caps concurrent sessions (admit()
- * throws, tryAdmit() declines); the in-flight window bounds any one
- * session's task-queue share; and the fused decode queue serves
- * sessions by deficit round-robin — weighted by the session's
- * `qosWeight`, so a premium session earns a larger share of each
- * fused batch — so an elephant session cannot starve mice of decode
- * bandwidth.
+ * throws, tryAdmit() declines), and the in-flight window bounds any
+ * one session's task-queue share.
  *
  * Correctness contract: a session's frames are bit-identical to the
  * same (scene, model, trajectory, resolution) rendered solo —
  * NerfModel::renderServeRows reproduces render()'s pixel walk exactly
  * on disjoint row ranges (per-ray decode blocking is internal to each
- * ray, so the row decomposition cannot change bits) and fused decode
- * preserves per-block bits (see FusedDecodeQueue). Fusion reorders
- * whole ray blocks only — across sessions or across a frame's blocks
- * — never samples within a block.
+ * ray and packet decode preserves per-block bits, so the row
+ * decomposition cannot change bits).
  *
  * Failure semantics (see README "Failure semantics & fault
  * injection"): a transiently failing frame is retried with bounded
@@ -134,43 +128,35 @@ struct ServeSessionConfig
     double frameDeadlineS = 0.0;
     /** Retry budget per frame; < 0 takes the service default. */
     int maxFrameRetries = -1;
-    /**
-     * QoS weight for the fused decode queue's deficit round-robin
-     * (clamped to >= 1). A weight-w session earns w quanta of decode
-     * credit per scheduling round, so its ray blocks claim a larger
-     * share of each fused batch under contention. Shapes scheduling
-     * only — output bits are weight-independent.
-     */
-    int qosWeight = 1;
 };
 
 /** Service-wide configuration. */
 struct RenderServiceConfig
 {
-    int maxSessions = 64;          //!< admission-control cap
-    bool fuseDecode = true;        //!< route decode through the fusion queue
-    int fusionQuantumSamples = 128; //!< DRR quantum (FusedDecodeQueue)
+    int maxSessions = 64; //!< admission-control cap
     int defaultInflightWindow = 2;
     /**
      * Intra-frame ray-block fan-out: split each served frame into
-     * row-range tasks that render concurrently and feed the fusion
-     * queue dense same-frame batches. Off = one block per frame (a
-     * frame occupies a single worker, parallelism comes only from
-     * concurrent frames/sessions).
+     * row-range tasks that render concurrently. Off = one block per
+     * frame (a frame occupies a single worker, parallelism comes only
+     * from concurrent frames/sessions).
      */
     bool intraFrameFanOut = true;
     /**
      * Rows per ray-block task when fan-out is on; 0 = auto (size the
      * frame into ~2x the pool's thread count blocks). Smaller blocks
-     * = denser fusion and better load balance, more scheduling
-     * overhead. Ignored with fan-out off.
+     * = better load balance, more scheduling overhead. Ignored with
+     * fan-out off.
      */
     int fanOutBlockRows = 0;
 
     // --- graceful degradation ---
     /** Retry budget for a transiently failing frame. */
     int maxFrameRetries = 2;
-    /** Base retry backoff in seconds (doubles per retry). */
+    /**
+     * Base retry backoff in seconds: retry k (from 1) waits
+     * retryBackoffS * 2^(k-1).
+     */
     double retryBackoffS = 0.0005;
     /**
      * Frames that may fail (after retries) before the session is
@@ -238,14 +224,6 @@ struct ServiceCounters
     std::uint64_t quarantinedSessions = 0;
     std::uint64_t shedAdmissions = 0; //!< admissions downgraded to downsampled
     std::uint64_t deadlineMisses = 0;
-
-    // --- fused-batch density (derived from the model cache's fusion
-    // totals at counters() time; how full the decode kernel ran) ---
-    std::uint64_t decodeKernelPasses = 0; //!< fused-queue kernel passes
-    double avgBatchSamples = 0.0; //!< samples per kernel pass, mean
-    double avgBatchBlocks = 0.0;  //!< ray blocks per kernel pass, mean
-    std::uint64_t maxBatchSamples = 0; //!< widest pass (samples)
-    std::uint64_t maxBatchBlocks = 0;  //!< widest pass (blocks)
 };
 
 /**
@@ -303,7 +281,7 @@ class RenderService
 
     ServiceCounters counters() const;
 
-    /** The shared-model cache (stats, live entries, fusion totals). */
+    /** The shared-model cache (stats, live entries, packet totals). */
     SharedModelCache &cache() { return _cache; }
 
     const RenderServiceConfig &config() const { return _config; }

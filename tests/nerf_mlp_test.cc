@@ -1,10 +1,12 @@
 /**
  * @file
  * Unit tests for the MLP and the feature decoder, including the
- * SIMD-vs-scalar kernel identity contract and the fp16 weight-storage
- * mode.
+ * SIMD-vs-scalar kernel identity contract, the fp16 weight-storage
+ * mode and the fused multi-block decode the renderer's ray packets
+ * use.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -293,6 +295,92 @@ TEST(DecoderTest, NominalMacsOverridesExecuted)
     EXPECT_EQ(dec.nominalMacs(), 123456u);
     EXPECT_GT(dec.executedMacs(), 0u);
     EXPECT_LT(dec.executedMacs(), dec.nominalMacs());
+}
+
+/** Channel-major features for @p count synthetic baked points. */
+std::vector<float>
+blockFeatures(int count, int salt)
+{
+    std::vector<float> aos(static_cast<std::size_t>(count) * kFeatureDim);
+    for (int b = 0; b < count; ++b) {
+        BakedPoint pt;
+        pt.sigma = ((b + salt) % 5 == 0) ? 0.0f : 0.8f + 0.3f * (b % 40);
+        pt.diffuse = {0.07f * ((b + salt) % 13), 0.4f,
+                      0.9f - 0.02f * (b % 40)};
+        pt.normal =
+            Vec3{0.1f * (salt % 7), 1.0f, 0.05f * (b % 40)}.normalized();
+        pt.specular = 0.03f * ((b + salt) % 9);
+        pt.shininess = 3.0f + (b % 11);
+        encodeBakedPoint(pt, aos.data() + b * kFeatureDim);
+    }
+    std::vector<float> soa(aos.size());
+    if (count > 0)
+        simd::transposeToChannelMajor(aos.data(), count, kFeatureDim,
+                                      soa.data());
+    return soa;
+}
+
+/**
+ * decodeBlocksFused over blocks of mixed widths — a zero-count block,
+ * one wider than kDecodeChunk, and enough 64-sample blocks that the
+ * staging buffer fills more than once — must give every block the
+ * bits of a lone decodeBatchSoA call on it, and leave the zero-count
+ * block's output untouched.
+ */
+void
+expectFusedMatchesSolo(const Decoder &decoder)
+{
+    const std::vector<int> counts{8,  16, 13, 0,  32, 5,
+                                  kDecodeChunk + 44, 64, 64, 64, 64, 7};
+    const int numBlocks = static_cast<int>(counts.size());
+    std::vector<std::vector<float>> feats;
+    std::vector<std::vector<DecodedSample>> fused(numBlocks),
+        solo(numBlocks);
+    std::vector<DecodeBlock> blocks(numBlocks);
+    DecodedSample sentinel;
+    sentinel.sigma = -7.0f;
+    for (int i = 0; i < numBlocks; ++i) {
+        feats.push_back(blockFeatures(counts[i], i));
+        fused[i].assign(std::max(counts[i], 1), sentinel);
+        solo[i].resize(counts[i]);
+        blocks[i].features = feats[i].data();
+        blocks[i].featureStride = static_cast<std::size_t>(counts[i]);
+        blocks[i].count = counts[i];
+        blocks[i].viewDir =
+            Vec3{0.2f * i - 0.3f, -0.1f * i, -1.0f}.normalized();
+        blocks[i].out = fused[i].data();
+    }
+    decoder.decodeBlocksFused(blocks.data(), numBlocks);
+
+    for (int i = 0; i < numBlocks; ++i) {
+        decoder.decodeBatchSoA(feats[i].data(),
+                               static_cast<std::size_t>(counts[i]),
+                               counts[i], blocks[i].viewDir,
+                               solo[i].data());
+        if (counts[i] == 0) {
+            EXPECT_EQ(fused[i][0].sigma, sentinel.sigma) << "block " << i;
+        }
+        for (int b = 0; b < counts[i]; ++b) {
+            EXPECT_EQ(fused[i][b].sigma, solo[i][b].sigma)
+                << "block " << i << " sample " << b;
+            EXPECT_EQ(fused[i][b].rgb.x, solo[i][b].rgb.x);
+            EXPECT_EQ(fused[i][b].rgb.y, solo[i][b].rgb.y);
+            EXPECT_EQ(fused[i][b].rgb.z, solo[i][b].rgb.z);
+        }
+    }
+}
+
+TEST(DecoderTest, FusedBlocksMatchSoloDecodeFp32)
+{
+    expectFusedMatchesSolo(Decoder(Vec3{0.3f, 0.8f, 0.5f}));
+}
+
+TEST(DecoderTest, FusedBlocksMatchSoloDecodeFp16)
+{
+    Decoder decoder(Vec3{0.3f, 0.8f, 0.5f});
+    decoder.quantizeWeightsFp16();
+    ASSERT_TRUE(decoder.fp16Weights());
+    expectFusedMatchesSolo(decoder);
 }
 
 TEST(DecoderTest, RgbStaysInRange)

@@ -1,24 +1,23 @@
 /**
  * @file
- * Graceful-degradation tests for the render service and the fused
- * decode queue, driven by the deterministic fault-injection framework:
- * transient-fault retry, session quarantine with fault isolation
+ * Graceful-degradation tests for the render service, driven by the
+ * deterministic fault-injection framework: transient-fault retry and
+ * its exponential backoff, session quarantine with fault isolation
  * (healthy sessions stay bit-identical to solo), waitFrameFor
- * timeouts, overload shedding, deadline marking, and the fused queue's
- * split-retry fallback.
+ * timeouts, overload shedding and deadline marking.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cmath>
 #include <stdexcept>
 #include <vector>
 
 #include "common/fault.hh"
 #include "common/parallel.hh"
-#include "common/simd.hh"
 #include "scene/trajectory.hh"
 #include "serve/render_service.hh"
-#include "test_util.hh"
 
 namespace cicero {
 namespace {
@@ -44,27 +43,6 @@ orbit(int frames, float startDeg = 0.0f)
     OrbitParams params;
     params.startDeg = startDeg;
     return orbitTrajectory(params, frames);
-}
-
-/** Channel-major features for @p count synthetic baked points. */
-std::vector<float>
-blockFeatures(int count, int salt)
-{
-    std::vector<float> aos(static_cast<std::size_t>(count) * kFeatureDim);
-    for (int b = 0; b < count; ++b) {
-        BakedPoint pt;
-        pt.sigma = ((b + salt) % 5 == 0) ? 0.0f : 0.8f + 0.3f * b;
-        pt.diffuse = {0.07f * ((b + salt) % 13), 0.4f, 0.9f - 0.02f * b};
-        pt.normal =
-            Vec3{0.1f * (salt % 7), 1.0f, 0.05f * b}.normalized();
-        pt.specular = 0.03f * ((b + salt) % 9);
-        pt.shininess = 3.0f + (b % 11);
-        encodeBakedPoint(pt, aos.data() + b * kFeatureDim);
-    }
-    std::vector<float> soa(aos.size());
-    simd::transposeToChannelMajor(aos.data(), count, kFeatureDim,
-                                  soa.data());
-    return soa;
 }
 
 /** Pixel-exact image comparison. */
@@ -122,6 +100,52 @@ TEST(ServeRobustnessTest, RetryRecoversTransientFrameFault)
     EXPECT_EQ(c.framesFailed, 0u);
     EXPECT_EQ(c.framesCompleted, 3u);
     EXPECT_EQ(c.quarantinedSessions, 0u);
+}
+
+TEST(ServeRobustnessTest, RetryBackoffDoublesPastThirtyAttempts)
+{
+    ThreadCountGuard guard;
+    setParallelThreadCount(1);
+
+    // 33 retries: the doubling backoff must keep doubling past the
+    // 31st, where a 32-bit shift would go negative and then undefined.
+    constexpr int kRetries = 33;
+    RenderServiceConfig cfg;
+    cfg.intraFrameFanOut = false; // one block: one retry chain
+    cfg.maxFrameRetries = kRetries;
+    cfg.retryBackoffS = 1e-12;
+    RenderService svc(cfg);
+
+    ServeSessionConfig sc;
+    sc.model = tinyKey();
+    sc.width = 8;
+    sc.height = 8;
+    sc.trajectory = orbit(1);
+
+    SharedModelCache::Lease pin = svc.cache().acquire(tinyKey());
+    const Image solo =
+        pin.model()
+            .render(Camera::fromFov(sc.width, sc.height,
+                                    pin.model().scene().fovYDeg,
+                                    sc.trajectory[0]))
+            .image;
+
+    // The fresh service's first session is id 0.
+    FaultScope scope("frame_render:key=0:count=33");
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point t0 = Clock::now();
+    ServeSessionResult r = svc.wait(svc.admit(sc));
+    const double waitedS =
+        std::chrono::duration<double>(Clock::now() - t0).count();
+
+    ASSERT_EQ(r.frames.size(), 1u);
+    EXPECT_EQ(r.frames[0].retries, kRetries);
+    EXPECT_EQ(mismatchedPixels(r.frames[0].image, solo), 0);
+    EXPECT_EQ(svc.counters().frameRetries,
+              static_cast<std::uint64_t>(kRetries));
+    // Retry k waits 1e-12 * 2^(k-1) s, and sleep_for never returns
+    // early, so the frame took at least the sum 1e-12 * (2^33 - 1) s.
+    EXPECT_GE(waitedS, 1e-12 * (std::ldexp(1.0, kRetries) - 1.0));
 }
 
 TEST(ServeRobustnessTest, QuarantineIsolatesFailingSession)
@@ -307,82 +331,6 @@ TEST(ServeRobustnessTest, DeadlinesMarkLateFramesWithoutCorruption)
         misses += frame.deadlineMiss ? 1 : 0;
     EXPECT_EQ(misses, 1);
     EXPECT_EQ(svc2.counters().deadlineMisses, 1u);
-}
-
-TEST(ServeRobustnessTest, FusedQueueSplitRetryIsolatesBatchFault)
-{
-    Scene scene = test::tinyScene();
-    Decoder decoder(scene.field.lightDir());
-    FusedDecodeQueue queue(decoder);
-
-    const int counts[2] = {12, 9};
-    std::vector<std::vector<float>> feats;
-    std::vector<Vec3> dirs;
-    std::vector<std::vector<DecodedSample>> out(2), ref(2);
-    for (int i = 0; i < 2; ++i) {
-        feats.push_back(blockFeatures(counts[i], i + 1));
-        dirs.push_back(Vec3{0.1f * i - 0.2f, 0.3f, -1.0f}.normalized());
-        out[i].resize(counts[i]);
-        ref[i].resize(counts[i]);
-        decoder.decodeBatchSoA(feats[i].data(),
-                               static_cast<std::size_t>(counts[i]),
-                               counts[i], dirs[i], ref[i].data());
-    }
-
-    DecodeBlock blocks[2];
-    for (int i = 0; i < 2; ++i) {
-        blocks[i].features = feats[i].data();
-        blocks[i].featureStride = static_cast<std::size_t>(counts[i]);
-        blocks[i].count = counts[i];
-        blocks[i].viewDir = dirs[i];
-        blocks[i].out = out[i].data();
-    }
-
-    // The fused pass dies (count=1 consumes the window); both solo
-    // retries then succeed, so the submitter sees no error at all and
-    // the results are still bit-identical.
-    {
-        FaultScope scope("mlp_decode:count=1");
-        queue.decodeBlocks(/*session=*/0, blocks, 2);
-    }
-    for (int i = 0; i < 2; ++i)
-        for (int b = 0; b < counts[i]; ++b) {
-            ASSERT_EQ(out[i][b].sigma, ref[i][b].sigma)
-                << "block " << i << " sample " << b;
-            ASSERT_EQ(out[i][b].rgb.x, ref[i][b].rgb.x);
-            ASSERT_EQ(out[i][b].rgb.y, ref[i][b].rgb.y);
-            ASSERT_EQ(out[i][b].rgb.z, ref[i][b].rgb.z);
-        }
-    FusionStats stats = queue.stats();
-    EXPECT_EQ(stats.splitRetries, 2u);
-    EXPECT_EQ(stats.failedBlocks, 0u);
-
-    // Fused pass AND both solo retries die: the error surfaces on the
-    // submitter, and the queue is not wedged afterwards.
-    {
-        FaultScope scope("mlp_decode:count=3");
-        EXPECT_THROW(queue.decodeBlocks(0, blocks, 2),
-                     FaultInjectedError);
-    }
-    stats = queue.stats();
-    EXPECT_EQ(stats.failedBlocks, 2u);
-
-    // Single-block batch: the batch IS the solo decode — its failure
-    // is delivered directly, no pointless retry.
-    {
-        FaultScope scope("mlp_decode:count=1");
-        EXPECT_THROW(queue.decodeBlocks(0, blocks, 1),
-                     FaultInjectedError);
-    }
-    EXPECT_EQ(queue.stats().splitRetries, 4u); // unchanged by the last two
-
-    // Healthy again: a clean decode still matches the reference.
-    queue.decodeBlocks(0, blocks, 2);
-    for (int i = 0; i < 2; ++i)
-        for (int b = 0; b < counts[i]; ++b)
-            ASSERT_EQ(out[i][b].sigma, ref[i][b].sigma)
-                << "block " << i << " sample " << b;
-    queue.releaseSession(0);
 }
 
 } // namespace

@@ -6,20 +6,17 @@
  * sessions (orbit trajectories with per-client phase; optionally
  * bursty or heavy-tailed mixes), waits for all of them, and prints a
  * per-session latency/throughput table plus the service, cache and
- * fusion counters. This is the operational smoke tool — the measured
+ * packet decode counters. This is the operational smoke tool — the measured
  * bench with bit-identity gates is bench/bench_serve.
  *
  * Usage:
  *   cicero_serve [--sessions N] [--frames N] [--res N] [--scene NAME]
  *                [--model ngp|dvgo|tensorf|enerf] [--preset fast|full]
  *                [--window N] [--mix uniform|bursty|heavy]
- *                [--no-fuse] [--no-fanout] [--premium-weight N]
- *                [--fp16] [--quantum N] [--faults SPEC]
+ *                [--no-fanout] [--fp16] [--faults SPEC]
  *
  * --no-fanout disables intra-frame ray-block fan-out (each served
- * frame renders as one scheduler task, as before). --premium-weight N
- * gives session 0 a QoS weight of N in the fused-decode deficit
- * round-robin, demoing per-session quality-of-service.
+ * frame renders as one scheduler task).
  *
  * Exit codes: 0 success, 2 usage error, 3 I/O error, 4 parse error,
  * 5 other runtime failure (including injected faults that exhaust the
@@ -50,9 +47,8 @@ usage()
         "usage: cicero_serve [--sessions N] [--frames N] [--res N]\n"
         "                    [--scene NAME] [--model KIND]\n"
         "                    [--preset fast|full] [--window N]\n"
-        "                    [--mix uniform|bursty|heavy] [--no-fuse]\n"
-        "                    [--no-fanout] [--premium-weight N]\n"
-        "                    [--fp16] [--quantum N] [--threads N]\n"
+        "                    [--mix uniform|bursty|heavy]\n"
+        "                    [--no-fanout] [--fp16] [--threads N]\n"
         "                    [--faults SPEC]\n"
         "\n"
         "exit codes: 0 ok, 2 usage, 3 I/O error, 4 parse error,\n"
@@ -80,13 +76,11 @@ run(int argc, char **argv)
     cli.applyThreadsOption();
     if (!cli.applyFaultsOption())
         return usage();
-    std::uint32_t sessions, frames, res, window, quantum, premium;
+    std::uint32_t sessions, frames, res, window;
     if (!cli.optUint("--sessions", 4, 1, 1024, sessions) ||
         !cli.optUint("--frames", 8, 1, 100000, frames) ||
         !cli.optUint("--res", 64, 1, 4096, res) ||
-        !cli.optUint("--window", 2, 1, 1024, window) ||
-        !cli.optUint("--quantum", 128, 1, 1 << 20, quantum) ||
-        !cli.optUint("--premium-weight", 1, 1, 1024, premium))
+        !cli.optUint("--window", 2, 1, 1024, window))
         return usage();
 
     ModelKind kind = ModelKind::DirectVoxGO;
@@ -112,9 +106,7 @@ run(int argc, char **argv)
     key.fp16 = cli.optFlag("--fp16");
 
     RenderServiceConfig cfg;
-    cfg.fuseDecode = !cli.optFlag("--no-fuse");
     cfg.intraFrameFanOut = !cli.optFlag("--no-fanout");
-    cfg.fusionQuantumSamples = static_cast<int>(quantum);
     cfg.maxSessions = static_cast<int>(sessions) + 1;
     cfg.defaultInflightWindow = static_cast<int>(window);
     RenderService svc(cfg);
@@ -129,8 +121,6 @@ run(int argc, char **argv)
         sc.width = static_cast<int>(res);
         sc.height = static_cast<int>(res);
         sc.trajectory = orbitTrajectory(orbit, numFrames);
-        if (i == 0)
-            sc.qosWeight = static_cast<int>(premium);
         if (mix == "heavy" && i == 0) {
             JitterParams jitter;
             jitter.posSigma = 0.01f;
@@ -141,12 +131,11 @@ run(int argc, char **argv)
     };
 
     std::printf("cicero_serve: %u session(s) x %u frame(s) @ %ux%u, "
-                "%s/%s, fuse=%s, fanout=%s, fp16=%s, window=%u, "
-                "mix=%s, premium_weight=%u, threads=%d\n",
+                "%s/%s, fanout=%s, fp16=%s, window=%u, mix=%s, "
+                "threads=%d\n",
                 sessions, frames, res, res, sceneName.c_str(),
-                modelName(kind), cfg.fuseDecode ? "on" : "off",
-                cfg.intraFrameFanOut ? "on" : "off",
-                key.fp16 ? "on" : "off", window, mix.c_str(), premium,
+                modelName(kind), cfg.intraFrameFanOut ? "on" : "off",
+                key.fp16 ? "on" : "off", window, mix.c_str(),
                 parallelThreadCount());
 
     std::vector<int> ids(sessions, -1);
@@ -198,29 +187,26 @@ run(int argc, char **argv)
                 static_cast<unsigned long long>(mc.hits),
                 static_cast<unsigned long long>(mc.misses),
                 static_cast<unsigned long long>(mc.evictions));
+    const double passes =
+        fu.passes > 0 ? static_cast<double>(fu.passes) : 1.0;
     std::printf("fusion:  blocks=%llu samples=%llu passes=%llu "
-                "fused=%llu cross_session=%llu max_batch=%llu "
-                "avg_batch_samples=%.2f avg_batch_blocks=%.2f "
-                "weighted_sessions=%llu\n",
+                "fused=%llu max_batch=%llu avg_batch_samples=%.2f "
+                "avg_batch_blocks=%.2f\n",
                 static_cast<unsigned long long>(fu.blocks),
                 static_cast<unsigned long long>(fu.samples),
                 static_cast<unsigned long long>(fu.passes),
                 static_cast<unsigned long long>(fu.fusedPasses),
-                static_cast<unsigned long long>(fu.crossSessionPasses),
                 static_cast<unsigned long long>(fu.maxBatchSamples),
-                sc.avgBatchSamples, sc.avgBatchBlocks,
-                static_cast<unsigned long long>(fu.weightedSessions));
+                static_cast<double>(fu.samples) / passes,
+                static_cast<double>(fu.blocks) / passes);
     std::printf("robust:  retries=%llu failed=%llu skipped=%llu "
-                "quarantined=%llu shed=%llu deadline_miss=%llu "
-                "split_retries=%llu failed_blocks=%llu\n",
+                "quarantined=%llu shed=%llu deadline_miss=%llu\n",
                 static_cast<unsigned long long>(sc.frameRetries),
                 static_cast<unsigned long long>(sc.framesFailed),
                 static_cast<unsigned long long>(sc.framesSkipped),
                 static_cast<unsigned long long>(sc.quarantinedSessions),
                 static_cast<unsigned long long>(sc.shedAdmissions),
-                static_cast<unsigned long long>(sc.deadlineMisses),
-                static_cast<unsigned long long>(fu.splitRetries),
-                static_cast<unsigned long long>(fu.failedBlocks));
+                static_cast<unsigned long long>(sc.deadlineMisses));
     return 0;
 }
 
