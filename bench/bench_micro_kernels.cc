@@ -1,8 +1,9 @@
 /**
  * @file
  * Micro-benchmarks (google-benchmark) for the hot kernels of the
- * functional stack: feature gathers per encoding, the decoder MLP,
- * warping, compositing and the memory-model sinks.
+ * functional stack: the sampler's march and SPARW's void test
+ * (Indexing), feature gathers per encoding, the decoder MLP, warping,
+ * compositing and the memory-model sinks.
  *
  * The JSON context carries a "simd_backend" key (avx2|neon|scalar —
  * the backend the process actually dispatches to, so a
@@ -15,6 +16,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <memory>
+#include <tuple>
 #include <vector>
 
 #include "cicero/warp.hh"
@@ -280,6 +284,99 @@ BM_WarpFrame(benchmark::State &state)
     }
 }
 BENCHMARK(BM_WarpFrame)->Unit(benchmark::kMicrosecond);
+
+/** Time per item, reported next to the wall time per iteration. */
+benchmark::Counter
+perItem(std::size_t items)
+{
+    return benchmark::Counter(
+        static_cast<double>(items),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+}
+
+/**
+ * Indexing: the ray sampler's march through the occupancy grid (with
+ * its empty-space skipping) over every pixel of one 128x128 view of
+ * lego, at the default sampler settings.
+ */
+void
+BM_SamplerMarch(benchmark::State &state)
+{
+    static const auto setup = [] {
+        Scene scene = benchScene();
+        SamplerConfig cfg;
+        auto occ = std::make_unique<OccupancyGrid>(
+            scene.field, cfg.occupancyRes, cfg.occupancySigma);
+        OrbitParams orbit;
+        orbit.radius = scene.cameraDistance;
+        Camera cam = Camera::fromFov(128, 128, scene.fovYDeg,
+                                     orbitTrajectory(orbit, 1)[0]);
+        std::vector<Ray> rays;
+        for (int y = 0; y < cam.height; ++y)
+            for (int x = 0; x < cam.width; ++x)
+                rays.push_back(cam.generateRay(x, y));
+        return std::make_tuple(std::move(occ), scene.field.bounds(), cfg,
+                               std::move(rays));
+    }();
+    const auto &[occ, bounds, cfg, rays] = setup;
+    RaySampler sampler(bounds, occ.get(), cfg);
+    std::vector<RaySample> out;
+    for (auto _ : state) {
+        std::size_t kept = 0;
+        for (const Ray &ray : rays)
+            kept += sampler.sample(ray, out);
+        benchmark::DoNotOptimize(kept);
+    }
+    state.SetItemsProcessed(state.iterations() * rays.size());
+    state.counters["s_per_ray"] = perItem(rays.size());
+}
+BENCHMARK(BM_SamplerMarch)->Unit(benchmark::kMicrosecond);
+
+/**
+ * SPARW's void test: rayHitsOccupied over every hole pixel of one
+ * 128x128 warp of lego (a reference render warped to the next orbit
+ * pose, whose holes are mostly void background).
+ */
+void
+BM_OccupancyVoidTest(benchmark::State &state)
+{
+    static const auto setup = [] {
+        Scene scene = benchScene();
+        SamplerConfig cfg;
+        cfg.stepsAcross = 96;
+        auto model = std::make_unique<NerfModel>(
+            scene, std::make_unique<DenseGridEncoding>(48), 4096, cfg);
+        OrbitParams orbit;
+        orbit.radius = scene.cameraDistance;
+        auto traj = orbitTrajectory(orbit, 2);
+        Camera ref = Camera::fromFov(128, 128, scene.fovYDeg, traj[0]);
+        Camera tgt = ref;
+        tgt.pose = traj[1];
+        RenderResult r = model->render(ref);
+        WarpOutput w = warpFrame(r.image, r.depth, ref, tgt,
+                                 &model->occupancy(), scene.background);
+        // Holes keep infinite depth: void ones are set to it and
+        // disoccluded ones await the sparse render.
+        std::vector<Ray> holes;
+        for (int y = 0; y < tgt.height; ++y)
+            for (int x = 0; x < tgt.width; ++x)
+                if (!std::isfinite(w.depth.at(x, y)))
+                    holes.push_back(tgt.generateRay(x, y));
+        return std::make_pair(std::move(model), std::move(holes));
+    }();
+    const auto &[model, holes] = setup;
+    const OccupancyGrid &occ = model->occupancy();
+    for (auto _ : state) {
+        std::size_t hits = 0;
+        for (const Ray &ray : holes)
+            hits += occ.rayHitsOccupied(ray);
+        benchmark::DoNotOptimize(hits);
+    }
+    state.SetItemsProcessed(state.iterations() * holes.size());
+    state.counters["s_per_hole"] = perItem(holes.size());
+}
+BENCHMARK(BM_OccupancyVoidTest)->Unit(benchmark::kMicrosecond);
 
 void
 BM_LruCacheSink(benchmark::State &state)

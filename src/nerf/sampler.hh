@@ -8,6 +8,7 @@
 #ifndef CICERO_NERF_SAMPLER_HH
 #define CICERO_NERF_SAMPLER_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "common/geometry.hh"
@@ -28,6 +29,13 @@ struct SamplerConfig
  * A binary occupancy grid over the scene bounds, baked from the analytic
  * field with one voxel of dilation. Also provides the cheap
  * ray-vs-occupancy test SPARW uses to separate void from disocclusion.
+ *
+ * The grid stores one Chebyshev distance field: each cell holds its
+ * distance in cells to the nearest raw-occupied cell (capped at 255).
+ * Raw occupancy is distance 0 and the dilated occupancy is distance
+ * <= 1; a larger distance tells both marches how many whole cells they
+ * can cross before reaching an occupied one, so they skip runs of empty
+ * cells without changing which samples they keep.
  */
 class OccupancyGrid
 {
@@ -54,19 +62,42 @@ class OccupancyGrid
      */
     bool rayHitsOccupied(const Ray &ray) const;
 
-    /** Fraction of occupied cells (diagnostics). */
+    /**
+     * Chebyshev distance in cells from the cell holding normalized
+     * position @p pn (clamped into the grid) to the nearest raw-occupied
+     * cell, capped at 255.
+     */
+    int distanceNormalized(const Vec3 &pn) const
+    {
+        return _dist[cellIndex(pn)];
+    }
+
+    /** Fraction of occupied (dilated) cells (diagnostics). */
     double occupancyFraction() const;
 
   private:
+    /**
+     * Index of cell (@p x, @p y, @p z) in @c _dist, which pads the grid
+     * with one never-occupied cell on every side.
+     */
     std::size_t idx(int x, int y, int z) const
     {
-        return (static_cast<std::size_t>(z) * _res + y) * _res + x;
+        const std::size_t pr = static_cast<std::size_t>(_res) + 2;
+        return ((z + 1) * pr + (y + 1)) * pr + (x + 1);
+    }
+
+    std::size_t
+    cellIndex(const Vec3 &pn) const
+    {
+        int x = clamp(static_cast<int>(pn.x * _res), 0, _res - 1);
+        int y = clamp(static_cast<int>(pn.y * _res), 0, _res - 1);
+        int z = clamp(static_cast<int>(pn.z * _res), 0, _res - 1);
+        return idx(x, y, z);
     }
 
     int _res;
     Aabb _bounds;
-    std::vector<char> _cells; //!< dilated occupancy (sampling)
-    std::vector<char> _raw;   //!< un-dilated occupancy (void test)
+    std::vector<std::uint8_t> _dist; //!< distance to raw occupancy, padded
 };
 
 /** One ray sample produced by the sampler. */

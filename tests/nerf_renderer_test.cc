@@ -6,6 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+
+#include "cicero/warp.hh"
+#include "common/rng.hh"
 #include "nerf/renderer.hh"
 #include "nerf/volume_renderer.hh"
 #include "test_util.hh"
@@ -154,6 +160,357 @@ TEST(SamplerTest, RespectsMaxSamples)
     Ray ray{{0.0f, 0.0f, 2.0f}, {0.0f, 0.0f, -1.0f}};
     std::vector<RaySample> out;
     EXPECT_LE(sampler.sample(ray, out), 16);
+}
+
+// ---------------------------------------------------------------------
+// Empty-space skipping: the skipping marches must keep exactly the
+// samples and verdicts of the exhaustive marches they replace. The
+// oracles below are the exhaustive loops, one lookup per step.
+// ---------------------------------------------------------------------
+
+/** The sampler's exhaustive march: one occupancy lookup per step. */
+int
+exhaustiveSample(const Aabb &bounds, const OccupancyGrid *occ,
+                 const SamplerConfig &cfg, float step, const Ray &ray,
+                 std::vector<RaySample> &out)
+{
+    out.clear();
+    auto hit = bounds.intersect(ray);
+    if (!hit)
+        return 0;
+    auto [t0, t1] = *hit;
+    Vec3 e = bounds.extent();
+    for (float t = t0 + 0.5f * step;
+         t < t1 && static_cast<int>(out.size()) < cfg.maxSamplesPerRay;
+         t += step) {
+        Vec3 p = ray.at(t);
+        Vec3 pn{(p.x - bounds.lo.x) / e.x, (p.y - bounds.lo.y) / e.y,
+                (p.z - bounds.lo.z) / e.z};
+        if (occ && !occ->occupiedNormalized(pn))
+            continue;
+        out.push_back(RaySample{p, pn, t, step});
+    }
+    return static_cast<int>(out.size());
+}
+
+/** The void test's exhaustive half-cell march over raw occupancy. */
+bool
+exhaustiveHitsOccupied(const OccupancyGrid &occ, const Ray &ray)
+{
+    const Aabb &b = occ.bounds();
+    auto hit = b.intersect(ray);
+    if (!hit)
+        return false;
+    auto [t0, t1] = *hit;
+    float step = 0.5f * (b.extent().minComponent() / occ.res());
+    for (float t = t0 + 0.5f * step; t < t1; t += step) {
+        Vec3 p = ray.at(t);
+        if (!b.contains(p))
+            continue;
+        if (occ.distanceNormalized(b.normalize(p)) == 0)
+            return true;
+    }
+    return false;
+}
+
+bool
+sameBits(float a, float b)
+{
+    std::uint32_t ua = 0, ub = 0;
+    std::memcpy(&ua, &a, sizeof ua);
+    std::memcpy(&ub, &b, sizeof ub);
+    return ua == ub;
+}
+
+bool
+sameBits(const Vec3 &a, const Vec3 &b)
+{
+    return sameBits(a.x, b.x) && sameBits(a.y, b.y) && sameBits(a.z, b.z);
+}
+
+/** Differences between the skipping and the exhaustive marches. */
+struct MarchDiff
+{
+    std::uint64_t rays = 0;
+    std::uint64_t samples = 0;        //!< samples the oracle kept
+    std::uint64_t differingRays = 0;  //!< count or any sample differs
+    std::uint64_t differingSamples = 0;
+    std::uint64_t hits = 0;           //!< oracle void-test hits
+    std::uint64_t differingVerdicts = 0;
+    bool gridOccupied = false; //!< the grid has any raw-occupied cell
+};
+
+void
+compareRay(const RaySampler &sampler, const OccupancyGrid &occ,
+           const Aabb &bounds, const Ray &ray, MarchDiff &diff)
+{
+    std::vector<RaySample> got, want;
+    int n = sampler.sample(ray, got);
+    int m = exhaustiveSample(bounds, &occ, sampler.config(),
+                             sampler.stepSize(), ray, want);
+    ++diff.rays;
+    diff.samples += want.size();
+    std::uint64_t bad = n != m ? 1 : 0;
+    for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+        const RaySample &a = got[i];
+        const RaySample &b = want[i];
+        if (!sameBits(a.pos, b.pos) || !sameBits(a.pn, b.pn) ||
+            !sameBits(a.t, b.t) || !sameBits(a.dt, b.dt))
+            ++bad;
+    }
+    diff.differingSamples += bad;
+    diff.differingRays += bad ? 1 : 0;
+
+    bool hit = exhaustiveHitsOccupied(occ, ray);
+    diff.hits += hit;
+    diff.differingVerdicts += hit != occ.rayHitsOccupied(ray);
+}
+
+/** Every pixel of four orbit views of @p scene. */
+std::vector<Ray>
+orbitViewRays(const Scene &scene, int res)
+{
+    OrbitParams orbit;
+    orbit.radius = scene.cameraDistance;
+    orbit.degPerSecond = 90.0f * orbit.fps; // a quarter turn per view
+    orbit.startDeg = 17.0f;
+    std::vector<Ray> rays;
+    for (const Pose &pose : orbitTrajectory(orbit, 4)) {
+        Camera cam = Camera::fromFov(res, res, scene.fovYDeg, pose);
+        for (int y = 0; y < res; ++y)
+            for (int x = 0; x < res; ++x)
+                rays.push_back(cam.generateRay(x, y));
+    }
+    return rays;
+}
+
+/**
+ * Hand-built rays that stress the skip bound: axis-parallel rays (two
+ * zero direction components) through cell faces and cell centres,
+ * origins inside the box and inside occupied space, grazing and
+ * reversed directions, and random rays from inside and around the box.
+ */
+std::vector<Ray>
+handBuiltRays(const Aabb &b, int res)
+{
+    std::vector<Ray> rays;
+    Vec3 e = b.extent();
+    const Vec3 axes[3] = {{1, 0, 0}, {0, 1, 0}, {0, 0, 1}};
+    for (int a = 0; a < 3; ++a) {
+        int u = (a + 1) % 3, v = (a + 2) % 3;
+        for (int i = 0; i <= res; ++i) {
+            for (float frac : {0.0f, 0.5f}) {
+                float cu = (i + frac) / res, cv = (i * 7 % res + frac) / res;
+                for (float sign : {1.0f, -1.0f}) {
+                    Vec3 o = b.center();
+                    o[a] = sign > 0 ? b.lo[a] - 0.5f : b.hi[a] + 0.5f;
+                    o[u] = b.lo[u] + e[u] * cu; // on a cell face at frac 0
+                    o[v] = b.lo[v] + e[v] * cv;
+                    rays.push_back({o, axes[a] * sign});
+                }
+            }
+        }
+    }
+    Rng rng(19);
+    for (int i = 0; i < 4000; ++i) {
+        Vec3 d{rng.normal(), rng.normal(), rng.normal()};
+        if (i % 5 == 0)
+            d[i % 3] = 0.0f; // one zero component
+        if (d.norm() < 1e-3f)
+            continue;
+        // Origins inside the box (including its centre, occupied in
+        // every test scene) and outside it.
+        Vec3 u = rng.uniformVec3();
+        Vec3 o = i % 3 == 0 ? b.center()
+                            : Vec3{b.lo.x + e.x * (2.0f * u.x - 0.5f),
+                                   b.lo.y + e.y * (2.0f * u.y - 0.5f),
+                                   b.lo.z + e.z * (2.0f * u.z - 0.5f)};
+        rays.push_back({o, d.normalized()});
+    }
+    return rays;
+}
+
+MarchDiff
+compareScene(const Scene &scene, int occupancyRes, int maxSamples = 256)
+{
+    OccupancyGrid occ(scene.field, occupancyRes, 0.5f);
+    SamplerConfig cfg;
+    cfg.maxSamplesPerRay = maxSamples;
+    RaySampler sampler(scene.field.bounds(), &occ, cfg);
+    MarchDiff diff;
+    diff.gridOccupied = occ.occupancyFraction() > 0.0;
+    for (const Ray &ray : orbitViewRays(scene, 64))
+        compareRay(sampler, occ, scene.field.bounds(), ray, diff);
+    for (const Ray &ray : handBuiltRays(scene.field.bounds(), occupancyRes))
+        compareRay(sampler, occ, scene.field.bounds(), ray, diff);
+    return diff;
+}
+
+void
+expectIdentical(const MarchDiff &d, const char *what, int res)
+{
+    SCOPED_TRACE(std::string(what) + " res " + std::to_string(res));
+    EXPECT_EQ(d.differingRays, 0u);
+    EXPECT_EQ(d.differingSamples, 0u);
+    EXPECT_EQ(d.differingVerdicts, 0u);
+    // The comparison saw real work: kept samples and both verdicts. (A
+    // res-2 grid may bake no occupied cell centre: then every march
+    // skips to its end.)
+    if (!d.gridOccupied)
+        return;
+    EXPECT_GT(d.samples, 0u);
+    EXPECT_GT(d.hits, 0u);
+    EXPECT_LT(d.hits, d.rays);
+}
+
+TEST(EmptySpaceSkipTest, SamplerAndVoidTestMatchExhaustiveMarch)
+{
+    Scene tiny = test::tinyScene();
+    Scene lego = makeScene("lego");
+    for (int res : {2, 5, 32, 64}) {
+        expectIdentical(compareScene(tiny, res), "tiny", res);
+        expectIdentical(compareScene(lego, res), "lego", res);
+    }
+}
+
+TEST(EmptySpaceSkipTest, CappedRaysMatchExhaustiveMarch)
+{
+    // maxSamplesPerRay ends the march mid-box: the skip must stop on
+    // the same sample the exhaustive march stops on.
+    Scene lego = makeScene("lego");
+    for (int cap : {1, 4, 9})
+        expectIdentical(compareScene(lego, 64, cap), "lego capped", cap);
+}
+
+TEST(EmptySpaceSkipTest, SamplerWithoutOccupancyMatchesExhaustiveMarch)
+{
+    Scene s = test::tinyScene();
+    RaySampler sampler(s.field.bounds(), nullptr, SamplerConfig{});
+    std::uint64_t bad = 0;
+    for (const Ray &ray : handBuiltRays(s.field.bounds(), 8)) {
+        std::vector<RaySample> got, want;
+        sampler.sample(ray, got);
+        exhaustiveSample(s.field.bounds(), nullptr, sampler.config(),
+                         sampler.stepSize(), ray, want);
+        bad += got.size() != want.size();
+        for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i)
+            bad += !sameBits(got[i].t, want[i].t) ||
+                   !sameBits(got[i].pos, want[i].pos);
+    }
+    EXPECT_EQ(bad, 0u);
+}
+
+TEST(EmptySpaceSkipTest, WarpHoleVerdictsMatchExhaustiveMarch)
+{
+    // Every hole pixel of one warp: disoccluded holes are exactly the
+    // pixels whose ray hits raw occupancy under the exhaustive march.
+    auto model = test::tinyModel();
+    std::vector<Pose> orbit = test::tinyOrbit(20, 60.0f);
+    Camera ref = test::tinyCamera(64, &orbit.front());
+    Camera tgt = test::tinyCamera(64, &orbit.back());
+    RenderResult r = model->render(ref);
+    const OccupancyGrid &occ = model->occupancy();
+    WarpOutput w = warpFrame(r.image, r.depth, ref, tgt, &occ,
+                             model->scene().background);
+    std::vector<char> needs(64 * 64, 0);
+    for (std::uint32_t id : w.needRender)
+        needs[id] = 1;
+    std::uint64_t holes = 0, bad = 0;
+    for (int y = 0; y < 64; ++y) {
+        for (int x = 0; x < 64; ++x) {
+            // Holes keep infinite depth: void ones are set to it and
+            // disoccluded ones await the sparse render.
+            if (std::isfinite(w.depth.at(x, y)))
+                continue;
+            ++holes;
+            Ray ray = tgt.generateRay(x, y);
+            bool want = exhaustiveHitsOccupied(occ, ray);
+            bad += want != occ.rayHitsOccupied(ray);
+            bad += want != static_cast<bool>(needs[y * 64 + x]);
+        }
+    }
+    EXPECT_EQ(holes, w.stats.voidHoles + w.stats.disoccluded);
+    EXPECT_GT(w.stats.voidHoles, 0u);
+    EXPECT_GT(w.stats.disoccluded, 0u);
+    EXPECT_EQ(bad, 0u);
+}
+
+TEST(EmptySpaceSkipTest, DistanceFieldEncodesRawAndDilatedOccupancy)
+{
+    // At every cell: distance 0 is the raw occupancy baked at the cell
+    // centre, occupiedNormalized() is the 27-neighbour dilation of it
+    // (clipped at the grid boundary), and the distance is the
+    // Chebyshev distance: 0 on raw cells, else one more than the
+    // smallest neighbour's (capped at 255).
+    Scene s = test::tinyScene();
+    for (int res : {2, 3, 32}) {
+        SCOPED_TRACE("res " + std::to_string(res));
+        OccupancyGrid occ(s.field, res, 0.5f);
+        const Aabb &b = occ.bounds();
+        Vec3 e = b.extent();
+        auto at = [res](int x, int y, int z) {
+            return (static_cast<std::size_t>(z) * res + y) * res + x;
+        };
+        std::vector<char> raw(static_cast<std::size_t>(res) * res * res);
+        std::vector<int> dist(raw.size());
+        for (int z = 0; z < res; ++z) {
+            for (int y = 0; y < res; ++y) {
+                for (int x = 0; x < res; ++x) {
+                    Vec3 p{b.lo.x + e.x * (x + 0.5f) / res,
+                           b.lo.y + e.y * (y + 0.5f) / res,
+                           b.lo.z + e.z * (z + 0.5f) / res};
+                    raw[at(x, y, z)] = s.field.density(p) > 0.5f;
+                    Vec3 pn{(x + 0.5f) / res, (y + 0.5f) / res,
+                            (z + 0.5f) / res};
+                    dist[at(x, y, z)] = occ.distanceNormalized(pn);
+                }
+            }
+        }
+        int badRaw = 0, badDilated = 0, badDist = 0;
+        for (int z = 0; z < res; ++z) {
+            for (int y = 0; y < res; ++y) {
+                for (int x = 0; x < res; ++x) {
+                    bool dilated = false;
+                    int nearest = 255;
+                    for (int dz = -1; dz <= 1; ++dz) {
+                        for (int dy = -1; dy <= 1; ++dy) {
+                            for (int dx = -1; dx <= 1; ++dx) {
+                                int nx = x + dx, ny = y + dy, nz = z + dz;
+                                if (nx < 0 || ny < 0 || nz < 0 ||
+                                    nx >= res || ny >= res || nz >= res)
+                                    continue;
+                                dilated |= raw[at(nx, ny, nz)] != 0;
+                                if (dx || dy || dz)
+                                    nearest = std::min(
+                                        nearest, dist[at(nx, ny, nz)]);
+                            }
+                        }
+                    }
+                    std::size_t i = at(x, y, z);
+                    Vec3 pn{(x + 0.5f) / res, (y + 0.5f) / res,
+                            (z + 0.5f) / res};
+                    badRaw += (dist[i] == 0) != (raw[i] != 0);
+                    badDilated += occ.occupiedNormalized(pn) != dilated;
+                    int want = raw[i] ? 0 : std::min(255, nearest + 1);
+                    badDist += dist[i] != want;
+                }
+            }
+        }
+        EXPECT_EQ(badRaw, 0);
+        EXPECT_EQ(badDilated, 0);
+        EXPECT_EQ(badDist, 0);
+    }
+}
+
+TEST(EmptySpaceSkipTest, OccupancyFractionPinned)
+{
+    // Dilated-cell counts of the default 64^3 grid, as baked by the
+    // two-array (raw + dilated) grid the distance field replaced.
+    const std::size_t cells = 64 * 64 * 64;
+    OccupancyGrid lego(makeScene("lego").field, 64, 0.5f);
+    OccupancyGrid ship(makeScene("ship").field, 64, 0.5f);
+    EXPECT_EQ(lego.occupancyFraction(), 19352.0 / cells);
+    EXPECT_EQ(ship.occupancyFraction(), 41868.0 / cells);
 }
 
 TEST(RendererTest, QualityAgainstGroundTruth)
