@@ -2,8 +2,9 @@
  * @file
  * Micro-benchmarks (google-benchmark) for the hot kernels of the
  * functional stack: the sampler's march and SPARW's void test
- * (Indexing), feature gathers per encoding, the decoder MLP, warping,
- * compositing and the memory-model sinks.
+ * (Indexing), the hash- and dense-grid bakes (model setup), feature
+ * gathers per encoding, the decoder MLP, warping, compositing and the
+ * memory-model sinks.
  *
  * The JSON context carries a "simd_backend" key (avx2|neon|scalar —
  * the backend the process actually dispatches to, so a
@@ -377,6 +378,49 @@ BM_OccupancyVoidTest(benchmark::State &state)
     state.counters["s_per_hole"] = perItem(holes.size());
 }
 BENCHMARK(BM_OccupancyVoidTest)->Unit(benchmark::kMicrosecond);
+
+/**
+ * Setup: the Fast-preset bakes of lego on the pool — Instant-NGP's
+ * residual hash pyramid (every level's vertices) and DirectVoxGO's
+ * 96^3-voxel dense grid.
+ */
+void
+BM_HashGridBake(benchmark::State &state)
+{
+    const AnalyticField &field = benchScene().field;
+    HashGridEncoding grid; // the Fast preset's configuration
+    std::size_t verts = 0;
+    for (int l = 0; l < grid.config().numLevels; ++l) {
+        std::size_t v = grid.levelRes(l) + 1;
+        verts += v * v * v;
+    }
+    for (auto _ : state) {
+        grid.bake(field);
+        benchmark::DoNotOptimize(grid.levelData(0, 0));
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * verts);
+    state.counters["s_per_vertex"] = perItem(verts);
+}
+BENCHMARK(BM_HashGridBake)->Unit(benchmark::kMillisecond);
+
+void
+BM_DenseGridBake(benchmark::State &state)
+{
+    const AnalyticField &field = benchScene().field;
+    const int n = 96; // the Fast preset's DirectVoxGO grid
+    DenseGridEncoding grid(n);
+    const std::size_t verts =
+        static_cast<std::size_t>(n + 1) * (n + 1) * (n + 1);
+    for (auto _ : state) {
+        grid.bake(field);
+        benchmark::DoNotOptimize(grid.vertexData(0, 0, 0));
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * verts);
+    state.counters["s_per_vertex"] = perItem(verts);
+}
+BENCHMARK(BM_DenseGridBake)->Unit(benchmark::kMillisecond);
 
 void
 BM_LruCacheSink(benchmark::State &state)

@@ -5,6 +5,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/parallel.hh"
 #include "common/simd.hh"
 
 namespace cicero {
@@ -44,19 +45,23 @@ DenseGridEncoding::interpOpsPerSample() const
 void
 DenseGridEncoding::bake(const AnalyticField &field)
 {
+    // z-planes bake on the pool; every vertex writes only its own
+    // storage, so the grid is bit-identical at any thread count.
     const Aabb &b = field.bounds();
     Vec3 e = b.extent();
-    for (int iz = 0; iz < _v; ++iz) {
-        for (int iy = 0; iy < _v; ++iy) {
-            for (int ix = 0; ix < _v; ++ix) {
-                Vec3 p{b.lo.x + e.x * ix / _n, b.lo.y + e.y * iy / _n,
-                       b.lo.z + e.z * iz / _n};
-                BakedPoint bp = field.bakePoint(p);
-                encodeBakedPoint(bp,
-                                 _data.data() + storageIndex(ix, iy, iz));
+    parallelFor(0, _v, 1, [&](std::int64_t z0, std::int64_t z1) {
+        for (int iz = static_cast<int>(z0); iz < z1; ++iz) {
+            for (int iy = 0; iy < _v; ++iy) {
+                for (int ix = 0; ix < _v; ++ix) {
+                    Vec3 p{b.lo.x + e.x * ix / _n, b.lo.y + e.y * iy / _n,
+                           b.lo.z + e.z * iz / _n};
+                    BakedPoint bp = field.bakePoint(p);
+                    encodeBakedPoint(
+                        bp, _data.data() + storageIndex(ix, iy, iz));
+                }
             }
         }
-    }
+    });
     if (_featuresFp16)
         quantizeFeaturesFp16(); // sticky: re-bakes stay 2-byte-valued
 }

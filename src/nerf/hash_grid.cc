@@ -5,6 +5,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/parallel.hh"
 #include "common/simd.hh"
 
 namespace cicero {
@@ -348,10 +349,15 @@ HashGridEncoding::bake(const AnalyticField &field)
     // Residual-pyramid bake: level l stores (target - reconstruction of
     // levels < l) at its vertices. Hashed levels accumulate colliding
     // vertices and average them — real Instant-NGP collision behaviour.
+    //
+    // Levels run in order (level l reconstructs from levels < l); within
+    // a level the pool splits the slot range into parts. Each part scans
+    // the vertices in (iz, iy, ix) order and bakes only those whose slot
+    // it owns, so every slot sums its colliding vertices in the same
+    // order on one thread — the tables are bit-identical whatever the
+    // partition or thread count.
     const Aabb &b = field.bounds();
     Vec3 e = b.extent();
-    std::vector<float> target(kFeatureDim);
-    std::vector<float> recon(kFeatureDim);
 
     for (int l = 0; l < _config.numLevels; ++l) {
         Level &lvl = _levels[l];
@@ -359,41 +365,55 @@ HashGridEncoding::bake(const AnalyticField &field)
             static_cast<std::size_t>(lvl.slots) * kFeatureDim, 0.0f);
         std::vector<std::uint32_t> count(lvl.slots, 0);
 
-        int v = lvl.res + 1;
-        for (int iz = 0; iz < v; ++iz) {
-            for (int iy = 0; iy < v; ++iy) {
-                for (int ix = 0; ix < v; ++ix) {
-                    Vec3 pn{static_cast<float>(ix) / lvl.res,
-                            static_cast<float>(iy) / lvl.res,
-                            static_cast<float>(iz) / lvl.res};
-                    Vec3 p{b.lo.x + e.x * pn.x, b.lo.y + e.y * pn.y,
-                           b.lo.z + e.z * pn.z};
-                    BakedPoint bp = field.bakePoint(p);
-                    encodeBakedPoint(bp, target.data());
-                    gatherUpto(pn, l, recon.data());
+        const int v = lvl.res + 1;
+        const std::int64_t plane = static_cast<std::int64_t>(v) * v;
+        const std::int64_t parts = 4 * parallelThreadCount();
+        const std::int64_t grain = (lvl.slots + parts - 1) / parts;
+        parallelFor(0, lvl.slots, grain, [&](std::int64_t s0,
+                                             std::int64_t s1) {
+            // A dense level's slot is the linear vertex index, so its
+            // part visits only the z-planes its slots lie in.
+            const int zBegin = lvl.dense ? static_cast<int>(s0 / plane) : 0;
+            const int zEnd =
+                lvl.dense ? static_cast<int>((s1 - 1) / plane) + 1 : v;
+            float target[kFeatureDim];
+            float recon[kFeatureDim];
+            for (int iz = zBegin; iz < zEnd; ++iz) {
+                for (int iy = 0; iy < v; ++iy) {
+                    for (int ix = 0; ix < v; ++ix) {
+                        std::uint32_t slot = slotOf(lvl, ix, iy, iz);
+                        if (slot < s0 || slot >= s1)
+                            continue;
+                        Vec3 pn{static_cast<float>(ix) / lvl.res,
+                                static_cast<float>(iy) / lvl.res,
+                                static_cast<float>(iz) / lvl.res};
+                        Vec3 p{b.lo.x + e.x * pn.x, b.lo.y + e.y * pn.y,
+                               b.lo.z + e.z * pn.z};
+                        encodeBakedPoint(field.bakePoint(p), target);
+                        gatherUpto(pn, l, recon);
 
-                    std::uint32_t slot = slotOf(lvl, ix, iy, iz);
-                    float *dst =
-                        sum.data() +
-                        static_cast<std::size_t>(slot) * kFeatureDim;
-                    for (int ch = 0; ch < kFeatureDim; ++ch)
-                        dst[ch] += target[ch] - recon[ch];
-                    ++count[slot];
+                        float *dst =
+                            sum.data() +
+                            static_cast<std::size_t>(slot) * kFeatureDim;
+                        for (int ch = 0; ch < kFeatureDim; ++ch)
+                            dst[ch] += target[ch] - recon[ch];
+                        ++count[slot];
+                    }
                 }
             }
-        }
 
-        for (std::uint32_t s = 0; s < lvl.slots; ++s) {
-            if (count[s] == 0)
-                continue;
-            float inv = 1.0f / count[s];
-            float *dst =
-                lvl.data.data() + static_cast<std::size_t>(s) * kFeatureDim;
-            const float *src =
-                sum.data() + static_cast<std::size_t>(s) * kFeatureDim;
-            for (int ch = 0; ch < kFeatureDim; ++ch)
-                dst[ch] = src[ch] * inv;
-        }
+            for (std::int64_t s = s0; s < s1; ++s) {
+                if (count[s] == 0)
+                    continue;
+                float inv = 1.0f / count[s];
+                float *dst = lvl.data.data() +
+                             static_cast<std::size_t>(s) * kFeatureDim;
+                const float *src =
+                    sum.data() + static_cast<std::size_t>(s) * kFeatureDim;
+                for (int ch = 0; ch < kFeatureDim; ++ch)
+                    dst[ch] = src[ch] * inv;
+            }
+        });
     }
 
     if (_featuresFp16)
@@ -453,8 +473,7 @@ HashGridEncoding::streamingFootprint(
                     std::uint64_t bz = (z0 + ((c >> 2) & 1)) / bv;
                     std::uint64_t blk =
                         (bz * blocksPerAxis + by) * blocksPerAxis + bx;
-                    touched.insert((static_cast<std::uint64_t>(l) << 48) |
-                                   blk);
+                    touched.insert(blk);
                     bool dup = false;
                     for (int i = 0; i < nSeen; ++i)
                         dup = dup || seen[i] == blk;
@@ -463,8 +482,6 @@ HashGridEncoding::streamingFootprint(
                 }
                 plan.ritEntries += nSeen;
             }
-            // Count only this level's blocks (the set is level-tagged, so
-            // tally per level by size delta — simpler: accumulate at end).
             plan.streamedBytes += touched.size() * blockBytes;
         } else {
             // Hashed level: reverts to the original (random) data flow.

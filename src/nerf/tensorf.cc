@@ -5,6 +5,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/parallel.hh"
 #include "common/simd.hh"
 
 namespace cicero {
@@ -52,7 +53,7 @@ TensoRFEncoding::interpOpsPerSample() const
 }
 
 float &
-TensoRFEncoding::planeAt(int g, int u, int v, int r, int ch)
+TensoRFEncoding::planeRef(int g, int u, int v, int r, int ch)
 {
     std::size_t texel = static_cast<std::size_t>(v) * _config.res + u;
     return _planes[g][(texel * _config.ranks + r) * kFeatureDim + ch];
@@ -66,7 +67,7 @@ TensoRFEncoding::planeAt(int g, int u, int v, int r, int ch) const
 }
 
 float &
-TensoRFEncoding::lineAt(int g, int w, int r, int ch)
+TensoRFEncoding::lineRef(int g, int w, int r, int ch)
 {
     return _lines[g][(static_cast<std::size_t>(w) * _config.ranks + r) *
                          kFeatureDim +
@@ -119,13 +120,14 @@ TensoRFEncoding::bake(const AnalyticField &field)
 
     // Dense ground-truth tensor, one slab of channels at a time is not
     // needed — all channels fit comfortably for the working resolutions.
+    // z-planes sample on the pool, each writing only its own entries.
     std::vector<std::vector<float>> dense(
         kFeatureDim,
         std::vector<float>(static_cast<std::size_t>(n) * n * n));
-    {
+    parallelFor(0, n, 1, [&](std::int64_t z0, std::int64_t z1) {
         float feat[kFeatureDim];
-        std::size_t i = 0;
-        for (int z = 0; z < n; ++z) {
+        std::size_t i = static_cast<std::size_t>(z0) * n * n;
+        for (int z = static_cast<int>(z0); z < z1; ++z) {
             for (int y = 0; y < n; ++y) {
                 for (int x = 0; x < n; ++x, ++i) {
                     Vec3 p{b.lo.x + e.x * x / (n - 1),
@@ -137,7 +139,7 @@ TensoRFEncoding::bake(const AnalyticField &field)
                 }
             }
         }
-    }
+    });
 
     auto at = [n](const std::vector<float> &t, int x, int y, int z) {
         return t[(static_cast<std::size_t>(z) * n + y) * n + x];
@@ -150,10 +152,13 @@ TensoRFEncoding::bake(const AnalyticField &field)
         return std::array<int, 3>{xyz[0], xyz[1], xyz[2]};
     };
 
-    std::vector<float> plane(static_cast<std::size_t>(n) * n);
-    std::vector<float> line(n);
-
-    for (int ch = 0; ch < kFeatureDim; ++ch) {
+    // The channels fit on the pool: each deflates only its own residual
+    // and writes disjoint plane/line entries, so the fit is the same at
+    // any thread count.
+    parallelForOuter(kFeatureDim, [&](std::int64_t task) {
+        const int ch = static_cast<int>(task);
+        std::vector<float> plane(static_cast<std::size_t>(n) * n);
+        std::vector<float> line(n);
         std::vector<float> &residual = dense[ch];
         for (int g = 0; g < 3; ++g) {
             for (int r = 0; r < R; ++r) {
@@ -200,10 +205,10 @@ TensoRFEncoding::bake(const AnalyticField &field)
                 // Store the component and deflate the residual.
                 for (int v = 0; v < n; ++v)
                     for (int u = 0; u < n; ++u)
-                        planeAt(g, u, v, r, ch) =
+                        planeRef(g, u, v, r, ch) =
                             plane[static_cast<std::size_t>(v) * n + u];
                 for (int w = 0; w < n; ++w)
-                    lineAt(g, w, r, ch) = line[w];
+                    lineRef(g, w, r, ch) = line[w];
                 for (int w = 0; w < n; ++w) {
                     for (int v = 0; v < n; ++v) {
                         for (int u = 0; u < n; ++u) {
@@ -219,7 +224,7 @@ TensoRFEncoding::bake(const AnalyticField &field)
                 }
             }
         }
-    }
+    });
 
     if (_featuresFp16)
         applyFp16Quantization(); // sticky: re-bakes stay 2-byte-valued
@@ -459,9 +464,9 @@ TensoRFEncoding::applyFp16Quantization()
                 const float inv = 1.0f / a;
                 for (int v = 0; v < res; ++v)
                     for (int u = 0; u < res; ++u)
-                        planeAt(g, u, v, r, ch) *= a;
+                        planeRef(g, u, v, r, ch) *= a;
                 for (int w = 0; w < res; ++w)
-                    lineAt(g, w, r, ch) *= inv;
+                    lineRef(g, w, r, ch) *= inv;
             }
         }
         simd::roundBufferThroughFp16(_planes[g].data(), _planes[g].size());

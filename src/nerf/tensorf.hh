@@ -68,6 +68,11 @@ class TensoRFEncoding : public Encoding
     /** Whether feature storage has been quantized to fp16 values. */
     bool featuresFp16() const { return _featuresFp16; }
 
+    /** Channel @p ch of rank @p r of grouping @p g's plane at (u, v). */
+    float planeAt(int g, int u, int v, int r, int ch) const;
+    /** Channel @p ch of rank @p r of grouping @p g's line at @p w. */
+    float lineAt(int g, int w, int r, int ch) const;
+
   private:
     /** Bytes of one plane texel (ranks x channels). */
     std::uint32_t texelBytes() const
@@ -75,10 +80,8 @@ class TensoRFEncoding : public Encoding
         return _config.ranks * kFeatureDim * kBytesPerChannel;
     }
 
-    float &planeAt(int g, int u, int v, int r, int ch);
-    float planeAt(int g, int u, int v, int r, int ch) const;
-    float &lineAt(int g, int w, int r, int ch);
-    float lineAt(int g, int w, int r, int ch) const;
+    float &planeRef(int g, int u, int v, int r, int ch);
+    float &lineRef(int g, int w, int r, int ch);
 
     std::uint64_t planeBase(int g) const;
     std::uint64_t lineBase(int g) const;

@@ -54,7 +54,9 @@ SharedModelCache::acquire(const ModelKey &key)
 
     // Build outside the cache lock so different keys bake in parallel;
     // the per-entry latch makes concurrent first-acquires of one key
-    // build once and share.
+    // build once and share. A pool task must not call acquire(): while
+    // the bake's nested parallelFor drains help-first under this latch,
+    // it may pop an older task from its own lane that blocks on it.
     {
         std::lock_guard<std::mutex> lock(entry->buildMu);
         if (!entry->built) {

@@ -2,12 +2,15 @@
  * @file
  * Determinism tests for the tile-parallel render engine: a render at
  * CICERO_THREADS=1 and at N threads must produce bit-identical images,
- * depth maps and StageWork counters, and the batched MLP/decoder paths
- * must be bit-identical to their scalar counterparts.
+ * depth maps and StageWork counters, the batched MLP/decoder paths
+ * must be bit-identical to their scalar counterparts, and every
+ * encoding's pool-parallel bake must store the tables of its serial
+ * loop at any thread count.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -18,6 +21,7 @@
 #include "memory/cache_model.hh"
 #include "memory/dram_model.hh"
 #include "nerf/mlp.hh"
+#include "nerf/tensorf.hh"
 #include "test_util.hh"
 
 namespace cicero {
@@ -515,6 +519,358 @@ TEST(ParallelDeterminismTest, Fp16DecoderStaysBatchScalarIdentical)
         encodeBakedPoint(pt, features.data() + b * kFeatureDim);
     }
     expectSoADecodeMatchesScalar(decoder, features, count, viewDir);
+}
+
+// --- Bake determinism: each encoding's bake runs on the pool, and the
+// --- oracles below are the serial loops it replaced.
+
+/** Floats of @p a and @p b (@p n each) whose bit patterns differ. */
+int
+bitMismatches(const float *a, const float *b, std::size_t n)
+{
+    int mismatches = 0;
+    for (std::size_t i = 0; i < n; ++i)
+        mismatches += std::memcmp(a + i, b + i, sizeof(float)) != 0;
+    return mismatches;
+}
+
+/**
+ * The serial residual-pyramid bake: levels in order, vertices in
+ * (iz, iy, ix) order, each slot summing its colliding vertices in that
+ * order before averaging. @p shape supplies the level geometry and slot
+ * mapping only; the returned tables hold one vector per level.
+ */
+std::vector<std::vector<float>>
+serialHashGridBake(const HashGridEncoding &shape, const AnalyticField &field)
+{
+    const int levels = shape.config().numLevels;
+    std::vector<std::vector<float>> tables(levels);
+    auto reconstruct = [&](const Vec3 &pn, int upto, float *out) {
+        for (int ch = 0; ch < kFeatureDim; ++ch)
+            out[ch] = 0.0f;
+        for (int l = 0; l < upto; ++l) {
+            const int res = shape.levelRes(l);
+            float fx = clamp(pn.x, 0.0f, 1.0f) * res;
+            float fy = clamp(pn.y, 0.0f, 1.0f) * res;
+            float fz = clamp(pn.z, 0.0f, 1.0f) * res;
+            int x0 = std::min(static_cast<int>(fx), res - 1);
+            int y0 = std::min(static_cast<int>(fy), res - 1);
+            int z0 = std::min(static_cast<int>(fz), res - 1);
+            float tx = fx - x0;
+            float ty = fy - y0;
+            float tz = fz - z0;
+            for (int c = 0; c < 8; ++c) {
+                int dx = c & 1;
+                int dy = (c >> 1) & 1;
+                int dz = (c >> 2) & 1;
+                float w = (dx ? tx : 1.0f - tx) * (dy ? ty : 1.0f - ty) *
+                          (dz ? tz : 1.0f - tz);
+                const float *v =
+                    tables[l].data() +
+                    static_cast<std::size_t>(shape.levelSlot(
+                        l, x0 + dx, y0 + dy, z0 + dz)) *
+                        kFeatureDim;
+                for (int ch = 0; ch < kFeatureDim; ++ch)
+                    out[ch] += w * v[ch];
+            }
+        }
+    };
+
+    const Aabb &b = field.bounds();
+    Vec3 e = b.extent();
+    float target[kFeatureDim];
+    float recon[kFeatureDim];
+    for (int l = 0; l < levels; ++l) {
+        const int res = shape.levelRes(l);
+        const std::uint32_t slots = shape.levelSlots(l);
+        std::vector<float> sum(static_cast<std::size_t>(slots) * kFeatureDim,
+                               0.0f);
+        std::vector<std::uint32_t> count(slots, 0);
+        for (int iz = 0; iz <= res; ++iz) {
+            for (int iy = 0; iy <= res; ++iy) {
+                for (int ix = 0; ix <= res; ++ix) {
+                    Vec3 pn{static_cast<float>(ix) / res,
+                            static_cast<float>(iy) / res,
+                            static_cast<float>(iz) / res};
+                    Vec3 p{b.lo.x + e.x * pn.x, b.lo.y + e.y * pn.y,
+                           b.lo.z + e.z * pn.z};
+                    encodeBakedPoint(field.bakePoint(p), target);
+                    reconstruct(pn, l, recon);
+                    std::uint32_t slot = shape.levelSlot(l, ix, iy, iz);
+                    for (int ch = 0; ch < kFeatureDim; ++ch)
+                        sum[static_cast<std::size_t>(slot) * kFeatureDim +
+                            ch] += target[ch] - recon[ch];
+                    ++count[slot];
+                }
+            }
+        }
+        tables[l].assign(sum.size(), 0.0f);
+        for (std::uint32_t s = 0; s < slots; ++s) {
+            if (count[s] == 0)
+                continue;
+            float inv = 1.0f / count[s];
+            for (int ch = 0; ch < kFeatureDim; ++ch) {
+                std::size_t i = static_cast<std::size_t>(s) * kFeatureDim + ch;
+                tables[l][i] = sum[i] * inv;
+            }
+        }
+    }
+    return tables;
+}
+
+/** The serial dense-grid bake of an @p n-voxel grid, x-fastest. */
+std::vector<float>
+serialDenseGridBake(int n, const AnalyticField &field)
+{
+    const int v = n + 1;
+    std::vector<float> data(static_cast<std::size_t>(v) * v * v *
+                            kFeatureDim);
+    const Aabb &b = field.bounds();
+    Vec3 e = b.extent();
+    for (int iz = 0; iz < v; ++iz)
+        for (int iy = 0; iy < v; ++iy)
+            for (int ix = 0; ix < v; ++ix) {
+                Vec3 p{b.lo.x + e.x * ix / n, b.lo.y + e.y * iy / n,
+                       b.lo.z + e.z * iz / n};
+                encodeBakedPoint(
+                    field.bakePoint(p),
+                    data.data() +
+                        ((static_cast<std::size_t>(iz) * v + iy) * v + ix) *
+                            kFeatureDim);
+            }
+    return data;
+}
+
+/** A TensoRF fit laid out like TensoRFEncoding's planes and lines. */
+struct TensoRFTables
+{
+    int n = 0;
+    int ranks = 0;
+    std::vector<float> planes[3];
+    std::vector<float> lines[3];
+
+    float &
+    planeAt(int g, int u, int v, int r, int ch)
+    {
+        return planes[g][((static_cast<std::size_t>(v) * n + u) * ranks + r) *
+                             kFeatureDim +
+                         ch];
+    }
+
+    float &
+    lineAt(int g, int w, int r, int ch)
+    {
+        return lines[g][(static_cast<std::size_t>(w) * ranks + r) *
+                            kFeatureDim +
+                        ch];
+    }
+};
+
+/**
+ * The serial TensoRF bake: the dense ground truth, then per channel,
+ * grouping and rank a rank-1 plane x line fit by alternating
+ * projections, deflating the channel's residual after each component.
+ */
+TensoRFTables
+serialTensoRFBake(const TensoRFConfig &cfg, const AnalyticField &field)
+{
+    static constexpr int kU[3] = {0, 0, 1};
+    static constexpr int kV[3] = {1, 2, 2};
+    static constexpr int kW[3] = {2, 1, 0};
+    const int n = cfg.res;
+    const int R = cfg.ranks;
+    const Aabb &b = field.bounds();
+    Vec3 e = b.extent();
+
+    std::vector<std::vector<float>> dense(
+        kFeatureDim, std::vector<float>(static_cast<std::size_t>(n) * n * n));
+    float feat[kFeatureDim];
+    std::size_t i = 0;
+    for (int z = 0; z < n; ++z)
+        for (int y = 0; y < n; ++y)
+            for (int x = 0; x < n; ++x, ++i) {
+                Vec3 p{b.lo.x + e.x * x / (n - 1), b.lo.y + e.y * y / (n - 1),
+                       b.lo.z + e.z * z / (n - 1)};
+                encodeBakedPoint(field.bakePoint(p), feat);
+                for (int ch = 0; ch < kFeatureDim; ++ch)
+                    dense[ch][i] = feat[ch];
+            }
+
+    TensoRFTables t;
+    t.n = n;
+    t.ranks = R;
+    for (int g = 0; g < 3; ++g) {
+        t.planes[g].assign(static_cast<std::size_t>(n) * n * R * kFeatureDim,
+                           0.0f);
+        t.lines[g].assign(static_cast<std::size_t>(n) * R * kFeatureDim,
+                          0.0f);
+    }
+    auto cell = [n](int u, int v, int w, int g) {
+        int xyz[3];
+        xyz[kU[g]] = u;
+        xyz[kV[g]] = v;
+        xyz[kW[g]] = w;
+        return (static_cast<std::size_t>(xyz[2]) * n + xyz[1]) * n + xyz[0];
+    };
+    std::vector<float> plane(static_cast<std::size_t>(n) * n);
+    std::vector<float> line(n);
+    for (int ch = 0; ch < kFeatureDim; ++ch) {
+        std::vector<float> &residual = dense[ch];
+        for (int g = 0; g < 3; ++g) {
+            for (int r = 0; r < R; ++r) {
+                std::fill(line.begin(), line.end(), 1.0f);
+                for (int it = 0; it < cfg.alsIters; ++it) {
+                    float lineSq = 0.0f;
+                    for (int w = 0; w < n; ++w)
+                        lineSq += line[w] * line[w];
+                    if (lineSq < 1e-20f)
+                        break;
+                    for (int v = 0; v < n; ++v)
+                        for (int u = 0; u < n; ++u) {
+                            float acc = 0.0f;
+                            for (int w = 0; w < n; ++w)
+                                acc += residual[cell(u, v, w, g)] * line[w];
+                            plane[static_cast<std::size_t>(v) * n + u] =
+                                acc / lineSq;
+                        }
+                    float planeSq = 0.0f;
+                    for (float pv : plane)
+                        planeSq += pv * pv;
+                    if (planeSq < 1e-20f)
+                        break;
+                    for (int w = 0; w < n; ++w) {
+                        float acc = 0.0f;
+                        for (int v = 0; v < n; ++v)
+                            for (int u = 0; u < n; ++u)
+                                acc += residual[cell(u, v, w, g)] *
+                                       plane[static_cast<std::size_t>(v) * n +
+                                             u];
+                        line[w] = acc / planeSq;
+                    }
+                }
+                for (int v = 0; v < n; ++v)
+                    for (int u = 0; u < n; ++u)
+                        t.planeAt(g, u, v, r, ch) =
+                            plane[static_cast<std::size_t>(v) * n + u];
+                for (int w = 0; w < n; ++w)
+                    t.lineAt(g, w, r, ch) = line[w];
+                for (int w = 0; w < n; ++w)
+                    for (int v = 0; v < n; ++v)
+                        for (int u = 0; u < n; ++u)
+                            residual[cell(u, v, w, g)] -=
+                                plane[static_cast<std::size_t>(v) * n + u] *
+                                line[w];
+            }
+        }
+    }
+    return t;
+}
+
+/** The pool sizes every bake runs at: serial, odd, even, oversubscribed. */
+constexpr int kBakeThreadCounts[] = {1, 3, 4, 7};
+
+void
+expectHashGridBakeMatchesSerial(const HashGridConfig &cfg)
+{
+    ThreadCountGuard guard;
+    Scene scene = test::tinyScene();
+    const auto expected =
+        serialHashGridBake(HashGridEncoding(cfg), scene.field);
+    for (int threads : kBakeThreadCounts) {
+        setParallelThreadCount(threads);
+        HashGridEncoding enc(cfg);
+        enc.bake(scene.field);
+        for (int l = 0; l < cfg.numLevels; ++l)
+            EXPECT_EQ(bitMismatches(enc.levelData(l, 0),
+                                    expected[l].data(), expected[l].size()),
+                      0)
+                << "level " << l << " at " << threads << " threads";
+    }
+}
+
+TEST(BakeDeterminismTest, HashGridFastConfigMatchesSerialBake)
+{
+    expectHashGridBakeMatchesSerial(HashGridConfig{});
+}
+
+TEST(BakeDeterminismTest, CollisionHeavyHashGridMatchesSerialBake)
+{
+    // A prime table size takes the modulo slot path, and the finest
+    // level maps about 16 vertices to every slot.
+    HashGridConfig cfg;
+    cfg.numLevels = 4;
+    cfg.baseRes = 6;
+    cfg.perLevelScale = 1.6f;
+    cfg.tableSize = 997;
+    HashGridEncoding shape(cfg);
+    ASSERT_FALSE(shape.levelDense(1));
+    const int v = shape.levelRes(3) + 1;
+    ASSERT_GT(v * v * v, 15 * static_cast<int>(cfg.tableSize));
+    expectHashGridBakeMatchesSerial(cfg);
+}
+
+TEST(BakeDeterminismTest, DenseGridMatchesSerialBakeInBothLayouts)
+{
+    ThreadCountGuard guard;
+    Scene scene = test::tinyScene();
+    const int n = 24;
+    const int v = n + 1;
+    const std::vector<float> expected = serialDenseGridBake(n, scene.field);
+    for (GridLayout layout :
+         {GridLayout::Linear, GridLayout::MVoxelBlocked}) {
+        for (int threads : kBakeThreadCounts) {
+            setParallelThreadCount(threads);
+            DenseGridEncoding enc(n, layout);
+            enc.bake(scene.field);
+            int mismatches = 0;
+            for (int iz = 0; iz < v; ++iz)
+                for (int iy = 0; iy < v; ++iy)
+                    for (int ix = 0; ix < v; ++ix)
+                        mismatches += bitMismatches(
+                            enc.vertexData(ix, iy, iz),
+                            expected.data() +
+                                ((static_cast<std::size_t>(iz) * v + iy) * v +
+                                 ix) *
+                                    kFeatureDim,
+                            kFeatureDim);
+            EXPECT_EQ(mismatches, 0)
+                << "layout " << static_cast<int>(layout) << " at "
+                << threads << " threads";
+        }
+    }
+}
+
+TEST(BakeDeterminismTest, TensoRFMatchesSerialBake)
+{
+    ThreadCountGuard guard;
+    Scene scene = test::tinyScene();
+    TensoRFConfig cfg;
+    cfg.res = 16;
+    cfg.ranks = 2;
+    TensoRFTables expected = serialTensoRFBake(cfg, scene.field);
+    const int n = cfg.res;
+    for (int threads : kBakeThreadCounts) {
+        setParallelThreadCount(threads);
+        TensoRFEncoding enc(cfg);
+        enc.bake(scene.field);
+        int mismatches = 0;
+        for (int g = 0; g < 3; ++g)
+            for (int r = 0; r < cfg.ranks; ++r)
+                for (int ch = 0; ch < kFeatureDim; ++ch) {
+                    for (int v = 0; v < n; ++v)
+                        for (int u = 0; u < n; ++u) {
+                            float got = enc.planeAt(g, u, v, r, ch);
+                            mismatches += bitMismatches(
+                                &got, &expected.planeAt(g, u, v, r, ch), 1);
+                        }
+                    for (int w = 0; w < n; ++w) {
+                        float got = enc.lineAt(g, w, r, ch);
+                        mismatches += bitMismatches(
+                            &got, &expected.lineAt(g, w, r, ch), 1);
+                    }
+                }
+        EXPECT_EQ(mismatches, 0) << "at " << threads << " threads";
+    }
 }
 
 } // namespace
