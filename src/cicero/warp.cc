@@ -41,8 +41,6 @@ warpImpl(const Image &refImage, const DepthMap &refDepth,
     std::vector<float> zbuf(numPixels, kInfiniteDepth);
     std::vector<float> wacc(numPixels, 0.0f);
     std::vector<Vec3> cacc(numPixels);
-    std::vector<float> bestZ(numPixels, kInfiniteDepth);
-    std::vector<Vec3> bestColor(numPixels);
 
     // Eq. (2): point cloud transform ref-camera -> target-camera frame.
     Mat4 refToTgt = refCam.pose.transformTo(tgtCam.pose);
@@ -215,10 +213,6 @@ warpImpl(const Image &refImage, const DepthMap &refDepth,
                 if (s.z <= zbuf[idx] + s.tol) {
                     wacc[idx] += w;
                     cacc[idx] += color * w;
-                }
-                if (s.z < bestZ[idx]) {
-                    bestZ[idx] = s.z;
-                    bestColor[idx] = color;
                 }
             }
         }

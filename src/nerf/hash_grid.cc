@@ -95,7 +95,11 @@ HashGridEncoding::slotOf(const Level &lvl, int ix, int iy, int iz) const
     if (lvl.dense) {
         return (static_cast<std::uint32_t>(iz) * v + iy) * v + ix;
     }
-    return spatialHash(ix, iy, iz) % lvl.slots;
+    // A power-of-two table masks, as the vector kernel does: for an
+    // unsigned hash, h % 2^k == h & (2^k - 1).
+    const std::uint32_t h = spatialHash(ix, iy, iz);
+    return (lvl.slots & (lvl.slots - 1)) == 0 ? h & (lvl.slots - 1)
+                                               : h % lvl.slots;
 }
 
 void
@@ -186,10 +190,10 @@ HashGridEncoding::gatherFeatureBatch(const Vec3 *pn, int n,
     using simd::VecF;
     using simd::VecI;
     constexpr int L = VecF::kLanes;
-
-    for (std::size_t i = 0;
-         i < static_cast<std::size_t>(n) * kFeatureDim; ++i)
-        out[i] = 0.0f;
+    // A vertex row's kFeatureDim contiguous channels: kRowVecs vector
+    // loads, then kRowTail channels read one by one.
+    constexpr int kRowVecs = kFeatureDim / L;
+    constexpr int kRowTail = kFeatureDim % L;
 
     // The vector kernel indexes with int32 lanes: a table whose scaled
     // element index could exceed INT32_MAX must take the scalar path
@@ -201,34 +205,42 @@ HashGridEncoding::gatherFeatureBatch(const Vec3 *pn, int n,
                     static_cast<std::uint64_t>(lvl.slots) * kFeatureDim <=
                         0x7fffffffull;
 
-    if (!simd::simdActive() || n < L || !indexable) {
-        gatherBatchScalar(pn, 0, n, n, out);
-        return;
-    }
+    const int nBlocks =
+        simd::simdActive() && indexable ? n / L * L : 0;
+    // The scalar sweep accumulates into its columns [nBlocks, n).
+    for (int ch = 0; ch < kFeatureDim; ++ch)
+        for (int s = nBlocks; s < n; ++s)
+            out[static_cast<std::size_t>(ch) * n + s] = 0.0f;
 
-    // Vectorized level-major 8-corner kernel: one lane per sample. Per
-    // corner the kernel computes the trilinear weight and the table
-    // slot for L samples at once, then per channel gathers the L
-    // vertex values and accumulates into the channel-major output with
-    // an unfused madd — per (sample, channel) the accumulation order
-    // (levels ascending, corners ascending) and every arithmetic
-    // expression match gatherFeature() exactly, so results are
-    // bit-identical to the scalar sweep.
-    const PositionsSoA pos = transposePositionsSoA(pn, n);
-    const int nBlocks = n / L * L;
+    // Vectorized level-major 8-corner kernel, one lane per sample: per
+    // level and corner the kernel computes the trilinear weight and the
+    // table slot for L samples at once, then each sample loads its
+    // corner vertices' whole channel rows and accumulates them into its
+    // own sample-major accumulator with an unfused mul-then-add. Per
+    // (sample, channel) the accumulation order (levels ascending,
+    // corners ascending) and every arithmetic expression match
+    // gatherFeature() exactly, so results are bit-identical to the
+    // scalar sweep. The accumulators are transposed into the
+    // channel-major output once, after the last level.
+    thread_local std::vector<float> accBuf;
+    if (accBuf.size() < static_cast<std::size_t>(nBlocks) * kFeatureDim)
+        accBuf.resize(static_cast<std::size_t>(nBlocks) * kFeatureDim);
+    float *acc = accBuf.data();
+    const PositionsSoA pos = transposePositionsSoA(pn, nBlocks);
     const VecF vZero = VecF::zero();
     const VecF vOne = VecF::broadcast(1.0f);
+    const VecI vOneI = VecI::broadcast(1);
+    const VecI vDim = VecI::broadcast(kFeatureDim);
 
-    for (const Level &lvl : _levels) {
+    for (std::size_t l = 0; l < _levels.size(); ++l) {
+        const Level &lvl = _levels[l];
         const VecF vRes = VecF::broadcast(static_cast<float>(lvl.res));
         const VecI vHi = VecI::broadcast(lvl.res - 1);
-        const VecI vDim = VecI::broadcast(kFeatureDim);
         const VecI vV = VecI::broadcast(lvl.res + 1);
-        const VecI vOneI = VecI::broadcast(1);
-        const float *data = lvl.data.data();
-        const bool slotsPow2 = (lvl.slots & (lvl.slots - 1)) == 0;
         const VecI vSlotMask =
             VecI::broadcast(static_cast<std::int32_t>(lvl.slots - 1));
+        const float *data = lvl.data.data();
+        const bool slotsPow2 = (lvl.slots & (lvl.slots - 1)) == 0;
 
         for (int s0 = 0; s0 < nBlocks; s0 += L) {
             // fx = clamp(p, 0, 1) * res; x0 = min(int(fx), res - 1);
@@ -249,14 +261,15 @@ HashGridEncoding::gatherFeatureBatch(const Vec3 *pn, int n,
             const VecF my = vOne - ty;
             const VecF mz = vOne - tz;
 
-            VecF w[8];
-            VecI idx[8];
+            // Per corner: lane weights and row offsets (slot * dim).
+            float w[8][L];
+            std::int32_t row[8][L];
             for (int c = 0; c < 8; ++c) {
                 const bool dx = c & 1;
                 const bool dy = (c >> 1) & 1;
                 const bool dz = (c >> 2) & 1;
-                w[c] = ((dx ? tx : mx) * (dy ? ty : my)) *
-                       (dz ? tz : mz);
+                (((dx ? tx : mx) * (dy ? ty : my)) * (dz ? tz : mz))
+                    .store(w[c]);
                 const VecI cx = dx ? x0 + vOneI : x0;
                 const VecI cy = dy ? y0 + vOneI : y0;
                 const VecI cz = dz ? z0 + vOneI : z0;
@@ -285,19 +298,39 @@ HashGridEncoding::gatherFeatureBatch(const Vec3 *pn, int n,
                         slot = VecI::load(lanes);
                     }
                 }
-                idx[c] = slot * vDim;
+                (slot * vDim).store(row[c]);
             }
 
-            for (int ch = 0; ch < kFeatureDim; ++ch) {
-                float *o = out + static_cast<std::size_t>(ch) * n + s0;
-                VecF acc = VecF::load(o);
-                for (int c = 0; c < 8; ++c)
-                    acc = simd::madd(w[c], simd::gather(data + ch, idx[c]),
-                                     acc);
-                acc.store(o);
+            for (int s = 0; s < L; ++s) {
+                float *a = acc + static_cast<std::size_t>(s0 + s) *
+                                     kFeatureDim;
+                VecF head[kRowVecs > 0 ? kRowVecs : 1];
+                float tail[kRowTail > 0 ? kRowTail : 1];
+                for (int k = 0; k < kRowVecs; ++k)
+                    head[k] = l == 0 ? vZero : VecF::load(a + k * L);
+                for (int t = 0; t < kRowTail; ++t)
+                    tail[t] = l == 0 ? 0.0f : a[kRowVecs * L + t];
+                for (int c = 0; c < 8; ++c) {
+                    const float *v = data + row[c][s];
+                    const VecF ws = VecF::broadcast(w[c][s]);
+                    for (int k = 0; k < kRowVecs; ++k)
+                        head[k] =
+                            simd::madd(ws, VecF::load(v + k * L), head[k]);
+                    for (int t = 0; t < kRowTail; ++t)
+                        tail[t] = tail[t] + w[c][s] * v[kRowVecs * L + t];
+                }
+                for (int k = 0; k < kRowVecs; ++k)
+                    head[k].store(a + k * L);
+                for (int t = 0; t < kRowTail; ++t)
+                    a[kRowVecs * L + t] = tail[t];
             }
         }
     }
+
+    for (int s = 0; s < nBlocks; ++s)
+        for (int ch = 0; ch < kFeatureDim; ++ch)
+            out[static_cast<std::size_t>(ch) * n + s] =
+                acc[static_cast<std::size_t>(s) * kFeatureDim + ch];
 
     if (nBlocks < n)
         gatherBatchScalar(pn, nBlocks, n, n, out);

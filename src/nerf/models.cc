@@ -89,47 +89,50 @@ nominalMlpMacs(ModelKind kind)
     return 0;
 }
 
+std::unique_ptr<Encoding>
+buildEncoding(ModelKind kind, const ModelBuildOptions &options)
+{
+    const bool fast = options.preset == ModelPreset::Fast;
+    switch (kind) {
+      case ModelKind::InstantNgp:
+        return std::make_unique<HashGridEncoding>(
+            fast ? HashGridConfig{} : HashGridConfig::full());
+      case ModelKind::DirectVoxGO:
+        return std::make_unique<DenseGridEncoding>(fast ? 96 : 160,
+                                                   options.gridLayout);
+      case ModelKind::TensoRF: {
+        TensoRFConfig cfg;
+        cfg.res = fast ? 64 : 128;
+        cfg.ranks = fast ? 4 : 6;
+        return std::make_unique<TensoRFEncoding>(cfg);
+      }
+      case ModelKind::EfficientNeRF:
+        return std::make_unique<DenseGridEncoding>(fast ? 112 : 192,
+                                                   options.gridLayout);
+    }
+    throw std::invalid_argument("unknown model kind");
+}
+
 std::unique_ptr<NerfModel>
 buildModel(ModelKind kind, const Scene &scene,
            const ModelBuildOptions &options)
 {
     const bool fast = options.preset == ModelPreset::Fast;
-    std::unique_ptr<Encoding> enc;
+    std::unique_ptr<Encoding> enc = buildEncoding(kind, options);
     SamplerConfig sampler;
     sampler.occupancyRes = fast ? 48 : 64;
-
     switch (kind) {
-      case ModelKind::InstantNgp: {
-        HashGridConfig cfg =
-            fast ? HashGridConfig{} : HashGridConfig::full();
-        enc = std::make_unique<HashGridEncoding>(cfg);
+      case ModelKind::InstantNgp:
         sampler.stepsAcross = fast ? 160 : 256;
         break;
-      }
-      case ModelKind::DirectVoxGO: {
-        enc = std::make_unique<DenseGridEncoding>(fast ? 96 : 160,
-                                                  options.gridLayout);
+      case ModelKind::DirectVoxGO:
+      case ModelKind::TensoRF:
         sampler.stepsAcross = fast ? 144 : 224;
         break;
-      }
-      case ModelKind::TensoRF: {
-        TensoRFConfig cfg;
-        cfg.res = fast ? 64 : 128;
-        cfg.ranks = fast ? 4 : 6;
-        enc = std::make_unique<TensoRFEncoding>(cfg);
-        sampler.stepsAcross = fast ? 144 : 224;
-        break;
-      }
-      case ModelKind::EfficientNeRF: {
-        enc = std::make_unique<DenseGridEncoding>(fast ? 112 : 192,
-                                                  options.gridLayout);
+      case ModelKind::EfficientNeRF:
         sampler.stepsAcross = fast ? 224 : 320;
         break;
-      }
     }
-    if (!enc)
-        throw std::invalid_argument("unknown model kind");
-
     return std::make_unique<NerfModel>(scene, std::move(enc),
                                        nominalMlpMacs(kind), sampler,
                                        options.seed);

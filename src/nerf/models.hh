@@ -70,6 +70,13 @@ std::unique_ptr<NerfModel> buildModel(ModelKind kind, const Scene &scene,
                                       const ModelBuildOptions &options = {});
 
 /**
+ * The encoding buildModel() gives a model of @p kind, not yet baked:
+ * its shape, and so its modelBytes(), without the cost of a bake.
+ */
+std::unique_ptr<Encoding> buildEncoding(ModelKind kind,
+                                        const ModelBuildOptions &options = {});
+
+/**
  * Characterization descriptor for Fig. 2: name, nominal (paper-scale)
  * model size and per-frame work at 800x800, for the six models the
  * paper charts. Models without a functional implementation here

@@ -248,13 +248,12 @@ NerfModel::renderPacket(const Camera &camera, const PixelRay *rays,
                         GBuffer *gbuffer, StageWork &work,
                         FusionStats &fusion, TraceSink *trace) const
 {
-    constexpr std::size_t laneFloats =
-        static_cast<std::size_t>(kMaxDecodeBlock) * kFeatureDim;
+    constexpr std::size_t kRoundSamples =
+        static_cast<std::size_t>(kPacketRays) * kMaxDecodeBlock;
     thread_local PacketLane lanes[kPacketRays];
-    thread_local std::vector<float> featureBuf(kPacketRays * laneFloats);
-    thread_local std::vector<DecodedSample> decodedBuf(
-        static_cast<std::size_t>(kPacketRays) * kMaxDecodeBlock);
-    thread_local std::vector<Vec3> posBuf(kMaxDecodeBlock);
+    thread_local std::vector<float> featureBuf(kRoundSamples * kFeatureDim);
+    thread_local std::vector<DecodedSample> decodedBuf(kRoundSamples);
+    thread_local std::vector<Vec3> posBuf(kRoundSamples);
     DecodeBlock blocks[kPacketRays];
     int blockLane[kPacketRays];
 
@@ -280,38 +279,42 @@ NerfModel::renderPacket(const Camera &camera, const PixelRay *rays,
         L.gWeight = 0.0f;
     }
 
-    // One round per block: every live ray gathers its next block into
-    // its own slice of the packet buffer (channel-major, stride = the
-    // block size, the layout the decoder consumes without
+    // One round per block: every live ray appends its next block's
+    // positions to the round's position buffer, one gather writes the
+    // features of the whole round into one channel-major buffer
+    // (stride = the round's sample count; each block starts at its
+    // first sample's column, the layout the decoder consumes without
     // transposition), then one fused call decodes every block. When
     // tracing, each block's accesses are appended to its ray's log and
     // cut back to the samples the compositor consumed, so accesses of
     // samples past the early-termination point are never emitted.
     for (;;) {
         int nb = 0;
-        std::uint64_t roundSamples = 0;
+        int total = 0;
         for (int r = 0; r < count; ++r) {
             PacketLane &L = lanes[r];
             if (!L.live)
                 continue;
             const int m = std::min(L.block, L.n - L.base);
+            Vec3 *pos = posBuf.data() + total;
             for (int j = 0; j < m; ++j)
-                posBuf[j] = L.samples[L.base + j].pn;
+                pos[j] = L.samples[L.base + j].pn;
             if (trace)
-                _encoding->gatherAccessesBatch(posBuf.data(), m,
-                                               rays[r].id, L.accesses);
-            float *feats = featureBuf.data() + r * laneFloats;
-            _encoding->gatherFeatureBatch(posBuf.data(), m, feats);
-            blocks[nb] = DecodeBlock{
-                feats, static_cast<std::size_t>(m), m, L.dir,
-                decodedBuf.data() +
-                    static_cast<std::size_t>(r) * kMaxDecodeBlock};
+                _encoding->gatherAccessesBatch(pos, m, rays[r].id,
+                                               L.accesses);
+            blocks[nb] = DecodeBlock{featureBuf.data() + total, 0, m,
+                                     L.dir, decodedBuf.data() + total};
             blockLane[nb++] = r;
-            roundSamples += static_cast<std::uint64_t>(m);
+            total += m;
         }
         if (nb == 0)
             break;
+        _encoding->gatherFeatureBatch(posBuf.data(), total,
+                                      featureBuf.data());
+        for (int k = 0; k < nb; ++k)
+            blocks[k].featureStride = static_cast<std::size_t>(total);
         _decoder.decodeBlocksFused(blocks, nb);
+        const auto roundSamples = static_cast<std::uint64_t>(total);
         ++fusion.passes;
         fusion.blocks += static_cast<std::uint64_t>(nb);
         fusion.samples += roundSamples;
@@ -331,14 +334,13 @@ NerfModel::renderPacket(const Camera &camera, const PixelRay *rays,
                 const DecodedSample &d = blk.out[j];
                 if (gbuffer && d.sigma > 0.0f) {
                     // Reads the sample's channels out of the
-                    // channel-major block (stride = block size).
+                    // channel-major round buffer.
                     const float alpha = 1.0f - std::exp(-d.sigma * s.dt);
                     const float w = L.comp.transmittance() * alpha;
                     float feature[kFeatureDim];
                     for (int ch = 0; ch < kFeatureDim; ++ch)
                         feature[ch] =
-                            blk.features[static_cast<std::size_t>(ch) * m +
-                                         j];
+                            blk.features[ch * blk.featureStride + j];
                     const BakedPoint bp = decodeBakedFeature(feature);
                     L.gAcc.diffuse += bp.diffuse * w;
                     L.gNormal += bp.normal * w;

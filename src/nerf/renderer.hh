@@ -133,10 +133,11 @@ class NerfModel
     /**
      * Render a full frame, pixel-centric (the baseline order).
      *
-     * Rays march in packets of consecutive rays: each round, every
-     * live ray of a packet gathers its next sample block (8 samples,
-     * doubling to 64) and the packet decodes all of those blocks in
-     * one Decoder::decodeBlocksFused call. The fused decode is
+     * Rays march in packets of consecutive rays: each round, one
+     * Encoding::gatherFeatureBatch call gathers the next sample block
+     * (8 samples, doubling to 64) of every live ray of a packet and
+     * the packet decodes all of those blocks in one
+     * Decoder::decodeBlocksFused call. The fused decode is
      * per-block bit-identical to a lone decodeBatchSoA and each ray
      * sees the same block sequence, so the packet width never changes
      * bits. Runs tile-parallel on the global pool (common/parallel.hh) with

@@ -64,6 +64,40 @@ class SkipBudget
     float _slack = 0.0f;
 };
 
+/**
+ * Whether the part [t0, t1] of @p ray meets @p box; never for an empty
+ * box.
+ */
+bool
+spanMeets(const Aabb &box, const Ray &ray, float t0, float t1)
+{
+    return box.valid() && box.intersect(ray, t0, t1).has_value();
+}
+
+/**
+ * The world-space box around the cells [lo, hi] (per axis) of a
+ * @p res^3 grid over @p bounds: padded by a quarter cell, and by one
+ * more cell on every face where the range reaches the grid boundary.
+ * Empty when the range is empty (lo > hi on some axis).
+ */
+Aabb
+cellRangeBox(const Aabb &bounds, int res, const int lo[3], const int hi[3])
+{
+    Aabb box;
+    if (lo[0] > hi[0] || lo[1] > hi[1] || lo[2] > hi[2])
+        return box;
+    Vec3 e = bounds.extent();
+    for (int a = 0; a < 3; ++a) {
+        float cell = e[a] / res;
+        float pad = 0.25f * cell;
+        box.lo[a] = bounds.lo[a] + e[a] * lo[a] / res - pad -
+                    (lo[a] == 0 ? cell : 0.0f);
+        box.hi[a] = bounds.lo[a] + e[a] * (hi[a] + 1) / res + pad +
+                    (hi[a] == res - 1 ? cell : 0.0f);
+    }
+    return box;
+}
+
 } // namespace
 
 OccupancyGrid::OccupancyGrid(const AnalyticField &field, int res,
@@ -73,18 +107,34 @@ OccupancyGrid::OccupancyGrid(const AnalyticField &field, int res,
 {
     assert(res >= 2);
     Vec3 e = _bounds.extent();
-    // Sample cell centers.
+    // Sample cell centers, tracking the range of the occupied ones.
+    int lo[3] = {res, res, res};
+    int hi[3] = {-1, -1, -1};
     for (int z = 0; z < res; ++z) {
         for (int y = 0; y < res; ++y) {
             for (int x = 0; x < res; ++x) {
                 Vec3 p{_bounds.lo.x + e.x * (x + 0.5f) / res,
                        _bounds.lo.y + e.y * (y + 0.5f) / res,
                        _bounds.lo.z + e.z * (z + 0.5f) / res};
-                if (field.density(p) > sigmaThresh)
+                if (field.density(p) > sigmaThresh) {
                     _dist[idx(x, y, z)] = 0;
+                    const int c[3] = {x, y, z};
+                    for (int a = 0; a < 3; ++a) {
+                        lo[a] = std::min(lo[a], c[a]);
+                        hi[a] = std::max(hi[a], c[a]);
+                    }
+                }
             }
         }
     }
+    _occupiedBox = cellRangeBox(_bounds, res, lo, hi);
+    // The dilation grows the range by one cell, clipped to the grid.
+    int dlo[3], dhi[3];
+    for (int a = 0; a < 3; ++a) {
+        dlo[a] = std::max(lo[a] - 1, 0);
+        dhi[a] = std::min(hi[a] + 1, res - 1);
+    }
+    _dilatedBox = cellRangeBox(_bounds, res, dlo, dhi);
     // Chebyshev distance transform in place: a raster pass, then a
     // reverse one, each taking one more than the smallest of the 13
     // neighbours the pass has already visited. It is exact because
@@ -134,6 +184,8 @@ OccupancyGrid::rayHitsOccupied(const Ray &ray) const
     if (!hit)
         return false;
     auto [t0, t1] = *hit;
+    if (!spanMeets(_occupiedBox, ray, t0, t1))
+        return false;
     float cell = _bounds.extent().minComponent() / _res;
     float step = 0.5f * cell;
     SkipBudget budget(ray, _bounds, _res, step, t0, t1);
@@ -177,6 +229,8 @@ RaySampler::sample(const Ray &ray, std::vector<RaySample> &out) const
     if (!hit)
         return 0;
     auto [t0, t1] = *hit;
+    if (_occupancy && !spanMeets(_occupancy->dilatedBox(), ray, t0, t1))
+        return 0;
 
     Vec3 e = _bounds.extent();
     SkipBudget budget(ray, _bounds, _occupancy ? _occupancy->res() : 1,

@@ -36,6 +36,14 @@ struct SamplerConfig
  * <= 1; a larger distance tells both marches how many whole cells they
  * can cross before reaching an occupied one, so they skip runs of empty
  * cells without changing which samples they keep.
+ *
+ * The grid also keeps two world-space boxes: one around the raw cells
+ * and one around the dilated cells. Each is padded by a quarter cell
+ * (far more than any float rounding of a sample's position) and, on
+ * every face where its cells reach the grid boundary, extended one more
+ * cell past it (samples just outside the grid clamp into the edge
+ * cells). A sample can only land in an occupied cell inside its box, so
+ * a ray whose span through the grid misses the box needs no march.
  */
 class OccupancyGrid
 {
@@ -58,9 +66,21 @@ class OccupancyGrid
      * surface so silhouette-adjacent background pixels classify as void
      * rather than triggering needless sparse rendering.
      *
+     * A ray whose span through the grid misses occupiedBox() returns
+     * false without marching.
+     *
      * @return true if any occupied cell is crossed (SPARW's depth test).
      */
     bool rayHitsOccupied(const Ray &ray) const;
+
+    /**
+     * The padded world-space box around the raw-occupied cells (see the
+     * class comment); empty (not valid()) when no cell is occupied.
+     */
+    const Aabb &occupiedBox() const { return _occupiedBox; }
+
+    /** The same box around the dilated cells (the sampler's cull). */
+    const Aabb &dilatedBox() const { return _dilatedBox; }
 
     /**
      * Chebyshev distance in cells from the cell holding normalized
@@ -98,6 +118,8 @@ class OccupancyGrid
     int _res;
     Aabb _bounds;
     std::vector<std::uint8_t> _dist; //!< distance to raw occupancy, padded
+    Aabb _occupiedBox; //!< around the raw cells
+    Aabb _dilatedBox;  //!< around the dilated cells
 };
 
 /** One ray sample produced by the sampler. */
@@ -119,7 +141,9 @@ class RaySampler
                const SamplerConfig &config);
 
     /**
-     * Sample @p ray; appends to @p out (which is cleared first).
+     * Sample @p ray; appends to @p out (which is cleared first). With
+     * an occupancy grid (which must cover the same bounds), a ray whose
+     * span misses its dilatedBox() produces no samples without marching.
      * @return number of samples produced.
      */
     int sample(const Ray &ray, std::vector<RaySample> &out) const;

@@ -407,38 +407,57 @@ TEST(TensoRFTest, StreamingFootprintAllStreamable)
 void
 expectBatchMatchesScalar(const Encoding &enc, unsigned seed)
 {
+    // Every third position is an edge case: a corner or face of the
+    // unit cube, the last vertex row (a coordinate of exactly 1 or just
+    // below it) or a point outside [0,1]^3 that the gather clamps.
+    const Vec3 edges[] = {
+        {0.0f, 0.0f, 0.0f},      {1.0f, 1.0f, 1.0f},
+        {0.0f, 1.0f, 0.5f},      {1.0f, 0.3f, 0.7f},
+        {0.2f, 1.0f, 1.0f},      {0.99999994f, 0.5f, 1.0f},
+        {0.6f, 0.99999994f, 0.0f}, {-0.25f, 0.5f, 0.5f},
+        {1.5f, -2.0f, 0.3f},     {0.4f, 1.25f, -0.1f},
+        {2.0f, 2.0f, 2.0f},      {-1.0f, -1.0f, -1.0f},
+    };
+    constexpr int kEdges = sizeof(edges) / sizeof(edges[0]);
     Rng rng(seed);
-    // Deliberately awkward batch size (not a multiple of any vector
-    // width, exercising both the lane blocks and the scalar tail) plus
-    // edge positions (corners/faces of the unit cube).
     std::vector<Vec3> pos;
-    for (int i = 0; i < 37; ++i)
-        pos.push_back(rng.uniformVec3());
-    pos.push_back({0.0f, 0.0f, 0.0f});
-    pos.push_back({1.0f, 1.0f, 1.0f});
-    pos.push_back({0.0f, 1.0f, 0.5f});
-    const int n = static_cast<int>(pos.size());
+    for (int i = 0; i < 512; ++i)
+        pos.push_back(i % 3 == 1 ? edges[(i / 3) % kEdges]
+                                 : rng.uniformVec3());
     const int dim = enc.featureDim();
+
+    // Batch sizes below, at and between vector widths (every lane
+    // block and scalar-tail split up to 17), odd and even sizes past
+    // them, and the widest packet round (8 rays x 64 samples).
+    std::vector<int> sizes;
+    for (int n = 1; n <= 17; ++n)
+        sizes.push_back(n);
+    for (int n : {40, 41, 64, 512})
+        sizes.push_back(n);
 
     for (bool forceScalar : {false, true}) {
         simd::setSimdBackendOverride(forceScalar);
-        std::vector<float> batch(static_cast<std::size_t>(n) * dim);
-        enc.gatherFeatureBatch(pos.data(), n, batch.data());
+        for (int n : sizes) {
+            std::vector<float> batch(static_cast<std::size_t>(n) * dim);
+            enc.gatherFeatureBatch(pos.data(), n, batch.data());
 
-        int featureMismatches = 0;
-        std::vector<float> one(dim);
-        for (int i = 0; i < n; ++i) {
-            enc.gatherFeature(pos[i], one.data());
-            for (int ch = 0; ch < dim; ++ch)
-                if (one[ch] !=
-                    batch[static_cast<std::size_t>(ch) * n + i])
-                    ++featureMismatches;
+            int featureMismatches = 0;
+            std::vector<float> one(dim);
+            for (int i = 0; i < n; ++i) {
+                enc.gatherFeature(pos[i], one.data());
+                for (int ch = 0; ch < dim; ++ch)
+                    if (one[ch] !=
+                        batch[static_cast<std::size_t>(ch) * n + i])
+                        ++featureMismatches;
+            }
+            EXPECT_EQ(featureMismatches, 0)
+                << enc.name() << " n=" << n
+                << (forceScalar ? " (scalar)" : " (simd)");
         }
-        EXPECT_EQ(featureMismatches, 0)
-            << enc.name() << (forceScalar ? " (scalar)" : " (simd)");
     }
     simd::setSimdBackendOverride(false, /*reset=*/true);
 
+    const int n = static_cast<int>(pos.size());
     std::vector<MemAccess> scalarAcc, batchAcc;
     for (int i = 0; i < n; ++i)
         enc.gatherAccesses(pos[i], 42, scalarAcc);

@@ -87,17 +87,23 @@ TEST(ModelFactoryTest, KindsGetMatchingEncodings)
     EXPECT_NE(
         dynamic_cast<const TensoRFEncoding *>(&tensorf->encoding()),
         nullptr);
+    // buildEncoding() gives each model's encoding its shape.
+    EXPECT_EQ(ngp->encoding().modelBytes(),
+              buildEncoding(ModelKind::InstantNgp)->modelBytes());
+    EXPECT_EQ(dvgo->encoding().modelBytes(),
+              buildEncoding(ModelKind::DirectVoxGO)->modelBytes());
+    EXPECT_EQ(tensorf->encoding().modelBytes(),
+              buildEncoding(ModelKind::TensoRF)->modelBytes());
 }
 
 TEST(ModelFactoryTest, FullPresetIsBigger)
 {
-    Scene scene = test::tinyScene();
+    // The sizes come from the encodings' shapes: no bake needed.
     ModelBuildOptions fast;
     ModelBuildOptions full;
     full.preset = ModelPreset::Full;
-    auto a = buildModel(ModelKind::DirectVoxGO, scene, fast);
-    auto b = buildModel(ModelKind::DirectVoxGO, scene, full);
-    EXPECT_GT(b->modelBytes(), a->modelBytes());
+    EXPECT_GT(buildEncoding(ModelKind::DirectVoxGO, full)->modelBytes(),
+              buildEncoding(ModelKind::DirectVoxGO, fast)->modelBytes());
 }
 
 TEST(ModelFactoryTest, LayoutOptionPropagates)

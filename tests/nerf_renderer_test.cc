@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 
@@ -330,19 +331,196 @@ handBuiltRays(const Aabb &b, int res)
     return rays;
 }
 
-MarchDiff
-compareScene(const Scene &scene, int occupancyRes, int maxSamples = 256)
+// The occupied-bounds cull: a ray whose span misses the padded box
+// around the occupied cells is settled without a march. The boxes must
+// bound their cells, and rays grazing every face must still get the
+// exhaustive marches' verdicts and samples.
+
+/** Cell ranges [lo, hi] per axis of a grid's raw and dilated cells. */
+struct CellRanges
 {
-    OccupancyGrid occ(scene.field, occupancyRes, 0.5f);
+    int rawLo[3] = {1 << 20, 1 << 20, 1 << 20};
+    int rawHi[3] = {-1, -1, -1};
+    int dilLo[3] = {1 << 20, 1 << 20, 1 << 20};
+    int dilHi[3] = {-1, -1, -1};
+    int rawCells = 0;
+};
+
+CellRanges
+cellRanges(const OccupancyGrid &occ)
+{
+    CellRanges r;
+    const int res = occ.res();
+    for (int z = 0; z < res; ++z) {
+        for (int y = 0; y < res; ++y) {
+            for (int x = 0; x < res; ++x) {
+                Vec3 pn{(x + 0.5f) / res, (y + 0.5f) / res,
+                        (z + 0.5f) / res};
+                const int c[3] = {x, y, z};
+                const bool raw = occ.distanceNormalized(pn) == 0;
+                const bool dil = occ.occupiedNormalized(pn);
+                r.rawCells += raw;
+                for (int a = 0; a < 3; ++a) {
+                    if (raw) {
+                        r.rawLo[a] = std::min(r.rawLo[a], c[a]);
+                        r.rawHi[a] = std::max(r.rawHi[a], c[a]);
+                    }
+                    if (dil) {
+                        r.dilLo[a] = std::min(r.dilLo[a], c[a]);
+                        r.dilHi[a] = std::max(r.dilHi[a], c[a]);
+                    }
+                }
+            }
+        }
+    }
+    return r;
+}
+
+/** World coordinate of the face between cells @p i - 1 and @p i. */
+float
+cellFace(const Aabb &b, int res, int a, int i)
+{
+    return b.lo[a] + b.extent()[a] * i / res;
+}
+
+/**
+ * @p box bounds the cells [lo, hi]: each face lies strictly outside the
+ * cells, by less than a cell, except that a face where the cells reach
+ * the grid boundary lies at least one cell past it. Empty ranges give
+ * an empty box.
+ */
+void
+expectBoxBoundsCells(const OccupancyGrid &occ, const Aabb &box,
+                     const int lo[3], const int hi[3], const char *what)
+{
+    SCOPED_TRACE(what);
+    const int res = occ.res();
+    const Aabb &b = occ.bounds();
+    if (hi[0] < 0) {
+        EXPECT_FALSE(box.valid());
+        return;
+    }
+    ASSERT_TRUE(box.valid());
+    for (int a = 0; a < 3; ++a) {
+        SCOPED_TRACE("axis " + std::to_string(a));
+        const float cell = b.extent()[a] / res;
+        const float faceLo = cellFace(b, res, a, lo[a]);
+        const float faceHi = cellFace(b, res, a, hi[a] + 1);
+        if (lo[a] == 0) {
+            EXPECT_LE(box.lo[a], b.lo[a] - cell);
+            EXPECT_GT(box.lo[a], b.lo[a] - 2.0f * cell);
+        } else {
+            EXPECT_LT(box.lo[a], faceLo);
+            EXPECT_GT(box.lo[a], faceLo - cell);
+        }
+        if (hi[a] == res - 1) {
+            EXPECT_GE(box.hi[a], b.hi[a] + cell);
+            EXPECT_LT(box.hi[a], b.hi[a] + 2.0f * cell);
+        } else {
+            EXPECT_GT(box.hi[a], faceHi);
+            EXPECT_LT(box.hi[a], faceHi + cell);
+        }
+    }
+}
+
+/**
+ * Rays grazing the faces of the raw cells, the dilated cells and the
+ * grid: parallel to each face, at a few ulps and at fractions of a cell
+ * on either side of it, along both in-face axes in both directions,
+ * plus slightly tilted copies that cross the face plane.
+ */
+std::vector<Ray>
+grazingRays(const OccupancyGrid &occ, const CellRanges &r)
+{
+    std::vector<Ray> rays;
+    const int res = occ.res();
+    const Aabb &b = occ.bounds();
+    const Vec3 e = b.extent();
+    const Vec3 axes[3] = {{1, 0, 0}, {0, 1, 0}, {0, 0, 1}};
+    std::vector<std::pair<int, float>> planes; // (axis, coordinate)
+    for (int a = 0; a < 3; ++a) {
+        for (int i : {0, res})
+            planes.push_back({a, cellFace(b, res, a, i)});
+        if (r.rawHi[a] < 0)
+            continue;
+        for (int i : {r.rawLo[a], r.rawHi[a] + 1, r.dilLo[a],
+                      r.dilHi[a] + 1})
+            planes.push_back({a, cellFace(b, res, a, i)});
+    }
+    for (auto [a, plane] : planes) {
+        const float cell = e[a] / res;
+        std::vector<float> coords;
+        float up = plane, down = plane;
+        for (int k = 0; k < 8; ++k) {
+            coords.push_back(up);
+            coords.push_back(down);
+            up = std::nextafter(up, 1e30f);
+            down = std::nextafter(down, -1e30f);
+        }
+        for (float f : {0.1f, 0.3f, 0.6f, 1.1f}) {
+            coords.push_back(plane + f * cell);
+            coords.push_back(plane - f * cell);
+        }
+        for (int du = 1; du <= 2; ++du) {
+            const int u = (a + du) % 3;     // the ray runs along u
+            const int v = (a + 3 - du) % 3; // and sits at fixed v
+            // Through the occupied cells' middle and along their edge.
+            std::vector<float> vs = {b.center()[v]};
+            if (r.rawHi[v] >= 0) {
+                vs.push_back(cellFace(b, res, v, r.rawLo[v]) + 0.5f *
+                             e[v] / res);
+                vs.push_back(cellFace(b, res, v, r.rawHi[v]) + 0.5f *
+                             e[v] / res);
+            }
+            for (float c : coords) {
+                for (float vc : vs) {
+                    for (float sign : {1.0f, -1.0f}) {
+                        Vec3 o = b.center();
+                        o[a] = c;
+                        o[v] = vc;
+                        o[u] = sign > 0 ? b.lo[u] - 0.5f : b.hi[u] + 0.5f;
+                        rays.push_back({o, axes[u] * sign});
+                        for (float tilt : {1e-3f, -1e-3f}) {
+                            Vec3 d = axes[u] * sign;
+                            d[a] = tilt;
+                            rays.push_back({o, d.normalized()});
+                        }
+                    }
+                }
+            }
+        }
+    }
+    return rays;
+}
+
+/**
+ * Compare both marches with their exhaustive oracles on @p scene's
+ * grid at @p occupancyRes with threshold @p sigma, over orbit,
+ * hand-built and grazing rays, and check both cull boxes against the
+ * cells they bound.
+ */
+MarchDiff
+compareScene(const Scene &scene, int occupancyRes, int maxSamples = 256,
+             float sigma = 0.5f, CellRanges *ranges = nullptr)
+{
+    OccupancyGrid occ(scene.field, occupancyRes, sigma);
+    const CellRanges r = cellRanges(occ);
+    expectBoxBoundsCells(occ, occ.occupiedBox(), r.rawLo, r.rawHi, "raw");
+    expectBoxBoundsCells(occ, occ.dilatedBox(), r.dilLo, r.dilHi,
+                         "dilated");
     SamplerConfig cfg;
     cfg.maxSamplesPerRay = maxSamples;
     RaySampler sampler(scene.field.bounds(), &occ, cfg);
     MarchDiff diff;
-    diff.gridOccupied = occ.occupancyFraction() > 0.0;
+    diff.gridOccupied = r.rawCells > 0;
     for (const Ray &ray : orbitViewRays(scene, 64))
         compareRay(sampler, occ, scene.field.bounds(), ray, diff);
     for (const Ray &ray : handBuiltRays(scene.field.bounds(), occupancyRes))
         compareRay(sampler, occ, scene.field.bounds(), ray, diff);
+    for (const Ray &ray : grazingRays(occ, r))
+        compareRay(sampler, occ, scene.field.bounds(), ray, diff);
+    if (ranges)
+        *ranges = r;
     return diff;
 }
 
@@ -511,6 +689,80 @@ TEST(EmptySpaceSkipTest, OccupancyFractionPinned)
     OccupancyGrid ship(makeScene("ship").field, 64, 0.5f);
     EXPECT_EQ(lego.occupancyFraction(), 19352.0 / cells);
     EXPECT_EQ(ship.occupancyFraction(), 41868.0 / cells);
+}
+
+/** A scene holding one box primitive with half-extent @p half. */
+Scene
+boxScene(const Vec3 &center, const Vec3 &half)
+{
+    Scene s;
+    s.name = "box";
+    Primitive box;
+    box.shape = PrimShape::Box;
+    box.center = center;
+    box.size = half;
+    s.field.addPrimitive(box);
+    return s;
+}
+
+TEST(EmptySpaceSkipTest, EmptyGridCullsEveryRay)
+{
+    // No cell reaches the threshold: both boxes are empty, every ray
+    // is culled, and the exhaustive marches find nothing either.
+    Scene tiny = test::tinyScene();
+    for (int res : {2, 8, 32}) {
+        MarchDiff d = compareScene(tiny, res, 256, 1e30f);
+        expectIdentical(d, "empty", res);
+        EXPECT_EQ(d.samples, 0u);
+        EXPECT_EQ(d.hits, 0u);
+    }
+}
+
+TEST(EmptySpaceSkipTest, SingleOccupiedCellMatchesExhaustiveMarch)
+{
+    // A box much smaller than a cell, centred on cell (5, 2, 3) of an
+    // 8^3 grid over [-1, 1]^3 (cells 0.25 wide): only that cell's
+    // centre is inside it.
+    Scene s = boxScene({0.375f, -0.375f, -0.125f}, {0.05f, 0.05f, 0.05f});
+    CellRanges r;
+    MarchDiff d = compareScene(s, 8, 256, 0.5f, &r);
+    expectIdentical(d, "single cell", 8);
+    EXPECT_EQ(r.rawCells, 1);
+    const int want[3] = {5, 2, 3};
+    for (int a = 0; a < 3; ++a) {
+        EXPECT_EQ(r.rawLo[a], want[a]);
+        EXPECT_EQ(r.rawHi[a], want[a]);
+    }
+}
+
+TEST(EmptySpaceSkipTest, OccupancyTouchingEachGridFaceMatchesExhaustiveMarch)
+{
+    // A slab whose cells reach one face of the grid, for each of the
+    // six faces: that face's boxes reach past the grid.
+    for (int a = 0; a < 3; ++a) {
+        for (float side : {-1.0f, 1.0f}) {
+            SCOPED_TRACE("axis " + std::to_string(a) + " side " +
+                         std::to_string(side));
+            Vec3 center{0.1f, -0.2f, 0.15f};
+            Vec3 half{0.3f, 0.25f, 0.35f};
+            center[a] = side;
+            half[a] = 0.15f;
+            Scene s = boxScene(center, half);
+            for (int res : {8, 21}) {
+                CellRanges r;
+                MarchDiff d = compareScene(s, res, 256, 0.5f, &r);
+                expectIdentical(d, "face", res);
+                // That face only: the cells stop short of the other.
+                if (side < 0) {
+                    EXPECT_EQ(r.rawLo[a], 0);
+                    EXPECT_LT(r.rawHi[a], res - 1);
+                } else {
+                    EXPECT_GT(r.rawLo[a], 0);
+                    EXPECT_EQ(r.rawHi[a], res - 1);
+                }
+            }
+        }
+    }
 }
 
 TEST(RendererTest, QualityAgainstGroundTruth)
