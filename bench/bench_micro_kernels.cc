@@ -62,18 +62,23 @@ benchPositions()
 }
 
 /**
- * Run one batched-gather benchmark: samples/s via items_per_second,
- * GFLOP/s from the encoding's own interpolation-op accounting.
+ * Run one batched-gather benchmark over the bench positions in calls of
+ * state.range(0) samples (a ray walk gathers a few to a few hundred per
+ * call; 65536 is one call over all of them): samples/s via
+ * items_per_second, GFLOP/s from the encoding's own interpolation-op
+ * accounting.
  */
 void
 runGatherBatch(benchmark::State &state, const Encoding &enc)
 {
     const std::vector<Vec3> &pos = benchPositions();
-    const int n = static_cast<int>(pos.size());
-    std::vector<float> out(static_cast<std::size_t>(n) *
+    const int call = static_cast<int>(state.range(0));
+    const int n = static_cast<int>(pos.size()) / call * call;
+    std::vector<float> out(static_cast<std::size_t>(call) *
                            enc.featureDim());
     for (auto _ : state) {
-        enc.gatherFeatureBatch(pos.data(), n, out.data());
+        for (int s = 0; s < n; s += call)
+            enc.gatherFeatureBatch(pos.data() + s, call, out.data());
         benchmark::DoNotOptimize(out[0]);
     }
     state.SetItemsProcessed(state.iterations() * n);
@@ -81,6 +86,15 @@ runGatherBatch(benchmark::State &state, const Encoding &enc)
         static_cast<double>(state.iterations()) * n *
             static_cast<double>(enc.interpOpsPerSample()) * 1e-9,
         benchmark::Counter::kIsRate);
+}
+
+/** Samples per gatherFeatureBatch call: below, between and at lane
+ *  widths, a widest packet round's worth, and one whole-span call. */
+void
+gatherCallSizes(benchmark::internal::Benchmark *b)
+{
+    for (int n : {1, 5, 13, 64, 65536})
+        b->Arg(n);
 }
 
 Scene &
@@ -153,7 +167,9 @@ BM_DenseGridGatherBatch(benchmark::State &state)
     }();
     runGatherBatch(state, grid);
 }
-BENCHMARK(BM_DenseGridGatherBatch)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DenseGridGatherBatch)
+    ->Unit(benchmark::kMillisecond)
+    ->Apply(gatherCallSizes);
 
 void
 BM_HashGridGatherBatch(benchmark::State &state)
@@ -165,7 +181,9 @@ BM_HashGridGatherBatch(benchmark::State &state)
     }();
     runGatherBatch(state, grid);
 }
-BENCHMARK(BM_HashGridGatherBatch)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_HashGridGatherBatch)
+    ->Unit(benchmark::kMillisecond)
+    ->Apply(gatherCallSizes);
 
 void
 BM_TensoRFGatherBatch(benchmark::State &state)
@@ -179,7 +197,9 @@ BM_TensoRFGatherBatch(benchmark::State &state)
     }();
     runGatherBatch(state, enc);
 }
-BENCHMARK(BM_TensoRFGatherBatch)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TensoRFGatherBatch)
+    ->Unit(benchmark::kMillisecond)
+    ->Apply(gatherCallSizes);
 
 /**
  * The decoder-shaped MLP GEMM at a frame-like batch size — fp32 and

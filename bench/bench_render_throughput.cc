@@ -19,6 +19,9 @@
  * forwardBatch kernel and each encoding's batched gather (single
  * process, runtime backend override — the same binary measures both
  * sides), with the fp32 outputs checked bit-identical across backends.
+ * A gather's "scalar" leg times the reference loop every encoding
+ * falls back to under the forced-scalar backend: the base
+ * Encoding::gatherFeatureBatch, one gatherFeature() per sample.
  *
  * A "pipeline" section reports SPARW frames/s of the window
  * dependency graph on the work-stealing scheduler (tagged with the

@@ -58,11 +58,21 @@ struct Aabb
      * Slab-test the ray against the box.
      *
      * @return the entry/exit parameters (tmin, tmax), clipped to
-     * [tLo, tHi], or nullopt if the ray misses.
+     * [tLo, tHi], or nullopt if the ray misses. A ray with a
+     * non-finite direction component, or with every component below
+     * 1e-12 in magnitude, goes nowhere and misses.
      */
     std::optional<std::pair<float, float>>
     intersect(const Ray &ray, float tLo = 0.0f, float tHi = 1e30f) const
     {
+        bool moves = false;
+        for (int a = 0; a < 3; ++a) {
+            if (!std::isfinite(ray.dir[a]))
+                return std::nullopt;
+            moves = moves || std::fabs(ray.dir[a]) >= 1e-12f;
+        }
+        if (!moves)
+            return std::nullopt;
         float t0 = tLo;
         float t1 = tHi;
         for (int a = 0; a < 3; ++a) {

@@ -1,5 +1,6 @@
 #include "nerf/dense_grid.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <unordered_set>
@@ -171,46 +172,6 @@ DenseGridEncoding::gatherAccesses(const Vec3 &pn, std::uint32_t rayId,
 }
 
 void
-DenseGridEncoding::gatherBatchScalar(const Vec3 *pn, int s0, int s1,
-                                     int n, float *out) const
-{
-    // Unlike corners(), the functional batch skips the DRAM address and
-    // MVoxel computations entirely — only weights and storage indices
-    // matter — and hoists the grid constants out of the sample loop.
-    // Weight and accumulation order match gatherFeature() exactly.
-    const float scale = static_cast<float>(_n);
-    const int hi = _n - 1;
-    const float *data = _data.data();
-    const std::size_t rowStride = static_cast<std::size_t>(_v);
-    for (int s = s0; s < s1; ++s) {
-        float fx = clamp(pn[s].x, 0.0f, 1.0f) * scale;
-        float fy = clamp(pn[s].y, 0.0f, 1.0f) * scale;
-        float fz = clamp(pn[s].z, 0.0f, 1.0f) * scale;
-        int x0 = std::min(static_cast<int>(fx), hi);
-        int y0 = std::min(static_cast<int>(fy), hi);
-        int z0 = std::min(static_cast<int>(fz), hi);
-        float tx = fx - x0;
-        float ty = fy - y0;
-        float tz = fz - z0;
-        for (int c = 0; c < 8; ++c) {
-            int dx = c & 1;
-            int dy = (c >> 1) & 1;
-            int dz = (c >> 2) & 1;
-            float w = (dx ? tx : 1.0f - tx) * (dy ? ty : 1.0f - ty) *
-                      (dz ? tz : 1.0f - tz);
-            const float *v =
-                data + ((static_cast<std::size_t>(z0 + dz) * rowStride +
-                         (y0 + dy)) *
-                            rowStride +
-                        (x0 + dx)) *
-                           kFeatureDim;
-            for (int ch = 0; ch < kFeatureDim; ++ch)
-                out[static_cast<std::size_t>(ch) * n + s] += w * v[ch];
-        }
-    }
-}
-
-void
 DenseGridEncoding::gatherFeatureBatch(const Vec3 *pn, int n,
                                       float *out) const
 {
@@ -218,34 +179,30 @@ DenseGridEncoding::gatherFeatureBatch(const Vec3 *pn, int n,
     using simd::VecI;
     constexpr int L = VecF::kLanes;
 
-    for (std::size_t i = 0;
-         i < static_cast<std::size_t>(n) * kFeatureDim; ++i)
-        out[i] = 0.0f;
-
     // The vector kernel indexes with int32 lanes: grids whose scaled
-    // vertex index could exceed INT32_MAX (res >= ~644) must take the
-    // scalar path, which indexes with size_t.
+    // vertex index could exceed INT32_MAX (res >= ~644) take the
+    // reference loop, which indexes with size_t.
     const bool indexable =
         static_cast<std::uint64_t>(_v) * _v * _v * kFeatureDim <=
         0x7fffffffull;
-
-    if (!simd::simdActive() || n < L || !indexable) {
-        gatherBatchScalar(pn, 0, n, n, out);
+    if (!simd::simdActive() || !indexable) {
+        Encoding::gatherFeatureBatch(pn, n, out);
         return;
     }
 
     // Vectorized 8-corner trilinear kernel, one lane per sample: the
     // corner weights and storage indices of L samples are computed at
     // once, then each channel's lane sweep gathers the corner values
-    // and accumulates with unfused madds. Arithmetic expressions and
-    // per-sample accumulation order match gatherFeature() exactly —
-    // results are bit-identical.
+    // and accumulates with unfused madds from zero. Arithmetic
+    // expressions and per-sample accumulation order match
+    // gatherFeature() exactly — results are bit-identical. The last
+    // block runs at full width over padded positions and is stored to
+    // a block-sized scratch, from which its live columns are copied.
     const PositionsSoA pos = transposePositionsSoA(pn, n);
     const float *px = pos.x;
     const float *py = pos.y;
     const float *pz = pos.z;
 
-    const int nBlocks = n / L * L;
     const VecF vZero = VecF::zero();
     const VecF vOne = VecF::broadcast(1.0f);
     const VecF vScale = VecF::broadcast(static_cast<float>(_n));
@@ -255,7 +212,8 @@ DenseGridEncoding::gatherFeatureBatch(const Vec3 *pn, int n,
     const VecI vOneI = VecI::broadcast(1);
     const float *data = _data.data();
 
-    for (int s0 = 0; s0 < nBlocks; s0 += L) {
+    float last[kFeatureDim][L];
+    for (int s0 = 0; s0 < n; s0 += L) {
         const VecF fx =
             vmin(vmax(VecF::load(px + s0), vZero), vOne) * vScale;
         const VecF fy =
@@ -285,18 +243,20 @@ DenseGridEncoding::gatherFeatureBatch(const Vec3 *pn, int n,
             idx[c] = ((cz * vRow + cy) * vRow + cx) * vDim;
         }
 
+        const int live = std::min(L, n - s0);
         for (int ch = 0; ch < kFeatureDim; ++ch) {
-            float *o = out + static_cast<std::size_t>(ch) * n + s0;
-            VecF acc = VecF::load(o);
+            VecF acc = vZero;
             for (int c = 0; c < 8; ++c)
                 acc = simd::madd(w[c], simd::gather(data + ch, idx[c]),
                                  acc);
-            acc.store(o);
+            float *o = out + static_cast<std::size_t>(ch) * n + s0;
+            acc.store(live == L ? o : last[ch]);
         }
+        if (live < L)
+            for (int ch = 0; ch < kFeatureDim; ++ch)
+                std::copy_n(last[ch], live,
+                            out + static_cast<std::size_t>(ch) * n + s0);
     }
-
-    if (nBlocks < n)
-        gatherBatchScalar(pn, nBlocks, n, n, out);
 }
 
 void
@@ -304,20 +264,6 @@ DenseGridEncoding::quantizeFeaturesFp16()
 {
     _featuresFp16 = true;
     simd::roundBufferThroughFp16(_data.data(), _data.size());
-}
-
-void
-DenseGridEncoding::gatherAccessesBatch(const Vec3 *pn, int n,
-                                       std::uint32_t rayId,
-                                       std::vector<MemAccess> &out) const
-{
-    out.reserve(out.size() + static_cast<std::size_t>(n) * 8);
-    const std::uint32_t vb = vertexBytes();
-    for (int s = 0; s < n; ++s) {
-        auto cs = corners(pn[s]);
-        for (const GridCorner &c : cs)
-            out.push_back(MemAccess{c.addr, vb, rayId});
-    }
 }
 
 StreamPlan

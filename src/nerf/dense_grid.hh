@@ -68,8 +68,6 @@ class DenseGridEncoding : public Encoding
                         std::vector<MemAccess> &out) const override;
     void gatherFeatureBatch(const Vec3 *pn, int n,
                             float *out) const override;
-    void gatherAccessesBatch(const Vec3 *pn, int n, std::uint32_t rayId,
-                             std::vector<MemAccess> &out) const override;
     StreamPlan
     streamingFootprint(const std::vector<Vec3> &positions) const override;
 
@@ -120,10 +118,6 @@ class DenseGridEncoding : public Encoding
 
   private:
     std::size_t storageIndex(int ix, int iy, int iz) const;
-
-    /** Scalar sweep of samples [s0, s1) into channel-major @p out. */
-    void gatherBatchScalar(const Vec3 *pn, int s0, int s1, int n,
-                           float *out) const;
 
     int _n;          //!< voxels per axis
     int _v;          //!< vertices per axis (= _n + 1)

@@ -12,15 +12,19 @@
  *    bytes, residual random bytes, RIT size).
  *
  * Both gather queries also come in batched form (gatherFeatureBatch /
- * gatherAccessesBatch) over a span of sample positions — one virtual
- * call per ray block instead of one per sample, with per-batch setup
- * hoisted out of the per-sample loop. The batched feature buffer is
+ * gatherAccessesBatch) over a span of sample positions — one call per
+ * ray block instead of one per sample. The batched feature buffer is
  * channel-major (SoA): channel c of sample i lives at out[c * n + i],
  * so one vector lane sweep covers a whole ray block — the layout the
  * SIMD 8-corner kernels (src/common/simd.hh) and the batched decoder
- * consume directly. The base class provides fallback loops over the
- * scalar virtuals so external encodings keep working; the in-tree
- * encodings override both natively.
+ * consume directly.
+ *
+ * The base class's batch loops over the per-sample queries are every
+ * encoding's scalar path: the in-tree encodings override
+ * gatherFeatureBatch with one vector kernel and call the base loop
+ * when the vector backend is off (CICERO_SIMD=scalar, a scalar build)
+ * or their table is too large for int32 lanes; gatherAccessesBatch is
+ * one non-virtual walker over gatherAccesses() for every encoding.
  */
 
 #ifndef CICERO_NERF_ENCODING_HH
@@ -31,6 +35,7 @@
 #include <vector>
 
 #include "common/math.hh"
+#include "common/simd.hh"
 #include "memory/trace.hh"
 #include "scene/field.hh"
 
@@ -39,8 +44,8 @@ namespace cicero {
 /** Feature channels are stored as 2-byte (fp16-class) values in DRAM. */
 constexpr std::uint32_t kBytesPerChannel = 2;
 
-/** featureDim() values up to this bound use stack temporaries in the
- *  batched-gather fallback paths; wider encodings take a heap path. */
+/** featureDim() values up to this bound use a stack temporary in the
+ *  reference batch loop; wider encodings take a heap path. */
 constexpr int kMaxFeatureDim = 32;
 
 /** A position span transposed into SoA axis arrays (thread-local
@@ -54,21 +59,31 @@ struct PositionsSoA
 
 /**
  * Transpose @p n positions into thread-local SoA axis arrays so a
- * vector kernel can lane-sweep one coordinate at a time.
+ * vector kernel can lane-sweep one coordinate at a time. Each array
+ * is padded to whole lane blocks: the dead lanes of the last block
+ * repeat pn[n - 1], so a kernel running that block at full width
+ * indexes inside its table in every lane.
  */
 inline PositionsSoA
 transposePositionsSoA(const Vec3 *pn, int n)
 {
+    constexpr int L = simd::VecF::kLanes;
     thread_local std::vector<float> buf;
-    if (buf.size() < 3 * static_cast<std::size_t>(n))
-        buf.resize(3 * static_cast<std::size_t>(n));
+    const int padded = (n + L - 1) / L * L;
+    if (buf.size() < 3 * static_cast<std::size_t>(padded))
+        buf.resize(3 * static_cast<std::size_t>(padded));
     float *x = buf.data();
-    float *y = x + n;
-    float *z = y + n;
+    float *y = x + padded;
+    float *z = y + padded;
     for (int i = 0; i < n; ++i) {
         x[i] = pn[i].x;
         y[i] = pn[i].y;
         z[i] = pn[i].z;
+    }
+    for (int i = n; i < padded; ++i) {
+        x[i] = pn[n - 1].x;
+        y[i] = pn[n - 1].y;
+        z[i] = pn[n - 1].z;
     }
     return {x, y, z};
 }
@@ -152,10 +167,11 @@ class Encoding
      * @param out n * featureDim() floats, channel-major (SoA): channel
      *            c of sample i lives at out[c * n + i].
      *
-     * Results are bit-identical to n scalar gatherFeature() calls —
+     * Results are bit-identical to n gatherFeature() calls —
      * implementations may reorder *across* samples (level-major or
      * grouping-major sweeps, vector lane blocks) but must preserve
-     * each sample's accumulation order.
+     * each sample's accumulation order. This base loop is the
+     * reference: n gatherFeature() calls, transposed.
      */
     virtual void
     gatherFeatureBatch(const Vec3 *pn, int n, float *out) const
@@ -177,15 +193,15 @@ class Encoding
 
     /**
      * Append the DRAM accesses of gathering @p n samples (all issued by
-     * ray @p rayId) to @p out, sample-major and per-sample in the exact
-     * scalar gatherAccesses() order: the appended stream is
-     * byte-identical to n scalar calls, fetchesPerSample() entries per
-     * sample.
+     * ray @p rayId) to @p out: n gatherAccesses() calls, sample-major,
+     * fetchesPerSample() entries per sample, into space reserved once.
      */
-    virtual void
+    void
     gatherAccessesBatch(const Vec3 *pn, int n, std::uint32_t rayId,
                         std::vector<MemAccess> &out) const
     {
+        out.reserve(out.size() +
+                    static_cast<std::size_t>(n) * fetchesPerSample());
         for (int i = 0; i < n; ++i)
             gatherAccesses(pn[i], rayId, out);
     }

@@ -143,47 +143,6 @@ HashGridEncoding::gatherFeature(const Vec3 &pn, float *out) const
 }
 
 void
-HashGridEncoding::gatherBatchScalar(const Vec3 *pn, int s0, int s1,
-                                    int n, float *out) const
-{
-    // Level-major sweep: the level's metadata (res, storage kind, data
-    // pointer) is hoisted out of the sample loop, so the inner loop is
-    // pure index math + accumulation over one table. Per sample the
-    // accumulation order (levels ascending, corners ascending) matches
-    // gatherFeature() exactly, so results are bit-identical.
-    for (const Level &lvl : _levels) {
-        const float res = static_cast<float>(lvl.res);
-        const int hi = lvl.res - 1;
-        const float *data = lvl.data.data();
-        for (int s = s0; s < s1; ++s) {
-            float fx = clamp(pn[s].x, 0.0f, 1.0f) * res;
-            float fy = clamp(pn[s].y, 0.0f, 1.0f) * res;
-            float fz = clamp(pn[s].z, 0.0f, 1.0f) * res;
-            int x0 = std::min(static_cast<int>(fx), hi);
-            int y0 = std::min(static_cast<int>(fy), hi);
-            int z0 = std::min(static_cast<int>(fz), hi);
-            float tx = fx - x0;
-            float ty = fy - y0;
-            float tz = fz - z0;
-            for (int c = 0; c < 8; ++c) {
-                int dx = c & 1;
-                int dy = (c >> 1) & 1;
-                int dz = (c >> 2) & 1;
-                float w = (dx ? tx : 1.0f - tx) * (dy ? ty : 1.0f - ty) *
-                          (dz ? tz : 1.0f - tz);
-                std::uint32_t slot =
-                    slotOf(lvl, x0 + dx, y0 + dy, z0 + dz);
-                const float *v =
-                    data + static_cast<std::size_t>(slot) * kFeatureDim;
-                for (int ch = 0; ch < kFeatureDim; ++ch)
-                    out[static_cast<std::size_t>(ch) * n + s] +=
-                        w * v[ch];
-            }
-        }
-    }
-}
-
-void
 HashGridEncoding::gatherFeatureBatch(const Vec3 *pn, int n,
                                      float *out) const
 {
@@ -196,7 +155,7 @@ HashGridEncoding::gatherFeatureBatch(const Vec3 *pn, int n,
     constexpr int kRowTail = kFeatureDim % L;
 
     // The vector kernel indexes with int32 lanes: a table whose scaled
-    // element index could exceed INT32_MAX must take the scalar path
+    // element index could exceed INT32_MAX takes the reference loop
     // (slots is bounded by tableSize, so this only triggers on extreme
     // configurations).
     bool indexable = true;
@@ -204,29 +163,27 @@ HashGridEncoding::gatherFeatureBatch(const Vec3 *pn, int n,
         indexable = indexable &&
                     static_cast<std::uint64_t>(lvl.slots) * kFeatureDim <=
                         0x7fffffffull;
-
-    const int nBlocks =
-        simd::simdActive() && indexable ? n / L * L : 0;
-    // The scalar sweep accumulates into its columns [nBlocks, n).
-    for (int ch = 0; ch < kFeatureDim; ++ch)
-        for (int s = nBlocks; s < n; ++s)
-            out[static_cast<std::size_t>(ch) * n + s] = 0.0f;
+    if (!simd::simdActive() || !indexable) {
+        Encoding::gatherFeatureBatch(pn, n, out);
+        return;
+    }
 
     // Vectorized level-major 8-corner kernel, one lane per sample: per
     // level and corner the kernel computes the trilinear weight and the
-    // table slot for L samples at once, then each sample loads its
+    // table slot for L samples at once, then each live sample loads its
     // corner vertices' whole channel rows and accumulates them into its
     // own sample-major accumulator with an unfused mul-then-add. Per
     // (sample, channel) the accumulation order (levels ascending,
     // corners ascending) and every arithmetic expression match
-    // gatherFeature() exactly, so results are bit-identical to the
-    // scalar sweep. The accumulators are transposed into the
+    // gatherFeature() exactly, so results are bit-identical to it. The
+    // last block runs at full width over padded positions; only its
+    // live lanes load rows. The accumulators are transposed into the
     // channel-major output once, after the last level.
     thread_local std::vector<float> accBuf;
-    if (accBuf.size() < static_cast<std::size_t>(nBlocks) * kFeatureDim)
-        accBuf.resize(static_cast<std::size_t>(nBlocks) * kFeatureDim);
+    if (accBuf.size() < static_cast<std::size_t>(n) * kFeatureDim)
+        accBuf.resize(static_cast<std::size_t>(n) * kFeatureDim);
     float *acc = accBuf.data();
-    const PositionsSoA pos = transposePositionsSoA(pn, nBlocks);
+    const PositionsSoA pos = transposePositionsSoA(pn, n);
     const VecF vZero = VecF::zero();
     const VecF vOne = VecF::broadcast(1.0f);
     const VecI vOneI = VecI::broadcast(1);
@@ -242,7 +199,7 @@ HashGridEncoding::gatherFeatureBatch(const Vec3 *pn, int n,
         const float *data = lvl.data.data();
         const bool slotsPow2 = (lvl.slots & (lvl.slots - 1)) == 0;
 
-        for (int s0 = 0; s0 < nBlocks; s0 += L) {
+        for (int s0 = 0; s0 < n; s0 += L) {
             // fx = clamp(p, 0, 1) * res; x0 = min(int(fx), res - 1);
             // tx = fx - x0 — identical expressions, lane-wise.
             const VecF fx =
@@ -301,7 +258,8 @@ HashGridEncoding::gatherFeatureBatch(const Vec3 *pn, int n,
                 (slot * vDim).store(row[c]);
             }
 
-            for (int s = 0; s < L; ++s) {
+            const int live = std::min(L, n - s0);
+            for (int s = 0; s < live; ++s) {
                 float *a = acc + static_cast<std::size_t>(s0 + s) *
                                      kFeatureDim;
                 VecF head[kRowVecs > 0 ? kRowVecs : 1];
@@ -327,13 +285,10 @@ HashGridEncoding::gatherFeatureBatch(const Vec3 *pn, int n,
         }
     }
 
-    for (int s = 0; s < nBlocks; ++s)
+    for (int s = 0; s < n; ++s)
         for (int ch = 0; ch < kFeatureDim; ++ch)
             out[static_cast<std::size_t>(ch) * n + s] =
                 acc[static_cast<std::size_t>(s) * kFeatureDim + ch];
-
-    if (nBlocks < n)
-        gatherBatchScalar(pn, nBlocks, n, n, out);
 }
 
 void
@@ -342,38 +297,6 @@ HashGridEncoding::quantizeFeaturesFp16()
     _featuresFp16 = true;
     for (Level &lvl : _levels)
         simd::roundBufferThroughFp16(lvl.data.data(), lvl.data.size());
-}
-
-void
-HashGridEncoding::gatherAccessesBatch(const Vec3 *pn, int n,
-                                      std::uint32_t rayId,
-                                      std::vector<MemAccess> &out) const
-{
-    // The access stream is sample-major (part of the TraceSink ordering
-    // contract), so the sample loop stays outermost; the batch still
-    // amortizes the virtual dispatch and the output reallocation.
-    out.reserve(out.size() +
-                static_cast<std::size_t>(n) * fetchesPerSample());
-    const std::uint32_t vb = vertexBytes();
-    for (int s = 0; s < n; ++s) {
-        for (const Level &lvl : _levels) {
-            float fx = clamp(pn[s].x, 0.0f, 1.0f) * lvl.res;
-            float fy = clamp(pn[s].y, 0.0f, 1.0f) * lvl.res;
-            float fz = clamp(pn[s].z, 0.0f, 1.0f) * lvl.res;
-            int x0 = std::min(static_cast<int>(fx), lvl.res - 1);
-            int y0 = std::min(static_cast<int>(fy), lvl.res - 1);
-            int z0 = std::min(static_cast<int>(fz), lvl.res - 1);
-            for (int c = 0; c < 8; ++c) {
-                std::uint32_t slot = slotOf(lvl, x0 + (c & 1),
-                                            y0 + ((c >> 1) & 1),
-                                            z0 + ((c >> 2) & 1));
-                out.push_back(MemAccess{
-                    lvl.baseAddr +
-                        static_cast<std::uint64_t>(slot) * vb,
-                    vb, rayId});
-            }
-        }
-    }
 }
 
 void

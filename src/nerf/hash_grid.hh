@@ -60,8 +60,6 @@ class HashGridEncoding : public Encoding
                         std::vector<MemAccess> &out) const override;
     void gatherFeatureBatch(const Vec3 *pn, int n,
                             float *out) const override;
-    void gatherAccessesBatch(const Vec3 *pn, int n, std::uint32_t rayId,
-                             std::vector<MemAccess> &out) const override;
     StreamPlan
     streamingFootprint(const std::vector<Vec3> &positions) const override;
 
@@ -133,10 +131,6 @@ class HashGridEncoding : public Encoding
 
     /** Accumulate the interpolation of levels [0, uptoLevel) at @p pn. */
     void gatherUpto(const Vec3 &pn, int uptoLevel, float *out) const;
-
-    /** Level-major scalar sweep of samples [s0, s1) into SoA @p out. */
-    void gatherBatchScalar(const Vec3 *pn, int s0, int s1, int n,
-                           float *out) const;
 
     HashGridConfig _config;
     std::vector<Level> _levels;

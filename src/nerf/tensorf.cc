@@ -1,5 +1,6 @@
 #include "nerf/tensorf.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <unordered_set>
@@ -268,49 +269,6 @@ TensoRFEncoding::gatherFeature(const Vec3 &pn, float *out) const
 }
 
 void
-TensoRFEncoding::gatherBatchScalar(const Vec3 *pn, int s0, int s1,
-                                   int n, float *out) const
-{
-    // Grouping-major sweep: the (plane, line) base pointers and axis
-    // triplet of each grouping are resolved once per batch instead of
-    // once per sample. Per sample the accumulation order (groupings
-    // ascending, ranks ascending) matches gatherFeature() exactly.
-    const int res = _config.res;
-    const int R = _config.ranks;
-
-    for (int g = 0; g < 3; ++g) {
-        for (int s = s0; s < s1; ++s) {
-            float fu, fv, fw;
-            groupCoords(g, pn[s], fu, fv, fw);
-            int u0 = std::min(static_cast<int>(fu), res - 2);
-            int v0 = std::min(static_cast<int>(fv), res - 2);
-            int w0 = std::min(static_cast<int>(fw), res - 2);
-            float tu = fu - u0;
-            float tv = fv - v0;
-            float tw = fw - w0;
-
-            float wu[2] = {1.0f - tu, tu};
-            float wv[2] = {1.0f - tv, tv};
-            float ww[2] = {1.0f - tw, tw};
-
-            for (int r = 0; r < R; ++r) {
-                for (int ch = 0; ch < kFeatureDim; ++ch) {
-                    float pval = 0.0f;
-                    for (int dv = 0; dv < 2; ++dv)
-                        for (int du = 0; du < 2; ++du)
-                            pval += wu[du] * wv[dv] *
-                                    planeAt(g, u0 + du, v0 + dv, r, ch);
-                    float lval = ww[0] * lineAt(g, w0, r, ch) +
-                                 ww[1] * lineAt(g, w0 + 1, r, ch);
-                    out[static_cast<std::size_t>(ch) * n + s] +=
-                        pval * lval;
-                }
-            }
-        }
-    }
-}
-
-void
 TensoRFEncoding::gatherFeatureBatch(const Vec3 *pn, int n,
                                     float *out) const
 {
@@ -318,20 +276,15 @@ TensoRFEncoding::gatherFeatureBatch(const Vec3 *pn, int n,
     using simd::VecI;
     constexpr int L = VecF::kLanes;
 
-    for (std::size_t i = 0;
-         i < static_cast<std::size_t>(n) * kFeatureDim; ++i)
-        out[i] = 0.0f;
-
     // The vector kernel indexes with int32 lanes: factorizations whose
-    // scaled plane-texel index could exceed INT32_MAX must take the
-    // scalar path, which indexes with size_t.
+    // scaled plane-texel index could exceed INT32_MAX take the
+    // reference loop, which indexes with size_t.
     const bool indexable =
         static_cast<std::uint64_t>(_config.res) * _config.res *
             _config.ranks * kFeatureDim <=
         0x7fffffffull;
-
-    if (!simd::simdActive() || n < L || !indexable) {
-        gatherBatchScalar(pn, 0, n, n, out);
+    if (!simd::simdActive() || !indexable) {
+        Encoding::gatherFeatureBatch(pn, n, out);
         return;
     }
 
@@ -341,14 +294,20 @@ TensoRFEncoding::gatherFeatureBatch(const Vec3 *pn, int n,
     // slice runs 4 plane + 2 line gathers and accumulates with the
     // exact scalar expressions ((wu*wv)*P summed dv-major,
     // ww0*l0 + ww1*l1, out += pval*lval) — bit-identical to
-    // gatherFeature().
+    // gatherFeature(). The last block runs at full width over padded
+    // positions and accumulates in a block-sized scratch across the
+    // groupings; its live columns are copied out at the end.
+    for (std::size_t i = 0;
+         i < static_cast<std::size_t>(n) * kFeatureDim; ++i)
+        out[i] = 0.0f;
+    const int full = n / L * L;
+    float last[kFeatureDim][L] = {};
     const PositionsSoA pos = transposePositionsSoA(pn, n);
     const float *axes[3] = {pos.x, pos.y, pos.z};
 
     const int res = _config.res;
     const int R = _config.ranks;
     const int texelElems = R * kFeatureDim;
-    const int nBlocks = n / L * L;
     const VecF vZero = VecF::zero();
     const VecF vOne = VecF::broadcast(1.0f);
     const VecF vScale = VecF::broadcast(static_cast<float>(res - 1));
@@ -363,7 +322,7 @@ TensoRFEncoding::gatherFeatureBatch(const Vec3 *pn, int n,
         const float *plane = _planes[g].data();
         const float *line = _lines[g].data();
 
-        for (int s0 = 0; s0 < nBlocks; s0 += L) {
+        for (int s0 = 0; s0 < n; s0 += L) {
             const VecF fu =
                 vmin(vmax(VecF::load(pu + s0), vZero), vOne) * vScale;
             const VecF fv =
@@ -408,15 +367,18 @@ TensoRFEncoding::gatherFeatureBatch(const Vec3 *pn, int n,
                         ww0 * simd::gather(line + off, lIdx0) +
                         ww1 * simd::gather(line + off, lIdx1);
                     float *o =
-                        out + static_cast<std::size_t>(ch) * n + s0;
+                        s0 < full
+                            ? out + static_cast<std::size_t>(ch) * n + s0
+                            : last[ch];
                     simd::madd(pval, lval, VecF::load(o)).store(o);
                 }
             }
         }
     }
 
-    if (nBlocks < n)
-        gatherBatchScalar(pn, nBlocks, n, n, out);
+    for (int ch = 0; ch < kFeatureDim; ++ch)
+        std::copy_n(last[ch], n - full,
+                    out + static_cast<std::size_t>(ch) * n + full);
 }
 
 void
@@ -471,48 +433,6 @@ TensoRFEncoding::applyFp16Quantization()
         }
         simd::roundBufferThroughFp16(_planes[g].data(), _planes[g].size());
         simd::roundBufferThroughFp16(_lines[g].data(), _lines[g].size());
-    }
-}
-
-void
-TensoRFEncoding::gatherAccessesBatch(const Vec3 *pn, int n,
-                                     std::uint32_t rayId,
-                                     std::vector<MemAccess> &out) const
-{
-    // Sample-major (TraceSink ordering contract); base addresses of the
-    // three groupings are hoisted out of the sample loop.
-    out.reserve(out.size() +
-                static_cast<std::size_t>(n) * fetchesPerSample());
-    const int res = _config.res;
-    const std::uint32_t tb = texelBytes();
-    std::uint64_t pBase[3], lBase[3];
-    for (int g = 0; g < 3; ++g) {
-        pBase[g] = planeBase(g);
-        lBase[g] = lineBase(g);
-    }
-    for (int s = 0; s < n; ++s) {
-        for (int g = 0; g < 3; ++g) {
-            float fu, fv, fw;
-            groupCoords(g, pn[s], fu, fv, fw);
-            int u0 = std::min(static_cast<int>(fu), res - 2);
-            int v0 = std::min(static_cast<int>(fv), res - 2);
-            int w0 = std::min(static_cast<int>(fw), res - 2);
-            for (int dv = 0; dv < 2; ++dv) {
-                for (int du = 0; du < 2; ++du) {
-                    std::uint64_t texel =
-                        static_cast<std::uint64_t>(v0 + dv) * res +
-                        (u0 + du);
-                    out.push_back(
-                        MemAccess{pBase[g] + texel * tb, tb, rayId});
-                }
-            }
-            for (int dw = 0; dw < 2; ++dw) {
-                out.push_back(MemAccess{
-                    lBase[g] +
-                        static_cast<std::uint64_t>(w0 + dw) * tb,
-                    tb, rayId});
-            }
-        }
     }
 }
 

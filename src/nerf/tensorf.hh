@@ -50,8 +50,6 @@ class TensoRFEncoding : public Encoding
                         std::vector<MemAccess> &out) const override;
     void gatherFeatureBatch(const Vec3 *pn, int n,
                             float *out) const override;
-    void gatherAccessesBatch(const Vec3 *pn, int n, std::uint32_t rayId,
-                             std::vector<MemAccess> &out) const override;
     StreamPlan
     streamingFootprint(const std::vector<Vec3> &positions) const override;
 
@@ -89,10 +87,6 @@ class TensoRFEncoding : public Encoding
     /** Map pn to (u, v, w) continuous grid coords for grouping @p g. */
     void groupCoords(int g, const Vec3 &pn, float &u, float &v,
                      float &w) const;
-
-    /** Grouping-major scalar sweep of samples [s0, s1) into SoA out. */
-    void gatherBatchScalar(const Vec3 *pn, int s0, int s1, int n,
-                           float *out) const;
 
     /** Rebalance rank-1 component scales and round through fp16. */
     void applyFp16Quantization();

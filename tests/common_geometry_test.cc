@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/geometry.hh"
 
 namespace cicero {
@@ -61,6 +63,26 @@ TEST(AabbTest, AxisParallelRayOutsideSlabs)
     Aabb box({-1.0f, -1.0f, -1.0f}, {1.0f, 1.0f, 1.0f});
     Ray ray{{2.0f, 0.0f, -5.0f}, {0.0f, 0.0f, 1.0f}};
     EXPECT_FALSE(box.intersect(ray).has_value());
+}
+
+TEST(AabbTest, RayWithoutDirectionMisses)
+{
+    // A zero, NaN or infinite direction goes nowhere: the slab test must
+    // miss even from inside the box, or a march over [t0, t1] would
+    // never end.
+    Aabb box({-1.0f, -1.0f, -1.0f}, {1.0f, 1.0f, 1.0f});
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    const Vec3 dirs[] = {
+        {0.0f, 0.0f, 0.0f}, {1e-13f, -1e-13f, 0.0f}, {nan, nan, nan},
+        {0.0f, nan, 1.0f},  {inf, 0.0f, 0.0f},       {1.0f, -inf, 0.0f},
+    };
+    for (const Vec3 &d : dirs) {
+        EXPECT_FALSE(box.intersect(Ray{{0.0f, 0.0f, 0.0f}, d}).has_value())
+            << d.x << " " << d.y << " " << d.z;
+        EXPECT_FALSE(box.intersect(Ray{{0.0f, 0.0f, -5.0f}, d}).has_value())
+            << d.x << " " << d.y << " " << d.z;
+    }
 }
 
 TEST(AabbTest, NormalizeMapsToUnitCube)

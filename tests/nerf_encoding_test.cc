@@ -404,6 +404,30 @@ TEST(TensoRFTest, StreamingFootprintAllStreamable)
 // per sample).
 // ---------------------------------------------------------------------
 
+TEST(BatchedGatherTest, TransposePadsDeadLanesWithTheLastPosition)
+{
+    // Dead lanes of the last block repeat pn[n - 1] — never stale data
+    // from an earlier, longer transpose on this thread.
+    constexpr int L = simd::VecF::kLanes;
+    std::vector<Vec3> stale(64, Vec3{-7.0f, 8.0f, 1e30f});
+    transposePositionsSoA(stale.data(), static_cast<int>(stale.size()));
+    Rng rng(3);
+    for (int n = 1; n <= 3 * L + 1; ++n) {
+        std::vector<Vec3> pn;
+        for (int i = 0; i < n; ++i)
+            pn.push_back(rng.uniformVec3());
+        const int padded = (n + L - 1) / L * L;
+        const PositionsSoA soa = transposePositionsSoA(pn.data(), n);
+        int bad = 0;
+        for (int i = 0; i < padded; ++i) {
+            const Vec3 &want = pn[std::min(i, n - 1)];
+            bad += soa.x[i] != want.x || soa.y[i] != want.y ||
+                   soa.z[i] != want.z;
+        }
+        EXPECT_EQ(bad, 0) << "n=" << n;
+    }
+}
+
 void
 expectBatchMatchesScalar(const Encoding &enc, unsigned seed)
 {
@@ -435,11 +459,25 @@ expectBatchMatchesScalar(const Encoding &enc, unsigned seed)
     for (int n : {40, 41, 64, 512})
         sizes.push_back(n);
 
+    // The kernels run their last lane block at full width: the input
+    // span is exactly n positions (so reading past it is a heap
+    // overflow) and the output is followed by guard floats that must
+    // come back untouched.
+    constexpr int kGuard = 16;
+    constexpr float kGuardValue = -12345.5f;
     for (bool forceScalar : {false, true}) {
         simd::setSimdBackendOverride(forceScalar);
         for (int n : sizes) {
-            std::vector<float> batch(static_cast<std::size_t>(n) * dim);
-            enc.gatherFeatureBatch(pos.data(), n, batch.data());
+            const std::vector<Vec3> in(pos.begin(), pos.begin() + n);
+            const std::size_t outSize = static_cast<std::size_t>(n) * dim;
+            std::vector<float> batch(outSize + kGuard, kGuardValue);
+            enc.gatherFeatureBatch(in.data(), n, batch.data());
+            int guardsHit = 0;
+            for (int g = 0; g < kGuard; ++g)
+                guardsHit += batch[outSize + g] != kGuardValue;
+            EXPECT_EQ(guardsHit, 0)
+                << enc.name() << " n=" << n
+                << (forceScalar ? " (scalar)" : " (simd)");
 
             int featureMismatches = 0;
             std::vector<float> one(dim);

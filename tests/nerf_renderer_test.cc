@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 
 #include "cicero/warp.hh"
 #include "common/rng.hh"
@@ -761,6 +762,40 @@ TEST(EmptySpaceSkipTest, OccupancyTouchingEachGridFaceMatchesExhaustiveMarch)
                     EXPECT_EQ(r.rawHi[a], res - 1);
                 }
             }
+        }
+    }
+}
+
+TEST(EmptySpaceSkipTest, RayWithoutDirectionIsCulled)
+{
+    // A zero, NaN or infinite direction from inside the lego grid: the
+    // void test must say "misses" and the sampler must place nothing,
+    // rather than march a span that never ends or index cells from NaN
+    // positions. The slab test is asserted first, so a regression fails
+    // here instead of hanging in the march.
+    Scene lego = makeScene("lego");
+    const Aabb &b = lego.field.bounds();
+    OccupancyGrid occ(lego.field, 64, 0.5f);
+    RaySampler sampler(b, &occ, SamplerConfig{});
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    const Vec3 dirs[] = {{0.0f, 0.0f, 0.0f},
+                         {nan, nan, nan},
+                         {0.0f, 0.0f, nan},
+                         {inf, 0.0f, 0.0f}};
+    // The grid's centre and points a quarter of the way in from two
+    // opposite corners, each in an empty or an occupied cell.
+    const Vec3 origins[] = {b.center(),
+                            b.lo + b.extent() * 0.25f,
+                            b.hi - b.extent() * 0.25f};
+    for (const Vec3 &o : origins) {
+        for (const Vec3 &d : dirs) {
+            Ray ray{o, d};
+            ASSERT_FALSE(b.intersect(ray).has_value());
+            EXPECT_FALSE(occ.rayHitsOccupied(ray));
+            std::vector<RaySample> out;
+            EXPECT_EQ(sampler.sample(ray, out), 0);
+            EXPECT_TRUE(out.empty());
         }
     }
 }
