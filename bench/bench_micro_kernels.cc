@@ -3,8 +3,9 @@
  * Micro-benchmarks (google-benchmark) for the hot kernels of the
  * functional stack: the sampler's march and SPARW's void test
  * (Indexing), the hash- and dense-grid bakes (model setup), feature
- * gathers per encoding, the decoder MLP, warping, compositing and the
- * memory-model sinks.
+ * gathers per encoding, the decoder MLP, warping, compositing, the
+ * memory-model sinks, and one whole frame render at 1 thread and at
+ * pool width (the render engine's parallel speedup).
  *
  * The JSON context carries a "simd_backend" key (avx2|neon|scalar —
  * the backend the process actually dispatches to, so a
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "cicero/warp.hh"
+#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "common/simd.hh"
 #include "memory/cache_model.hh"
@@ -398,6 +400,41 @@ BM_OccupancyVoidTest(benchmark::State &state)
     state.counters["s_per_hole"] = perItem(holes.size());
 }
 BENCHMARK(BM_OccupancyVoidTest)->Unit(benchmark::kMicrosecond);
+
+/**
+ * One 128x128 frame of lego through the full render path (Fast-preset
+ * DirectVoxGO, one model built once): rays/s at 1 thread (arg 1) and
+ * at pool width (arg 0: CICERO_THREADS, else hardware_concurrency).
+ * The ratio of the two is the render engine's parallel speedup on the
+ * host. The pool width in force before the run is restored after it.
+ */
+void
+BM_RenderFrame(benchmark::State &state)
+{
+    static const auto setup = [] {
+        auto model = buildModel(ModelKind::DirectVoxGO, benchScene());
+        OrbitParams orbit;
+        orbit.radius = benchScene().cameraDistance;
+        Camera cam = Camera::fromFov(128, 128, benchScene().fovYDeg,
+                                     orbitTrajectory(orbit, 1)[0]);
+        return std::make_pair(std::move(model), cam);
+    }();
+    const auto &[model, cam] = setup;
+    const int before = parallelThreadCount();
+    setParallelThreadCount(static_cast<int>(state.range(0)));
+    state.counters["threads"] = parallelThreadCount();
+    for (auto _ : state) {
+        RenderResult r = model->render(cam);
+        benchmark::DoNotOptimize(r.work.samples);
+    }
+    setParallelThreadCount(before);
+    state.SetItemsProcessed(state.iterations() * cam.width * cam.height);
+}
+BENCHMARK(BM_RenderFrame)
+    ->Arg(1)
+    ->Arg(0)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 /**
  * Setup: the Fast-preset bakes of lego on the pool — Instant-NGP's

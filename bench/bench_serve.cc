@@ -145,7 +145,9 @@ runLeg(const ModelKey &key, const std::vector<ClientSpec> &clients,
        bool serializeClients = false)
 {
     RenderServiceConfig cfg;
-    cfg.intraFrameFanOut = fanOut;
+    if (!fanOut) // block rows of at least every frame's height: one block
+        for (const ClientSpec &c : clients)
+            cfg.fanOutBlockRows = std::max(cfg.fanOutBlockRows, c.height);
     cfg.maxSessions = static_cast<int>(clients.size()) + 1;
     RenderService svc(cfg);
 
@@ -485,12 +487,12 @@ main(int argc, char **argv)
         (fanoutFaster && fanoutGain2 >= 1.2 && batchDensityOk);
 
     // ---- JSON -------------------------------------------------------
-    std::printf("{\"bench\": \"serve\", \"scheduler\": \"%s\", "
+    std::printf("{\"bench\": \"serve\", "
                 "\"threads\": %d, \"quick\": %s, "
                 "\"scene\": \"%s\", \"model\": \"%s\", "
                 "\"resolution\": %d, \"frames\": %d, \"window\": %d, "
                 "\"solo_parallel_rays_per_s\": %.1f, ",
-                parallelSchedulerName(), threads,
+                threads,
                 quick ? "true" : "false", key.scene.c_str(),
                 modelName(key.kind), res, frames, window,
                 soloWallS > 0.0 ? soloRays / soloWallS : 0.0);

@@ -639,12 +639,6 @@ setParallelThreadCount(int n)
     pool().configure(n);
 }
 
-const char *
-parallelSchedulerName()
-{
-    return "work-stealing";
-}
-
 SchedulerCounters
 parallelSchedulerCounters()
 {

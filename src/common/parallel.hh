@@ -89,9 +89,6 @@ int parallelParseThreadSpec(const char *text);
  */
 void setParallelThreadCount(int n);
 
-/** Scheduler identifier for bench/CI tagging ("work-stealing"). */
-const char *parallelSchedulerName();
-
 /**
  * Process-global scheduler counters, cumulative since process start (or
  * the last parallelResetSchedulerCounters()). These are *measured*
@@ -130,8 +127,8 @@ void parallelNoteKernelBatch(std::uint64_t items);
  * at zero (a field below its baseline means the globals were reset
  * mid-bracket). This is the bracketing primitive safe for *concurrent*
  * top-level measurers: snapshot, run, subtract — no shared reset to
- * race on, so bench_serve and bench_render_throughput (or several
- * service sessions) can bracket the same process simultaneously.
+ * race on, so concurrent measurers (a bench leg, perfbench's report,
+ * several service sessions) can bracket the same process at once.
  */
 SchedulerCounters
 parallelSchedulerCountersSince(const SchedulerCounters &base);

@@ -207,20 +207,16 @@ RenderService::setupSession(const std::shared_ptr<Session> &s,
     // Intra-frame ray-block decomposition: contiguous row ranges,
     // identical for every frame. Auto-sizing targets ~2x the pool's
     // thread count blocks per frame — enough slack for load balancing
-    // without drowning the scheduler in tiny tasks. Fan-out off = one block
-    // spanning the frame (the whole frame renders on one worker).
+    // without drowning the scheduler in tiny tasks. Block rows of at
+    // least the frame height = one block spanning the frame (the whole
+    // frame renders on one worker).
     {
         const int H = config.height;
-        int rowsPer = H;
-        if (_config.intraFrameFanOut) {
-            if (_config.fanOutBlockRows > 0) {
-                rowsPer = std::min(_config.fanOutBlockRows, H);
-            } else {
-                const int targetTasks =
-                    std::max(1, 2 * parallelThreadCount());
-                rowsPer = std::max(1, (H + targetTasks - 1) / targetTasks);
-            }
-        }
+        const int targetTasks = std::max(1, 2 * parallelThreadCount());
+        const int rowsPer =
+            _config.fanOutBlockRows > 0
+                ? std::min(_config.fanOutBlockRows, H)
+                : std::max(1, (H + targetTasks - 1) / targetTasks);
         s->blocks.clear();
         for (int r0 = 0; r0 < H; r0 += rowsPer)
             s->blocks.emplace_back(r0, std::min(H, r0 + rowsPer));

@@ -19,8 +19,8 @@
  * its own rays in packets (NerfModel::renderServeRows): the packet,
  * not a cross-thread queue, is what hands the MLP several ray blocks
  * per pass, so no block task ever waits on another to decode.
- * `intraFrameFanOut` / `fanOutBlockRows` control the decomposition
- * (off = one block per frame).
+ * `fanOutBlockRows` controls the decomposition (a value of at least
+ * the frame height gives one block per frame).
  *
  * Fairness: admission control caps concurrent sessions (admit()
  * throws, tryAdmit() declines), and the in-flight window bounds any
@@ -136,17 +136,13 @@ struct RenderServiceConfig
     int maxSessions = 64; //!< admission-control cap
     int defaultInflightWindow = 2;
     /**
-     * Intra-frame ray-block fan-out: split each served frame into
-     * row-range tasks that render concurrently. Off = one block per
-     * frame (a frame occupies a single worker, parallelism comes only
-     * from concurrent frames/sessions).
-     */
-    bool intraFrameFanOut = true;
-    /**
-     * Rows per ray-block task when fan-out is on; 0 = auto (size the
-     * frame into ~2x the pool's thread count blocks). Smaller blocks
-     * = better load balance, more scheduling overhead. Ignored with
-     * fan-out off.
+     * Intra-frame ray-block fan-out: rows per row-range task of a
+     * served frame; 0 = auto (size the frame into ~2x the pool's
+     * thread count blocks). Smaller blocks = better load balance, more
+     * scheduling overhead. A value of at least the frame height turns
+     * fan-out off: one block per frame, so a frame occupies a single
+     * worker and parallelism comes only from concurrent
+     * frames/sessions.
      */
     int fanOutBlockRows = 0;
 

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -318,8 +320,10 @@ TEST(ParallelDeterminismTest, SparwWindowGraphMatchesOneThreadWalk)
     // On a one-thread pool the graph runs ref(w) and then frames(w) in
     // window order — the serial walk — so that run is the reference:
     // at every width, including ones that don't divide the window
-    // count, both must reproduce it byte for byte. Three
-    // trajectory / window / resolution shapes.
+    // count, both must reproduce it byte for byte. Four
+    // trajectory / window / resolution shapes; the last one has a
+    // straggler window whose reference costs several times the rest,
+    // so the graph streams other windows past it.
     ThreadCountGuard guard;
     auto model = test::tinyModel();
     struct Shape
@@ -327,13 +331,32 @@ TEST(ParallelDeterminismTest, SparwWindowGraphMatchesOneThreadWalk)
         int frames;
         int window;
         int res;
+        bool straggler;
     };
-    for (const Shape &shape : {Shape{5, 2, 32}, Shape{9, 2, 32},
-                               Shape{12, 4, 40}}) {
+    for (const Shape &shape :
+         {Shape{5, 2, 32, false}, Shape{9, 2, 32, false},
+          Shape{12, 4, 40, false}, Shape{12, 2, 32, true}}) {
         SCOPED_TRACE(testing::Message()
                      << shape.frames << " frames, window "
-                     << shape.window << ", " << shape.res << " px");
+                     << shape.window << ", " << shape.res << " px"
+                     << (shape.straggler ? ", straggler" : ""));
         std::vector<Pose> traj = test::tinyOrbit(shape.frames);
+        // The straggler orbit is wide, so most references see the
+        // scene small. The two poses that a mid-run window
+        // extrapolates its reference from are pulled to 0.22x the
+        // orbit radius: that reference lands close to the scene, where
+        // its rays collect several times more samples (about 8x the
+        // median here).
+        const int stragglerWindow =
+            (shape.frames + shape.window - 1) / shape.window / 2;
+        if (shape.straggler) {
+            OrbitParams wide;
+            wide.radius = 6.0f;
+            traj = orbitTrajectory(wide, shape.frames);
+            for (int k = stragglerWindow * shape.window - 2;
+                 k < stragglerWindow * shape.window; ++k)
+                traj[k].pos = traj[k].pos * 0.22f;
+        }
         SparwConfig cfg;
         cfg.window = shape.window;
         SparwPipeline pipeline(*model, test::tinyCamera(shape.res), cfg);
@@ -341,6 +364,16 @@ TEST(ParallelDeterminismTest, SparwWindowGraphMatchesOneThreadWalk)
         setParallelThreadCount(1);
         SparwRun baseline = pipeline.run(traj);
         SparwRun dsBaseline = pipeline.runDownsampled(traj, 2);
+        if (shape.straggler) {
+            std::vector<std::uint64_t> samples;
+            for (const SparwReference &r : baseline.references)
+                samples.push_back(r.work.samples);
+            ASSERT_GT(samples.size(),
+                      static_cast<std::size_t>(stragglerWindow));
+            const std::uint64_t straggler = samples[stragglerWindow];
+            std::sort(samples.begin(), samples.end());
+            EXPECT_GT(straggler, 2 * samples[samples.size() / 2]);
+        }
 
         for (int threads : {1, 4, 7}) {
             SCOPED_TRACE(testing::Message() << threads << " threads");

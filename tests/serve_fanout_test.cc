@@ -70,7 +70,6 @@ TEST(ServeFanoutTest, FramesBitIdenticalToSoloAtAnyThreadCount)
     // four full blocks plus a 4-row tail, exercising the remainder
     // path at every thread count.
     RenderServiceConfig cfg;
-    cfg.intraFrameFanOut = true;
     cfg.fanOutBlockRows = 5;
     RenderService svc(cfg);
 
@@ -115,7 +114,6 @@ TEST(ServeFanoutTest, PacketDecodeStatsIndependentOfThreadCount)
     // the same packets at any thread count, so the packet decode
     // counts must match exactly.
     RenderServiceConfig cfg;
-    cfg.intraFrameFanOut = true;
     cfg.fanOutBlockRows = 2; // 32 rows -> 16 block tasks per frame
 
     ServeSessionConfig sc;
@@ -154,7 +152,6 @@ TEST(ServeFanoutTest, DecodeFaultInsideBlocksStaysBitIdentical)
     setParallelThreadCount(4);
 
     RenderServiceConfig cfg;
-    cfg.intraFrameFanOut = true;
     cfg.fanOutBlockRows = 2;
     cfg.retryBackoffS = 1e-6;
     RenderService svc(cfg);
@@ -207,7 +204,6 @@ TEST(ServeFanoutTest, RenderFaultQuarantinesOnlyTheFaultySession)
     setParallelThreadCount(4);
 
     RenderServiceConfig cfg;
-    cfg.intraFrameFanOut = true;
     cfg.fanOutBlockRows = 4;
     cfg.quarantineThreshold = 2;
     cfg.retryBackoffS = 1e-6;

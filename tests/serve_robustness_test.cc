@@ -111,7 +111,7 @@ TEST(ServeRobustnessTest, RetryBackoffDoublesPastThirtyAttempts)
     // 31st, where a 32-bit shift would go negative and then undefined.
     constexpr int kRetries = 33;
     RenderServiceConfig cfg;
-    cfg.intraFrameFanOut = false; // one block: one retry chain
+    cfg.fanOutBlockRows = 8; // the frame height: one block, one retry chain
     cfg.maxFrameRetries = kRetries;
     cfg.retryBackoffS = 1e-12;
     RenderService svc(cfg);

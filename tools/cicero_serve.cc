@@ -105,8 +105,10 @@ run(int argc, char **argv)
         presetStr == "full" ? ModelPreset::Full : ModelPreset::Fast;
     key.fp16 = cli.optFlag("--fp16");
 
+    const bool fanOut = !cli.optFlag("--no-fanout");
     RenderServiceConfig cfg;
-    cfg.intraFrameFanOut = !cli.optFlag("--no-fanout");
+    if (!fanOut)
+        cfg.fanOutBlockRows = static_cast<int>(res); // one block per frame
     cfg.maxSessions = static_cast<int>(sessions) + 1;
     cfg.defaultInflightWindow = static_cast<int>(window);
     RenderService svc(cfg);
@@ -134,7 +136,7 @@ run(int argc, char **argv)
                 "%s/%s, fanout=%s, fp16=%s, window=%u, mix=%s, "
                 "threads=%d\n",
                 sessions, frames, res, res, sceneName.c_str(),
-                modelName(kind), cfg.intraFrameFanOut ? "on" : "off",
+                modelName(kind), fanOut ? "on" : "off",
                 key.fp16 ? "on" : "off", window, mix.c_str(),
                 parallelThreadCount());
 
