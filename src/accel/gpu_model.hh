@@ -109,7 +109,7 @@ class GpuModel
     /**
      * DRAM energy of the gather stage, in nJ: gatherDramBytes split
      * into random and streaming shares by the profile and priced at
-     * the ledger's per-byte constants.
+     * @p energy's per-byte constants.
      */
     double gatherDramEnergyNj(const StageWork &work,
                               const GatherProfile &profile,

@@ -67,7 +67,7 @@ class NpuModel
         return _config.activePowerW * ms * 1e6;
     }
 
-    /** MAC energy for @p macs at the ledger's constants, in nJ. */
+    /** MAC energy for @p macs at @p c's constants, in nJ. */
     double macEnergyNj(std::uint64_t macs,
                        const EnergyConstants &c = EnergyConstants{}) const
     {

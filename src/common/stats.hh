@@ -1,67 +1,17 @@
 /**
  * @file
- * Lightweight statistics utilities: named counters, scalar summaries and
- * aligned table printing for the benchmark harness output.
+ * Lightweight statistics utilities: scalar summaries and aligned table
+ * printing for the benchmark harness output.
  */
 
 #ifndef CICERO_COMMON_STATS_HH
 #define CICERO_COMMON_STATS_HH
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
 namespace cicero {
-
-/**
- * A bag of named 64-bit counters, in the spirit of a simulator's stats
- * package. Counters are created on first use.
- */
-class StatGroup
-{
-  public:
-    /** Add @p delta to counter @p name. */
-    void
-    inc(const std::string &name, std::uint64_t delta = 1)
-    {
-        _counters[name] += delta;
-    }
-
-    /** Current value of counter @p name (0 if never touched). */
-    std::uint64_t
-    get(const std::string &name) const
-    {
-        auto it = _counters.find(name);
-        return it == _counters.end() ? 0 : it->second;
-    }
-
-    /** Ratio of two counters; 0 when the denominator is 0. */
-    double
-    ratio(const std::string &num, const std::string &den) const
-    {
-        std::uint64_t d = get(den);
-        return d == 0 ? 0.0 : static_cast<double>(get(num)) / d;
-    }
-
-    void reset() { _counters.clear(); }
-
-    const std::map<std::string, std::uint64_t> &all() const
-    {
-        return _counters;
-    }
-
-    /** Merge another group's counters into this one. */
-    void
-    merge(const StatGroup &o)
-    {
-        for (const auto &[k, v] : o.all())
-            _counters[k] += v;
-    }
-
-  private:
-    std::map<std::string, std::uint64_t> _counters;
-};
 
 /**
  * Running scalar summary (count / mean / min / max / stddev) used for

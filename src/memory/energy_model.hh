@@ -1,6 +1,6 @@
 /**
  * @file
- * Unified energy constants and accounting.
+ * Unified energy constants.
  *
  * The absolute picojoule numbers are calibrated so the *ratios* match the
  * paper's measurements (Sec. V): random DRAM : streaming DRAM = 3 : 1 per
@@ -11,10 +11,6 @@
 
 #ifndef CICERO_MEMORY_ENERGY_MODEL_HH
 #define CICERO_MEMORY_ENERGY_MODEL_HH
-
-#include <cstdint>
-#include <map>
-#include <string>
 
 namespace cicero {
 
@@ -33,81 +29,6 @@ struct EnergyConstants
     double gpuActiveW = 18.0;      //!< mobile Volta GPU busy power
     double npuActiveW = 3.5;       //!< systolic NPU busy power
     double remoteGpuActiveW = 220.0; //!< workstation 2080Ti busy power
-};
-
-/**
- * An energy ledger: named contributions in nanojoules, so benches can
- * report both totals and breakdowns (e.g. Fig. 21's decomposition).
- */
-class EnergyLedger
-{
-  public:
-    explicit EnergyLedger(const EnergyConstants &constants = {})
-        : _constants(constants)
-    {
-    }
-
-    const EnergyConstants &constants() const { return _constants; }
-
-    /** Add @p nj nanojoules to category @p name. */
-    void
-    add(const std::string &name, double nj)
-    {
-        _entries[name] += nj;
-    }
-
-    void addSramBytes(const std::string &name, std::uint64_t bytes)
-    {
-        add(name, bytes * _constants.sramPjPerByte * 1e-3);
-    }
-
-    void addDramStreamBytes(const std::string &name, std::uint64_t bytes)
-    {
-        add(name, bytes * _constants.dramStreamPjPerByte * 1e-3);
-    }
-
-    void addDramRandomBytes(const std::string &name, std::uint64_t bytes)
-    {
-        add(name, bytes * _constants.dramRandomPjPerByte * 1e-3);
-    }
-
-    void addMacs(const std::string &name, std::uint64_t macs)
-    {
-        add(name, macs * _constants.macPj * 1e-3);
-    }
-
-    void addAluOps(const std::string &name, std::uint64_t ops)
-    {
-        add(name, ops * _constants.aluOpPj * 1e-3);
-    }
-
-    /** Wireless transfer of @p bytes; returns the transfer time in ms. */
-    double
-    addWirelessBytes(const std::string &name, std::uint64_t bytes)
-    {
-        add(name, bytes * _constants.wirelessNjPerByte);
-        return bytes / (_constants.wirelessMBps * 1e6) * 1e3;
-    }
-
-    /** Busy-power integration: @p watts for @p ms milliseconds. */
-    void
-    addPowerTime(const std::string &name, double watts, double ms)
-    {
-        add(name, watts * ms * 1e6); // W * ms = mJ = 1e6 nJ
-    }
-
-    double get(const std::string &name) const;
-    double totalNj() const;
-    const std::map<std::string, double> &entries() const
-    {
-        return _entries;
-    }
-
-    void reset() { _entries.clear(); }
-
-  private:
-    EnergyConstants _constants;
-    std::map<std::string, double> _entries;
 };
 
 } // namespace cicero

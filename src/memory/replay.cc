@@ -29,19 +29,20 @@ cacheStatsFields(const CacheStats &s)
            ", \"miss_rate\": " + fmt("%.6f", s.missRate());
 }
 
-} // namespace
+/** Nanojoules of moving @p bytes at @p pjPerByte. */
+double
+bytesNj(std::uint64_t bytes, double pjPerByte)
+{
+    return bytes * pjPerByte * 1e-3;
+}
 
-namespace {
-
-/** Ledger pricing of a cache run: SRAM line reads + DRAM line fills. */
+/** Pricing of a cache run: SRAM line reads + DRAM line fills. */
 double
 cacheEnergyNj(const CacheStats &s, const CacheConfig &cache,
               const EnergyConstants &energy)
 {
-    EnergyLedger ledger(energy);
-    ledger.addSramBytes("sram", s.accesses * cache.lineBytes);
-    ledger.addDramRandomBytes("fill", s.misses * cache.lineBytes);
-    return ledger.totalNj();
+    return bytesNj(s.accesses * cache.lineBytes, energy.sramPjPerByte) +
+           bytesNj(s.misses * cache.lineBytes, energy.dramRandomPjPerByte);
 }
 
 } // namespace
@@ -72,11 +73,10 @@ runBankStack(const TraceSourceFn &source, const SramBankConfig &config,
     BankStackResult result{sim.stats(), 0.0};
     // Completed fetches read a feature vector from SRAM; every stalled
     // attempt re-issues, paying the access again.
-    EnergyLedger ledger(energy);
-    ledger.addSramBytes("sram", (result.stats.fetches +
-                                 result.stats.stalls) *
-                                    config.featureBytes);
-    result.energyNj = ledger.totalNj();
+    result.energyNj = bytesNj((result.stats.fetches +
+                               result.stats.stalls) *
+                                  config.featureBytes,
+                              energy.sramPjPerByte);
     return result;
 }
 

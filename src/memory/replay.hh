@@ -45,14 +45,14 @@ struct CacheStackConfig
 {
     CacheConfig cache;            //!< 2 MB / 64 B lines by default
     std::uint32_t warpWays = 32;  //!< interleaved rays
-    EnergyConstants energy;       //!< per-byte costs for the ledger
+    EnergyConstants energy;       //!< per-byte energy costs
 };
 
 /**
- * Results of the Fig. 5 cache stack. Energy uses the EnergyModel
- * ledger: every access reads one line from SRAM, every miss fills the
- * line from DRAM at random-access cost — the same per-byte constants
- * the figure benches price with.
+ * Results of the Fig. 5 cache stack. Energy is priced from
+ * EnergyConstants: every access reads one line from SRAM, every miss
+ * fills the line from DRAM at random-access cost — the same per-byte
+ * constants the figure benches price with.
  */
 struct CacheStackResult
 {

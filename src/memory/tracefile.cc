@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
+#include <type_traits>
 
 #include "common/fault.hh"
 
@@ -268,33 +269,34 @@ rangeDecompress(const std::uint8_t *data, std::size_t size,
 
 constexpr char kMagic[4] = {'C', 'T', 'R', 'C'};
 
-void
-appendU16(std::vector<std::uint8_t> &out, std::uint16_t v)
+/** Appends header fields little-endian; see headerFields(). */
+struct HeaderWriter
 {
-    out.push_back(static_cast<std::uint8_t>(v));
-    out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
+    std::vector<std::uint8_t> &out;
 
-void
-appendU32(std::vector<std::uint8_t> &out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
+    template <class T>
+    void
+    field(T v)
+    {
+        static_assert(std::is_integral_v<T>);
+        for (std::size_t i = 0; i < sizeof(T); ++i)
+            out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
 
-void
-appendU64(std::vector<std::uint8_t> &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
+    void
+    field(const std::string &s)
+    {
+        field(static_cast<std::uint32_t>(s.size()));
+        out.insert(out.end(), s.begin(), s.end());
+    }
 
-void
-appendStr(std::vector<std::uint8_t> &out, const std::string &s)
-{
-    appendU32(out, static_cast<std::uint32_t>(s.size()));
-    out.insert(out.end(), s.begin(), s.end());
-}
+    template <class... T>
+    void
+    operator()(const T &...v)
+    {
+        (field(v), ...);
+    }
+};
 
 /** Bounds-checked cursor over a parsed container. */
 struct Cursor
@@ -310,75 +312,186 @@ struct Cursor
             throw TraceFileError("truncated trace file");
     }
 
-    std::uint16_t
-    u16()
+    template <class T>
+    void
+    field(T &v)
     {
-        need(2);
-        std::uint16_t v = static_cast<std::uint16_t>(
-            data[pos] | (data[pos + 1] << 8));
-        pos += 2;
-        return v;
+        static_assert(std::is_integral_v<T>);
+        need(sizeof(T));
+        std::uint64_t x = 0;
+        for (std::size_t i = 0; i < sizeof(T); ++i)
+            x |= static_cast<std::uint64_t>(data[pos + i]) << (8 * i);
+        pos += sizeof(T);
+        v = static_cast<T>(x);
     }
 
-    std::uint8_t
-    u8()
+    void
+    field(std::string &s)
     {
-        need(1);
-        return data[pos++];
-    }
-
-    std::uint32_t
-    u32()
-    {
-        need(4);
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(data[pos + i]) << (8 * i);
-        pos += 4;
-        return v;
-    }
-
-    std::uint64_t
-    u64()
-    {
-        need(8);
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(data[pos + i]) << (8 * i);
-        pos += 8;
-        return v;
-    }
-
-    std::string
-    str()
-    {
-        std::uint32_t n = u32();
+        std::uint32_t n = 0;
+        field(n);
         need(n);
-        std::string s(reinterpret_cast<const char *>(data + pos), n);
+        s.assign(reinterpret_cast<const char *>(data + pos), n);
         pos += n;
-        return s;
+    }
+
+    template <class... T>
+    void
+    operator()(T &...v)
+    {
+        (field(v), ...);
+    }
+
+    template <class T>
+    T
+    get()
+    {
+        T v{};
+        field(v);
+        return v;
     }
 };
 
-std::uint64_t
-readVarint(const std::vector<std::uint8_t> &events, std::size_t &pos)
+/**
+ * The header fields from scene through the workload summary, in file
+ * order: the one list TraceFileWriter::close() writes through a
+ * HeaderWriter and TraceFileReader::parse() reads through a Cursor.
+ * Each field's C++ type sets its encoding: u32 / u64 little-endian,
+ * bool as one byte, string as u32 length + bytes.
+ */
+template <class Io>
+void
+headerFields(Io &io, TraceFileMeta &meta, TraceFileCounts &counts,
+             bool &hasWorkload, TraceWorkloadSummary &w)
 {
-    std::uint64_t v = 0;
-    int shift = 0;
-    for (;;) {
-        if (pos >= events.size())
-            throw TraceFileError(
-                "corrupt trace payload: truncated varint");
-        std::uint8_t b = events[pos++];
-        v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
-        if (!(b & 0x80))
-            return v;
-        shift += 7;
-        if (shift >= 64)
-            throw TraceFileError(
-                "corrupt trace payload: varint overflow");
-    }
+    io(meta.scene, meta.encoding, meta.model, meta.width, meta.height,
+       meta.threads, meta.featureBytes, counts.accesses, counts.rayEnds,
+       counts.flushes, hasWorkload);
+    if (hasWorkload)
+        io(w.rays, w.samples, w.indexOps, w.vertexFetches, w.gatherBytes,
+           w.interpOps, w.mlpMacs, w.compositeOps, w.streamedBytes,
+           w.randomBytes, w.ritEntries, w.ritBytes, w.vertexBytes);
 }
+
+// ---------------------------------------------------------------------
+// Event decoding
+// ---------------------------------------------------------------------
+
+/** One payload event, as EventDecoder::next() returns it. */
+struct DecodedEvent
+{
+    /**
+     * kEvAccess (elision flags stripped), kEvRayEnd, kEvFlush,
+     * kEvCheckpoint or kEvEnd.
+     */
+    std::uint8_t kind = kEvEnd;
+    bool sameBytes = false; //!< access size elided (repeats the last)
+    bool sameRay = false;   //!< ray id elided (repeats the last)
+    /**
+     * Running address, size and ray id after this event: the access
+     * itself for kEvAccess, the ended ray in rayId for kEvRayEnd.
+     */
+    MemAccess access;
+    std::uint64_t checkpointEvents = 0; //!< kEvCheckpoint: cumulative count
+    std::uint64_t checkpointCrc = 0;    //!< kEvCheckpoint: stored CRC32
+    std::size_t start = 0; //!< byte span [start, end) in the payload
+    std::size_t end = 0;
+};
+
+/**
+ * The one reader of the event grammar: tag bytes, elision flags,
+ * zigzag deltas, checkpoints and the terminator. Validation, the byte
+ * breakdown and replay are each a loop over next().
+ */
+class EventDecoder
+{
+  public:
+    explicit EventDecoder(const std::vector<std::uint8_t> &events)
+        : _data(events.data()), _size(events.size())
+    {
+    }
+
+    /**
+     * Decode the event at the cursor and step past it. Forced inline
+     * into each loop: replay's per-event cost is a share of every DSE
+     * sweep point.
+     *
+     * @throws TraceFileError on an invalid tag, a truncated or
+     *         overlong varint, or a stream that ends unterminated.
+     */
+    [[gnu::always_inline]] inline DecodedEvent
+    next()
+    {
+        auto varint = [this] {
+            std::uint64_t v = 0;
+            int shift = 0;
+            for (;;) {
+                if (_pos >= _size)
+                    throw TraceFileError(
+                        "corrupt trace payload: truncated varint");
+                std::uint8_t b = _data[_pos++];
+                v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
+                if (!(b & 0x80))
+                    return v;
+                shift += 7;
+                if (shift >= 64)
+                    throw TraceFileError(
+                        "corrupt trace payload: varint overflow");
+            }
+        };
+        // Unsigned, so deltas wrap modulo 2^64 (addresses) and 2^32
+        // (ray ids) instead of overflowing on a corrupt payload.
+        auto delta = [&] {
+            return static_cast<std::uint64_t>(unzigzag(varint()));
+        };
+
+        if (_pos >= _size)
+            throw TraceFileError(
+                "corrupt trace payload: missing stream terminator");
+        DecodedEvent e;
+        e.start = _pos;
+        const std::uint8_t tag = _data[_pos++];
+        e.kind = tag;
+        switch (tag) {
+          case kEvAccess:
+          case kEvAccess | kFlagSameBytes:
+          case kEvAccess | kFlagSameRay:
+          case kEvAccess | kFlagSameBytes | kFlagSameRay:
+            e.kind = kEvAccess;
+            e.sameBytes = tag & kFlagSameBytes;
+            e.sameRay = tag & kFlagSameRay;
+            _last.addr += delta();
+            if (!e.sameBytes)
+                _last.bytes = static_cast<std::uint32_t>(varint());
+            if (!e.sameRay)
+                _last.rayId =
+                    static_cast<std::uint32_t>(_last.rayId + delta());
+            break;
+          case kEvRayEnd:
+            _last.rayId = static_cast<std::uint32_t>(_last.rayId + delta());
+            break;
+          case kEvFlush:
+          case kEvEnd:
+            break;
+          case kEvCheckpoint:
+            e.checkpointEvents = varint();
+            e.checkpointCrc = varint();
+            break;
+          default:
+            throw TraceFileError(
+                "corrupt trace payload: invalid event tag");
+        }
+        e.access = _last;
+        e.end = _pos;
+        return e;
+    }
+
+  private:
+    const std::uint8_t *_data;
+    std::size_t _size;
+    std::size_t _pos = 0;
+    MemAccess _last; //!< running address, size and ray id
+};
 
 /**
  * Largest varint-stage payload the header's event counts can honestly
@@ -577,40 +690,13 @@ TraceFileWriter::close()
     }
     _storedPayloadBytes = payload->size();
 
-    std::vector<std::uint8_t> header;
-    header.insert(header.end(), kMagic, kMagic + 4);
-    appendU16(header, kTraceFileVersion);
-    header.push_back(static_cast<std::uint8_t>(_codec));
-    header.push_back(static_cast<std::uint8_t>(_meta.storageMode));
-    appendStr(header, _meta.scene);
-    appendStr(header, _meta.encoding);
-    appendStr(header, _meta.model);
-    appendU32(header, _meta.width);
-    appendU32(header, _meta.height);
-    appendU32(header, _meta.threads);
-    appendU32(header, _meta.featureBytes);
-    appendU64(header, _counts.accesses);
-    appendU64(header, _counts.rayEnds);
-    appendU64(header, _counts.flushes);
-    header.push_back(_hasWorkload ? 1 : 0);
-    if (_hasWorkload) {
-        appendU64(header, _workload.rays);
-        appendU64(header, _workload.samples);
-        appendU64(header, _workload.indexOps);
-        appendU64(header, _workload.vertexFetches);
-        appendU64(header, _workload.gatherBytes);
-        appendU64(header, _workload.interpOps);
-        appendU64(header, _workload.mlpMacs);
-        appendU64(header, _workload.compositeOps);
-        appendU64(header, _workload.streamedBytes);
-        appendU64(header, _workload.randomBytes);
-        appendU64(header, _workload.ritEntries);
-        appendU64(header, _workload.ritBytes);
-        appendU32(header, _workload.vertexBytes);
-    }
-    appendU64(header, _storedPayloadBytes);
-    appendU64(header, _payload.size());
-    appendU32(header, crc32(header.data(), header.size()));
+    std::vector<std::uint8_t> header(kMagic, kMagic + 4);
+    HeaderWriter out{header};
+    out(kTraceFileVersion, static_cast<std::uint8_t>(_codec),
+        static_cast<std::uint8_t>(_meta.storageMode));
+    headerFields(out, _meta, _counts, _hasWorkload, _workload);
+    out(_storedPayloadBytes, static_cast<std::uint64_t>(_payload.size()));
+    out(crc32(header.data(), header.size()));
 
     _fileBytes = header.size() + payload->size();
 
@@ -702,7 +788,7 @@ TraceFileReader::parse(const std::uint8_t *data, std::size_t size,
         throw TraceFileError("not a trace file (bad magic)");
     c.pos = 4;
 
-    std::uint16_t version = c.u16();
+    const auto version = c.get<std::uint16_t>();
     if (version < kTraceFileMinVersion || version > kTraceFileVersion)
         throw TraceFileError(
             "unsupported trace-file version " + std::to_string(version) +
@@ -711,48 +797,23 @@ TraceFileReader::parse(const std::uint8_t *data, std::size_t size,
             std::to_string(kTraceFileVersion) + ")");
     _version = version;
 
-    std::uint8_t codec = c.u8();
+    const auto codec = c.get<std::uint8_t>();
     if (codec > static_cast<std::uint8_t>(TraceCodec::Range))
         throw TraceFileError("unknown trace-file codec " +
                              std::to_string(codec));
     _codec = static_cast<TraceCodec>(codec);
-    std::uint8_t storage = c.u8();
+    const auto storage = c.get<std::uint8_t>();
     _meta.storageMode =
         storage <= static_cast<std::uint8_t>(TraceStorageMode::Fp16)
             ? static_cast<TraceStorageMode>(storage)
             : TraceStorageMode::Unknown;
 
-    _meta.scene = c.str();
-    _meta.encoding = c.str();
-    _meta.model = c.str();
-    _meta.width = c.u32();
-    _meta.height = c.u32();
-    _meta.threads = c.u32();
-    _meta.featureBytes = c.u32();
-    _counts.accesses = c.u64();
-    _counts.rayEnds = c.u64();
-    _counts.flushes = c.u64();
-    _hasWorkload = c.u8() != 0;
-    if (_hasWorkload) {
-        _workload.rays = c.u64();
-        _workload.samples = c.u64();
-        _workload.indexOps = c.u64();
-        _workload.vertexFetches = c.u64();
-        _workload.gatherBytes = c.u64();
-        _workload.interpOps = c.u64();
-        _workload.mlpMacs = c.u64();
-        _workload.compositeOps = c.u64();
-        _workload.streamedBytes = c.u64();
-        _workload.randomBytes = c.u64();
-        _workload.ritEntries = c.u64();
-        _workload.ritBytes = c.u64();
-        _workload.vertexBytes = c.u32();
-    }
-    _storedPayloadBytes = c.u64();
-    std::uint64_t rawPayloadBytes = c.u64();
+    headerFields(c, _meta, _counts, _hasWorkload, _workload);
+    _storedPayloadBytes = c.get<std::uint64_t>();
+    const auto rawPayloadBytes = c.get<std::uint64_t>();
 
     const std::size_t crcPos = c.pos;
-    const std::uint32_t storedCrc = c.u32();
+    const auto storedCrc = c.get<std::uint32_t>();
     // Header damage is unrecoverable in any mode: the counts, codec and
     // sizes below the CRC are what salvage itself depends on.
     if (crc32(data, crcPos) != storedCrc)
@@ -803,9 +864,9 @@ TraceFileReader::parse(const std::uint8_t *data, std::size_t size,
 void
 TraceFileReader::validatePayload(TraceReadMode mode)
 {
+    EventDecoder decoder(_events);
     TraceFileCounts walked;
     std::uint64_t walkedEvents = 0;
-    std::size_t pos = 0;
     std::size_t sectionStart = 0;
 
     // Salvage cut candidate: everything before it is trustworthy.
@@ -813,89 +874,51 @@ TraceFileReader::validatePayload(TraceReadMode mode)
     TraceFileCounts lastGoodCounts;
     std::uint64_t lastGoodEvents = 0;
 
-    bool terminated = false;
-    std::string defect;
+    bool damaged = false;
 
     try {
-        while (pos < _events.size()) {
-            const std::size_t start = pos;
-            std::uint8_t tag = _events[pos++];
-            switch (tag & 3) {
-              case kEvAccess:
-                if (tag & ~(kFlagSameBytes | kFlagSameRay))
-                    throw TraceFileError(
-                        "corrupt trace payload: invalid event tag");
-                readVarint(_events, pos); // address delta
-                if (!(tag & kFlagSameBytes))
-                    readVarint(_events, pos);
-                if (!(tag & kFlagSameRay))
-                    readVarint(_events, pos);
-                ++walked.accesses;
-                ++walkedEvents;
-                break;
-              case kEvRayEnd:
-                if (tag != kEvRayEnd)
-                    throw TraceFileError(
-                        "corrupt trace payload: invalid event tag");
-                readVarint(_events, pos);
-                ++walked.rayEnds;
-                ++walkedEvents;
-                break;
-              case kEvFlush:
-                if (tag != kEvFlush)
-                    throw TraceFileError(
-                        "corrupt trace payload: invalid event tag");
-                ++walked.flushes;
-                ++walkedEvents;
-                break;
-              case kEvEnd:
-                if (tag == kEvCheckpoint) {
-                    std::uint64_t cumEvents = readVarint(_events, pos);
-                    std::uint64_t crc = readVarint(_events, pos);
-                    std::uint32_t computed =
-                        crc32(_events.data() + sectionStart,
-                              start - sectionStart);
-                    if (crc > 0xFFFFFFFFull || cumEvents != walkedEvents ||
-                        static_cast<std::uint32_t>(crc) != computed)
-                        throw TraceFileError(
-                            "corrupt trace payload: checkpoint "
-                            "checksum mismatch");
-                    sectionStart = pos;
-                    lastGood = pos;
-                    lastGoodCounts = walked;
-                    lastGoodEvents = walkedEvents;
-                    ++_recovery.checkpointsVerified;
-                    break;
-                }
-                if (tag != kEvEnd)
-                    throw TraceFileError(
-                        "corrupt trace payload: invalid event tag");
-                if (pos != _events.size())
+        for (;;) {
+            const DecodedEvent e = decoder.next();
+            if (e.kind == kEvEnd) {
+                if (e.end != _events.size())
                     throw TraceFileError(
                         "corrupt trace payload: trailing bytes after "
                         "terminator");
-                terminated = true;
                 break;
             }
-            if (terminated)
-                break;
+            if (e.kind == kEvCheckpoint) {
+                if (e.checkpointCrc > 0xFFFFFFFFull ||
+                    e.checkpointEvents != walkedEvents ||
+                    static_cast<std::uint32_t>(e.checkpointCrc) !=
+                        crc32(_events.data() + sectionStart,
+                              e.start - sectionStart))
+                    throw TraceFileError(
+                        "corrupt trace payload: checkpoint "
+                        "checksum mismatch");
+                sectionStart = lastGood = e.end;
+                lastGoodCounts = walked;
+                lastGoodEvents = walkedEvents;
+                ++_recovery.checkpointsVerified;
+                continue;
+            }
+            ++walkedEvents;
+            walked.accesses += e.kind == kEvAccess;
+            walked.rayEnds += e.kind == kEvRayEnd;
+            walked.flushes += e.kind == kEvFlush;
         }
-        if (!terminated)
-            throw TraceFileError(
-                "corrupt trace file: missing stream terminator");
         if (walked.accesses != _counts.accesses ||
             walked.rayEnds != _counts.rayEnds ||
             walked.flushes != _counts.flushes)
             throw TraceFileError(
                 "corrupt trace file: header/payload event count "
                 "mismatch");
-    } catch (const TraceFileError &e) {
+    } catch (const TraceFileError &) {
         if (mode == TraceReadMode::Strict)
             throw;
-        defect = e.what();
+        damaged = true;
     }
 
-    if (!defect.empty()) {
+    if (damaged) {
         _recovery.salvaged = true;
         _recovery.droppedPayloadBytes = _events.size() - lastGood;
         _events.resize(lastGood);
@@ -910,45 +933,31 @@ TraceEventBreakdown
 TraceFileReader::eventBreakdown() const
 {
     TraceEventBreakdown out;
-    std::size_t pos = 0;
+    EventDecoder decoder(_events);
     for (;;) {
-        if (pos >= _events.size())
-            throw TraceFileError(
-                "corrupt trace payload: unterminated event stream");
-        const std::size_t start = pos;
-        std::uint8_t tag = _events[pos++];
-        switch (tag & 3) {
+        const DecodedEvent e = decoder.next();
+        const std::uint64_t bytes = e.end - e.start;
+        switch (e.kind) {
           case kEvAccess:
-            readVarint(_events, pos); // address delta
-            if (tag & kFlagSameBytes)
-                ++out.sameBytesElisions;
-            else
-                readVarint(_events, pos);
-            if (tag & kFlagSameRay)
-                ++out.sameRayElisions;
-            else
-                readVarint(_events, pos);
             ++out.accessEvents;
-            out.accessBytes += pos - start;
+            out.accessBytes += bytes;
+            out.sameBytesElisions += e.sameBytes;
+            out.sameRayElisions += e.sameRay;
             break;
           case kEvRayEnd:
-            readVarint(_events, pos);
             ++out.rayEndEvents;
-            out.rayEndBytes += pos - start;
+            out.rayEndBytes += bytes;
             break;
           case kEvFlush:
             ++out.flushEvents;
-            out.flushBytes += pos - start;
+            out.flushBytes += bytes;
+            break;
+          case kEvCheckpoint:
+            ++out.checkpointEvents;
+            out.checkpointBytes += bytes;
             break;
           case kEvEnd:
-            if (tag & kFlagCheckpoint) {
-                readVarint(_events, pos); // cumulative event count
-                readVarint(_events, pos); // section CRC
-                ++out.checkpointEvents;
-                out.checkpointBytes += pos - start;
-                break;
-            }
-            out.terminatorBytes += pos - start;
+            out.terminatorBytes += bytes;
             return out;
         }
     }
@@ -957,60 +966,24 @@ TraceFileReader::eventBreakdown() const
 void
 TraceFileReader::replay(TraceSink *sink) const
 {
-    std::size_t pos = 0;
-    std::uint64_t lastAddr = 0;
-    std::uint32_t lastBytes = 0;
-    std::uint32_t lastRay = 0;
-
+    EventDecoder decoder(_events);
     for (;;) {
-        if (pos >= _events.size())
-            throw TraceFileError(
-                "corrupt trace payload: unterminated event stream");
-        std::uint8_t tag = _events[pos++];
-        switch (tag & 3) {
-          case kEvAccess: {
-            MemAccess a;
-            lastAddr += static_cast<std::uint64_t>(
-                unzigzag(readVarint(_events, pos)));
-            a.addr = lastAddr;
-            if (tag & kFlagSameBytes) {
-                a.bytes = lastBytes;
-            } else {
-                a.bytes = static_cast<std::uint32_t>(
-                    readVarint(_events, pos));
-                lastBytes = a.bytes;
-            }
-            if (tag & kFlagSameRay) {
-                a.rayId = lastRay;
-            } else {
-                a.rayId = static_cast<std::uint32_t>(
-                    static_cast<std::int64_t>(lastRay) +
-                    unzigzag(readVarint(_events, pos)));
-                lastRay = a.rayId;
-            }
-            sink->onAccess(a);
+        const DecodedEvent e = decoder.next();
+        switch (e.kind) {
+          case kEvAccess:
+            sink->onAccess(e.access);
             break;
-          }
-          case kEvRayEnd: {
-            lastRay = static_cast<std::uint32_t>(
-                static_cast<std::int64_t>(lastRay) +
-                unzigzag(readVarint(_events, pos)));
-            sink->onRayEnd(lastRay);
+          case kEvRayEnd:
+            sink->onRayEnd(e.access.rayId);
             break;
-          }
           case kEvFlush:
             sink->onFlush();
             break;
           case kEvEnd:
-            if (tag & kFlagCheckpoint) {
-                // Checkpoints are integrity metadata, not sink events;
-                // they were verified at parse time.
-                readVarint(_events, pos);
-                readVarint(_events, pos);
-                break;
-            }
             return;
         }
+        // Checkpoints are integrity metadata, not sink events; they
+        // were verified at parse time.
     }
 }
 

@@ -58,6 +58,11 @@
  * elided when repeated. With codec Range an adaptive order-0 binary
  * range coder (the delta-filter + entropy-coding idiom of classic
  * stream compressors) squeezes the residual varint bytes further.
+ *
+ * tracefile.cc states this format once: a single event decoder reads
+ * the payload grammar for parse-time validation, replay() and
+ * eventBreakdown(), and a single header field list (scene through the
+ * workload summary) is what the writer writes and the reader parses.
  */
 
 #ifndef CICERO_MEMORY_TRACEFILE_HH

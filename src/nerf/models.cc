@@ -45,6 +45,30 @@ parseModelKind(const std::string &name, ModelKind &kind)
     return true;
 }
 
+bool
+parseModelPreset(const std::string &name, ModelPreset &preset)
+{
+    if (name == "fast")
+        preset = ModelPreset::Fast;
+    else if (name == "full")
+        preset = ModelPreset::Full;
+    else
+        return false;
+    return true;
+}
+
+bool
+parseGridLayout(const std::string &name, GridLayout &layout)
+{
+    if (name == "linear")
+        layout = GridLayout::Linear;
+    else if (name == "mvoxel")
+        layout = GridLayout::MVoxelBlocked;
+    else
+        return false;
+    return true;
+}
+
 const std::vector<ModelKind> &
 allModelKinds()
 {

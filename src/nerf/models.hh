@@ -57,6 +57,19 @@ enum class ModelPreset
     Full, //!< quality-bench scale
 };
 
+/**
+ * Parse a preset name as the command-line tools and corpus manifests
+ * spell it: "fast" or "full". Returns false, leaving @p preset
+ * unchanged, for any other name.
+ */
+bool parseModelPreset(const std::string &name, ModelPreset &preset);
+
+/**
+ * Parse a dense-grid layout name: "linear" or "mvoxel". Returns false,
+ * leaving @p layout unchanged, for any other name.
+ */
+bool parseGridLayout(const std::string &name, GridLayout &layout);
+
 /** Options controlling model construction. */
 struct ModelBuildOptions
 {

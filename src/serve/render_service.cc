@@ -144,12 +144,10 @@ RenderService::admitImpl(const ServeSessionConfig &config,
         // half resolution instead of full cost. Decided (and fixed) at
         // admission so a session's frames stay mutually consistent —
         // the service never changes resolution mid-session.
-        if (_config.shedOnOverload) {
-            int pressure = std::max(
-                1, static_cast<int>(std::ceil(_config.shedThreshold *
-                                              _config.maxSessions)));
-            shed = _active >= pressure;
-        }
+        int pressure = std::max(
+            1, static_cast<int>(std::ceil(_config.shedThreshold *
+                                          _config.maxSessions)));
+        shed = _active >= pressure;
         if (shed)
             ++_counters.shedAdmissions;
         s->id = _nextId++;

@@ -167,9 +167,9 @@ struct RenderServiceConfig
      * shedThreshold x maxSessions, new admissions are downgraded to
      * the downsampled path (half resolution, floor 8) instead of
      * rendered at full cost — predictable degradation, the DS-k
-     * fallback applied at admission time.
+     * fallback applied at admission time. A threshold above 1 never
+     * sheds.
      */
-    bool shedOnOverload = true;
     double shedThreshold = 0.75;
 };
 

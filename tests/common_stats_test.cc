@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for counters, summaries, tables and the RNG.
+ * Unit tests for summaries, tables and the RNG.
  */
 
 #include <gtest/gtest.h>
@@ -10,35 +10,6 @@
 
 namespace cicero {
 namespace {
-
-TEST(StatGroupTest, IncrementAndGet)
-{
-    StatGroup g;
-    EXPECT_EQ(g.get("x"), 0u);
-    g.inc("x");
-    g.inc("x", 4);
-    EXPECT_EQ(g.get("x"), 5u);
-}
-
-TEST(StatGroupTest, RatioHandlesZeroDenominator)
-{
-    StatGroup g;
-    EXPECT_DOUBLE_EQ(g.ratio("a", "b"), 0.0);
-    g.inc("a", 3);
-    g.inc("b", 4);
-    EXPECT_DOUBLE_EQ(g.ratio("a", "b"), 0.75);
-}
-
-TEST(StatGroupTest, MergeAddsCounters)
-{
-    StatGroup a, b;
-    a.inc("x", 2);
-    b.inc("x", 3);
-    b.inc("y", 1);
-    a.merge(b);
-    EXPECT_EQ(a.get("x"), 5u);
-    EXPECT_EQ(a.get("y"), 1u);
-}
 
 TEST(SummaryTest, Moments)
 {

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the energy ledger and the paper's published energy ratios.
+ * Tests for the paper's published energy ratios.
  */
 
 #include <gtest/gtest.h>
@@ -19,76 +19,6 @@ TEST(EnergyConstantsTest, PaperRatios)
     EXPECT_NEAR(c.dramRandomPjPerByte / c.sramPjPerByte, 25.0, 0.01);
     EXPECT_DOUBLE_EQ(c.wirelessNjPerByte, 100.0);
     EXPECT_DOUBLE_EQ(c.wirelessMBps, 10.0);
-}
-
-TEST(EnergyLedgerTest, CategoriesAccumulate)
-{
-    EnergyLedger ledger;
-    ledger.add("a", 5.0);
-    ledger.add("a", 2.5);
-    ledger.add("b", 1.0);
-    EXPECT_DOUBLE_EQ(ledger.get("a"), 7.5);
-    EXPECT_DOUBLE_EQ(ledger.get("b"), 1.0);
-    EXPECT_DOUBLE_EQ(ledger.get("missing"), 0.0);
-    EXPECT_DOUBLE_EQ(ledger.totalNj(), 8.5);
-}
-
-TEST(EnergyLedgerTest, ByteHelpers)
-{
-    EnergyLedger ledger;
-    ledger.addSramBytes("sram", 1000);
-    ledger.addDramStreamBytes("stream", 1000);
-    ledger.addDramRandomBytes("random", 1000);
-    // 1000 B at 4 / 33.3 / 100 pJ/B.
-    EXPECT_NEAR(ledger.get("sram"), 4.0, 1e-9);
-    EXPECT_NEAR(ledger.get("stream"), 33.3, 1e-9);
-    EXPECT_NEAR(ledger.get("random"), 100.0, 1e-9);
-    // Monotone in traffic.
-    ledger.addDramRandomBytes("random", 1000);
-    EXPECT_NEAR(ledger.get("random"), 200.0, 1e-9);
-}
-
-TEST(EnergyLedgerTest, MacsAndOps)
-{
-    EnergyLedger ledger;
-    ledger.addMacs("mac", 1000000);
-    EXPECT_NEAR(ledger.get("mac"), 1e6 * 0.6 * 1e-3, 1e-6);
-    ledger.addAluOps("alu", 1000000);
-    EXPECT_NEAR(ledger.get("alu"), 1e6 * 0.4 * 1e-3, 1e-6);
-}
-
-TEST(EnergyLedgerTest, WirelessReturnsTransferTime)
-{
-    EnergyLedger ledger;
-    // 10 MB at 10 MB/s = 1 s = 1000 ms; energy 10e6 B * 100 nJ = 1 J.
-    double ms = ledger.addWirelessBytes("wifi", 10000000);
-    EXPECT_NEAR(ms, 1000.0, 1e-6);
-    EXPECT_NEAR(ledger.get("wifi"), 1e9, 1.0);
-}
-
-TEST(EnergyLedgerTest, PowerTimeIntegration)
-{
-    EnergyLedger ledger;
-    ledger.addPowerTime("gpu", 18.0, 100.0); // 18 W for 100 ms = 1.8 J
-    EXPECT_NEAR(ledger.get("gpu"), 1.8e9, 1.0);
-}
-
-TEST(EnergyLedgerTest, ResetClears)
-{
-    EnergyLedger ledger;
-    ledger.add("x", 1.0);
-    ledger.reset();
-    EXPECT_DOUBLE_EQ(ledger.totalNj(), 0.0);
-    EXPECT_TRUE(ledger.entries().empty());
-}
-
-TEST(EnergyLedgerTest, CustomConstants)
-{
-    EnergyConstants c;
-    c.sramPjPerByte = 8.0;
-    EnergyLedger ledger(c);
-    ledger.addSramBytes("sram", 100);
-    EXPECT_NEAR(ledger.get("sram"), 0.8, 1e-9);
 }
 
 } // namespace

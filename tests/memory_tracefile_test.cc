@@ -358,6 +358,109 @@ TEST(TraceFileTest, FileAndMemoryBackendsProduceIdenticalContainers)
 // Error paths
 // ---------------------------------------------------------------------
 
+// ---------------------------------------------------------------------
+// Format stability across commits
+// ---------------------------------------------------------------------
+
+/**
+ * FNV-1a 64-bit digest. Not CRC32: the header ends with its own CRC32,
+ * which leaves a CRC32 register at a constant residue, so a
+ * whole-container CRC32 cannot see any header change.
+ */
+std::uint64_t
+fnv1a64(const std::vector<std::uint8_t> &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (std::uint8_t b : bytes)
+        h = (h ^ b) * 0x100000001b3ull;
+    return h;
+}
+
+TEST(TraceFileTest, ContainerBytesMatchRecordedGolden)
+{
+    // Round trips cannot see a format drift that writer and reader
+    // share, so a fixed synthetic stream is pinned to the length and
+    // digest of its containers. The stream repeats and changes access
+    // size and ray id (backwards too), moves addresses both ways, ends
+    // rays, flushes mid-stream and holds 1,652 events, so a mid-stream
+    // checkpoint is written. A change here is a container-format
+    // change: it needs a new kTraceFileVersion. The event breakdown of
+    // the stream is pinned too.
+    struct Golden
+    {
+        TraceCodec codec;
+        bool workload;
+        std::size_t bytes;
+        std::uint64_t digest;
+    };
+    const Golden goldens[] = {
+        {TraceCodec::Varint, false, 7197, 13037741977187279916ull},
+        {TraceCodec::Varint, true, 7297, 8553739287009545873ull},
+        {TraceCodec::Range, false, 3335, 13858102163961968189ull},
+        {TraceCodec::Range, true, 3435, 7039589585994825096ull},
+    };
+    for (const Golden &g : goldens) {
+        TraceFileMeta meta;
+        meta.scene = "golden";
+        meta.encoding = "synthetic";
+        meta.model = "none";
+        meta.width = 40;
+        meta.height = 30;
+        meta.threads = 1;
+        meta.featureBytes = 16;
+        meta.storageMode = TraceStorageMode::Fp16;
+
+        std::vector<std::uint8_t> buf;
+        TraceFileWriter writer(buf, meta, g.codec);
+        for (std::uint32_t i = 0; i < 1500; ++i) {
+            const std::uint32_t ray = (i / 10) ^ 3;
+            const std::uint64_t addr = (i * 2654435761ull) % (1u << 22);
+            writer.onAccess(MemAccess{addr, i % 7 == 0 ? 32u : 64u, ray});
+            if (i % 10 == 9)
+                writer.onRayEnd(ray);
+            if (i == 777)
+                writer.onFlush();
+        }
+        writer.onFlush();
+        if (g.workload) {
+            TraceWorkloadSummary w;
+            w.rays = 150;
+            w.samples = 1500;
+            w.indexOps = 12000;
+            w.vertexFetches = 12001;
+            w.gatherBytes = 192016;
+            w.interpOps = 24000;
+            w.mlpMacs = 987654321;
+            w.compositeOps = 4500;
+            w.streamedBytes = 1u << 20;
+            w.randomBytes = 77777;
+            w.ritEntries = 321;
+            w.ritBytes = 2568;
+            w.vertexBytes = 16;
+            writer.setWorkloadSummary(w);
+        }
+        writer.close();
+
+        SCOPED_TRACE(testing::Message()
+                     << "codec " << static_cast<int>(g.codec)
+                     << (g.workload ? " with" : " without")
+                     << " workload summary");
+        EXPECT_EQ(buf.size(), g.bytes);
+        EXPECT_EQ(fnv1a64(buf), g.digest);
+        // The varint-stage accounting is the same in both codecs; its
+        // byte fields sum to the raw payload (7,097 B).
+        const TraceEventBreakdown ev = TraceFileReader(buf).eventBreakdown();
+        EXPECT_EQ((std::vector<std::uint64_t>{
+                      ev.accessEvents, ev.accessBytes, ev.rayEndEvents,
+                      ev.rayEndBytes, ev.flushEvents, ev.flushBytes,
+                      ev.checkpointEvents, ev.checkpointBytes,
+                      ev.terminatorBytes, ev.sameBytesElisions,
+                      ev.sameRayElisions}),
+                  (std::vector<std::uint64_t>{1500, 6778, 150, 300, 2, 2,
+                                              2, 16, 1, 1070, 1350}));
+    }
+}
+
 TEST(TraceFileTest, RejectsBadMagic)
 {
     std::vector<std::uint8_t> buf = syntheticContainer();

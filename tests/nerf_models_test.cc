@@ -73,6 +73,34 @@ TEST(ModelFactoryTest, ParseModelKindRejectsUnknownNames)
     }
 }
 
+TEST(ModelFactoryTest, ParsePresetAndLayoutNames)
+{
+    // The canonical names, as the tools and corpus manifests write them.
+    ModelPreset preset = ModelPreset::Full;
+    EXPECT_TRUE(parseModelPreset("fast", preset));
+    EXPECT_EQ(preset, ModelPreset::Fast);
+    EXPECT_TRUE(parseModelPreset("full", preset));
+    EXPECT_EQ(preset, ModelPreset::Full);
+    GridLayout layout = GridLayout::MVoxelBlocked;
+    EXPECT_TRUE(parseGridLayout("linear", layout));
+    EXPECT_EQ(layout, GridLayout::Linear);
+    EXPECT_TRUE(parseGridLayout("mvoxel", layout));
+    EXPECT_EQ(layout, GridLayout::MVoxelBlocked);
+
+    // Misspellings are rejected, leaving the value unchanged.
+    for (const char *name : {"", "ful", "fulll", "Fast", "fast ", "slow"}) {
+        ModelPreset p = ModelPreset::Full;
+        EXPECT_FALSE(parseModelPreset(name, p)) << '"' << name << '"';
+        EXPECT_EQ(p, ModelPreset::Full) << "preset left unchanged";
+    }
+    for (const char *name :
+         {"", "mvoxl", "chanel", "Linear", "m-voxel", "linear "}) {
+        GridLayout l = GridLayout::MVoxelBlocked;
+        EXPECT_FALSE(parseGridLayout(name, l)) << '"' << name << '"';
+        EXPECT_EQ(l, GridLayout::MVoxelBlocked) << "layout left unchanged";
+    }
+}
+
 TEST(ModelFactoryTest, KindsGetMatchingEncodings)
 {
     Scene scene = test::tinyScene();

@@ -207,6 +207,37 @@ TEST(TraceRobustnessTest, ByteMutationFuzzThrowsTypedOrParsesClean)
     }
 }
 
+TEST(TraceRobustnessTest, EveryPayloadBitFlipIsCaughtByCheckpoints)
+{
+    // A flipped data bit inside a varint leaves the framing intact, so
+    // only the checkpoint CRCs can catch it. With the varint codec the
+    // stored payload is the event stream itself: flip one bit of every
+    // payload byte in turn. Strict reads must reject each one, and
+    // salvage must keep a prefix of the clean stream.
+    const std::vector<std::uint8_t> clean =
+        buildTrace(1500, TraceCodec::Varint);
+    EventLog full;
+    TraceFileReader(clean).replay(&full);
+    const std::size_t payloadStart =
+        clean.size() - TraceFileReader(clean).payloadBytes();
+
+    for (std::size_t pos = payloadStart; pos < clean.size(); ++pos) {
+        std::vector<std::uint8_t> flipped = clean;
+        flipped[pos] ^= 0x01;
+        EXPECT_THROW(TraceFileReader{flipped}, TraceFileError)
+            << "byte " << pos;
+
+        TraceFileReader reader(flipped, TraceReadMode::Salvage);
+        EXPECT_TRUE(reader.recovery().salvaged) << "byte " << pos;
+        EventLog part;
+        reader.replay(&part);
+        ASSERT_LE(part.events.size(), full.events.size());
+        for (std::size_t i = 0; i < part.events.size(); ++i)
+            ASSERT_TRUE(part.events[i] == full.events[i])
+                << "byte " << pos << " event " << i;
+    }
+}
+
 TEST(TraceRobustnessTest, HeaderCorruptionThrowsInBothModes)
 {
     std::vector<std::uint8_t> buf = buildTrace(200, TraceCodec::Varint);

@@ -101,10 +101,12 @@ checkReplayMatchesLive(const Corpus &corpus, const CorpusEntry &entry)
                                  entry.model + "\" in manifest");
 
     ModelBuildOptions opts;
-    opts.preset = entry.preset == "full" ? ModelPreset::Full
-                                         : ModelPreset::Fast;
-    opts.gridLayout = entry.layout == "mvoxel" ? GridLayout::MVoxelBlocked
-                                               : GridLayout::Linear;
+    if (!parseModelPreset(entry.preset, opts.preset))
+        throw std::runtime_error("check: unknown preset \"" +
+                                 entry.preset + "\" in manifest");
+    if (!parseGridLayout(entry.layout, opts.gridLayout))
+        throw std::runtime_error("check: unknown layout \"" +
+                                 entry.layout + "\" in manifest");
 
     Scene scene = makeScene(entry.scene);
     auto model = buildModel(kind, scene, opts);

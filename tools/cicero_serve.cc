@@ -90,19 +90,20 @@ run(int argc, char **argv)
         return usage();
     }
     const std::string sceneName = cli.optValueOr("--scene", "lego");
-    const std::string presetStr =
-        cli.optValueOr("--preset", "fast");
+    ModelKey key;
+    if (!parseModelPreset(cli.optValueOr("--preset", "fast"),
+                          key.preset)) {
+        std::fprintf(stderr, "unknown --preset\n");
+        return usage();
+    }
     const std::string mix = cli.optValueOr("--mix", "uniform");
     if (mix != "uniform" && mix != "bursty" && mix != "heavy") {
         std::fprintf(stderr, "unknown --mix\n");
         return usage();
     }
 
-    ModelKey key;
     key.scene = sceneName;
     key.kind = kind;
-    key.preset =
-        presetStr == "full" ? ModelPreset::Full : ModelPreset::Fast;
     key.fp16 = cli.optFlag("--fp16");
 
     const bool fanOut = !cli.optFlag("--no-fanout");

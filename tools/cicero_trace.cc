@@ -235,15 +235,18 @@ parseCaptureOpts(const cli::Args &cli, CaptureSpec &spec)
     if (!cli.optUint("--res", 64, 1, 4096, spec.res) ||
         !cli.optUint("--frame", 0, 0, 100000, spec.frame))
         return false;
-    std::string presetStr = cli.optValueOr("--preset", "fast");
-    std::string layoutStr = cli.optValueOr("--layout", "linear");
     std::string codecStr = cli.optValueOr("--codec", "range");
     std::string mode = cli.optValueOr("--mode", "workload");
-    spec.opts.preset =
-        presetStr == "full" ? ModelPreset::Full : ModelPreset::Fast;
-    spec.opts.gridLayout = layoutStr == "mvoxel"
-                               ? GridLayout::MVoxelBlocked
-                               : GridLayout::Linear;
+    if (!parseModelPreset(cli.optValueOr("--preset", "fast"),
+                          spec.opts.preset) ||
+        !parseGridLayout(cli.optValueOr("--layout", "linear"),
+                         spec.opts.gridLayout) ||
+        (codecStr != "range" && codecStr != "varint") ||
+        (mode != "workload" && mode != "render")) {
+        std::fprintf(stderr, "capture: unknown --preset, --layout, "
+                             "--codec or --mode value\n");
+        return false;
+    }
     spec.codec =
         codecStr == "varint" ? TraceCodec::Varint : TraceCodec::Range;
     spec.fp16 = cli.optFlag("--fp16");
@@ -435,10 +438,14 @@ cmdReplay(const cli::Args &cli)
         cfg.featureBytes = reader.meta().featureBytes
                                ? reader.meta().featureBytes
                                : cfg.featureBytes;
-        cfg.layout = std::string(cli.optValueOr("--sram-layout",
-                                            "feature")) == "channel"
-                         ? SramLayout::ChannelMajor
-                         : SramLayout::FeatureMajor;
+        std::string layout = cli.optValueOr("--sram-layout", "feature");
+        if (layout != "feature" && layout != "channel") {
+            std::fprintf(stderr, "replay: unknown --sram-layout '%s'\n",
+                         layout.c_str());
+            return usage();
+        }
+        cfg.layout = layout == "channel" ? SramLayout::ChannelMajor
+                                         : SramLayout::FeatureMajor;
         stats = statsJson(runBankStack(fileSource(reader), cfg));
     } else if (stack == "dram") {
         stats = statsJson(runDramStack(fileSource(reader)));
