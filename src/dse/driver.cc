@@ -1,6 +1,7 @@
 #include "dse/driver.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <memory>
 #include <stdexcept>
@@ -210,51 +211,86 @@ DseDriver::DseDriver(SweepAxes axes) : _axes(std::move(axes))
 {
 }
 
+namespace {
+
+/** One parsed corpus trace, shared by that trace's config points. */
+struct LoadedTrace
+{
+    std::unique_ptr<TraceFileReader> reader; //!< null until parsed
+    TraceWorkloadDescriptor desc;
+    std::atomic<std::size_t> pointsLeft{0}; //!< the last one frees reader
+};
+
+/** Parse @p path into @p trace; the reader is set only on success. */
+void
+loadTrace(LoadedTrace &trace, const std::string &path)
+{
+    auto reader = std::make_unique<TraceFileReader>(path);
+    trace.desc = workloadFromTrace(*reader);
+    trace.reader = std::move(reader);
+}
+
+} // namespace
+
 DseResult
 DseDriver::run(const Corpus &corpus, bool parallel) const
 {
     if (corpus.empty())
         throw std::runtime_error("dse: corpus has no entries");
 
-    // Parse every trace once; readers are shared across jobs (replay()
-    // is const and reentrant).
-    std::vector<std::unique_ptr<TraceFileReader>> readers;
-    std::vector<TraceWorkloadDescriptor> descs;
-    readers.reserve(corpus.size());
-    descs.reserve(corpus.size());
-    for (const CorpusEntry &entry : corpus.entries()) {
-        readers.push_back(std::make_unique<TraceFileReader>(
-            corpus.tracePath(entry)));
-        descs.push_back(workloadFromTrace(*readers.back()));
-    }
-
     std::vector<DseConfig> grid = expandGrid(_axes);
     const std::size_t traces = corpus.size();
-    const std::size_t jobs = grid.size() * traces;
+    const std::size_t configs = grid.size();
 
     DseResult result;
     result.traceCount = traces;
-    result.configCount = grid.size();
-    result.points.resize(jobs);
+    result.configCount = configs;
+    result.points.resize(configs * traces);
 
-    // Index-addressed assembly: job j = config-major (c * traces + t),
-    // so the result layout never depends on scheduling.
-    auto evalJob = [&](std::size_t j) {
-        std::size_t c = j / traces;
-        std::size_t t = j % traces;
-        result.points[j] =
-            evaluatePoint(fileSource(*readers[t]), descs[t],
+    // Index-addressed assembly: point (c, t) lands at config-major
+    // index c * traces + t, so the result layout never depends on
+    // scheduling.
+    auto evalPoint = [&](const LoadedTrace &trace, std::size_t c,
+                         std::size_t t) {
+        result.points[c * traces + t] =
+            evaluatePoint(fileSource(*trace.reader), trace.desc,
                           corpus.entries()[t].id, grid[c]);
     };
 
+    // Trace-major: each trace is decoded once, priced at every config,
+    // then released, so only the traces in flight hold their payloads.
     if (parallel) {
+        // Each trace's parse is a task and its points run after it
+        // (replay() is const and reentrant); the last point to finish
+        // drops the reader. A failed parse leaves the reader null and
+        // its points return at once; the error surfaces at wait().
+        std::vector<LoadedTrace> loaded(traces);
         TaskGroup group;
-        for (std::size_t j = 0; j < jobs; ++j)
-            group.run([&evalJob, j] { evalJob(j); });
+        for (std::size_t t = 0; t < traces; ++t) {
+            LoadedTrace &trace = loaded[t];
+            trace.pointsLeft = configs;
+            const TaskHandle parsed =
+                group.run([&trace, &corpus, t] {
+                    loadTrace(trace,
+                              corpus.tracePath(corpus.entries()[t]));
+                });
+            for (std::size_t c = 0; c < configs; ++c)
+                group.runAfter({parsed}, [&trace, &evalPoint, c, t] {
+                    if (!trace.reader)
+                        return;
+                    evalPoint(trace, c, t);
+                    if (--trace.pointsLeft == 0)
+                        trace.reader.reset();
+                });
+        }
         group.wait();
     } else {
-        for (std::size_t j = 0; j < jobs; ++j)
-            evalJob(j);
+        for (std::size_t t = 0; t < traces; ++t) {
+            LoadedTrace trace;
+            loadTrace(trace, corpus.tracePath(corpus.entries()[t]));
+            for (std::size_t c = 0; c < configs; ++c)
+                evalPoint(trace, c, t);
+        }
     }
 
     // Per-config aggregates, accumulated in trace order.

@@ -11,12 +11,14 @@
  * (GPU indexing + compositing, then gather on the GU overlapped with
  * MLP on the NPU).
  *
- * Determinism contract: jobs are sharded over the TaskGroup scheduler
- * but write into an index-addressed result vector, so the assembled
- * results — and the emitted JSON, which uses the repo's fixed-precision
+ * Determinism contract: jobs run on the TaskGroup scheduler but write
+ * into an index-addressed result vector, so the assembled results —
+ * and the emitted JSON, which uses the repo's fixed-precision
  * formatting — are byte-identical to a serial run at any thread count.
- * Trace readers are shared across jobs (TraceFileReader::replay is
- * const and reentrant).
+ * The sweep is trace-major: each trace is parsed once, shared by its
+ * config points (TraceFileReader::replay is const and reentrant), and
+ * released after its last point, so only the traces in flight hold
+ * their decoded payloads.
  *
  * The Pareto frontier is computed over per-config aggregates: a config
  * is dominated when another achieves >= fps with <= energy and <= swept
@@ -154,9 +156,12 @@ class DseDriver
     const SweepAxes &axes() const { return _axes; }
 
     /**
-     * Run the sweep over @p corpus. With @p parallel the (trace,
-     * config) jobs are sharded over the TaskGroup scheduler; the result
-     * is byte-identical either way.
+     * Run the sweep over @p corpus. With @p parallel each trace parses
+     * in its own TaskGroup task and its config points run after it
+     * (runAfter); without, one trace after another on the calling
+     * thread. The result is byte-identical either way. A trace that
+     * fails to parse surfaces only after the points of the traces
+     * before it have run (in parallel, also any already queued).
      * @throws std::runtime_error when the corpus is empty, a trace file
      *         fails to parse, or a trace lacks a workload summary.
      */

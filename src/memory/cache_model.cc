@@ -5,54 +5,165 @@
 
 namespace cicero {
 
-LruCache::LruCache(const CacheConfig &config) : _config(config)
+std::size_t
+LruCache::IndexTable::home(std::uint64_t key) const
 {
+    return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ull) >>
+                                    _shift);
+}
+
+std::uint32_t
+LruCache::IndexTable::find(std::uint64_t key) const
+{
+    if (_entries.empty())
+        return kNone;
+    const std::size_t mask = _entries.size() - 1;
+    for (std::size_t i = home(key);; i = (i + 1) & mask) {
+        const Entry &e = _entries[i];
+        if (e.value == kNone || e.key == key)
+            return e.value;
+    }
+}
+
+void
+LruCache::IndexTable::insert(std::uint64_t key, std::uint32_t value)
+{
+    if (2 * (_count + 1) > _entries.size())
+        grow();
+    const std::size_t mask = _entries.size() - 1;
+    std::size_t i = home(key);
+    while (_entries[i].value != kNone)
+        i = (i + 1) & mask;
+    _entries[i] = Entry{key, value};
+    ++_count;
+}
+
+void
+LruCache::IndexTable::erase(std::uint64_t key)
+{
+    const std::size_t mask = _entries.size() - 1;
+    std::size_t hole = home(key);
+    while (_entries[hole].key != key || _entries[hole].value == kNone)
+        hole = (hole + 1) & mask;
+    // Backward shift: pull each later entry of the probe run into the
+    // hole unless its home lies cyclically in (hole, j].
+    for (std::size_t j = (hole + 1) & mask; _entries[j].value != kNone;
+         j = (j + 1) & mask) {
+        const std::size_t h = home(_entries[j].key);
+        const bool stays = hole < j ? (hole < h && h <= j)
+                                    : (hole < h || h <= j);
+        if (!stays) {
+            _entries[hole] = _entries[j];
+            hole = j;
+        }
+    }
+    _entries[hole].value = kNone;
+    --_count;
+}
+
+void
+LruCache::IndexTable::grow()
+{
+    std::vector<Entry> old = std::move(_entries);
+    const std::size_t size = old.empty() ? 16 : 2 * old.size();
+    _entries.assign(size, Entry{0, kNone});
+    _shift = 64;
+    for (std::size_t s = size; s > 1; s >>= 1)
+        --_shift;
+    _count = 0;
+    for (const Entry &e : old)
+        if (e.value != kNone)
+            insert(e.key, e.value);
+}
+
+LruCache::LruCache(const CacheConfig &config)
+    : _config(config), _numSets(config.ways ? config.numSets() : 1),
+      _capacity(config.ways ? config.ways : config.numLines())
+{
+}
+
+void
+LruCache::unlink(std::uint32_t n)
+{
+    const Node &node = _nodes[n];
+    if (node.prev != kNone)
+        _nodes[node.prev].next = node.next;
+    else
+        _head = node.next;
+    if (node.next != kNone)
+        _nodes[node.next].prev = node.prev;
+    else
+        _tail = node.prev;
+}
+
+void
+LruCache::pushFront(std::uint32_t n)
+{
+    _nodes[n].prev = kNone;
+    _nodes[n].next = _head;
+    if (_head != kNone)
+        _nodes[_head].prev = n;
+    else
+        _tail = n;
+    _head = n;
+}
+
+void
+LruCache::touchFullAssoc(std::uint64_t line)
+{
+    std::uint32_t n = _index.find(line);
+    if (n != kNone) {
+        ++_stats.hits;
+        if (n != _head) {
+            unlink(n);
+            pushFront(n);
+        }
+        return;
+    }
+    ++_stats.misses;
+    if (_capacity == 0)
+        return;
+    if (_nodes.size() < _capacity) {
+        n = static_cast<std::uint32_t>(_nodes.size());
+        _nodes.push_back(Node{line, kNone, kNone});
+    } else {
+        n = _tail; // evict the least recently used line
+        unlink(n);
+        _index.erase(_nodes[n].line);
+        _nodes[n].line = line;
+    }
+    pushFront(n);
+    _index.insert(line, n);
 }
 
 void
 LruCache::touchSetAssoc(std::uint64_t line)
 {
-    ++_stats.accesses;
-    if (_sets.empty())
-        _sets.resize(_config.numSets());
-    std::vector<std::uint64_t> &set = _sets[line % _sets.size()];
-    auto it = std::find(set.begin(), set.end(), line);
-    if (it != set.end()) {
+    const std::uint64_t set = line % _numSets;
+    const std::uint32_t ways = _config.ways;
+    std::uint32_t block = _index.find(set);
+    if (block == kNone) {
+        block = static_cast<std::uint32_t>(_fill.size());
+        _fill.push_back(0);
+        _tags.resize(_tags.size() + ways);
+        _index.insert(set, block);
+    }
+    std::uint64_t *tags = &_tags[static_cast<std::size_t>(block) * ways];
+    std::uint32_t &fill = _fill[block];
+    std::uint32_t i = 0;
+    while (i < fill && tags[i] != line)
+        ++i;
+    if (i < fill) {
         ++_stats.hits;
-        set.erase(it);
-        set.insert(set.begin(), line); // move to MRU
-        return;
+    } else {
+        ++_stats.misses;
+        if (fill < ways)
+            ++fill;
+        i = fill - 1; // a free slot, or the set's LRU line to evict
     }
-    ++_stats.misses;
-    if (set.size() >= _config.ways)
-        set.pop_back(); // evict the set's LRU line
-    set.insert(set.begin(), line);
-}
-
-void
-LruCache::touch(std::uint64_t line)
-{
-    if (_config.ways != 0) {
-        touchSetAssoc(line);
-        return;
-    }
-    ++_stats.accesses;
-    auto it = _where.find(line);
-    if (it != _where.end()) {
-        ++_stats.hits;
-        _lru.erase(it->second);
-        _lru.push_front(line);
-        it->second = _lru.begin();
-        return;
-    }
-    ++_stats.misses;
-    if (_lru.size() >= _config.numLines()) {
-        std::uint64_t victim = _lru.back();
-        _lru.pop_back();
-        _where.erase(victim);
-    }
-    _lru.push_front(line);
-    _where[line] = _lru.begin();
+    // Shift tags [0, i) down one slot and put the line at the MRU end.
+    std::copy_backward(tags, tags + i, tags + i + 1);
+    tags[0] = line;
 }
 
 void
@@ -61,17 +172,19 @@ LruCache::onAccess(const MemAccess &access)
     std::uint64_t first = access.addr / _config.lineBytes;
     std::uint64_t last = (access.addr + std::max(access.bytes, 1u) - 1) /
                          _config.lineBytes;
-    for (std::uint64_t l = first; l <= last; ++l)
-        touch(l);
+    for (std::uint64_t l = first; l <= last; ++l) {
+        ++_stats.accesses;
+        if (_numSets > 1)
+            touchSetAssoc(l);
+        else
+            touchFullAssoc(l);
+    }
 }
 
 void
 LruCache::reset()
 {
-    _stats = CacheStats{};
-    _lru.clear();
-    _where.clear();
-    _sets.clear();
+    *this = LruCache(_config);
 }
 
 BeladyCache::BeladyCache(const CacheConfig &config) : _config(config)

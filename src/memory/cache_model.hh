@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <list>
 #include <unordered_map>
 #include <vector>
 
@@ -64,6 +63,16 @@ struct CacheStats
  * it models a set-associative cache (set = line mod numSets, LRU
  * within the set), which adds the conflict misses a real design point
  * pays; the DSE sweeps associativity through this path.
+ *
+ * The state is flat and allocation-free per touch. Fully associative
+ * lines sit in a node array threaded as a doubly linked MRU list,
+ * found through an open-addressed line -> node table. A set-
+ * associative cache keeps `ways` tags per touched set in one array,
+ * MRU first, found through the same kind of set -> block table (a
+ * one-set geometry is a fully associative cache of `ways` lines and
+ * runs as one). Memory grows with what is touched (a node per
+ * resident line, `ways` tag slots per touched set), never with the
+ * configured capacity.
  */
 class LruCache : public TraceSink
 {
@@ -76,21 +85,60 @@ class LruCache : public TraceSink
     void reset();
 
   private:
-    void touch(std::uint64_t line);
+    static constexpr std::uint32_t kNone = ~0u;
+
+    /**
+     * Open-addressed uint64 -> uint32 map: linear probing, Fibonacci
+     * hashing, backward-shift erase (no tombstones). Holds at most
+     * half its slots, doubling as entries arrive.
+     */
+    class IndexTable
+    {
+      public:
+        /** Value stored for @p key, or kNone. */
+        std::uint32_t find(std::uint64_t key) const;
+        /** Insert @p key, which must be absent. */
+        void insert(std::uint64_t key, std::uint32_t value);
+        /** Remove @p key, which must be present. */
+        void erase(std::uint64_t key);
+
+      private:
+        struct Entry
+        {
+            std::uint64_t key;
+            std::uint32_t value; //!< kNone = free slot
+        };
+        std::size_t home(std::uint64_t key) const;
+        void grow();
+
+        std::vector<Entry> _entries; //!< power-of-two size, or empty
+        std::size_t _count = 0;
+        unsigned _shift = 64;
+    };
+
+    /** Fully associative resident line, linked in MRU order. */
+    struct Node
+    {
+        std::uint64_t line;
+        std::uint32_t prev; //!< towards the MRU end
+        std::uint32_t next; //!< towards the LRU end
+    };
+
+    void touchFullAssoc(std::uint64_t line);
     void touchSetAssoc(std::uint64_t line);
+    void unlink(std::uint32_t n);
+    void pushFront(std::uint32_t n);
 
     CacheConfig _config;
     CacheStats _stats;
-    std::list<std::uint64_t> _lru; //!< front = most recent (fully assoc)
-    std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator>
-        _where;
-    /**
-     * Set-associative mode only: per-set resident lines, most
-     * recently used at the front. Sets are at most `ways` long, so a
-     * linear scan matches real hardware cost models and beats a
-     * per-set map at these sizes.
-     */
-    std::vector<std::vector<std::uint64_t>> _sets;
+    std::uint64_t _numSets;    //!< > 1 selects the set-associative path
+    std::uint64_t _capacity;   //!< fully associative: lines it holds
+    IndexTable _index;         //!< line -> node, or set -> block
+    std::vector<Node> _nodes;  //!< fully associative resident lines
+    std::uint32_t _head = kNone; //!< most recently used node
+    std::uint32_t _tail = kNone; //!< least recently used node
+    std::vector<std::uint64_t> _tags; //!< `ways` tags per block, MRU first
+    std::vector<std::uint32_t> _fill; //!< resident tags per block
 };
 
 /**

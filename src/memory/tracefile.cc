@@ -1,5 +1,7 @@
 #include "memory/tracefile.hh"
 
+#include <sys/stat.h>
+
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
@@ -750,7 +752,14 @@ TraceFileReader::TraceFileReader(const std::string &path,
     std::FILE *f = std::fopen(path.c_str(), "rb");
     if (!f)
         throw IoError("cannot open trace file", path, errno);
+    // One allocation sized from the file. Bytes past that size (a file
+    // that grew since, or one with no size, like a pipe) read on in
+    // chunks.
     std::vector<std::uint8_t> bytes;
+    struct stat st;
+    if (::fstat(::fileno(f), &st) == 0 && st.st_size > 0)
+        bytes.resize(static_cast<std::size_t>(st.st_size));
+    bytes.resize(std::fread(bytes.data(), 1, bytes.size(), f));
     std::uint8_t chunk[65536];
     std::size_t n;
     while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0)

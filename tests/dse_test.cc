@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -404,36 +405,68 @@ TEST(DseDriverTest, GridExpansionIsLexicographic)
 // Driver determinism
 // ---------------------------------------------------------------------
 
+/**
+ * A corpus of @p frames captures of the tiny model in a fresh
+ * temporary directory, deleted with the object.
+ */
+struct TempCorpus
+{
+    explicit TempCorpus(int frames)
+    {
+        char dirTemplate[] = "/tmp/cicero_dse_test_XXXXXX";
+        const char *made = mkdtemp(dirTemplate);
+        if (!made)
+            throw std::runtime_error("mkdtemp failed");
+        dir = made;
+        corpus = std::make_unique<dse::Corpus>(dir);
+        auto model = test::tinyModel();
+        Camera cam = test::tinyCamera(20);
+        std::vector<std::uint8_t> ctrace;
+        captureWithSummary(*model, cam, 20, ctrace);
+        for (int f = 0; f < frames; ++f) {
+            dse::CorpusEntry entry;
+            entry.id = "tiny_f" + std::to_string(f);
+            entry.file = entry.id + ".ctrace";
+            entry.scene = "tiny";
+            entry.res = 20;
+            entry.frame = static_cast<std::uint32_t>(f);
+            writeFile(corpus->tracePath(entry), ctrace);
+            corpus->add(std::move(entry));
+        }
+        corpus->save();
+    }
+
+    TempCorpus(const TempCorpus &) = delete;
+    TempCorpus &operator=(const TempCorpus &) = delete;
+
+    ~TempCorpus()
+    {
+        for (const auto &entry : corpus->entries())
+            std::remove(corpus->tracePath(entry).c_str());
+        std::remove((dir + "/corpus.json").c_str());
+        std::remove(dir.c_str());
+    }
+
+    static void
+    writeFile(const std::string &path, const std::vector<std::uint8_t> &bytes)
+    {
+        std::FILE *out = std::fopen(path.c_str(), "wb");
+        if (!out || std::fwrite(bytes.data(), 1, bytes.size(), out) !=
+                        bytes.size())
+            throw std::runtime_error("cannot write " + path);
+        std::fclose(out);
+    }
+
+    std::string dir;
+    std::unique_ptr<dse::Corpus> corpus;
+};
+
 TEST(DseDriverTest, ParallelSweepByteIdenticalToSerial)
 {
     ThreadCountGuard guard;
     setParallelThreadCount(1);
-    auto model = test::tinyModel();
-    Camera cam = test::tinyCamera(20);
-
-    char dirTemplate[] = "/tmp/cicero_dse_test_XXXXXX";
-    const char *dir = mkdtemp(dirTemplate);
-    ASSERT_NE(dir, nullptr);
-
-    dse::Corpus corpus(dir);
-    for (int f = 0; f < 2; ++f) {
-        std::vector<std::uint8_t> ctrace;
-        captureWithSummary(*model, cam, 20, ctrace);
-        dse::CorpusEntry entry;
-        entry.id = "tiny_f" + std::to_string(f);
-        entry.file = entry.id + ".ctrace";
-        entry.scene = "tiny";
-        entry.res = 20;
-        entry.frame = static_cast<std::uint32_t>(f);
-        std::FILE *out =
-            std::fopen(corpus.tracePath(entry).c_str(), "wb");
-        ASSERT_NE(out, nullptr);
-        ASSERT_EQ(std::fwrite(ctrace.data(), 1, ctrace.size(), out),
-                  ctrace.size());
-        std::fclose(out);
-        corpus.add(std::move(entry));
-    }
-    corpus.save();
+    TempCorpus temp(2);
+    const dse::Corpus &corpus = *temp.corpus;
 
     dse::SweepAxes axes;
     axes.cacheMb = {1.0, 2.0};
@@ -455,11 +488,52 @@ TEST(DseDriverTest, ParallelSweepByteIdenticalToSerial)
     for (const auto &s : parallelRun.summaries)
         frontier += s.pareto ? 1 : 0;
     EXPECT_GE(frontier, 1u);
+}
 
-    for (const auto &entry : corpus.entries())
-        std::remove(corpus.tracePath(entry).c_str());
-    std::remove((std::string(dir) + "/corpus.json").c_str());
-    std::remove(dir);
+TEST(DseDriverTest, CorruptTraceFailsTheSweepInBothModes)
+{
+    // One truncated trace among good ones: its parse fails, its points
+    // never run, and the sweep reports the parse error, whether the
+    // bad trace comes first, in the middle or last.
+    ThreadCountGuard guard;
+    setParallelThreadCount(1);
+    TempCorpus temp(4);
+    const dse::Corpus &corpus = *temp.corpus;
+    dse::SweepAxes axes;
+    axes.cacheMb = {1.0, 2.0};
+    axes.cacheWays = {0, 8};
+    axes.guVftKb = {32};
+    dse::DseDriver driver(axes);
+
+    std::vector<std::uint8_t> good;
+    {
+        const std::string path = corpus.tracePath(corpus.entries()[0]);
+        std::FILE *in = std::fopen(path.c_str(), "rb");
+        ASSERT_NE(in, nullptr);
+        int ch;
+        while ((ch = std::fgetc(in)) != EOF)
+            good.push_back(static_cast<std::uint8_t>(ch));
+        std::fclose(in);
+    }
+    const std::vector<std::uint8_t> truncated(
+        good.begin(), good.begin() + good.size() / 2);
+
+    for (std::size_t bad : {std::size_t{0}, std::size_t{2},
+                            std::size_t{3}}) {
+        SCOPED_TRACE("corrupt trace " + std::to_string(bad));
+        const std::string path =
+            corpus.tracePath(corpus.entries()[bad]);
+        TempCorpus::writeFile(path, truncated);
+        for (int threads : {1, 4}) {
+            setParallelThreadCount(threads);
+            EXPECT_THROW(driver.run(corpus, true), TraceFileError);
+            EXPECT_THROW(driver.run(corpus, false), TraceFileError);
+        }
+        TempCorpus::writeFile(path, good);
+    }
+    // Repaired, the same corpus sweeps.
+    setParallelThreadCount(4);
+    EXPECT_EQ(driver.run(corpus, true).points.size(), 4u * 4u);
 }
 
 TEST(DseDriverTest, EmptyCorpusThrows)

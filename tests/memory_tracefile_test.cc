@@ -129,6 +129,39 @@ TEST(TraceFileTest, ReaderReplaysRepeatedly)
     EXPECT_EQ(first.events, second.events);
 }
 
+TEST(TraceFileTest, EventBreakdownBytesSumToVarintPayload)
+{
+    // Every byte of the varint stage belongs to one event class:
+    // access + rayEnd + flush + checkpoint + terminator bytes add up to
+    // the payload a Varint container stores, and a Range container
+    // decodes to the same accounting.
+    ThreadCountGuard guard;
+    setParallelThreadCount(1);
+    auto model = test::tinyModel();
+    Camera cam = test::tinyCamera(16);
+
+    std::uint64_t varintPayload = 0;
+    for (TraceCodec codec : {TraceCodec::Varint, TraceCodec::Range}) {
+        std::vector<std::uint8_t> ctrace;
+        {
+            TraceFileWriter writer(ctrace, metaFor(*model, "tiny", 16),
+                                   codec);
+            model->traceWorkload(cam, &writer);
+            writer.close();
+        }
+        const TraceFileReader reader(ctrace);
+        if (codec == TraceCodec::Varint)
+            varintPayload = reader.payloadBytes();
+        const TraceEventBreakdown ev = reader.eventBreakdown();
+        SCOPED_TRACE(testing::Message()
+                     << "codec " << static_cast<int>(codec));
+        EXPECT_GT(ev.checkpointEvents, 1u); // periodic ones and the last
+        EXPECT_EQ(ev.accessBytes + ev.rayEndBytes + ev.flushBytes +
+                      ev.checkpointBytes + ev.terminatorBytes,
+                  varintPayload);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Compression
 // ---------------------------------------------------------------------

@@ -405,6 +405,33 @@ cmdReplay(const cli::Args &cli)
         return usage();
     }
 
+    // Check every option before the trace is opened and decoded: a bad
+    // option is a usage error whatever the file, and costs no decode.
+    std::uint32_t warpWays = 32, capacityMb = 2;
+    std::uint32_t banks = stack == "gu" ? 32 : 16, rays = 16;
+    SramLayout layout = SramLayout::FeatureMajor;
+    if (stack == "cache" || stack == "gpu") {
+        if (!cli.optUint("--ways", 32, 1, 4096, warpWays) ||
+            !cli.optUint("--capacity-mb", 2, 1, 65536, capacityMb))
+            return usage();
+    } else if (stack == "bank" || stack == "gu" || stack == "accels") {
+        if (!cli.optUint("--banks", banks, 1, 65536, banks) ||
+            !cli.optUint("--rays", 16, 1, 65536, rays))
+            return usage();
+    }
+    if (stack == "bank") {
+        std::string name = cli.optValueOr("--sram-layout", "feature");
+        if (name != "feature" && name != "channel") {
+            std::fprintf(stderr, "replay: unknown --sram-layout '%s'\n",
+                         name.c_str());
+            return usage();
+        }
+        if (name == "channel")
+            layout = SramLayout::ChannelMajor;
+    }
+    const std::uint64_t capacityBytes =
+        static_cast<std::uint64_t>(capacityMb) << 20;
+
     TraceFileReader reader(file, readMode(cli));
     reportRecovery(file, reader);
     if (!traceMetaStorageConsistent(reader.meta()))
@@ -416,36 +443,22 @@ cmdReplay(const cli::Args &cli)
                      file,
                      traceStorageModeName(reader.meta().storageMode));
 
-    // Validate everything and run the stack *before* printing, so
-    // stdout carries either one complete JSON object or nothing.
+    // Run the stack *before* printing, so stdout carries either one
+    // complete JSON object or nothing.
     std::string stats;
     if (stack == "cache") {
         CacheStackConfig cfg;
-        std::uint32_t capacityMb;
-        if (!cli.optUint("--ways", 32, 1, 4096, cfg.warpWays) ||
-            !cli.optUint("--capacity-mb", 2, 1, 65536,
-                     capacityMb))
-            return usage();
-        cfg.cache.capacityBytes = static_cast<std::uint64_t>(capacityMb)
-                                  << 20;
+        cfg.warpWays = warpWays;
+        cfg.cache.capacityBytes = capacityBytes;
         stats = statsJson(runCacheStack(fileSource(reader), cfg));
     } else if (stack == "bank") {
         SramBankConfig cfg;
-        if (!cli.optUint("--banks", 16, 1, 65536, cfg.numBanks) ||
-            !cli.optUint("--rays", 16, 1, 65536,
-                     cfg.concurrentRays))
-            return usage();
+        cfg.numBanks = banks;
+        cfg.concurrentRays = rays;
         cfg.featureBytes = reader.meta().featureBytes
                                ? reader.meta().featureBytes
                                : cfg.featureBytes;
-        std::string layout = cli.optValueOr("--sram-layout", "feature");
-        if (layout != "feature" && layout != "channel") {
-            std::fprintf(stderr, "replay: unknown --sram-layout '%s'\n",
-                         layout.c_str());
-            return usage();
-        }
-        cfg.layout = layout == "channel" ? SramLayout::ChannelMajor
-                                         : SramLayout::FeatureMajor;
+        cfg.layout = layout;
         stats = statsJson(runBankStack(fileSource(reader), cfg));
     } else if (stack == "dram") {
         stats = statsJson(runDramStack(fileSource(reader)));
@@ -455,32 +468,20 @@ cmdReplay(const cli::Args &cli)
         TraceWorkloadDescriptor desc = workloadFromTrace(reader);
         if (stack == "gpu") {
             GpuStackConfig cfg;
-            std::uint32_t capacityMb;
-            if (!cli.optUint("--ways", 32, 1, 4096,
-                         cfg.warpWays) ||
-                !cli.optUint("--capacity-mb", 2, 1, 65536,
-                         capacityMb))
-                return usage();
-            cfg.cache.capacityBytes =
-                static_cast<std::uint64_t>(capacityMb) << 20;
+            cfg.warpWays = warpWays;
+            cfg.cache.capacityBytes = capacityBytes;
             stats = statsJson(runGpuStack(fileSource(reader), desc, cfg));
         } else if (stack == "npu") {
             stats = statsJson(runNpuStack(fileSource(reader), desc));
         } else if (stack == "gu") {
             GuStackConfig cfg;
-            if (!cli.optUint("--banks", 32, 1, 65536,
-                         cfg.gu.banks) ||
-                !cli.optUint("--rays", 16, 1, 65536,
-                         cfg.concurrentRays))
-                return usage();
+            cfg.gu.banks = banks;
+            cfg.concurrentRays = rays;
             stats = statsJson(runGuStack(fileSource(reader), desc, cfg));
         } else { // accels: the NeuRex/NGPC baselines
             BaselineStackConfig cfg;
-            if (!cli.optUint("--banks", 16, 1, 65536,
-                         cfg.bank.numBanks) ||
-                !cli.optUint("--rays", 16, 1, 65536,
-                         cfg.bank.concurrentRays))
-                return usage();
+            cfg.bank.numBanks = banks;
+            cfg.bank.concurrentRays = rays;
             stats = statsJson(
                 runBaselineStack(fileSource(reader), desc, cfg));
         }
@@ -598,13 +599,16 @@ cmdStats(const cli::Args &cli)
     // encoded bytes go, and how often the writer's elisions fired.
     TraceEventBreakdown ev = reader.eventBreakdown();
     std::printf("  events: access=%llu (%llu B) rayEnd=%llu (%llu B) "
-                "flush=%llu (%llu B) end=%llu B\n",
+                "flush=%llu (%llu B) checkpoint=%llu (%llu B) "
+                "end=%llu B\n",
                 static_cast<unsigned long long>(ev.accessEvents),
                 static_cast<unsigned long long>(ev.accessBytes),
                 static_cast<unsigned long long>(ev.rayEndEvents),
                 static_cast<unsigned long long>(ev.rayEndBytes),
                 static_cast<unsigned long long>(ev.flushEvents),
                 static_cast<unsigned long long>(ev.flushBytes),
+                static_cast<unsigned long long>(ev.checkpointEvents),
+                static_cast<unsigned long long>(ev.checkpointBytes),
                 static_cast<unsigned long long>(ev.terminatorBytes));
     std::printf("  elisions: same-bytes=%llu same-ray=%llu\n",
                 static_cast<unsigned long long>(ev.sameBytesElisions),
