@@ -12,9 +12,9 @@ void
 DramModel::onAccess(const MemAccess &access)
 {
     // Split the access into bursts; each burst is classified separately.
-    std::uint64_t first = access.addr / _config.burstBytes;
+    std::uint64_t first = access.addr / kDramBurstBytes;
     std::uint64_t last = (access.addr + std::max(access.bytes, 1u) - 1) /
-                         _config.burstBytes;
+                         kDramBurstBytes;
     for (std::uint64_t b = first; b <= last; ++b) {
         // Continuity (Fig. 4): the burst repeats or directly extends the
         // previous one. The very first access has no predecessor and is
@@ -25,13 +25,13 @@ DramModel::onAccess(const MemAccess &access)
         _hasLast = true;
 
         ++_stats.accesses;
-        _stats.bytes += _config.burstBytes;
+        _stats.bytes += kDramBurstBytes;
         if (streaming) {
             ++_stats.streamingAccesses;
-            _stats.streamingBytes += _config.burstBytes;
+            _stats.streamingBytes += kDramBurstBytes;
         } else {
             ++_stats.randomAccesses;
-            _stats.randomBytes += _config.burstBytes;
+            _stats.randomBytes += kDramBurstBytes;
         }
     }
 }

@@ -19,12 +19,17 @@
 
 namespace cicero {
 
+/**
+ * Minimum DRAM transfer granularity. A compile-time power of two, so
+ * splitting an access into bursts is a shift, not a division.
+ */
+constexpr std::uint32_t kDramBurstBytes = 64;
+
 /** Configuration of the DRAM device model. */
 struct DramConfig
 {
     std::uint32_t numBanks = 8;
     std::uint32_t rowBytes = 2048;      //!< row-buffer size per bank
-    std::uint32_t burstBytes = 64;      //!< minimum transfer granularity
     double bandwidthGBs = 25.6;         //!< peak streaming bandwidth
     double randomAccessNs = 45.0;       //!< latency of a row-miss access
     double streamEnergyPjPerByte = 33.3; //!< energy of a streaming byte

@@ -2,11 +2,9 @@
 
 #include <sys/stat.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <stdexcept>
 #include <type_traits>
 
 #include "common/fault.hh"
@@ -88,181 +86,6 @@ appendVarint(std::vector<std::uint8_t> &out, std::uint64_t v)
         v >>= 7;
     }
     out.push_back(static_cast<std::uint8_t>(v));
-}
-
-// ---------------------------------------------------------------------
-// Order-0 adaptive binary range coder (carry-less, byte-renormalized —
-// the classic LZMA-style coder; see /root/related Moruga for the
-// idiom). The model is a 255-node bit tree: one adaptive probability
-// per (bit position, more-significant-bits) context of a byte.
-// ---------------------------------------------------------------------
-
-constexpr std::uint32_t kProbBits = 11;
-constexpr std::uint16_t kProbInit = 1u << (kProbBits - 1);
-constexpr std::uint32_t kTopValue = 1u << 24;
-constexpr int kProbShift = 5;
-
-struct ByteModel
-{
-    std::uint16_t probs[256];
-
-    ByteModel()
-    {
-        for (auto &p : probs)
-            p = kProbInit;
-    }
-};
-
-class RangeEncoder
-{
-  public:
-    explicit RangeEncoder(std::vector<std::uint8_t> &out) : _out(out) {}
-
-    void
-    encodeByte(ByteModel &model, std::uint8_t byte)
-    {
-        std::uint32_t ctx = 1;
-        for (int bit = 7; bit >= 0; --bit) {
-            std::uint32_t b = (byte >> bit) & 1;
-            encodeBit(model.probs[ctx], b);
-            ctx = (ctx << 1) | b;
-        }
-    }
-
-    void
-    flush()
-    {
-        for (int i = 0; i < 5; ++i)
-            shiftLow();
-    }
-
-  private:
-    void
-    encodeBit(std::uint16_t &prob, std::uint32_t bit)
-    {
-        std::uint32_t bound = (_range >> kProbBits) * prob;
-        if (bit == 0) {
-            _range = bound;
-            prob += (static_cast<std::uint16_t>(1u << kProbBits) - prob) >>
-                    kProbShift;
-        } else {
-            _low += bound;
-            _range -= bound;
-            prob -= prob >> kProbShift;
-        }
-        while (_range < kTopValue) {
-            _range <<= 8;
-            shiftLow();
-        }
-    }
-
-    void
-    shiftLow()
-    {
-        if (static_cast<std::uint32_t>(_low) < 0xFF000000u ||
-            static_cast<std::uint32_t>(_low >> 32) != 0) {
-            std::uint8_t carry = static_cast<std::uint8_t>(_low >> 32);
-            _out.push_back(static_cast<std::uint8_t>(_cache + carry));
-            while (--_cacheSize)
-                _out.push_back(static_cast<std::uint8_t>(0xFF + carry));
-            _cache = static_cast<std::uint8_t>(_low >> 24);
-        }
-        ++_cacheSize;
-        _low = (_low << 8) & 0xFFFFFFFFull;
-    }
-
-    std::vector<std::uint8_t> &_out;
-    std::uint64_t _low = 0;
-    std::uint32_t _range = 0xFFFFFFFFu;
-    std::uint8_t _cache = 0;
-    std::uint64_t _cacheSize = 1;
-};
-
-class RangeDecoder
-{
-  public:
-    RangeDecoder(const std::uint8_t *data, std::size_t size)
-        : _data(data), _size(size)
-    {
-        for (int i = 0; i < 5; ++i)
-            _code = (_code << 8) | nextByte();
-    }
-
-    std::uint8_t
-    decodeByte(ByteModel &model)
-    {
-        std::uint32_t ctx = 1;
-        for (int bit = 7; bit >= 0; --bit)
-            ctx = (ctx << 1) | decodeBit(model.probs[ctx]);
-        return static_cast<std::uint8_t>(ctx);
-    }
-
-  private:
-    std::uint32_t
-    decodeBit(std::uint16_t &prob)
-    {
-        std::uint32_t bound = (_range >> kProbBits) * prob;
-        std::uint32_t bit;
-        if (_code < bound) {
-            _range = bound;
-            prob += (static_cast<std::uint16_t>(1u << kProbBits) - prob) >>
-                    kProbShift;
-            bit = 0;
-        } else {
-            _code -= bound;
-            _range -= bound;
-            prob -= prob >> kProbShift;
-            bit = 1;
-        }
-        while (_range < kTopValue) {
-            _range <<= 8;
-            _code = (_code << 8) | nextByte();
-        }
-        return bit;
-    }
-
-    /** Past-the-end reads pad with zero, as range decoders expect. */
-    std::uint8_t
-    nextByte()
-    {
-        return _pos < _size ? _data[_pos++] : 0;
-    }
-
-    const std::uint8_t *_data;
-    std::size_t _size;
-    std::size_t _pos = 0;
-    std::uint32_t _code = 0;
-    std::uint32_t _range = 0xFFFFFFFFu;
-};
-
-std::vector<std::uint8_t>
-rangeCompress(const std::vector<std::uint8_t> &in)
-{
-    std::vector<std::uint8_t> out;
-    out.reserve(in.size() / 2 + 16);
-    ByteModel model;
-    RangeEncoder enc(out);
-    for (std::uint8_t b : in)
-        enc.encodeByte(model, b);
-    enc.flush();
-    return out;
-}
-
-std::vector<std::uint8_t>
-rangeDecompress(const std::uint8_t *data, std::size_t size,
-                std::uint64_t rawBytes)
-{
-    std::vector<std::uint8_t> out;
-    // Reserve only what the *stored* bytes make plausible; rawBytes is
-    // attacker-controlled header data and must not size an allocation
-    // on its own (the caller bounds the loop separately).
-    out.reserve(static_cast<std::size_t>(
-        std::min<std::uint64_t>(rawBytes, size * 16 + 4096)));
-    ByteModel model;
-    RangeDecoder dec(data, size);
-    for (std::uint64_t i = 0; i < rawBytes; ++i)
-        out.push_back(dec.decodeByte(model));
-    return out;
 }
 
 // ---------------------------------------------------------------------
@@ -408,8 +231,8 @@ struct DecodedEvent
 class EventDecoder
 {
   public:
-    explicit EventDecoder(const std::vector<std::uint8_t> &events)
-        : _data(events.data()), _size(events.size())
+    EventDecoder(const std::uint8_t *data, std::size_t size)
+        : _data(data), _size(size)
     {
     }
 
@@ -496,14 +319,15 @@ class EventDecoder
 };
 
 /**
- * Largest varint-stage payload the header's event counts can honestly
- * describe (worst-case encodings + checkpoint overhead), saturating.
- * Anything above it is a forged header — rejecting here bounds the
- * range-decoder loop, so a 40-byte fuzzed file cannot demand an
- * exabyte decompression.
+ * Whether a payload of @p payloadBytes can honestly hold the events the
+ * header counts: at least one byte per event plus the terminator, at
+ * most their worst-case encodings plus checkpoint overhead
+ * (saturating). Anything outside is a forged header, rejected in every
+ * read mode before the payload is walked.
  */
-std::uint64_t
-plausiblePayloadBytes(const TraceFileCounts &counts)
+bool
+payloadSizePlausible(const TraceFileCounts &counts,
+                     std::uint64_t payloadBytes)
 {
     auto satMul = [](std::uint64_t a, std::uint64_t b) {
         if (a != 0 && b > UINT64_MAX / a)
@@ -513,18 +337,18 @@ plausiblePayloadBytes(const TraceFileCounts &counts)
     auto satAdd = [](std::uint64_t a, std::uint64_t b) {
         return a > UINT64_MAX - b ? UINT64_MAX : a + b;
     };
+    const std::uint64_t events = satAdd(
+        satAdd(counts.accesses, counts.rayEnds), counts.flushes);
     // Worst case per event: access = tag + 10B addr delta + 5B bytes +
     // 10B ray delta; rayEnd = tag + 10B delta; flush = tag.
-    std::uint64_t bytes = satMul(counts.accesses, 26);
-    bytes = satAdd(bytes, satMul(counts.rayEnds, 11));
-    bytes = satAdd(bytes, counts.flushes);
+    std::uint64_t most = satMul(counts.accesses, 26);
+    most = satAdd(most, satMul(counts.rayEnds, 11));
+    most = satAdd(most, counts.flushes);
     // Checkpoints: one per interval plus the final one, each at most
     // tag + 10B count + 5B crc; plus terminator and slack.
-    std::uint64_t events = satAdd(
-        satAdd(counts.accesses, counts.rayEnds), counts.flushes);
-    bytes = satAdd(bytes,
-                   satMul(events / kTraceCheckpointInterval + 2, 16));
-    return satAdd(bytes, 64);
+    most = satAdd(most, satMul(events / kTraceCheckpointInterval + 2, 16));
+    most = satAdd(most, 64);
+    return payloadBytes > events && payloadBytes <= most;
 }
 
 } // namespace
@@ -565,16 +389,14 @@ traceMetaStorageConsistent(const TraceFileMeta &meta)
 // ---------------------------------------------------------------------
 
 TraceFileWriter::TraceFileWriter(const std::string &path,
-                                 const TraceFileMeta &meta,
-                                 TraceCodec codec)
-    : _meta(meta), _codec(codec), _path(path)
+                                 const TraceFileMeta &meta)
+    : _meta(meta), _path(path)
 {
 }
 
 TraceFileWriter::TraceFileWriter(std::vector<std::uint8_t> &buffer,
-                                 const TraceFileMeta &meta,
-                                 TraceCodec codec)
-    : _meta(meta), _codec(codec), _memoryOut(&buffer)
+                                 const TraceFileMeta &meta)
+    : _meta(meta), _memoryOut(&buffer)
 {
     _memoryOut->clear();
 }
@@ -684,30 +506,23 @@ TraceFileWriter::close()
     emitCheckpoint();
     _payload.push_back(kEvEnd);
 
-    std::vector<std::uint8_t> stored;
-    const std::vector<std::uint8_t> *payload = &_payload;
-    if (_codec == TraceCodec::Range) {
-        stored = rangeCompress(_payload);
-        payload = &stored;
-    }
-    _storedPayloadBytes = payload->size();
+    _payloadBytes = _payload.size();
 
     std::vector<std::uint8_t> header(kMagic, kMagic + 4);
     HeaderWriter out{header};
-    out(kTraceFileVersion, static_cast<std::uint8_t>(_codec),
-        static_cast<std::uint8_t>(_meta.storageMode));
+    out(kTraceFileVersion, static_cast<std::uint8_t>(_meta.storageMode));
     headerFields(out, _meta, _counts, _hasWorkload, _workload);
-    out(_storedPayloadBytes, static_cast<std::uint64_t>(_payload.size()));
+    out(_payloadBytes);
     out(crc32(header.data(), header.size()));
 
-    _fileBytes = header.size() + payload->size();
+    _fileBytes = header.size() + _payloadBytes;
 
     faultCheck(FaultSite::TraceWrite);
 
     if (_memoryOut) {
         *_memoryOut = header;
-        _memoryOut->insert(_memoryOut->end(), payload->begin(),
-                           payload->end());
+        _memoryOut->insert(_memoryOut->end(), _payload.begin(),
+                           _payload.end());
     } else {
         // Temp file + atomic rename: the destination path either keeps
         // its previous content or gains a complete container. A crash
@@ -720,9 +535,8 @@ TraceFileWriter::close()
         bool ok =
             std::fwrite(header.data(), 1, header.size(), f) ==
                 header.size() &&
-            (payload->empty() ||
-             std::fwrite(payload->data(), 1, payload->size(), f) ==
-                 payload->size());
+            std::fwrite(_payload.data(), 1, _payload.size(), f) ==
+                _payload.size();
         int writeErr = ok ? 0 : errno;
         ok = std::fclose(f) == 0 && ok;
         if (writeErr == 0 && !ok)
@@ -755,62 +569,55 @@ TraceFileReader::TraceFileReader(const std::string &path,
     // One allocation sized from the file. Bytes past that size (a file
     // that grew since, or one with no size, like a pipe) read on in
     // chunks.
-    std::vector<std::uint8_t> bytes;
     struct stat st;
     if (::fstat(::fileno(f), &st) == 0 && st.st_size > 0)
-        bytes.resize(static_cast<std::size_t>(st.st_size));
-    bytes.resize(std::fread(bytes.data(), 1, bytes.size(), f));
+        _bytes.resize(static_cast<std::size_t>(st.st_size));
+    _bytes.resize(std::fread(_bytes.data(), 1, _bytes.size(), f));
     std::uint8_t chunk[65536];
     std::size_t n;
     while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0)
-        bytes.insert(bytes.end(), chunk, chunk + n);
+        _bytes.insert(_bytes.end(), chunk, chunk + n);
     bool readError = std::ferror(f) != 0;
     int readErrno = errno;
     std::fclose(f);
     if (readError)
         throw IoError("read error on trace file", path, readErrno);
-    parse(bytes.data(), bytes.size(), mode);
+    parse(mode);
 }
 
 TraceFileReader::TraceFileReader(const std::uint8_t *data,
                                  std::size_t size, TraceReadMode mode)
+    : _bytes(data, data + size)
 {
-    parse(data, size, mode);
+    parse(mode);
 }
 
 TraceFileReader::TraceFileReader(const std::vector<std::uint8_t> &buffer,
                                  TraceReadMode mode)
+    : _bytes(buffer)
 {
-    parse(buffer.data(), buffer.size(), mode);
+    parse(mode);
 }
 
 void
-TraceFileReader::parse(const std::uint8_t *data, std::size_t size,
-                       TraceReadMode mode)
+TraceFileReader::parse(TraceReadMode mode)
 {
     faultCheck(FaultSite::TraceRead);
 
-    Cursor c{data, size};
+    Cursor c{_bytes.data(), _bytes.size()};
 
     c.need(4);
-    if (std::memcmp(data, kMagic, 4) != 0)
+    if (std::memcmp(_bytes.data(), kMagic, 4) != 0)
         throw TraceFileError("not a trace file (bad magic)");
     c.pos = 4;
 
     const auto version = c.get<std::uint16_t>();
-    if (version < kTraceFileMinVersion || version > kTraceFileVersion)
+    if (version != kTraceFileVersion)
         throw TraceFileError(
             "unsupported trace-file version " + std::to_string(version) +
-            " (this build reads versions " +
-            std::to_string(kTraceFileMinVersion) + ".." +
-            std::to_string(kTraceFileVersion) + ")");
-    _version = version;
+            " (this build reads version " +
+            std::to_string(kTraceFileVersion) + " only)");
 
-    const auto codec = c.get<std::uint8_t>();
-    if (codec > static_cast<std::uint8_t>(TraceCodec::Range))
-        throw TraceFileError("unknown trace-file codec " +
-                             std::to_string(codec));
-    _codec = static_cast<TraceCodec>(codec);
     const auto storage = c.get<std::uint8_t>();
     _meta.storageMode =
         storage <= static_cast<std::uint8_t>(TraceStorageMode::Fp16)
@@ -818,52 +625,35 @@ TraceFileReader::parse(const std::uint8_t *data, std::size_t size,
             : TraceStorageMode::Unknown;
 
     headerFields(c, _meta, _counts, _hasWorkload, _workload);
-    _storedPayloadBytes = c.get<std::uint64_t>();
-    const auto rawPayloadBytes = c.get<std::uint64_t>();
+    _payloadBytes = c.get<std::uint64_t>();
 
     const std::size_t crcPos = c.pos;
     const auto storedCrc = c.get<std::uint32_t>();
-    // Header damage is unrecoverable in any mode: the counts, codec and
-    // sizes below the CRC are what salvage itself depends on.
-    if (crc32(data, crcPos) != storedCrc)
+    // Header damage is unrecoverable in any mode: the counts and the
+    // payload size below the CRC are what salvage itself depends on.
+    if (crc32(_bytes.data(), crcPos) != storedCrc)
         throw TraceFileError("corrupt trace file: header checksum mismatch");
 
-    // A forged header must not size an allocation or a decode loop:
-    // bound the claimed raw payload by what the event counts and the
-    // stored bytes can honestly produce.
-    if (rawPayloadBytes > plausiblePayloadBytes(_counts))
+    if (!payloadSizePlausible(_counts, _payloadBytes))
         throw TraceFileError(
             "corrupt trace file: implausible payload size");
 
-    std::uint64_t availableBytes = size - c.pos;
-    std::uint64_t storedUsed = _storedPayloadBytes;
-    if (availableBytes < _storedPayloadBytes) {
+    _payloadStart = c.pos;
+    std::uint64_t payloadUsed = _payloadBytes;
+    if (eventBytes() < _payloadBytes) {
         if (mode == TraceReadMode::Strict)
             throw TraceFileError("truncated trace file");
-        storedUsed = availableBytes;
+        payloadUsed = eventBytes();
     }
-    _fileBytes = c.pos + storedUsed;
-
-    if (_codec == TraceCodec::Range) {
-        if (rawPayloadBytes > _storedPayloadBytes * 4096 + 4096)
-            throw TraceFileError(
-                "corrupt trace file: implausible payload size");
-        _events = rangeDecompress(data + c.pos,
-                                  static_cast<std::size_t>(storedUsed),
-                                  rawPayloadBytes);
-    } else {
-        if (_storedPayloadBytes != rawPayloadBytes &&
-            mode == TraceReadMode::Strict)
-            throw TraceFileError(
-                "corrupt trace file: payload size mismatch");
-        _events.assign(data + c.pos, data + c.pos + storedUsed);
-    }
+    // Bytes past the payload are not part of the container.
+    _bytes.resize(_payloadStart + payloadUsed);
+    _fileBytes = _bytes.size();
 
     validatePayload(mode);
 }
 
 /**
- * Walk the decoded varint event stream end to end, checking framing,
+ * Walk the payload's event stream end to end, checking framing,
  * checkpoint CRCs, and that the walked event counts match the header.
  * Strict mode throws on the first defect; Salvage mode cuts the stream
  * back to the last trustworthy prefix — the last CRC-verified
@@ -873,7 +663,7 @@ TraceFileReader::parse(const std::uint8_t *data, std::size_t size,
 void
 TraceFileReader::validatePayload(TraceReadMode mode)
 {
-    EventDecoder decoder(_events);
+    EventDecoder decoder(events(), eventBytes());
     TraceFileCounts walked;
     std::uint64_t walkedEvents = 0;
     std::size_t sectionStart = 0;
@@ -889,7 +679,7 @@ TraceFileReader::validatePayload(TraceReadMode mode)
         for (;;) {
             const DecodedEvent e = decoder.next();
             if (e.kind == kEvEnd) {
-                if (e.end != _events.size())
+                if (e.end != eventBytes())
                     throw TraceFileError(
                         "corrupt trace payload: trailing bytes after "
                         "terminator");
@@ -899,7 +689,7 @@ TraceFileReader::validatePayload(TraceReadMode mode)
                 if (e.checkpointCrc > 0xFFFFFFFFull ||
                     e.checkpointEvents != walkedEvents ||
                     static_cast<std::uint32_t>(e.checkpointCrc) !=
-                        crc32(_events.data() + sectionStart,
+                        crc32(events() + sectionStart,
                               e.start - sectionStart))
                     throw TraceFileError(
                         "corrupt trace payload: checkpoint "
@@ -929,9 +719,9 @@ TraceFileReader::validatePayload(TraceReadMode mode)
 
     if (damaged) {
         _recovery.salvaged = true;
-        _recovery.droppedPayloadBytes = _events.size() - lastGood;
-        _events.resize(lastGood);
-        _events.push_back(kEvEnd);
+        _recovery.droppedPayloadBytes = eventBytes() - lastGood;
+        _bytes.resize(_payloadStart + lastGood);
+        _bytes.push_back(kEvEnd);
         _counts = lastGoodCounts;
         walkedEvents = lastGoodEvents;
     }
@@ -942,7 +732,7 @@ TraceEventBreakdown
 TraceFileReader::eventBreakdown() const
 {
     TraceEventBreakdown out;
-    EventDecoder decoder(_events);
+    EventDecoder decoder(events(), eventBytes());
     for (;;) {
         const DecodedEvent e = decoder.next();
         const std::uint64_t bytes = e.end - e.start;
@@ -975,7 +765,7 @@ TraceFileReader::eventBreakdown() const
 void
 TraceFileReader::replay(TraceSink *sink) const
 {
-    EventDecoder decoder(_events);
+    EventDecoder decoder(events(), eventBytes());
     for (;;) {
         const DecodedEvent e = decoder.next();
         switch (e.kind) {

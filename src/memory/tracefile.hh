@@ -16,16 +16,16 @@
  *
  * On-disk format (all integers little-endian):
  *
- *   "CTRC"  u16 version  u8 codec  u8 storageMode
+ *   "CTRC"  u16 version  u8 storageMode
  *   str scene  str encoding  str model        (u32 length + bytes)
  *   u32 width  u32 height  u32 threads  u32 featureBytes
  *   u64 accesses  u64 rayEnds  u64 flushes
  *   u8 hasWorkload  [12 x u64 + u32 summary]
- *   u64 storedPayloadBytes  u64 rawPayloadBytes
+ *   u64 payloadBytes
  *   u32 headerCrc32
  *   payload
  *
- * This build reads and writes version 3 only; no older container is
+ * This build reads and writes version 4 only; no older container is
  * kept anywhere, since every corpus is regenerable from its scene.
  *
  * The optional workload-summary block holds the StageWork and
@@ -38,7 +38,7 @@
  *
  * Crash-safety checksums: the header is covered by a
  * trailing CRC32 (over every header byte before the CRC field), and
- * the varint-stage payload embeds *checkpoint events* (tag 7): every
+ * the payload embeds *checkpoint events* (tag 7): every
  * ~kTraceCheckpointInterval events, and once more right before the
  * terminator, the writer records the cumulative event count and the
  * CRC32 of the payload section since the previous checkpoint. Strict
@@ -55,9 +55,8 @@
  * delta-of-address + zigzag varints: gather addresses are locally
  * correlated (neighbouring grid vertices), so deltas are short, and
  * ray ids / access sizes rarely change between events, so both are
- * elided when repeated. With codec Range an adaptive order-0 binary
- * range coder (the delta-filter + entropy-coding idiom of classic
- * stream compressors) squeezes the residual varint bytes further.
+ * elided when repeated. The stored payload is that stream itself: a
+ * reader walks the bytes it read in place, with no decode stage.
  *
  * tracefile.cc states this format once: a single event decoder reads
  * the payload grammar for parse-time validation, replay() and
@@ -89,18 +88,8 @@ class TraceFileError : public ParseError
     using ParseError::ParseError;
 };
 
-/** Payload compression stage. */
-enum class TraceCodec : std::uint8_t
-{
-    Varint = 0, //!< delta + zigzag-varint event stream only
-    Range = 1,  //!< varint stream re-coded by an order-0 range coder
-};
-
-/** Trace-file container version this build writes. */
-constexpr std::uint16_t kTraceFileVersion = 3;
-
-/** Oldest container version this build still reads. */
-constexpr std::uint16_t kTraceFileMinVersion = 3;
+/** The one trace-file container version this build reads and writes. */
+constexpr std::uint16_t kTraceFileVersion = 4;
 
 /** Events between embedded payload checkpoints. */
 constexpr std::uint64_t kTraceCheckpointInterval = 1024;
@@ -125,7 +114,7 @@ struct TraceRecoveryInfo
 {
     bool salvaged = false;          //!< tail was dropped
     std::uint64_t keptEvents = 0;   //!< events in the recovered prefix
-    std::uint64_t droppedPayloadBytes = 0; //!< varint-stage bytes cut
+    std::uint64_t droppedPayloadBytes = 0; //!< payload bytes cut
     std::uint64_t checkpointsVerified = 0; //!< CRC-valid checkpoints
 };
 
@@ -199,20 +188,19 @@ struct TraceWorkloadSummary
 
 /**
  * Per-event-type accounting of a container's encoded payload — how
- * many events of each kind the stream holds and how many varint-stage
+ * many events of each kind the stream holds and how many payload
  * bytes each kind costs, plus how often the writer's same-bytes /
- * same-ray elisions fired. Observability groundwork for the
- * per-field-context codec work: it shows where the encoded bytes go.
+ * same-ray elisions fired: it shows where the encoded bytes go.
  */
 struct TraceEventBreakdown
 {
     std::uint64_t accessEvents = 0;
-    std::uint64_t accessBytes = 0; //!< varint-stage bytes of access events
+    std::uint64_t accessBytes = 0; //!< payload bytes of access events
     std::uint64_t rayEndEvents = 0;
     std::uint64_t rayEndBytes = 0;
     std::uint64_t flushEvents = 0;
     std::uint64_t flushBytes = 0;
-    std::uint64_t checkpointEvents = 0; //!< embedded v3 checkpoints
+    std::uint64_t checkpointEvents = 0; //!< embedded checkpoints
     std::uint64_t checkpointBytes = 0;
     std::uint64_t terminatorBytes = 0;
     std::uint64_t sameBytesElisions = 0; //!< access size repeated, elided
@@ -239,10 +227,10 @@ struct TraceFileCounts
  * container (file or memory buffer).
  *
  * The encoded payload is buffered in memory (a few bytes per access —
- * far smaller than the live stream) and finalized by close(): the
- * optional range-coder stage runs, then header + payload are written
- * in one pass. close() is idempotent and called by the destructor;
- * call it explicitly to observe counts/sizes or write failures.
+ * far smaller than the live stream) and finalized by close(), which
+ * writes header + payload in one pass. close() is idempotent and
+ * called by the destructor; call it explicitly to observe counts/sizes
+ * or write failures.
  *
  * The file backend is crash-safe: close() writes to `<path>.tmp` and
  * atomically renames onto @p path, so the destination either holds the
@@ -256,13 +244,11 @@ class TraceFileWriter : public TraceSink
 {
   public:
     /** Write to @p path. */
-    TraceFileWriter(const std::string &path, const TraceFileMeta &meta,
-                    TraceCodec codec = TraceCodec::Range);
+    TraceFileWriter(const std::string &path, const TraceFileMeta &meta);
 
     /** Write into @p buffer (cleared first); no filesystem involved. */
     TraceFileWriter(std::vector<std::uint8_t> &buffer,
-                    const TraceFileMeta &meta,
-                    TraceCodec codec = TraceCodec::Range);
+                    const TraceFileMeta &meta);
 
     ~TraceFileWriter() override;
 
@@ -293,8 +279,8 @@ class TraceFileWriter : public TraceSink
     /** Container size in bytes (valid after close()). */
     std::uint64_t fileBytes() const { return _fileBytes; }
 
-    /** Stored (post-codec) payload size in bytes (after close()). */
-    std::uint64_t payloadBytes() const { return _storedPayloadBytes; }
+    /** Payload size in bytes (valid after close()). */
+    std::uint64_t payloadBytes() const { return _payloadBytes; }
 
   private:
     void putVarint(std::uint64_t v);
@@ -303,7 +289,6 @@ class TraceFileWriter : public TraceSink
     void emitCheckpoint();
 
     TraceFileMeta _meta;
-    TraceCodec _codec;
     TraceFileCounts _counts;
     TraceWorkloadSummary _workload;
     bool _hasWorkload = false;
@@ -323,20 +308,20 @@ class TraceFileWriter : public TraceSink
 
     bool _closed = false;
     std::uint64_t _fileBytes = 0;
-    std::uint64_t _storedPayloadBytes = 0;
+    std::uint64_t _payloadBytes = 0;
 };
 
 /**
  * Parses a `.ctrace` container and replays it into TraceSinks.
  *
- * The payload is decoded to the varint stage once at construction and
- * fully validated — every event parses, every checkpoint
- * CRC matches, the walked counts agree with the header; replay() then
- * re-walks that stream, so a reader replays any number of times (the
- * capture-once / replay-many pattern).
+ * The reader keeps the container bytes it read and walks the payload
+ * in place. Construction validates it once — every event parses,
+ * every checkpoint CRC matches, the walked counts agree with the
+ * header; replay() then re-walks that stream, so a reader replays any
+ * number of times (the capture-once / replay-many pattern).
  *
  * @throws IoError on I/O failure; TraceFileError on bad magic,
- *         unsupported version or codec, and truncated or corrupt
+ *         unsupported version, and truncated or corrupt
  *         containers (in Strict mode — Salvage mode instead recovers
  *         the longest checksum-valid event prefix; see recovery()).
  */
@@ -346,7 +331,7 @@ class TraceFileReader
     explicit TraceFileReader(const std::string &path,
                              TraceReadMode mode = TraceReadMode::Strict);
 
-    /** Parse an in-memory container (the bytes are not retained). */
+    /** Parse an in-memory container (the reader keeps a copy). */
     TraceFileReader(const std::uint8_t *data, std::size_t size,
                     TraceReadMode mode = TraceReadMode::Strict);
     explicit TraceFileReader(const std::vector<std::uint8_t> &buffer,
@@ -354,10 +339,9 @@ class TraceFileReader
 
     const TraceFileMeta &meta() const { return _meta; }
     const TraceFileCounts &counts() const { return _counts; }
-    TraceCodec codec() const { return _codec; }
 
-    /** Container version the file was written with. */
-    std::uint16_t version() const { return _version; }
+    /** Container version: kTraceFileVersion, the only one that parses. */
+    std::uint16_t version() const { return kTraceFileVersion; }
 
     /** What a Salvage-mode read recovered (all zeros when clean). */
     const TraceRecoveryInfo &recovery() const { return _recovery; }
@@ -372,17 +356,16 @@ class TraceFileReader
     }
 
     /**
-     * Per-event-type byte accounting of the decoded varint payload —
-     * one extra walk over the in-memory event stream, no replay sink
-     * involved.
+     * Per-event-type byte accounting of the payload — one extra walk
+     * over the in-memory event stream, no replay sink involved.
      */
     TraceEventBreakdown eventBreakdown() const;
 
     /** Total container size in bytes. */
     std::uint64_t fileBytes() const { return _fileBytes; }
 
-    /** Stored (post-codec) payload size in bytes. */
-    std::uint64_t payloadBytes() const { return _storedPayloadBytes; }
+    /** Payload size in bytes. */
+    std::uint64_t payloadBytes() const { return _payloadBytes; }
 
     /**
      * Compression ratio: container size over the raw
@@ -403,20 +386,26 @@ class TraceFileReader
     void replay(TraceSink *sink) const;
 
   private:
-    void parse(const std::uint8_t *data, std::size_t size,
-               TraceReadMode mode);
+    void parse(TraceReadMode mode);
     void validatePayload(TraceReadMode mode);
+
+    /** The payload: the tail of _bytes from _payloadStart on. */
+    const std::uint8_t *
+    events() const
+    {
+        return _bytes.data() + _payloadStart;
+    }
+    std::size_t eventBytes() const { return _bytes.size() - _payloadStart; }
 
     TraceFileMeta _meta;
     TraceFileCounts _counts;
-    TraceCodec _codec = TraceCodec::Varint;
-    std::uint16_t _version = kTraceFileVersion;
     TraceWorkloadSummary _workload;
     bool _hasWorkload = false;
     std::uint64_t _fileBytes = 0;
-    std::uint64_t _storedPayloadBytes = 0;
+    std::uint64_t _payloadBytes = 0;
     TraceRecoveryInfo _recovery;
-    std::vector<std::uint8_t> _events; //!< decoded varint event stream
+    std::vector<std::uint8_t> _bytes; //!< the container as read
+    std::size_t _payloadStart = 0;    //!< offset of the payload in _bytes
 };
 
 } // namespace cicero

@@ -2,7 +2,7 @@
  * @file
  * Tests for the trace persistence subsystem: container round-trips
  * (capture → write → read → replay byte-identical to the live stream)
- * across encodings, thread counts and codecs; compression-ratio and
+ * across encodings and thread counts; compression-ratio and
  * error-path guarantees; and live-vs-replayed memory-model statistics
  * (the capture-once / replay-many contract).
  */
@@ -65,11 +65,11 @@ metaFor(const NerfModel &model, const std::string &scene, int res)
 // Round-trip byte identity
 // ---------------------------------------------------------------------
 
-TEST(TraceFileTest, RoundTripByteIdentityAcrossEncodingsThreadsCodecs)
+TEST(TraceFileTest, RoundTripByteIdentityAcrossEncodingsAndThreads)
 {
     // The core contract: capture → write → read → replay reproduces
     // the live serial stream exactly, for all three encodings (hash
-    // grid, dense grid, TensoRF), at 1 and N threads, in both codecs.
+    // grid, dense grid, TensoRF), at 1 and N threads.
     ThreadCountGuard guard;
     const int res = 24;
     Scene scene = test::tinyScene();
@@ -87,24 +87,20 @@ TEST(TraceFileTest, RoundTripByteIdentityAcrossEncodingsThreadsCodecs)
         ASSERT_FALSE(live.events.empty());
 
         for (int threads : {1, 4}) {
-            for (TraceCodec codec :
-                 {TraceCodec::Varint, TraceCodec::Range}) {
-                setParallelThreadCount(threads);
-                std::vector<std::uint8_t> ctrace;
-                {
-                    TraceFileWriter writer(
-                        ctrace, metaFor(*model, scene.name, res), codec);
-                    model->traceWorkload(cam, &writer);
-                    writer.close();
-                }
-
-                TraceFileReader reader(ctrace);
-                EventRecorder replayed;
-                reader.replay(&replayed);
-                EXPECT_EQ(live.events, replayed.events)
-                    << modelName(kind) << " threads=" << threads
-                    << " codec=" << static_cast<int>(codec);
+            setParallelThreadCount(threads);
+            std::vector<std::uint8_t> ctrace;
+            {
+                TraceFileWriter writer(ctrace,
+                                       metaFor(*model, scene.name, res));
+                model->traceWorkload(cam, &writer);
+                writer.close();
             }
+
+            TraceFileReader reader(ctrace);
+            EventRecorder replayed;
+            reader.replay(&replayed);
+            EXPECT_EQ(live.events, replayed.events)
+                << modelName(kind) << " threads=" << threads;
         }
     }
 }
@@ -129,37 +125,28 @@ TEST(TraceFileTest, ReaderReplaysRepeatedly)
     EXPECT_EQ(first.events, second.events);
 }
 
-TEST(TraceFileTest, EventBreakdownBytesSumToVarintPayload)
+TEST(TraceFileTest, EventBreakdownBytesSumToPayload)
 {
-    // Every byte of the varint stage belongs to one event class:
-    // access + rayEnd + flush + checkpoint + terminator bytes add up to
-    // the payload a Varint container stores, and a Range container
-    // decodes to the same accounting.
+    // Every payload byte belongs to one event class: access + rayEnd +
+    // flush + checkpoint + terminator bytes add up to the payload the
+    // container stores.
     ThreadCountGuard guard;
     setParallelThreadCount(1);
     auto model = test::tinyModel();
     Camera cam = test::tinyCamera(16);
 
-    std::uint64_t varintPayload = 0;
-    for (TraceCodec codec : {TraceCodec::Varint, TraceCodec::Range}) {
-        std::vector<std::uint8_t> ctrace;
-        {
-            TraceFileWriter writer(ctrace, metaFor(*model, "tiny", 16),
-                                   codec);
-            model->traceWorkload(cam, &writer);
-            writer.close();
-        }
-        const TraceFileReader reader(ctrace);
-        if (codec == TraceCodec::Varint)
-            varintPayload = reader.payloadBytes();
-        const TraceEventBreakdown ev = reader.eventBreakdown();
-        SCOPED_TRACE(testing::Message()
-                     << "codec " << static_cast<int>(codec));
-        EXPECT_GT(ev.checkpointEvents, 1u); // periodic ones and the last
-        EXPECT_EQ(ev.accessBytes + ev.rayEndBytes + ev.flushBytes +
-                      ev.checkpointBytes + ev.terminatorBytes,
-                  varintPayload);
+    std::vector<std::uint8_t> ctrace;
+    {
+        TraceFileWriter writer(ctrace, metaFor(*model, "tiny", 16));
+        model->traceWorkload(cam, &writer);
+        writer.close();
     }
+    const TraceFileReader reader(ctrace);
+    const TraceEventBreakdown ev = reader.eventBreakdown();
+    EXPECT_GT(ev.checkpointEvents, 1u); // periodic ones and the last
+    EXPECT_EQ(ev.accessBytes + ev.rayEndBytes + ev.flushBytes +
+                  ev.checkpointBytes + ev.terminatorBytes,
+              reader.payloadBytes());
 }
 
 // ---------------------------------------------------------------------
@@ -178,19 +165,15 @@ TEST(TraceFileTest, CompressedTraceIsAtMostQuarterOfRawStream)
     Camera cam =
         Camera::fromFov(48, 48, scene.fovYDeg, orbitTrajectory(orbit, 1)[0]);
 
-    for (TraceCodec codec : {TraceCodec::Varint, TraceCodec::Range}) {
-        std::vector<std::uint8_t> ctrace;
-        {
-            TraceFileWriter writer(ctrace, metaFor(*model, scene.name, 48),
-                                   codec);
-            model->render(cam, &writer);
-            writer.close();
-        }
-        TraceFileReader reader(ctrace);
-        ASSERT_GT(reader.counts().accesses, 0u);
-        EXPECT_LE(reader.compressionRatio(), 0.25)
-            << "codec=" << static_cast<int>(codec);
+    std::vector<std::uint8_t> ctrace;
+    {
+        TraceFileWriter writer(ctrace, metaFor(*model, scene.name, 48));
+        model->render(cam, &writer);
+        writer.close();
     }
+    TraceFileReader reader(ctrace);
+    ASSERT_GT(reader.counts().accesses, 0u);
+    EXPECT_LE(reader.compressionRatio(), 0.25);
 }
 
 // ---------------------------------------------------------------------
@@ -198,7 +181,7 @@ TEST(TraceFileTest, CompressedTraceIsAtMostQuarterOfRawStream)
 // ---------------------------------------------------------------------
 
 std::vector<std::uint8_t>
-syntheticContainer(TraceCodec codec = TraceCodec::Range)
+syntheticContainer()
 {
     TraceFileMeta meta;
     meta.scene = "synthetic";
@@ -210,7 +193,7 @@ syntheticContainer(TraceCodec codec = TraceCodec::Range)
     meta.featureBytes = 16;
 
     std::vector<std::uint8_t> out;
-    TraceFileWriter writer(out, meta, codec);
+    TraceFileWriter writer(out, meta);
     writer.onAccess(MemAccess{4096, 64, 0});
     writer.onAccess(MemAccess{4160, 64, 0});
     writer.onRayEnd(0);
@@ -238,7 +221,6 @@ TEST(TraceFileTest, MetadataAndCountsRoundTrip)
     EXPECT_EQ(reader.counts().rayEnds, 2u);
     EXPECT_EQ(reader.counts().flushes, 1u);
     EXPECT_EQ(reader.counts().rawStreamBytes(), 3 * sizeof(MemAccess));
-    EXPECT_EQ(reader.codec(), TraceCodec::Range);
     EXPECT_EQ(reader.fileBytes(), buf.size());
 
     EventRecorder rec;
@@ -265,7 +247,7 @@ TEST(TraceFileTest, StorageModeRoundTripsAndFlagsMismatch)
         meta.storageMode = mode;
 
         std::vector<std::uint8_t> buf;
-        TraceFileWriter writer(buf, meta, TraceCodec::Varint);
+        TraceFileWriter writer(buf, meta);
         writer.onAccess(MemAccess{64, 16, 0});
         writer.close();
 
@@ -285,7 +267,7 @@ TEST(TraceFileTest, StorageModeRoundTripsAndFlagsMismatch)
     TraceFileMeta meta;
     meta.storageMode = static_cast<TraceStorageMode>(250);
     std::vector<std::uint8_t> buf;
-    TraceFileWriter writer(buf, meta, TraceCodec::Varint);
+    TraceFileWriter writer(buf, meta);
     writer.close();
     TraceFileReader reader(buf);
     EXPECT_EQ(reader.meta().storageMode, TraceStorageMode::Unknown);
@@ -307,7 +289,7 @@ TEST(TraceFileTest, QuantizedEncodingTagsCaptureFp16)
                                : TraceStorageMode::Fp32;
         EXPECT_EQ(meta.storageMode, tagged);
         std::vector<std::uint8_t> buf;
-        TraceFileWriter writer(buf, meta, TraceCodec::Varint);
+        TraceFileWriter writer(buf, meta);
         Camera cam = test::tinyCamera(12);
         model->traceWorkload(cam, &writer);
         writer.close();
@@ -357,7 +339,7 @@ TEST(TraceFileTest, FileAndMemoryBackendsProduceIdenticalContainers)
         meta.height = 2;
         meta.threads = 3;
         meta.featureBytes = 16;
-        TraceFileWriter writer(path, meta, TraceCodec::Range);
+        TraceFileWriter writer(path, meta);
         writer.onAccess(MemAccess{4096, 64, 0});
         writer.onAccess(MemAccess{4160, 64, 0});
         writer.onRayEnd(0);
@@ -421,16 +403,13 @@ TEST(TraceFileTest, ContainerBytesMatchRecordedGolden)
     // the stream is pinned too.
     struct Golden
     {
-        TraceCodec codec;
         bool workload;
         std::size_t bytes;
         std::uint64_t digest;
     };
     const Golden goldens[] = {
-        {TraceCodec::Varint, false, 7197, 13037741977187279916ull},
-        {TraceCodec::Varint, true, 7297, 8553739287009545873ull},
-        {TraceCodec::Range, false, 3335, 13858102163961968189ull},
-        {TraceCodec::Range, true, 3435, 7039589585994825096ull},
+        {false, 7188, 10315965122330372734ull},
+        {true, 7288, 9294750394777283708ull},
     };
     for (const Golden &g : goldens) {
         TraceFileMeta meta;
@@ -444,7 +423,7 @@ TEST(TraceFileTest, ContainerBytesMatchRecordedGolden)
         meta.storageMode = TraceStorageMode::Fp16;
 
         std::vector<std::uint8_t> buf;
-        TraceFileWriter writer(buf, meta, g.codec);
+        TraceFileWriter writer(buf, meta);
         for (std::uint32_t i = 0; i < 1500; ++i) {
             const std::uint32_t ray = (i / 10) ^ 3;
             const std::uint64_t addr = (i * 2654435761ull) % (1u << 22);
@@ -475,13 +454,12 @@ TEST(TraceFileTest, ContainerBytesMatchRecordedGolden)
         writer.close();
 
         SCOPED_TRACE(testing::Message()
-                     << "codec " << static_cast<int>(g.codec)
-                     << (g.workload ? " with" : " without")
+                     << (g.workload ? "with" : "without")
                      << " workload summary");
         EXPECT_EQ(buf.size(), g.bytes);
         EXPECT_EQ(fnv1a64(buf), g.digest);
-        // The varint-stage accounting is the same in both codecs; its
-        // byte fields sum to the raw payload (7,097 B).
+        // The byte fields of the event breakdown sum to the payload
+        // (7,097 B).
         const TraceEventBreakdown ev = TraceFileReader(buf).eventBreakdown();
         EXPECT_EQ((std::vector<std::uint64_t>{
                       ev.accessEvents, ev.accessBytes, ev.rayEndEvents,
@@ -504,9 +482,10 @@ TEST(TraceFileTest, RejectsBadMagic)
 TEST(TraceFileTest, RejectsVersionMismatch)
 {
     // Only the current container version parses. The pre-checksum
-    // versions 1 and 2 and every newer version are refused by the
-    // version check itself (not by a later checksum), in both modes.
-    for (int version : {1, 2, 4, 99}) {
+    // versions 1 and 2, the two-codec version 3 and every newer
+    // version are refused by the version check itself (not by a later
+    // checksum), in both modes.
+    for (int version : {1, 2, 3, 5, 99}) {
         std::vector<std::uint8_t> buf = syntheticContainer();
         buf[4] = static_cast<std::uint8_t>(version); // follows the magic
         buf[5] = 0;
@@ -523,13 +502,6 @@ TEST(TraceFileTest, RejectsVersionMismatch)
             }
         }
     }
-}
-
-TEST(TraceFileTest, RejectsUnknownCodec)
-{
-    std::vector<std::uint8_t> buf = syntheticContainer();
-    buf[6] = 0x7F; // codec byte
-    EXPECT_THROW(TraceFileReader{buf}, std::runtime_error);
 }
 
 TEST(TraceFileTest, RejectsTruncatedFiles)

@@ -60,10 +60,10 @@ emitEvents(TraceSink &sink, int events)
 }
 
 std::vector<std::uint8_t>
-buildTrace(int events, TraceCodec codec)
+buildTrace(int events)
 {
     std::vector<std::uint8_t> buf;
-    TraceFileWriter writer(buf, syntheticMeta(), codec);
+    TraceFileWriter writer(buf, syntheticMeta());
     emitEvents(writer, events);
     writer.close();
     return buf;
@@ -104,70 +104,64 @@ struct EventLog : public TraceSink
 
 TEST(TraceRobustnessTest, CleanFileRoundTripsWithCheckpoints)
 {
-    for (TraceCodec codec : {TraceCodec::Varint, TraceCodec::Range}) {
-        std::vector<std::uint8_t> buf = buildTrace(3000, codec);
-        TraceFileReader reader(buf);
-        EXPECT_FALSE(reader.recovery().salvaged);
-        EXPECT_EQ(reader.version(), kTraceFileVersion);
-        EXPECT_EQ(reader.counts().accesses, 3000u);
+    std::vector<std::uint8_t> buf = buildTrace(3000);
+    TraceFileReader reader(buf);
+    EXPECT_FALSE(reader.recovery().salvaged);
+    EXPECT_EQ(reader.version(), kTraceFileVersion);
+    EXPECT_EQ(reader.counts().accesses, 3000u);
 
-        // ~3000 access events plus rayEnds/flushes at interval 1024
-        // means at least the final checkpoint plus two periodic ones.
-        TraceEventBreakdown ev = reader.eventBreakdown();
-        EXPECT_GE(ev.checkpointEvents, 3u);
-        EXPECT_GT(ev.checkpointBytes, 0u);
+    // ~3000 access events plus rayEnds/flushes at interval 1024
+    // means at least the final checkpoint plus two periodic ones.
+    TraceEventBreakdown ev = reader.eventBreakdown();
+    EXPECT_GE(ev.checkpointEvents, 3u);
+    EXPECT_GT(ev.checkpointBytes, 0u);
 
-        EventLog log;
-        reader.replay(&log);
-        EXPECT_EQ(log.events.size(),
-                  reader.counts().accesses + reader.counts().rayEnds +
-                      reader.counts().flushes);
-    }
+    EventLog log;
+    reader.replay(&log);
+    EXPECT_EQ(log.events.size(),
+              reader.counts().accesses + reader.counts().rayEnds +
+                  reader.counts().flushes);
 }
 
 TEST(TraceRobustnessTest, TruncationStrictThrowsSalvageRecoversPrefix)
 {
-    for (TraceCodec codec : {TraceCodec::Varint, TraceCodec::Range}) {
-        std::vector<std::uint8_t> buf = buildTrace(3000, codec);
-        EventLog full;
-        TraceFileReader(buf).replay(&full);
+    std::vector<std::uint8_t> buf = buildTrace(3000);
+    EventLog full;
+    TraceFileReader(buf).replay(&full);
 
-        // Cut points across the whole file, including deep payload
-        // truncations and near-complete files.
-        for (std::ptrdiff_t keep = static_cast<std::ptrdiff_t>(buf.size()) - 1;
-             keep > 16; keep -= 37) {
-            std::vector<std::uint8_t> cut(buf.begin(),
-                                          buf.begin() + keep);
-            // Strict: always a typed error, never garbage events.
-            EXPECT_THROW(TraceFileReader{cut}, TraceFileError)
-                << "codec " << static_cast<int>(codec) << " keep "
-                << keep;
+    // Cut points across the whole file, including deep payload
+    // truncations and near-complete files.
+    for (std::ptrdiff_t keep = static_cast<std::ptrdiff_t>(buf.size()) - 1;
+         keep > 16; keep -= 37) {
+        std::vector<std::uint8_t> cut(buf.begin(), buf.begin() + keep);
+        // Strict: always a typed error, never garbage events.
+        EXPECT_THROW(TraceFileReader{cut}, TraceFileError)
+            << "keep " << keep;
 
-            // Salvage: either the header itself is gone (typed error)
-            // or we get a checksum-valid prefix that replays clean.
-            try {
-                TraceFileReader reader(cut, TraceReadMode::Salvage);
-                EXPECT_TRUE(reader.recovery().salvaged);
-                EventLog part;
-                reader.replay(&part);
-                ASSERT_LE(part.events.size(), full.events.size());
-                for (std::size_t i = 0; i < part.events.size(); ++i)
-                    ASSERT_TRUE(part.events[i] == full.events[i])
-                        << "keep " << keep << " event " << i;
-            } catch (const TraceFileError &) {
-                // Header truncation: salvage cannot help, typed throw.
-            }
+        // Salvage: either the header itself is gone (typed error) or
+        // we get a checksum-valid prefix that replays clean.
+        try {
+            TraceFileReader reader(cut, TraceReadMode::Salvage);
+            EXPECT_TRUE(reader.recovery().salvaged);
+            EventLog part;
+            reader.replay(&part);
+            ASSERT_LE(part.events.size(), full.events.size());
+            for (std::size_t i = 0; i < part.events.size(); ++i)
+                ASSERT_TRUE(part.events[i] == full.events[i])
+                    << "keep " << keep << " event " << i;
+        } catch (const TraceFileError &) {
+            // Header truncation: salvage cannot help, typed throw.
         }
-
-        // A deep cut that still holds several checkpoints recovers a
-        // non-empty prefix — the whole point of salvage mode.
-        std::vector<std::uint8_t> half(buf.begin(),
-                                       buf.begin() + buf.size() / 2);
-        TraceFileReader reader(half, TraceReadMode::Salvage);
-        EXPECT_TRUE(reader.recovery().salvaged);
-        EXPECT_GT(reader.recovery().keptEvents, 0u);
-        EXPECT_GT(reader.recovery().checkpointsVerified, 0u);
     }
+
+    // A deep cut that still holds several checkpoints recovers a
+    // non-empty prefix — the whole point of salvage mode.
+    std::vector<std::uint8_t> half(buf.begin(),
+                                   buf.begin() + buf.size() / 2);
+    TraceFileReader reader(half, TraceReadMode::Salvage);
+    EXPECT_TRUE(reader.recovery().salvaged);
+    EXPECT_GT(reader.recovery().keptEvents, 0u);
+    EXPECT_GT(reader.recovery().checkpointsVerified, 0u);
 }
 
 TEST(TraceRobustnessTest, ByteMutationFuzzThrowsTypedOrParsesClean)
@@ -175,34 +169,31 @@ TEST(TraceRobustnessTest, ByteMutationFuzzThrowsTypedOrParsesClean)
     // Deterministic fuzz: every iteration derives its mutations from a
     // seeded LCG, so a failure reproduces exactly. Any outcome is
     // acceptable except a crash, a hang, or an untyped exception.
-    for (TraceCodec codec : {TraceCodec::Varint, TraceCodec::Range}) {
-        const std::vector<std::uint8_t> clean = buildTrace(1500, codec);
-        std::uint64_t rng = 0x9e3779b97f4a7c15ull ^
-                            static_cast<std::uint64_t>(codec);
-        auto next = [&rng] {
-            rng = rng * 6364136223846793005ull + 1442695040888963407ull;
-            return rng >> 33;
-        };
+    const std::vector<std::uint8_t> clean = buildTrace(1500);
+    std::uint64_t rng = 0x9e3779b97f4a7c15ull;
+    auto next = [&rng] {
+        rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+        return rng >> 33;
+    };
 
-        for (int iter = 0; iter < 300; ++iter) {
-            std::vector<std::uint8_t> fuzzed = clean;
-            const int flips = 1 + static_cast<int>(next() % 4);
-            for (int f = 0; f < flips; ++f) {
-                std::size_t pos = next() % fuzzed.size();
-                fuzzed[pos] ^= static_cast<std::uint8_t>(1 + next() % 255);
-            }
+    for (int iter = 0; iter < 300; ++iter) {
+        std::vector<std::uint8_t> fuzzed = clean;
+        const int flips = 1 + static_cast<int>(next() % 4);
+        for (int f = 0; f < flips; ++f) {
+            std::size_t pos = next() % fuzzed.size();
+            fuzzed[pos] ^= static_cast<std::uint8_t>(1 + next() % 255);
+        }
 
-            for (TraceReadMode mode :
-                 {TraceReadMode::Strict, TraceReadMode::Salvage}) {
-                try {
-                    TraceFileReader reader(fuzzed, mode);
-                    EventLog log; // survived parsing => must replay
-                    reader.replay(&log);
-                } catch (const TraceFileError &) {
-                    // The typed rejection path — always acceptable.
-                }
-                // Anything else escapes and fails the test.
+        for (TraceReadMode mode :
+             {TraceReadMode::Strict, TraceReadMode::Salvage}) {
+            try {
+                TraceFileReader reader(fuzzed, mode);
+                EventLog log; // survived parsing => must replay
+                reader.replay(&log);
+            } catch (const TraceFileError &) {
+                // The typed rejection path — always acceptable.
             }
+            // Anything else escapes and fails the test.
         }
     }
 }
@@ -210,12 +201,10 @@ TEST(TraceRobustnessTest, ByteMutationFuzzThrowsTypedOrParsesClean)
 TEST(TraceRobustnessTest, EveryPayloadBitFlipIsCaughtByCheckpoints)
 {
     // A flipped data bit inside a varint leaves the framing intact, so
-    // only the checkpoint CRCs can catch it. With the varint codec the
-    // stored payload is the event stream itself: flip one bit of every
+    // only the checkpoint CRCs can catch it. Flip one bit of every
     // payload byte in turn. Strict reads must reject each one, and
     // salvage must keep a prefix of the clean stream.
-    const std::vector<std::uint8_t> clean =
-        buildTrace(1500, TraceCodec::Varint);
+    const std::vector<std::uint8_t> clean = buildTrace(1500);
     EventLog full;
     TraceFileReader(clean).replay(&full);
     const std::size_t payloadStart =
@@ -240,7 +229,7 @@ TEST(TraceRobustnessTest, EveryPayloadBitFlipIsCaughtByCheckpoints)
 
 TEST(TraceRobustnessTest, HeaderCorruptionThrowsInBothModes)
 {
-    std::vector<std::uint8_t> buf = buildTrace(200, TraceCodec::Varint);
+    std::vector<std::uint8_t> buf = buildTrace(200);
     // Flip a byte inside the header proper (past the 4-byte magic):
     // the header CRC rejects it in strict AND salvage mode — salvage
     // needs trustworthy counts and sizes to cut against.
@@ -248,6 +237,82 @@ TEST(TraceRobustnessTest, HeaderCorruptionThrowsInBothModes)
     EXPECT_THROW(TraceFileReader{buf}, TraceFileError);
     EXPECT_THROW(TraceFileReader(buf, TraceReadMode::Salvage),
                  TraceFileError);
+}
+
+/** CRC32 (IEEE 802.3), bitwise: re-seals a rewritten header. */
+std::uint32_t
+crc32(const std::uint8_t *data, std::size_t n)
+{
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < n; ++i) {
+        c ^= data[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xFFFFFFFFu;
+}
+
+/** Overwrite @p bytes bytes at @p pos with @p v, little-endian. */
+void
+putLe(std::vector<std::uint8_t> &buf, std::size_t pos, std::uint64_t v,
+      std::size_t bytes)
+{
+    for (std::size_t i = 0; i < bytes; ++i)
+        buf[pos + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+TEST(TraceRobustnessTest, ForgedHeaderSizesThrowInBothModes)
+{
+    // A header whose CRC checks out can still lie. Forge the payload
+    // length far past what the event counts allow, then the access
+    // count far past what the payload can hold, re-sealing the header
+    // CRC each time: both are rejected as implausible before the
+    // payload is walked, so salvage cannot mistake a forgery for a
+    // truncated capture.
+    const std::vector<std::uint8_t> clean = buildTrace(200);
+    const std::uint64_t payloadBytes = TraceFileReader(clean).payloadBytes();
+    const std::size_t headerEnd = clean.size() - payloadBytes;
+    // Header layout: magic, u16 version, u8 storage mode, three
+    // length-prefixed strings, four u32 fields, then the u64 access
+    // count; it ends with the u64 payload length and the u32 CRC.
+    const TraceFileMeta meta = syntheticMeta();
+    const std::size_t accessesPos = 4 + 2 + 1 + 3 * 4 + meta.scene.size() +
+                                    meta.encoding.size() +
+                                    meta.model.size() + 4 * 4;
+    const std::size_t payloadLenPos = headerEnd - 12;
+    const std::size_t crcPos = headerEnd - 4;
+    // The offsets hold the true values: rewriting them changes nothing.
+    std::vector<std::uint8_t> same = clean;
+    putLe(same, accessesPos, 200, 8);
+    putLe(same, payloadLenPos, payloadBytes, 8);
+    ASSERT_EQ(same, clean);
+
+    struct Forgery
+    {
+        const char *name;
+        std::size_t pos;
+        std::uint64_t value;
+    };
+    const Forgery forgeries[] = {
+        {"payload length", payloadLenPos, 1ull << 40},
+        {"access count", accessesPos, 1ull << 60},
+    };
+    for (const Forgery &f : forgeries) {
+        std::vector<std::uint8_t> forged = clean;
+        putLe(forged, f.pos, f.value, 8);
+        putLe(forged, crcPos, crc32(forged.data(), crcPos), 4);
+        for (TraceReadMode mode :
+             {TraceReadMode::Strict, TraceReadMode::Salvage}) {
+            try {
+                TraceFileReader reader(forged, mode);
+                ADD_FAILURE() << f.name << " forgery accepted";
+            } catch (const TraceFileError &e) {
+                EXPECT_NE(std::string(e.what()).find("implausible"),
+                          std::string::npos)
+                    << f.name << ": " << e.what();
+            }
+        }
+    }
 }
 
 TEST(TraceRobustnessTest, FileBackendFinalizesAtomically)
@@ -306,7 +371,7 @@ TEST(TraceRobustnessTest, InjectedWriteFaultLeavesNoFile)
 
 TEST(TraceRobustnessTest, InjectedReadAndFlushFaultsAreTyped)
 {
-    std::vector<std::uint8_t> buf = buildTrace(50, TraceCodec::Varint);
+    std::vector<std::uint8_t> buf = buildTrace(50);
     {
         FaultScope scope("trace_read:count=1");
         EXPECT_THROW(TraceFileReader{buf}, FaultInjectedError);

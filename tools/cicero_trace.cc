@@ -73,14 +73,14 @@ usage()
         "commands:\n"
         "  capture -o FILE [--scene NAME] [--model ngp|dvgo|tensorf|enerf]\n"
         "          [--res N] [--frame K] [--preset fast|full]\n"
-        "          [--layout linear|mvoxel] [--codec range|varint]\n"
-        "          [--mode workload|render] [--fp16]\n"
+        "          [--layout linear|mvoxel] [--mode workload|render]\n"
+        "          [--fp16]\n"
         "      render one frame and persist its gather access stream;\n"
         "      --fp16 quantizes feature storage first, so the trace's\n"
         "      2 B/channel featureBytes accounting matches the run\n"
         "  capture-set -o DIR [--scenes A,B] [--models A,B] [--res N]\n"
         "          [--frames K] [--preset fast|full] [--layout ...]\n"
-        "          [--codec ...] [--mode workload|render] [--fp16]\n"
+        "          [--mode workload|render] [--fp16]\n"
         "      capture one trace per scene x model x frame into DIR and\n"
         "      write a corpus.json manifest (DSE corpus input)\n"
         "  replay FILE [--stack cache|bank|dram|gpu|npu|gu|accels]\n"
@@ -164,7 +164,6 @@ struct CaptureSpec
     std::uint32_t res = 64;
     std::uint32_t frame = 0;
     ModelBuildOptions opts;
-    TraceCodec codec = TraceCodec::Range;
     bool fp16 = false;
     bool renderMode = false; //!< full render instead of workload trace
 };
@@ -198,7 +197,7 @@ captureOne(const CaptureSpec &spec, const NerfModel &model,
                            ? TraceStorageMode::Fp16
                            : TraceStorageMode::Fp32;
 
-    TraceFileWriter writer(outPath, meta, spec.codec);
+    TraceFileWriter writer(outPath, meta);
     TraceWorkloadDescriptor desc;
     if (spec.renderMode) {
         RenderResult result = model.render(cam, &writer);
@@ -235,20 +234,16 @@ parseCaptureOpts(const cli::Args &cli, CaptureSpec &spec)
     if (!cli.optUint("--res", 64, 1, 4096, spec.res) ||
         !cli.optUint("--frame", 0, 0, 100000, spec.frame))
         return false;
-    std::string codecStr = cli.optValueOr("--codec", "range");
     std::string mode = cli.optValueOr("--mode", "workload");
     if (!parseModelPreset(cli.optValueOr("--preset", "fast"),
                           spec.opts.preset) ||
         !parseGridLayout(cli.optValueOr("--layout", "linear"),
                          spec.opts.gridLayout) ||
-        (codecStr != "range" && codecStr != "varint") ||
         (mode != "workload" && mode != "render")) {
-        std::fprintf(stderr, "capture: unknown --preset, --layout, "
-                             "--codec or --mode value\n");
+        std::fprintf(stderr, "capture: unknown --preset, --layout "
+                             "or --mode value\n");
         return false;
     }
-    spec.codec =
-        codecStr == "varint" ? TraceCodec::Varint : TraceCodec::Range;
     spec.fp16 = cli.optFlag("--fp16");
     spec.renderMode = mode == "render";
     return true;
@@ -579,8 +574,6 @@ cmdStats(const cli::Args &cli)
                         traceStorageModeName(m.storageMode),
                         m.featureBytes, kBytesPerChannel);
     }
-    std::printf("  codec=%s\n",
-                reader.codec() == TraceCodec::Range ? "range" : "varint");
     std::printf("  accesses=%llu rayEnds=%llu flushes=%llu "
                 "bytesAccessed=%llu\n",
                 static_cast<unsigned long long>(reader.counts().accesses),
@@ -595,8 +588,8 @@ cmdStats(const cli::Args &cli)
                     reader.counts().rawStreamBytes()),
                 100.0 * reader.compressionRatio());
 
-    // Per-event-type payload accounting (varint stage): where the
-    // encoded bytes go, and how often the writer's elisions fired.
+    // Per-event-type payload accounting: where the encoded bytes go,
+    // and how often the writer's elisions fired.
     TraceEventBreakdown ev = reader.eventBreakdown();
     std::printf("  events: access=%llu (%llu B) rayEnd=%llu (%llu B) "
                 "flush=%llu (%llu B) checkpoint=%llu (%llu B) "
@@ -793,7 +786,7 @@ cmdRecover(const cli::Args &cli)
     if (out) {
         // Re-encode the recovered prefix as a fresh, clean container
         // (checkpoints and checksums rebuilt by the writer).
-        TraceFileWriter writer(out, reader.meta(), reader.codec());
+        TraceFileWriter writer(out, reader.meta());
         reader.replay(&writer);
         if (reader.hasWorkloadSummary())
             writer.setWorkloadSummary(reader.workloadSummary());
