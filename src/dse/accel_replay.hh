@@ -19,9 +19,11 @@
  *
  * Each stack still consumes the access stream: the GPU stack measures
  * its GatherProfile (cache miss rate, DRAM random fraction) from it,
- * the GU and baseline stacks run bank-conflict simulations over it,
- * and the NPU stack counts it — every replayed byte is observed, so a
- * stream/summary mismatch shows up in the stats.
+ * the baseline stack runs a feature-major bank-conflict simulation
+ * over it, and the NPU and GU stacks count it — every replayed byte is
+ * observed, so a stream/summary mismatch shows up in the stats. The GU
+ * needs no simulation: its channel-major layout is conflict-free by
+ * the construction of the Sec. IV-B schedule.
  */
 
 #ifndef CICERO_DSE_ACCEL_REPLAY_HH
@@ -144,21 +146,21 @@ struct GuStackConfig
     GatheringUnitConfig gu;
     DramConfig dram;
     EnergyConstants energy;
-    std::uint32_t concurrentRays = 16; //!< bank-sim ray slots
 };
 
 struct GuStackResult
 {
     GuCost cost;                    //!< analytic GU price of the plan
-    BankConflictStats channelMajor; //!< measured on the replayed stream
+    /** Channel-major bank traffic: one request and one fetch per
+     *  replayed access, no stalls (conflict-free by construction). */
+    BankConflictStats channelMajor;
     std::uint64_t accesses = 0;
     std::uint64_t rays = 0;
 };
 
 /**
- * Replay @p source through a channel-major bank-conflict simulation
- * (verifying the GU's conflict-freedom on this very stream) and price
- * the descriptor's StreamPlan on the GU model.
+ * Replay @p source (counted) and price the descriptor's StreamPlan on
+ * the GU model.
  */
 GuStackResult runGuStack(const TraceSourceFn &source,
                          const TraceWorkloadDescriptor &desc,

@@ -1,23 +1,25 @@
 #include "dse/driver.hh"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <memory>
 #include <stdexcept>
 
+#include "cicero/pipeline.hh"
 #include "common/parallel.hh"
+#include "common/stats.hh"
 #include "dse/minijson.hh"
 
 namespace cicero::dse {
 
 namespace {
 
+/** Shortest "%g" form of an axis value, for config ids. */
 std::string
-fmt(const char *format, double v)
+formatAxis(double v)
 {
     char buf[64];
-    std::snprintf(buf, sizeof(buf), format, v);
+    std::snprintf(buf, sizeof(buf), "%g", v);
     return buf;
 }
 
@@ -107,11 +109,11 @@ parseSweepSpec(const std::string &jsonText)
 std::string
 DseConfig::id() const
 {
-    return "cache" + fmt("%g", cacheMb) + "-cw" +
+    return "cache" + formatAxis(cacheMb) + "-cw" +
            std::to_string(cacheWays) + "-ways" +
            std::to_string(warpWays) + "-vft" + std::to_string(guVftKb) +
            "k-gub" + std::to_string(guBanks) + "-dram" +
-           fmt("%g", dramGBs) + "-sb" + std::to_string(sramBanks) +
+           formatAxis(dramGBs) + "-sb" + std::to_string(sramBanks) +
            "-rays" + std::to_string(concurrentRays);
 }
 
@@ -169,7 +171,6 @@ evaluatePoint(const TraceSourceFn &source,
     guCfg.gu.vftBytes = static_cast<std::uint64_t>(config.guVftKb) * 1024;
     guCfg.gu.banks = config.guBanks;
     guCfg.dram.bandwidthGBs = config.dramGBs;
-    guCfg.concurrentRays = config.concurrentRays;
 
     BaselineStackConfig baseCfg;
     baseCfg.bank.numBanks = config.sramBanks;
@@ -186,16 +187,20 @@ evaluatePoint(const TraceSourceFn &source,
     point.traceId = traceId;
     point.configId = config.id();
 
-    // Cicero composition, mirroring cicero/pipeline.cc nerfCost(): the
-    // GPU indexes and composites, then the GU's gather overlaps with
-    // the NPU's MLP work through the double-buffered feature buffer.
-    double gpuPartMs = gpu.times.indexMs + gpu.times.compositeMs;
-    point.ciceroTimeMs =
-        gpuPartMs + std::max(gu.cost.timeMs, npu.timeMs);
+    // The Cicero frame is priced by the composed model, on the GPU
+    // profile this trace measured.
+    WorkloadInputs inputs;
+    inputs.fullFrame = desc.work;
+    inputs.gatherProfile = gpu.profile;
+    inputs.fullStreamPlan = desc.plan;
+    inputs.vertexBytes = desc.vertexBytes;
+    const FramePrice price =
+        PerformanceModel(gpuCfg.gpu, NpuConfig{}, guCfg.gu)
+            .priceFullFrame(SystemVariant::Cicero, inputs);
+    point.ciceroTimeMs = price.timeMs;
     point.ciceroFps =
         point.ciceroTimeMs > 0 ? 1000.0 / point.ciceroTimeMs : 0.0;
-    point.ciceroEnergyNj = GpuModel(gpuCfg.gpu).energyNj(gpuPartMs) +
-                           npu.energyNj + gu.cost.energyNj;
+    point.ciceroEnergyNj = price.energyNj;
 
     point.gpuFps = gpu.timeMs > 0 ? 1000.0 / gpu.timeMs : 0.0;
     point.gpuEnergyNj = gpu.energyNj;
@@ -337,18 +342,18 @@ std::string
 summaryJson(const DseConfigSummary &s)
 {
     return "{\"config\": \"" + s.config.id() +
-           "\", \"cache_mb\": " + fmt("%g", s.config.cacheMb) +
+           "\", \"cache_mb\": " + formatAxis(s.config.cacheMb) +
            ", \"cache_ways\": " + std::to_string(s.config.cacheWays) +
            ", \"warp_ways\": " + std::to_string(s.config.warpWays) +
            ", \"gu_vft_kb\": " + std::to_string(s.config.guVftKb) +
            ", \"gu_banks\": " + std::to_string(s.config.guBanks) +
-           ", \"dram_gbs\": " + fmt("%g", s.config.dramGBs) +
+           ", \"dram_gbs\": " + formatAxis(s.config.dramGBs) +
            ", \"sram_banks\": " + std::to_string(s.config.sramBanks) +
            ", \"concurrent_rays\": " +
            std::to_string(s.config.concurrentRays) +
            ", \"sram_bytes\": " + std::to_string(s.sramBytes) +
-           ", \"fps\": " + fmt("%.6f", s.fps) +
-           ", \"energy_nj\": " + fmt("%.3f", s.energyNj) +
+           ", \"fps\": " + formatDouble(s.fps, 6) +
+           ", \"energy_nj\": " + formatDouble(s.energyNj, 3) +
            ", \"pareto\": " + (s.pareto ? "true" : "false") + "}";
 }
 
@@ -366,12 +371,12 @@ DseResult::json() const
         out += i ? ",\n" : "\n";
         out += "    {\"trace\": \"" + jsonEscape(p.traceId) +
                "\", \"config\": \"" + p.configId +
-               "\", \"cicero_time_ms\": " + fmt("%.6f", p.ciceroTimeMs) +
-               ", \"cicero_fps\": " + fmt("%.6f", p.ciceroFps) +
+               "\", \"cicero_time_ms\": " + formatDouble(p.ciceroTimeMs, 6) +
+               ", \"cicero_fps\": " + formatDouble(p.ciceroFps, 6) +
                ", \"cicero_energy_nj\": " +
-               fmt("%.3f", p.ciceroEnergyNj) +
-               ", \"gpu_fps\": " + fmt("%.6f", p.gpuFps) +
-               ", \"gpu_energy_nj\": " + fmt("%.3f", p.gpuEnergyNj) +
+               formatDouble(p.ciceroEnergyNj, 3) +
+               ", \"gpu_fps\": " + formatDouble(p.gpuFps, 6) +
+               ", \"gpu_energy_nj\": " + formatDouble(p.gpuEnergyNj, 3) +
                ", \"gpu\": " + p.gpuJson + ", \"npu\": " + p.npuJson +
                ", \"gu\": " + p.guJson +
                ", \"baselines\": " + p.baselinesJson + "}";

@@ -6,10 +6,10 @@
  * size and bank count, DRAM bandwidth, baseline SRAM banking,
  * concurrent rays) expands into a full cartesian config grid; the
  * driver prices every (trace, config) pair by replaying the corpus
- * traces through the accelerator stacks of dse/accel_replay.hh and
- * composing the Cicero frame price exactly as cicero/pipeline.cc does
- * (GPU indexing + compositing, then gather on the GU overlapped with
- * MLP on the NPU).
+ * traces through the accelerator stacks of dse/accel_replay.hh. The
+ * Cicero frame price comes from PerformanceModel (cicero/pipeline.hh)
+ * on the GatherProfile the GPU stack measured: GPU indexing +
+ * compositing, then gather on the GU overlapped with MLP on the NPU.
  *
  * Determinism contract: jobs run on the TaskGroup scheduler but write
  * into an index-addressed result vector, so the assembled results —
@@ -79,7 +79,7 @@ struct DseConfig
     std::uint32_t guBanks = 32;
     double dramGBs = 25.6;
     std::uint32_t sramBanks = 16;
-    std::uint32_t concurrentRays = 16;
+    std::uint32_t concurrentRays = 16; //!< baseline bank-sim ray slots
 
     /** Deterministic identifier, e.g. "cache2-cw0-ways32-vft32k-...". */
     std::string id() const;

@@ -1,32 +1,18 @@
 #include "memory/replay.hh"
 
-#include <cstdio>
+#include "common/stats.hh"
 
 namespace cicero {
 
 namespace {
 
 std::string
-fmt(const char *format, double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), format, v);
-    return buf;
-}
-
-std::string
-u64s(std::uint64_t v)
-{
-    return std::to_string(v);
-}
-
-std::string
 cacheStatsFields(const CacheStats &s)
 {
-    return "\"accesses\": " + u64s(s.accesses) +
-           ", \"hits\": " + u64s(s.hits) +
-           ", \"misses\": " + u64s(s.misses) +
-           ", \"miss_rate\": " + fmt("%.6f", s.missRate());
+    return "\"accesses\": " + std::to_string(s.accesses) +
+           ", \"hits\": " + std::to_string(s.hits) +
+           ", \"misses\": " + std::to_string(s.misses) +
+           ", \"miss_rate\": " + formatDouble(s.missRate(), 6);
 }
 
 /** Nanojoules of moving @p bytes at @p pjPerByte. */
@@ -93,9 +79,9 @@ statsJson(const CacheStackResult &result)
 {
     return "{\"stack\": \"cache\", \"lru\": {" +
            cacheStatsFields(result.lru) +
-           ", \"energy_nj\": " + fmt("%.3f", result.lruEnergyNj) +
+           ", \"energy_nj\": " + formatDouble(result.lruEnergyNj, 3) +
            "}, \"belady\": {" + cacheStatsFields(result.belady) +
-           ", \"energy_nj\": " + fmt("%.3f", result.beladyEnergyNj) +
+           ", \"energy_nj\": " + formatDouble(result.beladyEnergyNj, 3) +
            "}}";
 }
 
@@ -103,28 +89,30 @@ std::string
 statsJson(const BankStackResult &result)
 {
     const BankConflictStats &stats = result.stats;
-    return "{\"stack\": \"bank\", \"requests\": " + u64s(stats.requests) +
-           ", \"stalls\": " + u64s(stats.stalls) +
-           ", \"cycles\": " + u64s(stats.cycles) +
-           ", \"fetches\": " + u64s(stats.fetches) +
-           ", \"conflict_rate\": " + fmt("%.6f", stats.conflictRate()) +
-           ", \"energy_nj\": " + fmt("%.3f", result.energyNj) + "}";
+    return "{\"stack\": \"bank\", \"requests\": " +
+           std::to_string(stats.requests) +
+           ", \"stalls\": " + std::to_string(stats.stalls) +
+           ", \"cycles\": " + std::to_string(stats.cycles) +
+           ", \"fetches\": " + std::to_string(stats.fetches) +
+           ", \"conflict_rate\": " + formatDouble(stats.conflictRate(), 6) +
+           ", \"energy_nj\": " + formatDouble(result.energyNj, 3) + "}";
 }
 
 std::string
 statsJson(const DramStackResult &result)
 {
     const DramStats &s = result.stats;
-    return "{\"stack\": \"dram\", \"accesses\": " + u64s(s.accesses) +
-           ", \"streaming_accesses\": " + u64s(s.streamingAccesses) +
-           ", \"random_accesses\": " + u64s(s.randomAccesses) +
-           ", \"bytes\": " + u64s(s.bytes) +
-           ", \"streaming_bytes\": " + u64s(s.streamingBytes) +
-           ", \"random_bytes\": " + u64s(s.randomBytes) +
+    return "{\"stack\": \"dram\", \"accesses\": " +
+           std::to_string(s.accesses) + ", \"streaming_accesses\": " +
+           std::to_string(s.streamingAccesses) +
+           ", \"random_accesses\": " + std::to_string(s.randomAccesses) +
+           ", \"bytes\": " + std::to_string(s.bytes) +
+           ", \"streaming_bytes\": " + std::to_string(s.streamingBytes) +
+           ", \"random_bytes\": " + std::to_string(s.randomBytes) +
            ", \"non_streaming_fraction\": " +
-           fmt("%.6f", s.nonStreamingFraction()) +
-           ", \"energy_nj\": " + fmt("%.3f", result.energyNj) +
-           ", \"time_ms\": " + fmt("%.6f", result.timeMs) + "}";
+           formatDouble(s.nonStreamingFraction(), 6) +
+           ", \"energy_nj\": " + formatDouble(result.energyNj, 3) +
+           ", \"time_ms\": " + formatDouble(result.timeMs, 6) + "}";
 }
 
 } // namespace cicero

@@ -6,8 +6,9 @@
  * vector live in one bank, so concurrent rays gathering different feature
  * vectors collide whenever two vectors map to the same bank. Cicero's
  * *channel-major* layout spreads channels across banks and dedicates each
- * PE to one bank, which makes conflicts structurally impossible; the
- * simulator verifies this property rather than assuming it.
+ * PE to one bank, so the Sec. IV-B schedule makes conflicts structurally
+ * impossible; the simulator's channel-major mode counts that schedule's
+ * cycles and never arbitrates.
  */
 
 #ifndef CICERO_MEMORY_SRAM_BANK_MODEL_HH
@@ -63,8 +64,8 @@ struct BankConflictStats
  * pending queue; `concurrentRays` slots replay their fetch streams in
  * lockstep, arbitrating for banks each cycle. Feature-major mode issues
  * one whole-vector request per ray per cycle; channel-major mode issues
- * the schedule of Sec. IV-B (PEs sweep channels, M samples in parallel)
- * which by construction never conflicts — the simulator still checks.
+ * the schedule of Sec. IV-B (PEs sweep channels, M samples in parallel),
+ * which by construction never conflicts, so it only counts cycles.
  */
 class BankConflictSim : public TraceSink
 {

@@ -584,6 +584,11 @@ TEST(ParallelTest, SchedulerCountersAdvanceAndReset)
     SchedulerCounters afterLoop = parallelSchedulerCounters();
     EXPECT_GT(afterLoop.tasksExecuted, 0u);
 
+    // Quiesce the pool before the reset: a worker the loop woke bumps
+    // idleWakeups/idleNanos after its wait returns, unordered with the
+    // loop's completion. Reconfiguring joins every worker, and a
+    // stopping worker returns before it bumps.
+    setParallelThreadCount(4);
     parallelResetSchedulerCounters();
     SchedulerCounters zeroed = parallelSchedulerCounters();
     EXPECT_EQ(zeroed.tasksExecuted, 0u);

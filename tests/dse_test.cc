@@ -4,8 +4,9 @@
  * replay (live vs file source bit-identical stats for the GPU, NPU,
  * GU and baseline stacks, across capture thread counts), workload
  * summary round-trips, corpus manifest round-trip and malformed-input
- * error paths, sweep-spec parsing, and the driver's
- * parallel-vs-serial byte-identity contract.
+ * error paths, sweep-spec parsing, the driver's parallel-vs-serial
+ * byte-identity contract, and its Cicero price being
+ * PerformanceModel's.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "cicero/pipeline.hh"
 #include "common/parallel.hh"
 #include "dse/accel_replay.hh"
 #include "dse/corpus.hh"
@@ -488,6 +490,58 @@ TEST(DseDriverTest, ParallelSweepByteIdenticalToSerial)
     for (const auto &s : parallelRun.summaries)
         frontier += s.pareto ? 1 : 0;
     EXPECT_GE(frontier, 1u);
+}
+
+TEST(DseDriverTest, CiceroPriceIsPerformanceModelPrice)
+{
+    // A sweep point's Cicero price is PerformanceModel's full-frame
+    // Cicero price on the profile its GPU stack measured: the GPU
+    // indexes and composites, and the GU's gather overlaps the NPU's
+    // MLP work alone (compositing is not charged a second time).
+    ThreadCountGuard guard;
+    setParallelThreadCount(1);
+    TempCorpus temp(1);
+    const dse::Corpus &corpus = *temp.corpus;
+    TraceFileReader reader(corpus.tracePath(corpus.entries()[0]));
+    const TraceWorkloadDescriptor desc = workloadFromTrace(reader);
+
+    dse::SweepAxes axes;
+    axes.cacheMb = {2.0};
+    axes.guVftKb = {32, 64};
+    axes.dramGBs = {12.8, 25.6};
+    const std::vector<dse::DseConfig> grid = dse::expandGrid(axes);
+    ASSERT_EQ(grid.size(), 4u);
+    const dse::DseResult result = dse::DseDriver(axes).run(corpus);
+    ASSERT_EQ(result.points.size(), grid.size());
+
+    for (std::size_t c = 0; c < grid.size(); ++c) {
+        const dse::DseConfig &config = grid[c];
+        GpuStackConfig gpuCfg;
+        gpuCfg.gpu.dram.bandwidthGBs = config.dramGBs;
+        gpuCfg.cache.capacityBytes =
+            static_cast<std::uint64_t>(config.cacheMb * (1ull << 20));
+        gpuCfg.cache.ways = config.cacheWays;
+        gpuCfg.warpWays = config.warpWays;
+        GuStackConfig guCfg;
+        guCfg.gu.vftBytes = std::uint64_t{config.guVftKb} * 1024;
+        guCfg.gu.banks = config.guBanks;
+
+        WorkloadInputs inputs;
+        inputs.fullFrame = desc.work;
+        inputs.gatherProfile =
+            runGpuStack(fileSource(reader), desc, gpuCfg).profile;
+        inputs.fullStreamPlan = desc.plan;
+        inputs.vertexBytes = desc.vertexBytes;
+        const FramePrice want =
+            PerformanceModel(gpuCfg.gpu, NpuConfig{}, guCfg.gu)
+                .priceFullFrame(SystemVariant::Cicero, inputs);
+
+        const dse::DsePointResult &point = result.points[c];
+        EXPECT_EQ(point.configId, config.id());
+        EXPECT_GT(want.timeMs, 0.0) << point.configId;
+        EXPECT_EQ(point.ciceroTimeMs, want.timeMs) << point.configId;
+        EXPECT_EQ(point.ciceroEnergyNj, want.energyNj) << point.configId;
+    }
 }
 
 TEST(DseDriverTest, CorruptTraceFailsTheSweepInBothModes)

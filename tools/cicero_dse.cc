@@ -161,17 +161,17 @@ int
 cmdSweep(const cli::Args &cli)
 {
     const char *corpusDir = cli.optValue("--corpus");
+    const char *specFile = cli.optValue("--spec");
+    const char *outFile = cli.optValueOr("-o", cli.optValue("--out"));
+    bool serial = cli.optFlag("--serial");
+    bool checkAll = cli.optFlag("--check-all");
+    bool check = cli.optFlag("--check") || checkAll;
+    if (!cli.onlyKnownOptions())
+        return usage();
     if (!corpusDir) {
         std::fprintf(stderr, "sweep: missing --corpus DIR\n");
         return usage();
     }
-    const char *specFile = cli.optValue("--spec");
-    const char *outFile = cli.optValue("-o");
-    if (!outFile)
-        outFile = cli.optValue("--out");
-    bool serial = cli.optFlag("--serial");
-    bool checkAll = cli.optFlag("--check-all");
-    bool check = checkAll || cli.optFlag("--check");
 
     SweepAxes axes;
     if (specFile)
@@ -259,6 +259,8 @@ int
 printSummary(const cli::Args &cli, bool paretoOnly)
 {
     const char *file = cli.positional(0);
+    if (!cli.onlyKnownOptions())
+        return usage();
     if (!file) {
         std::fprintf(stderr, "%s: missing result file\n",
                      paretoOnly ? "pareto" : "show");

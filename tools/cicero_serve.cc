@@ -72,7 +72,8 @@ percentileMs(std::vector<double> v, double p)
 int
 run(int argc, char **argv)
 {
-    const cli::Args cli(argc, argv, 1, "cicero_serve");
+    const cli::Args cli(argc, argv, 1, "cicero_serve",
+                        {"--fp16", "--no-fanout"});
     cli.applyThreadsOption();
     if (!cli.applyFaultsOption())
         return usage();
@@ -107,6 +108,8 @@ run(int argc, char **argv)
     key.fp16 = cli.optFlag("--fp16");
 
     const bool fanOut = !cli.optFlag("--no-fanout");
+    if (!cli.onlyKnownOptions())
+        return usage();
     RenderServiceConfig cfg;
     if (!fanOut)
         cfg.fanOutBlockRows = static_cast<int>(res); // one block per frame

@@ -87,7 +87,10 @@ usage()
         "          [--ways N] [--capacity-mb N] [--banks N] [--rays N]\n"
         "          [--sram-layout feature|channel] [--salvage]\n"
         "      run a persisted trace through a memory-model or\n"
-        "      accelerator stack, print stats JSON\n"
+        "      accelerator stack, print stats JSON; --ways and\n"
+        "      --capacity-mb apply to cache|gpu, --banks to\n"
+        "      bank|gu|accels, --rays to bank|accels, --sram-layout to\n"
+        "      bank, and any other option is rejected\n"
         "  stats FILE [--salvage]\n"
         "      counts, event breakdown, address histogram, ratio\n"
         "  diff FILE_A FILE_B\n"
@@ -252,9 +255,7 @@ parseCaptureOpts(const cli::Args &cli, CaptureSpec &spec)
 int
 cmdCapture(const cli::Args &cli)
 {
-    const char *out = cli.optValue("-o");
-    if (!out)
-        out = cli.optValue("--out");
+    const char *out = cli.optValueOr("-o", cli.optValue("--out"));
     if (!out) {
         std::fprintf(stderr, "capture: missing -o FILE\n");
         return usage();
@@ -267,7 +268,7 @@ cmdCapture(const cli::Args &cli)
         return usage();
     }
     spec.sceneName = cli.optValueOr("--scene", "lego");
-    if (!parseCaptureOpts(cli, spec))
+    if (!parseCaptureOpts(cli, spec) || !cli.onlyKnownOptions())
         return usage();
 
     Scene scene = makeScene(spec.sceneName);
@@ -304,9 +305,7 @@ splitCsv(const std::string &text)
 int
 cmdCaptureSet(const cli::Args &cli)
 {
-    const char *dir = cli.optValue("-o");
-    if (!dir)
-        dir = cli.optValue("--out");
+    const char *dir = cli.optValueOr("-o", cli.optValue("--out"));
     if (!dir) {
         std::fprintf(stderr, "capture-set: missing -o DIR\n");
         return usage();
@@ -319,7 +318,7 @@ cmdCaptureSet(const cli::Args &cli)
     std::uint32_t frames;
     CaptureSpec base;
     if (!cli.optUint("--frames", 1, 1, 1000, frames) ||
-        !parseCaptureOpts(cli, base))
+        !parseCaptureOpts(cli, base) || !cli.onlyKnownOptions())
         return usage();
     if (scenes.empty() || models.empty()) {
         std::fprintf(stderr, "capture-set: empty --scenes/--models\n");
@@ -387,10 +386,7 @@ int
 cmdReplay(const cli::Args &cli)
 {
     const char *file = cli.positional(0);
-    if (!file) {
-        std::fprintf(stderr, "replay: missing trace file\n");
-        return usage();
-    }
+    const TraceReadMode mode = readMode(cli);
     std::string stack = cli.optValueOr("--stack", "cache");
     if (stack != "cache" && stack != "bank" && stack != "dram" &&
         stack != "gpu" && stack != "npu" && stack != "gu" &&
@@ -401,7 +397,8 @@ cmdReplay(const cli::Args &cli)
     }
 
     // Check every option before the trace is opened and decoded: a bad
-    // option is a usage error whatever the file, and costs no decode.
+    // or unknown option is a usage error whatever the file, and costs
+    // no decode.
     std::uint32_t warpWays = 32, capacityMb = 2;
     std::uint32_t banks = stack == "gu" ? 32 : 16, rays = 16;
     SramLayout layout = SramLayout::FeatureMajor;
@@ -410,8 +407,10 @@ cmdReplay(const cli::Args &cli)
             !cli.optUint("--capacity-mb", 2, 1, 65536, capacityMb))
             return usage();
     } else if (stack == "bank" || stack == "gu" || stack == "accels") {
+        // The GU's channel-major gather has no ray slots to size.
         if (!cli.optUint("--banks", banks, 1, 65536, banks) ||
-            !cli.optUint("--rays", 16, 1, 65536, rays))
+            (stack != "gu" &&
+             !cli.optUint("--rays", 16, 1, 65536, rays)))
             return usage();
     }
     if (stack == "bank") {
@@ -424,10 +423,16 @@ cmdReplay(const cli::Args &cli)
         if (name == "channel")
             layout = SramLayout::ChannelMajor;
     }
+    if (!cli.onlyKnownOptions())
+        return usage();
+    if (!file) {
+        std::fprintf(stderr, "replay: missing trace file\n");
+        return usage();
+    }
     const std::uint64_t capacityBytes =
         static_cast<std::uint64_t>(capacityMb) << 20;
 
-    TraceFileReader reader(file, readMode(cli));
+    TraceFileReader reader(file, mode);
     reportRecovery(file, reader);
     if (!traceMetaStorageConsistent(reader.meta()))
         std::fprintf(stderr,
@@ -471,7 +476,6 @@ cmdReplay(const cli::Args &cli)
         } else if (stack == "gu") {
             GuStackConfig cfg;
             cfg.gu.banks = banks;
-            cfg.concurrentRays = rays;
             stats = statsJson(runGuStack(fileSource(reader), desc, cfg));
         } else { // accels: the NeuRex/NGPC baselines
             BaselineStackConfig cfg;
@@ -528,11 +532,14 @@ int
 cmdStats(const cli::Args &cli)
 {
     const char *file = cli.positional(0);
+    const TraceReadMode mode = readMode(cli);
+    if (!cli.onlyKnownOptions())
+        return usage();
     if (!file) {
         std::fprintf(stderr, "stats: missing trace file\n");
         return usage();
     }
-    TraceFileReader reader(file, readMode(cli));
+    TraceFileReader reader(file, mode);
     reportRecovery(file, reader);
 
     // Two streaming replays (range, then histogram) keep memory O(1)
@@ -715,6 +722,8 @@ cmdDiff(const cli::Args &cli)
 {
     const char *fileA = cli.positional(0);
     const char *fileB = cli.positional(1);
+    if (!cli.onlyKnownOptions())
+        return usage();
     if (!fileA || !fileB) {
         std::fprintf(stderr, "diff: need two trace files\n");
         return usage();
@@ -758,13 +767,13 @@ int
 cmdRecover(const cli::Args &cli)
 {
     const char *file = cli.positional(0);
+    const char *out = cli.optValueOr("-o", cli.optValue("--out"));
+    if (!cli.onlyKnownOptions())
+        return usage();
     if (!file) {
         std::fprintf(stderr, "recover: missing trace file\n");
         return usage();
     }
-    const char *out = cli.optValue("-o");
-    if (!out)
-        out = cli.optValue("--out");
 
     TraceFileReader reader(file, TraceReadMode::Salvage);
     const TraceRecoveryInfo &r = reader.recovery();

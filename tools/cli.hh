@@ -2,7 +2,8 @@
  * @file
  * Option parsing shared by the command-line tools: `--name VALUE`
  * options, valueless flags, strict integer options, positional
- * arguments, and the --threads / --faults options.
+ * arguments, the --threads / --faults options, and the rejection of
+ * options a command never reads.
  */
 
 #ifndef CICERO_TOOLS_CLI_HH
@@ -44,6 +45,7 @@ class Args
     const char *
     optValue(const char *name) const
     {
+        _asked.push_back(name);
         for (int i = _first; i + 1 < _argc; ++i)
             if (std::strcmp(_argv[i], name) == 0)
                 return _argv[i + 1];
@@ -61,6 +63,7 @@ class Args
     bool
     optFlag(const char *name) const
     {
+        _asked.push_back(name);
         for (int i = _first; i < _argc; ++i)
             if (std::strcmp(_argv[i], name) == 0)
                 return true;
@@ -104,7 +107,7 @@ class Args
         int seen = 0;
         for (int i = _first; i < _argc; ++i) {
             if (_argv[i][0] == '-') {
-                if (!isValueless(_argv[i]))
+                if (!listed(_valueless, _argv[i]))
                     ++i; // skip the option's value
                 continue;
             }
@@ -112,6 +115,31 @@ class Args
                 return _argv[i];
         }
         return nullptr;
+    }
+
+    /**
+     * Call once a command has read every option it takes: the first
+     * argument starting with '-' that no optValue / optFlag / optUint
+     * call (nor --threads / --faults) asked for is reported as an
+     * unknown option and the result is false. So a misspelt or retired
+     * option, or one the chosen mode does not read, is a usage error
+     * rather than silently ignored.
+     */
+    bool
+    onlyKnownOptions() const
+    {
+        for (int i = _first; i < _argc; ++i) {
+            if (_argv[i][0] != '-')
+                continue;
+            if (!listed(_asked, _argv[i])) {
+                std::fprintf(stderr, "%s: unknown option '%s'\n", _prog,
+                             _argv[i]);
+                return false;
+            }
+            if (!listed(_valueless, _argv[i]))
+                ++i; // skip the option's value
+        }
+        return true;
     }
 
     /**
@@ -159,11 +187,11 @@ class Args
     }
 
   private:
-    bool
-    isValueless(const char *name) const
+    static bool
+    listed(const std::vector<const char *> &names, const char *name)
     {
-        for (const char *v : _valueless)
-            if (std::strcmp(name, v) == 0)
+        for (const char *n : names)
+            if (std::strcmp(name, n) == 0)
                 return true;
         return false;
     }
@@ -173,6 +201,7 @@ class Args
     int _first;
     const char *_prog;
     std::vector<const char *> _valueless;
+    mutable std::vector<const char *> _asked; //!< every name looked up
 };
 
 } // namespace cicero::cli
