@@ -30,6 +30,7 @@
 #include "memory/cache_model.hh"
 #include "memory/dram_model.hh"
 #include "memory/sram_bank_model.hh"
+#include "memory/trace.hh"
 #include "nerf/dense_grid.hh"
 #include "nerf/hash_grid.hh"
 #include "nerf/models.hh"
@@ -518,6 +519,40 @@ BM_DramSink(benchmark::State &state)
     }
 }
 BENCHMARK(BM_DramSink)->Unit(benchmark::kMicrosecond);
+
+/**
+ * GPU warp interleaving (Fig. 4): 1024 rays of 16-47 accesses each
+ * through a 32-way WarpInterleaver into a sink that only counts, so
+ * the time is the interleaver's buffering and round-robin replay.
+ */
+void
+BM_WarpInterleaver(benchmark::State &state)
+{
+    struct CountingSink : TraceSink
+    {
+        std::uint64_t accesses = 0;
+        void onAccess(const MemAccess &) override { ++accesses; }
+    };
+
+    Rng rng(7);
+    std::vector<MemAccess> trace;
+    for (std::uint32_t ray = 0; ray < 1024; ++ray) {
+        const auto n = static_cast<std::uint32_t>(16 + rng.uniformInt(32));
+        for (std::uint32_t i = 0; i < n; ++i)
+            trace.push_back(MemAccess{rng.uniformInt(1u << 24), 18, ray});
+    }
+    for (auto _ : state) {
+        CountingSink counter;
+        WarpInterleaver interleaver(32);
+        interleaver.addSink(&counter);
+        for (const auto &a : trace)
+            interleaver.onAccess(a);
+        interleaver.onFlush();
+        benchmark::DoNotOptimize(counter.accesses);
+    }
+    state.counters["s_per_access"] = perItem(trace.size());
+}
+BENCHMARK(BM_WarpInterleaver)->Unit(benchmark::kMicrosecond);
 
 void
 BM_BankConflictSim(benchmark::State &state)

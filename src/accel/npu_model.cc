@@ -26,10 +26,4 @@ NpuModel::mlpTimeMs(std::uint64_t macs) const
     return macs / macsPerSecond * 1e3;
 }
 
-double
-NpuModel::scalarTimeMs(std::uint64_t ops) const
-{
-    return ops / _config.scalarOpsPerSecond * 1e3;
-}
-
 } // namespace cicero

@@ -2,8 +2,8 @@
  * @file
  * Systolic-array NPU timing model (Sec. V hardware details): a 24x24
  * MAC array in the TPU style with a 1.5 MB double-buffered global
- * feature buffer and a 96 KB weight buffer, plus a scalar unit for
- * element-wise work.
+ * feature buffer and a 96 KB weight buffer. It runs the MLP only; the
+ * GPU composites.
  */
 
 #ifndef CICERO_ACCEL_NPU_MODEL_HH
@@ -26,7 +26,6 @@ struct NpuConfig
     std::uint64_t featureBufBytes = 1536 * 1024; //!< 1.5 MB, double-buffered
     std::uint64_t weightBufBytes = 96 * 1024;
     double activePowerW = 3.5;
-    double scalarOpsPerSecond = 50e9;
 
     /** On-chip SRAM footprint: feature + weight buffers. */
     std::uint64_t
@@ -57,9 +56,6 @@ class NpuModel
      * samples through a (@p in x @p out) layer, in cycles.
      */
     std::uint64_t layerCycles(int batch, int in, int out) const;
-
-    /** Scalar-unit time (activations, compositing), in ms. */
-    double scalarTimeMs(std::uint64_t ops) const;
 
     /** Busy energy for @p ms, in nJ. */
     double energyNj(double ms) const

@@ -143,8 +143,7 @@ runNpuStack(const TraceSourceFn &source,
     result.accesses = counter.accesses;
     result.rays = counter.rays;
     result.mlpMs = npu.mlpTimeMs(desc.work.mlpMacs);
-    result.scalarMs = npu.scalarTimeMs(desc.work.compositeOps);
-    result.timeMs = result.mlpMs + result.scalarMs;
+    result.timeMs = result.mlpMs;
     result.energyNj = npu.energyNj(result.timeMs) +
                       npu.macEnergyNj(desc.work.mlpMacs, energy);
     return result;
@@ -236,7 +235,6 @@ statsJson(const NpuStackResult &result)
            std::to_string(result.accesses) +
            ", \"rays\": " + std::to_string(result.rays) +
            ", \"mlp_ms\": " + formatDouble(result.mlpMs, 6) +
-           ", \"scalar_ms\": " + formatDouble(result.scalarMs, 6) +
            ", \"time_ms\": " + formatDouble(result.timeMs, 6) +
            ", \"energy_nj\": " + formatDouble(result.energyNj, 3) + "}";
 }

@@ -124,14 +124,17 @@ GpuStackResult runGpuStack(const TraceSourceFn &source,
 struct NpuStackResult
 {
     double mlpMs = 0.0;
-    double scalarMs = 0.0;
-    double timeMs = 0.0;       //!< mlp + scalar (shared datapath)
+    double timeMs = 0.0;       //!< the MLP time: the NPU's only work
     double energyNj = 0.0;     //!< busy energy + MAC energy
     std::uint64_t accesses = 0;
     std::uint64_t rays = 0;
 };
 
-/** Replay @p source (counted) and price MLP + compositing on the NPU. */
+/**
+ * Replay @p source (counted) and price the MLP on the NPU. The GPU
+ * composites in every system of PerformanceModel, so the NPU's time
+ * and energy are its MLP's.
+ */
 NpuStackResult runNpuStack(const TraceSourceFn &source,
                            const TraceWorkloadDescriptor &desc,
                            const NpuConfig &config = {},

@@ -45,10 +45,10 @@ DramModel::reset()
 }
 
 double
-DramModel::energyNj() const
+DramModel::energyNj(const EnergyConstants &energy) const
 {
-    double pj = _stats.streamingBytes * _config.streamEnergyPjPerByte +
-                _stats.randomBytes * _config.randomEnergyPjPerByte;
+    double pj = _stats.streamingBytes * energy.dramStreamPjPerByte +
+                _stats.randomBytes * energy.dramRandomPjPerByte;
     return pj * 1e-3;
 }
 
@@ -61,18 +61,6 @@ DramModel::timeMs() const
     double randomS = _stats.randomAccesses *
                      (_config.randomAccessNs * 1e-9) / _config.numBanks;
     return (streamS + randomS) * 1e3;
-}
-
-double
-DramModel::streamingEnergyNj(std::uint64_t bytes) const
-{
-    return bytes * _config.streamEnergyPjPerByte * 1e-3;
-}
-
-double
-DramModel::streamingTimeMs(std::uint64_t bytes) const
-{
-    return bytes / (_config.bandwidthGBs * 1e9) * 1e3;
 }
 
 } // namespace cicero

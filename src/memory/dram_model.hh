@@ -3,10 +3,11 @@
  * DRAM timing/energy model.
  *
  * Modeled after a 4-channel LPDDR3-1600 part as in the paper's setup
- * (Sec. V): accesses that hit the open row of a bank count as streaming;
- * row misses count as random. The paper's published energy ratios are
- * used: random : streaming : SRAM approx. 25 : 8.3 : 1 per byte (i.e.
- * random/streaming = 3, random/SRAM = 25).
+ * (Sec. V): a burst that repeats or directly follows the previous burst
+ * counts as streaming (the continuity of Fig. 4); any jump counts as
+ * random. Energy per byte comes from EnergyConstants, which hold the
+ * paper's published ratios: random : streaming : SRAM approx.
+ * 25 : 8.3 : 1 per byte (i.e. random/streaming = 3, random/SRAM = 25).
  */
 
 #ifndef CICERO_MEMORY_DRAM_MODEL_HH
@@ -15,6 +16,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "memory/energy_model.hh"
 #include "memory/trace.hh"
 
 namespace cicero {
@@ -29,11 +31,8 @@ constexpr std::uint32_t kDramBurstBytes = 64;
 struct DramConfig
 {
     std::uint32_t numBanks = 8;
-    std::uint32_t rowBytes = 2048;      //!< row-buffer size per bank
-    double bandwidthGBs = 25.6;         //!< peak streaming bandwidth
-    double randomAccessNs = 45.0;       //!< latency of a row-miss access
-    double streamEnergyPjPerByte = 33.3; //!< energy of a streaming byte
-    double randomEnergyPjPerByte = 100.0; //!< energy of a random byte
+    double bandwidthGBs = 25.6;   //!< peak streaming bandwidth
+    double randomAccessNs = 45.0; //!< latency of a row-miss access
 };
 
 /** Aggregate DRAM statistics accumulated over a trace. */
@@ -73,20 +72,12 @@ class DramModel : public TraceSink
     const DramConfig &config() const { return _config; }
     void reset();
 
-    /** Total DRAM energy of the observed trace, in nanojoules. */
-    double energyNj() const;
+    /** Total DRAM energy of the observed trace at @p energy's
+     *  per-byte prices, in nanojoules. */
+    double energyNj(const EnergyConstants &energy = {}) const;
 
     /** Total DRAM time of the observed trace, in milliseconds. */
     double timeMs() const;
-
-    /**
-     * Energy of @p bytes transferred fully streaming, in nJ — used to
-     * price the MVoxel streaming traffic of the FS data flow directly.
-     */
-    double streamingEnergyNj(std::uint64_t bytes) const;
-
-    /** Time in ms of @p bytes transferred fully streaming. */
-    double streamingTimeMs(std::uint64_t bytes) const;
 
   private:
     DramConfig _config;

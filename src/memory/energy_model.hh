@@ -14,7 +14,10 @@
 
 namespace cicero {
 
-/** Energy unit constants, all in picojoules unless noted. */
+/**
+ * Energy unit constants, all in picojoules unless noted. An engine's
+ * busy power is in its own config (GpuConfig, NpuConfig::activePowerW).
+ */
 struct EnergyConstants
 {
     double sramPjPerByte = 4.0;
@@ -25,10 +28,6 @@ struct EnergyConstants
     double wirelessNjPerByte = 100.0;
     double wirelessMBps = 10.0;
     double socStaticW = 1.5;       //!< SoC-wide static power floor
-    double gpuIdleW = 1.5;         //!< SoC GPU rail static power
-    double gpuActiveW = 18.0;      //!< mobile Volta GPU busy power
-    double npuActiveW = 3.5;       //!< systolic NPU busy power
-    double remoteGpuActiveW = 220.0; //!< workstation 2080Ti busy power
 };
 
 } // namespace cicero

@@ -67,11 +67,13 @@ runBankStack(const TraceSourceFn &source, const SramBankConfig &config,
 }
 
 DramStackResult
-runDramStack(const TraceSourceFn &source, const DramConfig &config)
+runDramStack(const TraceSourceFn &source, const DramConfig &config,
+             const EnergyConstants &energy)
 {
     DramModel dram(config);
     source(&dram);
-    return DramStackResult{dram.stats(), dram.energyNj(), dram.timeMs()};
+    return DramStackResult{dram.stats(), dram.energyNj(energy),
+                           dram.timeMs()};
 }
 
 std::string

@@ -91,7 +91,8 @@ struct DramStackResult
 
 /** Run the streaming-vs-random DRAM classifier over @p source. */
 DramStackResult runDramStack(const TraceSourceFn &source,
-                             const DramConfig &config = {});
+                             const DramConfig &config = {},
+                             const EnergyConstants &energy = {});
 
 /**
  * Deterministic JSON serialization of stack results: integer fields

@@ -5,7 +5,8 @@
 namespace cicero {
 
 BankConflictSim::BankConflictSim(const SramBankConfig &config)
-    : _config(config)
+    : RayBatchSink(config.concurrentRays), _config(config),
+      _grants(config.numBanks)
 {
 }
 
@@ -16,73 +17,7 @@ BankConflictSim::bankOfVector(std::uint64_t addr) const
 }
 
 void
-BankConflictSim::onAccess(const MemAccess &access)
-{
-    if (access.rayId != _currentRayId && !_currentRay.empty())
-        onRayEnd(_currentRayId);
-    _currentRayId = access.rayId;
-    _currentRay.push_back(access);
-}
-
-void
-BankConflictSim::onRayEnd(std::uint32_t rayId)
-{
-    (void)rayId;
-    if (_currentRay.empty())
-        return;
-
-    std::deque<std::uint32_t> banks;
-    if (_config.layout == SramLayout::FeatureMajor) {
-        // One whole-vector request per access; it contends for the single
-        // bank holding the vector.
-        for (const MemAccess &a : _currentRay)
-            banks.push_back(bankOfVector(a.addr));
-    } else {
-        // Channel-major: PE c always reads bank c. A ray's fetch of one
-        // vector becomes a column access where each PE hits its own bank;
-        // the request is tagged by the slot's dedicated bank lane, i.e.
-        // requests from different samples of the same lane serialize over
-        // ports but never collide across lanes. We model the per-vector
-        // request as contending for bank (slot-assigned), handled in
-        // simulateBatch; the deque records one token per vector.
-        for (std::size_t i = 0; i < _currentRay.size(); ++i)
-            banks.push_back(0);
-    }
-    _currentRay.clear();
-    _currentRayId = ~0u;
-    _pendingRays.push_back(std::move(banks));
-    drain(false);
-}
-
-void
-BankConflictSim::onFlush()
-{
-    if (!_currentRay.empty())
-        onRayEnd(_currentRayId);
-    drain(true);
-}
-
-void
-BankConflictSim::drain(bool force)
-{
-    // Simulate in batches of `concurrentRays` complete rays so memory
-    // stays bounded for arbitrarily long traces.
-    while (_pendingRays.size() >= _config.concurrentRays ||
-           (force && !_pendingRays.empty())) {
-        std::vector<std::deque<std::uint32_t>> slots;
-        std::uint32_t n = std::min<std::uint32_t>(
-            _config.concurrentRays,
-            static_cast<std::uint32_t>(_pendingRays.size()));
-        for (std::uint32_t i = 0; i < n; ++i) {
-            slots.push_back(std::move(_pendingRays.front()));
-            _pendingRays.pop_front();
-        }
-        simulateBatch(slots);
-    }
-}
-
-void
-BankConflictSim::simulateBatch(std::vector<std::deque<std::uint32_t>> &slots)
+BankConflictSim::onBatch(const Ray *rays, std::size_t n)
 {
     const std::uint32_t B = _config.numBanks;
     const std::uint32_t M = _config.portsPerBank;
@@ -93,8 +28,8 @@ BankConflictSim::simulateBatch(std::vector<std::deque<std::uint32_t>> &slots)
         // floor(B * M / channels) whole vectors complete per cycle with
         // zero arbitration failures.
         std::uint64_t vectors = 0;
-        for (auto &s : slots)
-            vectors += s.size();
+        for (std::size_t r = 0; r < n; ++r)
+            vectors += rays[r].accesses.size();
         std::uint32_t channels =
             std::max(1u, _config.featureBytes / _config.channelBytes);
         std::uint64_t vectorsPerCycle =
@@ -105,24 +40,35 @@ BankConflictSim::simulateBatch(std::vector<std::deque<std::uint32_t>> &slots)
         return;
     }
 
-    // Feature-major: per cycle, each slot with work issues its head
-    // request; each bank grants up to M of them; losers retry.
-    std::vector<std::uint32_t> grants(B);
+    // Feature-major: one whole-vector request per access, contending
+    // for the single bank holding the vector.
+    _banks.clear();
+    _next.resize(n);
+    _end.resize(n);
+    for (std::size_t r = 0; r < n; ++r) {
+        _next[r] = _banks.size();
+        for (const MemAccess &a : rays[r].accesses)
+            _banks.push_back(bankOfVector(a.addr));
+        _end[r] = _banks.size();
+    }
+
+    // Per cycle, each slot with work issues its head request; each bank
+    // grants up to M of them; losers retry.
     bool anyWork = true;
     while (anyWork) {
         anyWork = false;
-        std::fill(grants.begin(), grants.end(), 0);
+        std::fill(_grants.begin(), _grants.end(), 0);
         ++_stats.cycles;
-        for (auto &slot : slots) {
-            if (slot.empty())
+        for (std::size_t r = 0; r < n; ++r) {
+            if (_next[r] == _end[r])
                 continue;
             anyWork = true;
-            std::uint32_t bank = slot.front();
+            std::uint32_t bank = _banks[_next[r]];
             ++_stats.requests;
-            if (grants[bank] < M) {
-                ++grants[bank];
+            if (_grants[bank] < M) {
+                ++_grants[bank];
                 ++_stats.fetches;
-                slot.pop_front();
+                ++_next[r];
             } else {
                 ++_stats.stalls;
             }
@@ -130,15 +76,6 @@ BankConflictSim::simulateBatch(std::vector<std::deque<std::uint32_t>> &slots)
         if (!anyWork)
             --_stats.cycles; // final empty iteration does not cost a cycle
     }
-}
-
-void
-BankConflictSim::reset()
-{
-    _stats = BankConflictStats{};
-    _currentRay.clear();
-    _currentRayId = ~0u;
-    _pendingRays.clear();
 }
 
 } // namespace cicero

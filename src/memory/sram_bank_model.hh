@@ -15,7 +15,6 @@
 #define CICERO_MEMORY_SRAM_BANK_MODEL_HH
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "memory/trace.hh"
@@ -60,39 +59,38 @@ struct BankConflictStats
  * Cycle-approximate simulator of concurrent rays gathering feature
  * vectors from a banked SRAM.
  *
- * Fed as a TraceSink: accesses buffer per ray; completed rays enter a
- * pending queue; `concurrentRays` slots replay their fetch streams in
- * lockstep, arbitrating for banks each cycle. Feature-major mode issues
- * one whole-vector request per ray per cycle; channel-major mode issues
- * the schedule of Sec. IV-B (PEs sweep channels, M samples in parallel),
- * which by construction never conflicts, so it only counts cycles.
+ * A RayBatchSink: each batch of `concurrentRays` ended rays (0 acts as
+ * 1) occupies one slot per ray, and the slots replay their fetch
+ * streams in lockstep, arbitrating for banks each cycle. Feature-major
+ * mode issues one whole-vector request per ray per cycle; channel-major
+ * mode issues the schedule of Sec. IV-B (PEs sweep channels, M samples
+ * in parallel), which by construction never conflicts, so it only
+ * counts cycles.
  */
-class BankConflictSim : public TraceSink
+class BankConflictSim : public RayBatchSink
 {
   public:
     explicit BankConflictSim(const SramBankConfig &config = {});
 
-    void onAccess(const MemAccess &access) override;
-    void onRayEnd(std::uint32_t rayId) override;
-    void onFlush() override;
-
     const BankConflictStats &stats() const { return _stats; }
     const SramBankConfig &config() const { return _config; }
-    void reset();
 
     /** Bank index a feature-vector fetch contends for (feature-major). */
     std::uint32_t bankOfVector(std::uint64_t addr) const;
 
   private:
-    void drain(bool force);
-    void simulateBatch(std::vector<std::deque<std::uint32_t>> &slots);
+    void onBatch(const Ray *rays, std::size_t n) override;
 
     SramBankConfig _config;
     BankConflictStats _stats;
 
-    std::vector<MemAccess> _currentRay;
-    std::uint32_t _currentRayId = ~0u;
-    std::deque<std::deque<std::uint32_t>> _pendingRays;
+    // Per-batch scratch, reused: the bank of every access of the batch,
+    // slot after slot; each slot's next and end index into it; the
+    // grants of one cycle per bank.
+    std::vector<std::uint32_t> _banks;
+    std::vector<std::size_t> _next;
+    std::vector<std::size_t> _end;
+    std::vector<std::uint32_t> _grants;
 };
 
 } // namespace cicero

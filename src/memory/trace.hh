@@ -5,14 +5,15 @@
  * Functional rendering emits every feature-gather access into a
  * TraceSink; the DRAM, cache and SRAM-bank models in this module are all
  * sinks, so arbitrarily long traces stream through them without being
- * materialized. A ray boundary marker lets sinks that care about
- * concurrency (the bank-conflict simulator) reconstruct per-ray streams.
+ * materialized. A ray boundary marker lets the sinks that model many
+ * rays in flight (the warp interleaver of Fig. 4 and the bank-conflict
+ * simulator of Fig. 6, both RayBatchSinks) rebuild per-ray streams;
+ * they buffer one batch of rays at a time and nothing more.
  */
 
 #ifndef CICERO_MEMORY_TRACE_HH
 #define CICERO_MEMORY_TRACE_HH
 
-#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <mutex>
@@ -85,90 +86,133 @@ class TraceTee : public TraceSink
 };
 
 /**
- * Models GPU warp scheduling: buffers the per-ray access streams of
- * `ways` rays and forwards them round-robin (one access per ray per
- * round). A GPU runs thousands of threads concurrently, so the DRAM
- * sees their requests interleaved — which is precisely what destroys
- * the intra-ray locality a single-ray trace would overstate (Fig. 4).
+ * A sink that models N whole rays in flight at once: the GPU warps of
+ * Fig. 4 and the concurrent bank-contending rays of Fig. 6. It buffers
+ * each ray's accesses and hands every N ended rays, in the order they
+ * ended, to onBatch().
+ *
+ * A ray ends at its onRayEnd, or when an access of another ray
+ * arrives; a ray with no accesses is dropped. A ray keeps the id its
+ * accesses carried, whatever id onRayEnd names. onFlush ends the open
+ * ray and hands over the rest as a smaller batch. The per-ray buffers
+ * are reused from batch to batch, so a long trace allocates only for
+ * its longest rays.
  */
-class WarpInterleaver : public TraceSink
+class RayBatchSink : public TraceSink
 {
   public:
-    explicit WarpInterleaver(std::uint32_t ways = 32)
-        : _ways(ways ? ways : 1)
+    void
+    onAccess(const MemAccess &access) final
+    {
+        if (access.rayId != _rays[_ended].id)
+            endOpenRay();
+        Ray &open = _rays[_ended];
+        open.id = access.rayId;
+        open.accesses.push_back(access);
+    }
+
+    void onRayEnd(std::uint32_t) final { endOpenRay(); }
+
+    void
+    onFlush() override
+    {
+        endOpenRay();
+        if (_ended)
+            handOver();
+    }
+
+  protected:
+    /** One ray: the id its accesses carried, and the accesses. */
+    struct Ray
+    {
+        std::uint32_t id = ~0u;
+        std::vector<MemAccess> accesses;
+    };
+
+    /** @param raysPerBatch rays in flight at once; 0 acts as 1. */
+    explicit RayBatchSink(std::uint32_t raysPerBatch)
+        : _raysPerBatch(raysPerBatch ? raysPerBatch : 1), _rays(1)
+    {
+    }
+
+    /**
+     * Consume one batch: @p n >= 1 rays, each with at least one
+     * access, in the order they ended. The rays are valid only during
+     * the call.
+     */
+    virtual void onBatch(const Ray *rays, std::size_t n) = 0;
+
+  private:
+    /** End the open ray, if it has accesses; hand over a full batch. */
+    void
+    endOpenRay()
+    {
+        if (_rays[_ended].accesses.empty())
+            return;
+        if (++_ended == _raysPerBatch)
+            handOver();
+        else if (_ended == _rays.size())
+            _rays.emplace_back();
+    }
+
+    void
+    handOver()
+    {
+        onBatch(_rays.data(), _ended);
+        for (std::size_t r = 0; r < _ended; ++r)
+            _rays[r].accesses.clear();
+        _ended = 0;
+    }
+
+    std::uint32_t _raysPerBatch;
+    /** [0, _ended) have ended; _rays[_ended] is the open ray. */
+    std::vector<Ray> _rays;
+    std::size_t _ended = 0;
+};
+
+/**
+ * Models GPU warp scheduling: forwards each batch of `ways` rays
+ * round-robin (one access per ray per round), then their onRayEnd
+ * markers in order. A GPU runs thousands of threads concurrently, so
+ * the DRAM sees their requests interleaved — which is precisely what
+ * destroys the intra-ray locality a single-ray trace would overstate
+ * (Fig. 4).
+ */
+class WarpInterleaver : public RayBatchSink
+{
+  public:
+    explicit WarpInterleaver(std::uint32_t ways = 32) : RayBatchSink(ways)
     {
     }
 
     void addSink(TraceSink *sink) { _out.addSink(sink); }
 
     void
-    onAccess(const MemAccess &access) override
-    {
-        if (access.rayId != _currentRay && !_current.empty())
-            onRayEnd(_currentRay);
-        _currentRay = access.rayId;
-        _current.push_back(access);
-    }
-
-    void
-    onRayEnd(std::uint32_t rayId) override
-    {
-        (void)rayId;
-        if (_current.empty())
-            return;
-        // The group's ray id is fixed here, at enqueue time — drain()
-        // must never synthesize one for downstream sinks.
-        _pending.push_back(PendingRay{_currentRay, std::move(_current)});
-        _current.clear();
-        _currentRay = ~0u;
-        if (_pending.size() >= _ways)
-            drain();
-    }
-
-    void
     onFlush() override
     {
-        if (!_current.empty())
-            onRayEnd(_currentRay);
-        while (!_pending.empty())
-            drain();
+        RayBatchSink::onFlush();
         _out.onFlush();
     }
 
   private:
-    /** A completed per-ray access group awaiting interleaved replay. */
-    struct PendingRay
-    {
-        std::uint32_t rayId;
-        std::vector<MemAccess> accesses;
-    };
-
     void
-    drain()
+    onBatch(const Ray *rays, std::size_t n) override
     {
-        std::size_t n = std::min<std::size_t>(_ways, _pending.size());
         bool any = true;
         for (std::size_t i = 0; any; ++i) {
             any = false;
             for (std::size_t r = 0; r < n; ++r) {
-                if (i < _pending[r].accesses.size()) {
-                    _out.onAccess(_pending[r].accesses[i]);
+                if (i < rays[r].accesses.size()) {
+                    _out.onAccess(rays[r].accesses[i]);
                     any = true;
                 }
             }
         }
-        for (std::size_t r = 0; r < n; ++r) {
-            assert(!_pending[r].accesses.empty());
-            _out.onRayEnd(_pending[r].rayId);
-        }
-        _pending.erase(_pending.begin(), _pending.begin() + n);
+        for (std::size_t r = 0; r < n; ++r)
+            _out.onRayEnd(rays[r].id);
     }
 
-    std::uint32_t _ways;
     TraceTee _out;
-    std::uint32_t _currentRay = ~0u;
-    std::vector<MemAccess> _current;
-    std::vector<PendingRay> _pending;
 };
 
 /**

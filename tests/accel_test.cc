@@ -100,12 +100,6 @@ TEST(NpuModelTest, LayerCyclesTiling)
     EXPECT_EQ(npu.layerCycles(48, 100, 48), 4u * (100 + 48));
 }
 
-TEST(NpuModelTest, ScalarUnit)
-{
-    NpuModel npu;
-    EXPECT_NEAR(npu.scalarTimeMs(50000000000ull), 1000.0, 1e-3);
-}
-
 TEST(GatheringUnitTest, ComputeBoundVsDramBound)
 {
     GatheringUnitModel gu;

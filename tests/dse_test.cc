@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -23,6 +24,7 @@
 #include "dse/accel_replay.hh"
 #include "dse/corpus.hh"
 #include "dse/driver.hh"
+#include "dse/minijson.hh"
 #include "memory/cache_model.hh"
 #include "memory/tracefile.hh"
 #include "nerf/models.hh"
@@ -541,6 +543,37 @@ TEST(DseDriverTest, CiceroPriceIsPerformanceModelPrice)
         EXPECT_GT(want.timeMs, 0.0) << point.configId;
         EXPECT_EQ(point.ciceroTimeMs, want.timeMs) << point.configId;
         EXPECT_EQ(point.ciceroEnergyNj, want.energyNj) << point.configId;
+    }
+}
+
+TEST(DseDriverTest, StackTimesAddUpToCiceroTime)
+{
+    // The Cicero frame is the GPU's indexing and compositing, then the
+    // GU's gather overlapped with the NPU's MLP, so every point's stack
+    // stats add up to its Cicero time (to the JSON's 6 decimals).
+    ThreadCountGuard guard;
+    setParallelThreadCount(1);
+    TempCorpus temp(1);
+    dse::SweepAxes axes;
+    axes.cacheMb = {2.0};
+    axes.guVftKb = {32, 64};
+    axes.dramGBs = {12.8, 25.6};
+    const dse::DseResult result = dse::DseDriver(axes).run(*temp.corpus);
+    ASSERT_EQ(result.points.size(), 4u);
+
+    auto ms = [](const std::string &json, const std::string &field) {
+        const dse::JsonValue stats = dse::parseJson(json);
+        const dse::JsonValue *value = stats.find(field);
+        if (!value)
+            throw std::runtime_error("no " + field + " in " + json);
+        return value->asNumber(field);
+    };
+    for (const dse::DsePointResult &point : result.points) {
+        const double sum = ms(point.gpuJson, "index_ms") +
+                           ms(point.gpuJson, "composite_ms") +
+                           std::max(ms(point.guJson, "time_ms"),
+                                    ms(point.npuJson, "time_ms"));
+        EXPECT_NEAR(sum, point.ciceroTimeMs, 2e-6) << point.configId;
     }
 }
 

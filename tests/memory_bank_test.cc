@@ -186,6 +186,105 @@ TEST(BankConflictTest, MoreConcurrentRaysMoreConflicts)
     EXPECT_GT(rate(64), rate(4));
 }
 
+void
+expectStats(const BankConflictSim &sim, std::uint64_t requests,
+            std::uint64_t stalls, std::uint64_t cycles,
+            std::uint64_t fetches)
+{
+    EXPECT_EQ(sim.stats().requests, requests);
+    EXPECT_EQ(sim.stats().stalls, stalls);
+    EXPECT_EQ(sim.stats().cycles, cycles);
+    EXPECT_EQ(sim.stats().fetches, fetches);
+}
+
+TEST(BankConflictTest, ZeroConcurrentRaysActsAsOne)
+{
+    auto run = [](std::uint32_t concurrent) {
+        BankConflictSim sim(
+            config(SramLayout::FeatureMajor, 4, concurrent));
+        feedRay(sim, 0, {0, 4, 1});
+        feedRay(sim, 1, {8});
+        feedRay(sim, 2, {2, 6});
+        sim.onFlush();
+        return sim.stats();
+    };
+    BankConflictStats zero = run(0), one = run(1);
+    EXPECT_EQ(zero.requests, one.requests);
+    EXPECT_EQ(zero.stalls, one.stalls);
+    EXPECT_EQ(zero.cycles, one.cycles);
+    EXPECT_EQ(zero.fetches, one.fetches);
+    // One ray at a time never contends: one cycle per fetch.
+    EXPECT_EQ(one.stalls, 0u);
+    EXPECT_EQ(one.cycles, 6u);
+}
+
+TEST(BankConflictTest, BatchesReuseSlotsWithoutStaleAccesses)
+{
+    // Two slots, four banks (vector v sits in bank v % 4). Each slot's
+    // later rays are shorter than the ray it held before, so a slot
+    // that kept stale accesses would issue extra requests.
+    BankConflictSim sim(config(SramLayout::FeatureMajor, 4, 2));
+
+    // Batch 1: slot 0 fetches three bank-0 vectors, slot 1 one more;
+    // slot 1 stalls behind slot 0 for three cycles.
+    feedRay(sim, 0, {0, 4, 8});
+    feedRay(sim, 1, {12});
+    expectStats(sim, 7, 3, 4, 4);
+
+    // Batch 2: banks 1 and 2, no contention.
+    feedRay(sim, 2, {1});
+    feedRay(sim, 3, {2, 6});
+    expectStats(sim, 7 + 3, 3, 4 + 2, 4 + 3);
+
+    // Batch 3: both slots want bank 1.
+    feedRay(sim, 4, {5});
+    feedRay(sim, 5, {9});
+    expectStats(sim, 10 + 3, 3 + 1, 6 + 2, 7 + 2);
+
+    // The flush hands over the last, one-ray batch.
+    feedRay(sim, 6, {0});
+    expectStats(sim, 13, 4, 8, 9);
+    sim.onFlush();
+    expectStats(sim, 13 + 1, 4, 8 + 1, 9 + 1);
+}
+
+TEST(BankConflictTest, ImplicitRayBoundaryOnIdChange)
+{
+    // Ray 1's access arriving ends ray 0 without an onRayEnd: the two
+    // vectors are two rays contending for bank 0, not one ray's
+    // back-to-back fetches.
+    BankConflictSim sim(config(SramLayout::FeatureMajor, 4, 2));
+    sim.onAccess(MemAccess{0, 32, 0});
+    sim.onAccess(MemAccess{4 * 32, 32, 1});
+    expectStats(sim, 0, 0, 0, 0); // only one ray has ended
+    sim.onRayEnd(1);
+    expectStats(sim, 3, 1, 2, 2);
+}
+
+TEST(BankConflictTest, StrayRayEndIsDropped)
+{
+    // onRayEnd with no open accesses ends nothing: the batch still
+    // waits for two rays that fetched something.
+    BankConflictSim sim(config(SramLayout::FeatureMajor, 4, 2));
+    sim.onRayEnd(7);
+    feedRay(sim, 0, {0});
+    sim.onRayEnd(0);
+    expectStats(sim, 0, 0, 0, 0);
+    feedRay(sim, 1, {4});
+    expectStats(sim, 3, 1, 2, 2);
+}
+
+TEST(BankConflictTest, MidRayFlushEndsOpenRay)
+{
+    BankConflictSim sim(config(SramLayout::FeatureMajor, 4, 4));
+    feedRay(sim, 0, {0});
+    sim.onAccess(MemAccess{4 * 32, 32, 1}); // ray 1 left open...
+    sim.onFlush();                          // ...and ended by the flush
+    expectStats(sim, 3, 1, 2, 2);
+    sim.onFlush(); // nothing left to hand over
+    expectStats(sim, 3, 1, 2, 2);
+}
+
 TEST(InterleaveTest, FeatureMajorMapsWholeVectors)
 {
     FeatureMajorMap map{16};

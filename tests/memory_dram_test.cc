@@ -56,12 +56,7 @@ TEST(DramModelTest, LargeAccessSplitsIntoStreamingBursts)
 
 TEST(DramModelTest, EnergyRatios)
 {
-    DramConfig cfg;
-    DramModel dram(cfg);
-    // 3:1 random:streaming per byte.
-    EXPECT_NEAR(cfg.randomEnergyPjPerByte / cfg.streamEnergyPjPerByte,
-                3.0, 0.01);
-
+    DramModel dram;
     for (int i = 0; i < 16; ++i)
         dram.onAccess(acc(i * 64ull));
     double streamHeavy = dram.energyNj();
@@ -70,15 +65,6 @@ TEST(DramModelTest, EnergyRatios)
         dram.onAccess(acc(i * 4096ull));
     double randomHeavy = dram.energyNj();
     EXPECT_GT(randomHeavy, 2.0 * streamHeavy);
-}
-
-TEST(DramModelTest, StreamingHelpers)
-{
-    DramModel dram;
-    double e = dram.streamingEnergyNj(1000000);
-    EXPECT_NEAR(e, 1e6 * 33.3 * 1e-3, 1.0);
-    double t = dram.streamingTimeMs(25600000); // 25.6 MB at 25.6 GB/s
-    EXPECT_NEAR(t, 1.0, 1e-6);
 }
 
 TEST(DramModelTest, TimeGrowsWithRandomness)

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the trace-plumbing layer: TraceTee fan-out,
- * WarpInterleaver interleaving/ray-id integrity, and TraceCapture's
+ * WarpInterleaver interleaving/ray-id integrity (and through it the
+ * RayBatchSink boundary rule and buffer reuse), and TraceCapture's
  * chunk-ordered delivery (the deterministic parallel trace-capture
  * contract).
  */
@@ -11,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <initializer_list>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -155,6 +157,55 @@ TEST(WarpInterleaverTest, ImplicitRayBoundaryOnIdChange)
 
     std::vector<std::string> expect = {"A0:r1", "A64:r2", "E1", "E2",
                                        "F"};
+    EXPECT_EQ(rec.events, expect);
+}
+
+TEST(WarpInterleaverTest, BatchesReuseSlotsWithoutStaleAccesses)
+{
+    // Two ways, four batches. Slot 0 holds rays of 3, then 1, then 2
+    // accesses, so a slot that kept a longer predecessor's accesses
+    // would replay them again.
+    EventRecorder rec;
+    WarpInterleaver il(2);
+    il.addSink(&rec);
+    auto ray = [&](std::uint32_t id, std::initializer_list<int> addrs) {
+        for (int a : addrs)
+            il.onAccess(acc(a, 64, id));
+        il.onRayEnd(id);
+    };
+
+    ray(1, {10, 11, 12});
+    ray(2, {20});
+    ray(3, {30});
+    ray(4, {40, 41});
+    ray(5, {50, 51});
+    ray(6, {60});
+    ray(7, {70});
+    il.onFlush();
+
+    std::vector<std::string> expect = {
+        "A10:r1", "A20:r2", "A11:r1", "A12:r1", "E1", "E2", // batch 1
+        "A30:r3", "A40:r4", "A41:r4", "E3", "E4",           // batch 2
+        "A50:r5", "A60:r6", "A51:r5", "E5", "E6",           // batch 3
+        "A70:r7", "E7", "F"};                     // flushed batch 4
+    EXPECT_EQ(rec.events, expect);
+}
+
+TEST(WarpInterleaverTest, ZeroWaysActsAsOne)
+{
+    // No interleaving: each ray is forwarded whole as soon as it ends.
+    EventRecorder rec;
+    WarpInterleaver il(0);
+    il.addSink(&rec);
+
+    il.onAccess(acc(0, 64, 1));
+    il.onAccess(acc(64, 64, 1));
+    il.onRayEnd(1);
+    il.onAccess(acc(128, 64, 2));
+    il.onRayEnd(2);
+
+    std::vector<std::string> expect = {"A0:r1", "A64:r1", "E1",
+                                       "A128:r2", "E2"};
     EXPECT_EQ(rec.events, expect);
 }
 
