@@ -27,9 +27,11 @@
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "common/simd.hh"
+#include "dse/driver.hh"
 #include "memory/cache_model.hh"
 #include "memory/dram_model.hh"
 #include "memory/sram_bank_model.hh"
+#include "memory/tracefile.hh"
 #include "memory/trace.hh"
 #include "nerf/dense_grid.hh"
 #include "nerf/hash_grid.hh"
@@ -503,6 +505,52 @@ BM_LruCacheSink(benchmark::State &state)
     state.counters["s_per_access"] = perItem(trace.size());
 }
 BENCHMARK(BM_LruCacheSink)->Arg(0)->Arg(8)->Unit(benchmark::kMicrosecond);
+
+/**
+ * One DSE point: dse::evaluatePoint on an in-memory capture of one 8x8
+ * lego Instant-NGP view (Fast preset), at state.range(0) cache ways
+ * (0 = fully associative, 8 = the DSE's set-associative point). The
+ * point replays the trace once into all four accelerator stacks, so
+ * s_per_access is the decode plus every stack's sinks per access.
+ */
+void
+BM_DsePoint(benchmark::State &state)
+{
+    static const auto setup = [] {
+        auto model = buildModel(ModelKind::InstantNgp, benchScene());
+        OrbitParams orbit;
+        orbit.radius = benchScene().cameraDistance;
+        const Camera cam = Camera::fromFov(8, 8, benchScene().fovYDeg,
+                                           orbitTrajectory(orbit, 1)[0]);
+        TraceFileMeta meta;
+        meta.scene = benchScene().name;
+        meta.encoding = model->encoding().name();
+        meta.width = meta.height = 8;
+        meta.featureBytes = static_cast<std::uint32_t>(
+            model->encoding().featureDim() * kBytesPerChannel);
+        std::vector<std::uint8_t> ctrace;
+        TraceFileWriter writer(ctrace, meta);
+        TraceWorkloadDescriptor desc;
+        desc.work = model->traceWorkload(cam, &writer);
+        desc.plan = model->encoding().streamingFootprint(
+            model->collectSamplePositions(cam));
+        desc.vertexBytes = meta.featureBytes;
+        writer.setWorkloadSummary(toSummary(desc));
+        writer.close();
+        return std::make_unique<TraceFileReader>(ctrace);
+    }();
+    const TraceFileReader &reader = *setup;
+    const TraceWorkloadDescriptor desc = workloadFromTrace(reader);
+    dse::DseConfig config;
+    config.cacheWays = static_cast<std::uint32_t>(state.range(0));
+    for (auto _ : state) {
+        const dse::DsePointResult point =
+            dse::evaluatePoint(fileSource(reader), desc, "lego", config);
+        benchmark::DoNotOptimize(point.ciceroTimeMs);
+    }
+    state.counters["s_per_access"] = perItem(reader.counts().accesses);
+}
+BENCHMARK(BM_DsePoint)->Arg(0)->Arg(8)->Unit(benchmark::kMillisecond);
 
 void
 BM_DramSink(benchmark::State &state)

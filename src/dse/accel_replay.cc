@@ -10,32 +10,6 @@
 
 namespace cicero {
 
-namespace {
-
-/** Counts the stream so every stack observes what it replayed. */
-class CountingSink : public TraceSink
-{
-  public:
-    void
-    onAccess(const MemAccess &) override
-    {
-        ++accesses;
-    }
-
-    void
-    onRayEnd(std::uint32_t) override
-    {
-        ++rays;
-    }
-
-    void onFlush() override {}
-
-    std::uint64_t accesses = 0;
-    std::uint64_t rays = 0;
-};
-
-} // namespace
-
 TraceWorkloadSummary
 toSummary(const TraceWorkloadDescriptor &desc)
 {
@@ -97,37 +71,164 @@ workloadFromTrace(const TraceFileReader &reader)
     return fromSummary(reader.workloadSummary());
 }
 
+struct AccelStacks::GpuSinks
+{
+    explicit GpuSinks(const GpuStackConfig &c)
+        : config(c), dram(c.gpu.dram), cache(c.cache),
+          interleaver(c.warpWays)
+    {
+        interleaver.addSink(&dram);
+        interleaver.addSink(&cache);
+    }
+
+    GpuStackConfig config;
+    DramModel dram;
+    LruCache cache;
+    WarpInterleaver interleaver;
+};
+
+struct AccelStacks::BaselineSinks
+{
+    BaselineSinks(const BaselineStackConfig &c, const SramBankConfig &bank)
+        : config(c), sim(bank)
+    {
+    }
+
+    BaselineStackConfig config;
+    BankConflictSim sim;
+};
+
+AccelStacks::AccelStacks(const TraceWorkloadDescriptor &desc) : _desc(desc)
+{
+}
+
+AccelStacks::~AccelStacks() = default;
+
+void
+AccelStacks::attachGpu(const GpuStackConfig &config)
+{
+    _gpu = std::make_unique<GpuSinks>(config);
+}
+
+void
+AccelStacks::attachBaselines(const BaselineStackConfig &config)
+{
+    SramBankConfig bank = config.bank;
+    bank.featureBytes = _desc.vertexBytes ? _desc.vertexBytes
+                                          : bank.featureBytes;
+    bank.layout = SramLayout::FeatureMajor;
+    _baselines = std::make_unique<BaselineSinks>(config, bank);
+}
+
+void
+AccelStacks::onAccess(const MemAccess &access)
+{
+    ++_accesses;
+    if (_gpu)
+        _gpu->interleaver.onAccess(access);
+    if (_baselines)
+        _baselines->sim.onAccess(access);
+}
+
+void
+AccelStacks::onRayEnd(std::uint32_t rayId)
+{
+    ++_rays;
+    if (_gpu)
+        _gpu->interleaver.onRayEnd(rayId);
+    if (_baselines)
+        _baselines->sim.onRayEnd(rayId);
+}
+
+void
+AccelStacks::onFlush()
+{
+    if (_gpu)
+        _gpu->interleaver.onFlush();
+    if (_baselines)
+        _baselines->sim.onFlush();
+}
+
+GpuStackResult
+AccelStacks::gpu() const
+{
+    if (!_gpu)
+        throw std::logic_error("AccelStacks::gpu: no GPU sinks attached");
+    const GpuStackConfig &config = _gpu->config;
+    GpuStackResult result;
+    result.accesses = _accesses;
+    result.rays = _rays;
+    result.profile.cacheMissRate = _gpu->cache.stats().missRate();
+    result.profile.randomFraction =
+        _gpu->dram.stats().nonStreamingFraction();
+
+    GpuModel gpu(config.gpu);
+    result.times = gpu.timeNerfFrame(_desc.work, result.profile);
+    result.timeMs = result.times.totalMs();
+    result.energyNj =
+        gpu.energyNj(result.timeMs) +
+        gpu.gatherDramEnergyNj(_desc.work, result.profile, config.energy);
+    return result;
+}
+
+NpuStackResult
+AccelStacks::npu(const NpuConfig &config,
+                 const EnergyConstants &energy) const
+{
+    NpuModel npu(config);
+    NpuStackResult result;
+    result.accesses = _accesses;
+    result.rays = _rays;
+    result.mlpMs = npu.mlpTimeMs(_desc.work.mlpMacs);
+    result.timeMs = result.mlpMs;
+    result.energyNj = npu.energyNj(result.timeMs) +
+                      npu.macEnergyNj(_desc.work.mlpMacs, energy);
+    return result;
+}
+
+GuStackResult
+AccelStacks::gu(const GuStackConfig &config) const
+{
+    // The channel-major layout of Sec. IV-B gives every PE its own
+    // bank, so each fetch is granted on issue: requests = fetches =
+    // accesses and no stall, by construction.
+    GuStackResult result;
+    result.accesses = _accesses;
+    result.rays = _rays;
+    result.channelMajor.requests = _accesses;
+    result.channelMajor.fetches = _accesses;
+    result.cost = GatheringUnitModel(config.gu).price(
+        _desc.plan, _desc.vertexBytes, config.dram, config.energy);
+    return result;
+}
+
+BaselineStackResult
+AccelStacks::baselines() const
+{
+    if (!_baselines)
+        throw std::logic_error(
+            "AccelStacks::baselines: no baseline sinks attached");
+    const BaselineStackConfig &config = _baselines->config;
+    BaselineStackResult result;
+    result.accesses = _accesses;
+    result.rays = _rays;
+    result.bankConflictRate = _baselines->sim.stats().conflictRate();
+    result.neurex = NeurexModel(config.neurex)
+                        .price(_desc.work, result.bankConflictRate,
+                               config.dram, config.energy);
+    result.ngpc = NgpcModel(config.ngpc).price(_desc.work, config.energy);
+    return result;
+}
+
 GpuStackResult
 runGpuStack(const TraceSourceFn &source,
             const TraceWorkloadDescriptor &desc,
             const GpuStackConfig &config)
 {
-    // The probe.cc arrangement: warp interleaving in front of the cache
-    // and DRAM probes, the raw stream counted on the side.
-    DramModel dram(config.gpu.dram);
-    LruCache cache(config.cache);
-    WarpInterleaver interleaver(config.warpWays);
-    interleaver.addSink(&dram);
-    interleaver.addSink(&cache);
-    CountingSink counter;
-    TraceTee tee;
-    tee.addSink(&interleaver);
-    tee.addSink(&counter);
-    source(&tee);
-
-    GpuStackResult result;
-    result.accesses = counter.accesses;
-    result.rays = counter.rays;
-    result.profile.cacheMissRate = cache.stats().missRate();
-    result.profile.randomFraction = dram.stats().nonStreamingFraction();
-
-    GpuModel gpu(config.gpu);
-    result.times = gpu.timeNerfFrame(desc.work, result.profile);
-    result.timeMs = result.times.totalMs();
-    result.energyNj =
-        gpu.energyNj(result.timeMs) +
-        gpu.gatherDramEnergyNj(desc.work, result.profile, config.energy);
-    return result;
+    AccelStacks stacks(desc);
+    stacks.attachGpu(config);
+    source(&stacks);
+    return stacks.gpu();
 }
 
 NpuStackResult
@@ -135,38 +236,18 @@ runNpuStack(const TraceSourceFn &source,
             const TraceWorkloadDescriptor &desc, const NpuConfig &config,
             const EnergyConstants &energy)
 {
-    CountingSink counter;
-    source(&counter);
-
-    NpuModel npu(config);
-    NpuStackResult result;
-    result.accesses = counter.accesses;
-    result.rays = counter.rays;
-    result.mlpMs = npu.mlpTimeMs(desc.work.mlpMacs);
-    result.timeMs = result.mlpMs;
-    result.energyNj = npu.energyNj(result.timeMs) +
-                      npu.macEnergyNj(desc.work.mlpMacs, energy);
-    return result;
+    AccelStacks stacks(desc);
+    source(&stacks);
+    return stacks.npu(config, energy);
 }
 
 GuStackResult
 runGuStack(const TraceSourceFn &source,
            const TraceWorkloadDescriptor &desc, const GuStackConfig &config)
 {
-    CountingSink counter;
-    source(&counter);
-
-    // The channel-major layout of Sec. IV-B gives every PE its own
-    // bank, so each fetch is granted on issue: requests = fetches =
-    // accesses and no stall, by construction.
-    GuStackResult result;
-    result.accesses = counter.accesses;
-    result.rays = counter.rays;
-    result.channelMajor.requests = counter.accesses;
-    result.channelMajor.fetches = counter.accesses;
-    result.cost = GatheringUnitModel(config.gu).price(
-        desc.plan, desc.vertexBytes, config.dram, config.energy);
-    return result;
+    AccelStacks stacks(desc);
+    source(&stacks);
+    return stacks.gu(config);
 }
 
 BaselineStackResult
@@ -174,26 +255,10 @@ runBaselineStack(const TraceSourceFn &source,
                  const TraceWorkloadDescriptor &desc,
                  const BaselineStackConfig &config)
 {
-    SramBankConfig bank = config.bank;
-    bank.featureBytes = desc.vertexBytes ? desc.vertexBytes
-                                         : bank.featureBytes;
-    bank.layout = SramLayout::FeatureMajor;
-    BankConflictSim sim(bank);
-    CountingSink counter;
-    TraceTee tee;
-    tee.addSink(&sim);
-    tee.addSink(&counter);
-    source(&tee);
-
-    BaselineStackResult result;
-    result.accesses = counter.accesses;
-    result.rays = counter.rays;
-    result.bankConflictRate = sim.stats().conflictRate();
-    result.neurex = NeurexModel(config.neurex)
-                        .price(desc.work, result.bankConflictRate,
-                               config.dram, config.energy);
-    result.ngpc = NgpcModel(config.ngpc).price(desc.work, config.energy);
-    return result;
+    AccelStacks stacks(desc);
+    stacks.attachBaselines(config);
+    source(&stacks);
+    return stacks.baselines();
 }
 
 namespace {

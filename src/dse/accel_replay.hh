@@ -17,19 +17,25 @@
  * capture-once / replay-many contract from the memory stacks to the
  * full accelerator models.
  *
- * Each stack still consumes the access stream: the GPU stack measures
- * its GatherProfile (cache miss rate, DRAM random fraction) from it,
- * the baseline stack runs a feature-major bank-conflict simulation
- * over it, and the NPU and GU stacks count it — every replayed byte is
- * observed, so a stream/summary mismatch shows up in the stats. The GU
- * needs no simulation: its channel-major layout is conflict-free by
- * the construction of the Sec. IV-B schedule.
+ * A trace is replayed once into AccelStacks, which holds every stack's
+ * sinks and prices each stack from what they observed: the GPU stack
+ * measures its GatherProfile (cache miss rate, DRAM random fraction)
+ * through warp-interleaved cache and DRAM probes, the baseline stack
+ * runs a feature-major bank-conflict simulation over the raw stream,
+ * and one count of the stream gives all four stacks their accesses
+ * and rays — every replayed byte is observed, so a stream/summary
+ * mismatch shows up in the stats. The NPU and GU stacks need only that
+ * count; the GU needs no simulation, because its channel-major layout
+ * is conflict-free by the construction of the Sec. IV-B schedule. A
+ * DSE point replays its trace once into all four stacks; each
+ * run*Stack replays it into its own stack's sinks alone.
  */
 
 #ifndef CICERO_DSE_ACCEL_REPLAY_HH
 #define CICERO_DSE_ACCEL_REPLAY_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "accel/baseline_accels.hh"
@@ -199,6 +205,61 @@ struct BaselineStackResult
 BaselineStackResult runBaselineStack(const TraceSourceFn &source,
                                      const TraceWorkloadDescriptor &desc,
                                      const BaselineStackConfig &config = {});
+
+// ---------------------------------------------------------------------
+// One replay, every stack
+// ---------------------------------------------------------------------
+
+/**
+ * The accelerator stacks over one replay of a trace: the sinks that
+ * observe the stream, and each stack's price of what they observed.
+ *
+ * Attach the sinks of the stacks to price, feed the object one trace
+ * (`source(&stacks)`), then price them. Every stack's accesses and
+ * rays come from the one count this object keeps. The NPU and GU
+ * stacks need only that count; the GPU and baseline stacks price what
+ * their attached sinks measured. Each run*Stack function above is this
+ * object fed for its one stack.
+ */
+class AccelStacks final : public TraceSink
+{
+  public:
+    explicit AccelStacks(const TraceWorkloadDescriptor &desc);
+    ~AccelStacks() override;
+    AccelStacks(const AccelStacks &) = delete;
+    AccelStacks &operator=(const AccelStacks &) = delete;
+
+    /** The GPU stack's sinks: warp interleaving in front of the DRAM
+     *  and cache probes (the probe.cc arrangement). */
+    void attachGpu(const GpuStackConfig &config);
+
+    /** The baseline stack's sink: a feature-major (NeuRex layout)
+     *  bank-conflict simulation of the raw stream. */
+    void attachBaselines(const BaselineStackConfig &config);
+
+    void onAccess(const MemAccess &access) override;
+    void onRayEnd(std::uint32_t rayId) override;
+    void onFlush() override;
+
+    /** GPU price on the measured profile. @pre attachGpu(). */
+    GpuStackResult gpu() const;
+    NpuStackResult npu(const NpuConfig &config = {},
+                       const EnergyConstants &energy = {}) const;
+    GuStackResult gu(const GuStackConfig &config = {}) const;
+    /** Baseline prices on the measured conflict rate.
+     *  @pre attachBaselines(). */
+    BaselineStackResult baselines() const;
+
+  private:
+    struct GpuSinks;
+    struct BaselineSinks;
+
+    TraceWorkloadDescriptor _desc;
+    std::uint64_t _accesses = 0;
+    std::uint64_t _rays = 0;
+    std::unique_ptr<GpuSinks> _gpu;
+    std::unique_ptr<BaselineSinks> _baselines;
+};
 
 /**
  * Deterministic JSON for the accelerator stacks — same contract as the

@@ -177,11 +177,12 @@ evaluatePoint(const TraceSourceFn &source,
     baseCfg.bank.concurrentRays = config.concurrentRays;
     baseCfg.dram.bandwidthGBs = config.dramGBs;
 
-    GpuStackResult gpu = runGpuStack(source, desc, gpuCfg);
-    NpuStackResult npu = runNpuStack(source, desc);
-    GuStackResult gu = runGuStack(source, desc, guCfg);
-    BaselineStackResult baselines =
-        runBaselineStack(source, desc, baseCfg);
+    // One replay of the trace feeds all four stacks.
+    AccelStacks stacks(desc);
+    stacks.attachGpu(gpuCfg);
+    stacks.attachBaselines(baseCfg);
+    source(&stacks);
+    const GpuStackResult gpu = stacks.gpu();
 
     DsePointResult point;
     point.traceId = traceId;
@@ -206,9 +207,9 @@ evaluatePoint(const TraceSourceFn &source,
     point.gpuEnergyNj = gpu.energyNj;
 
     point.gpuJson = statsJson(gpu);
-    point.npuJson = statsJson(npu);
-    point.guJson = statsJson(gu);
-    point.baselinesJson = statsJson(baselines);
+    point.npuJson = statsJson(stacks.npu());
+    point.guJson = statsJson(stacks.gu(guCfg));
+    point.baselinesJson = statsJson(stacks.baselines());
     return point;
 }
 

@@ -5,11 +5,12 @@
  * A declarative SweepAxes spec (cache size, warp interleaving, GU VFT
  * size and bank count, DRAM bandwidth, baseline SRAM banking,
  * concurrent rays) expands into a full cartesian config grid; the
- * driver prices every (trace, config) pair by replaying the corpus
- * traces through the accelerator stacks of dse/accel_replay.hh. The
- * Cicero frame price comes from PerformanceModel (cicero/pipeline.hh)
- * on the GatherProfile the GPU stack measured: GPU indexing +
- * compositing, then gather on the GU overlapped with MLP on the NPU.
+ * driver prices every (trace, config) pair by replaying the trace once
+ * into all four accelerator stacks of dse/accel_replay.hh
+ * (AccelStacks). The Cicero frame price comes from PerformanceModel
+ * (cicero/pipeline.hh) on the GatherProfile the GPU stack measured:
+ * GPU indexing + compositing, then gather on the GU overlapped with
+ * MLP on the NPU.
  *
  * Determinism contract: jobs run on the TaskGroup scheduler but write
  * into an index-addressed result vector, so the assembled results —

@@ -12,68 +12,72 @@ LruCache::IndexTable::home(std::uint64_t key) const
                                     _shift);
 }
 
+template <typename KeyOf>
 std::uint32_t
-LruCache::IndexTable::find(std::uint64_t key) const
+LruCache::IndexTable::find(std::uint64_t key, KeyOf keyOf) const
 {
-    if (_entries.empty())
+    if (_slots.empty())
         return kNone;
-    const std::size_t mask = _entries.size() - 1;
+    const std::size_t mask = _slots.size() - 1;
     for (std::size_t i = home(key);; i = (i + 1) & mask) {
-        const Entry &e = _entries[i];
-        if (e.value == kNone || e.key == key)
-            return e.value;
+        const std::uint32_t id = _slots[i];
+        if (id == kNone || keyOf(id) == key)
+            return id;
     }
 }
 
+template <typename KeyOf>
 void
-LruCache::IndexTable::insert(std::uint64_t key, std::uint32_t value)
+LruCache::IndexTable::insert(std::uint32_t id, KeyOf keyOf)
 {
-    if (2 * (_count + 1) > _entries.size())
-        grow();
-    const std::size_t mask = _entries.size() - 1;
-    std::size_t i = home(key);
-    while (_entries[i].value != kNone)
+    if (2 * (_count + 1) > _slots.size())
+        grow(keyOf);
+    const std::size_t mask = _slots.size() - 1;
+    std::size_t i = home(keyOf(id));
+    while (_slots[i] != kNone)
         i = (i + 1) & mask;
-    _entries[i] = Entry{key, value};
+    _slots[i] = id;
     ++_count;
 }
 
+template <typename KeyOf>
 void
-LruCache::IndexTable::erase(std::uint64_t key)
+LruCache::IndexTable::erase(std::uint32_t id, KeyOf keyOf)
 {
-    const std::size_t mask = _entries.size() - 1;
-    std::size_t hole = home(key);
-    while (_entries[hole].key != key || _entries[hole].value == kNone)
+    const std::size_t mask = _slots.size() - 1;
+    std::size_t hole = home(keyOf(id));
+    while (_slots[hole] != id)
         hole = (hole + 1) & mask;
-    // Backward shift: pull each later entry of the probe run into the
+    // Backward shift: pull each later id of the probe run into the
     // hole unless its home lies cyclically in (hole, j].
-    for (std::size_t j = (hole + 1) & mask; _entries[j].value != kNone;
+    for (std::size_t j = (hole + 1) & mask; _slots[j] != kNone;
          j = (j + 1) & mask) {
-        const std::size_t h = home(_entries[j].key);
+        const std::size_t h = home(keyOf(_slots[j]));
         const bool stays = hole < j ? (hole < h && h <= j)
                                     : (hole < h || h <= j);
         if (!stays) {
-            _entries[hole] = _entries[j];
+            _slots[hole] = _slots[j];
             hole = j;
         }
     }
-    _entries[hole].value = kNone;
+    _slots[hole] = kNone;
     --_count;
 }
 
+template <typename KeyOf>
 void
-LruCache::IndexTable::grow()
+LruCache::IndexTable::grow(KeyOf keyOf)
 {
-    std::vector<Entry> old = std::move(_entries);
+    std::vector<std::uint32_t> old = std::move(_slots);
     const std::size_t size = old.empty() ? 16 : 2 * old.size();
-    _entries.assign(size, Entry{0, kNone});
+    _slots.assign(size, kNone);
     _shift = 64;
     for (std::size_t s = size; s > 1; s >>= 1)
         --_shift;
     _count = 0;
-    for (const Entry &e : old)
-        if (e.value != kNone)
-            insert(e.key, e.value);
+    for (const std::uint32_t id : old)
+        if (id != kNone)
+            insert(id, keyOf);
 }
 
 LruCache::LruCache(const CacheConfig &config)
@@ -111,7 +115,8 @@ LruCache::pushFront(std::uint32_t n)
 void
 LruCache::touchFullAssoc(std::uint64_t line)
 {
-    std::uint32_t n = _index.find(line);
+    const auto lineOf = [this](std::uint32_t n) { return _nodes[n].line; };
+    std::uint32_t n = _index.find(line, lineOf);
     if (n != kNone) {
         ++_stats.hits;
         if (n != _head) {
@@ -129,11 +134,11 @@ LruCache::touchFullAssoc(std::uint64_t line)
     } else {
         n = _tail; // evict the least recently used line
         unlink(n);
-        _index.erase(_nodes[n].line);
+        _index.erase(n, lineOf);
         _nodes[n].line = line;
     }
     pushFront(n);
-    _index.insert(line, n);
+    _index.insert(n, lineOf);
 }
 
 void
@@ -141,12 +146,14 @@ LruCache::touchSetAssoc(std::uint64_t line)
 {
     const std::uint64_t set = line % _numSets;
     const std::uint32_t ways = _config.ways;
-    std::uint32_t block = _index.find(set);
+    const auto setOf = [this](std::uint32_t b) { return _blockSet[b]; };
+    std::uint32_t block = _index.find(set, setOf);
     if (block == kNone) {
         block = static_cast<std::uint32_t>(_fill.size());
         _fill.push_back(0);
+        _blockSet.push_back(set);
         _tags.resize(_tags.size() + ways);
-        _index.insert(set, block);
+        _index.insert(block, setOf);
     }
     std::uint64_t *tags = &_tags[static_cast<std::size_t>(block) * ways];
     std::uint32_t &fill = _fill[block];
@@ -169,9 +176,9 @@ LruCache::touchSetAssoc(std::uint64_t line)
 void
 LruCache::onAccess(const MemAccess &access)
 {
-    std::uint64_t first = access.addr / _config.lineBytes;
-    std::uint64_t last = (access.addr + std::max(access.bytes, 1u) - 1) /
-                         _config.lineBytes;
+    const std::uint64_t first = access.addr / kCacheLineBytes;
+    const std::uint64_t last =
+        (access.addr + std::max(access.bytes, 1u) - 1) / kCacheLineBytes;
     for (std::uint64_t l = first; l <= last; ++l) {
         ++_stats.accesses;
         if (_numSets > 1)
@@ -194,9 +201,9 @@ BeladyCache::BeladyCache(const CacheConfig &config) : _config(config)
 void
 BeladyCache::onAccess(const MemAccess &access)
 {
-    std::uint64_t first = access.addr / _config.lineBytes;
-    std::uint64_t last = (access.addr + std::max(access.bytes, 1u) - 1) /
-                         _config.lineBytes;
+    const std::uint64_t first = access.addr / kCacheLineBytes;
+    const std::uint64_t last =
+        (access.addr + std::max(access.bytes, 1u) - 1) / kCacheLineBytes;
     for (std::uint64_t l = first; l <= last; ++l) {
         auto [it, inserted] = _lineId.try_emplace(
             l, static_cast<std::uint32_t>(_lineId.size()));

@@ -17,11 +17,16 @@
 
 namespace cicero {
 
+/**
+ * Cache line size. A compile-time power of two, so splitting an access
+ * into lines is a shift, not a division.
+ */
+constexpr std::uint32_t kCacheLineBytes = 64;
+
 /** Shared cache geometry. */
 struct CacheConfig
 {
     std::uint64_t capacityBytes = 2ull << 20; //!< 2 MB as in the paper
-    std::uint32_t lineBytes = 64;
     /**
      * Associativity: lines per set. 0 (the default) = fully
      * associative, the paper's generous baseline assumption; a real
@@ -30,7 +35,7 @@ struct CacheConfig
      */
     std::uint32_t ways = 0;
 
-    std::uint64_t numLines() const { return capacityBytes / lineBytes; }
+    std::uint64_t numLines() const { return capacityBytes / kCacheLineBytes; }
 
     /** Sets at the configured associativity (1 when fully assoc). */
     std::uint64_t numSets() const
@@ -66,13 +71,14 @@ struct CacheStats
  *
  * The state is flat and allocation-free per touch. Fully associative
  * lines sit in a node array threaded as a doubly linked MRU list,
- * found through an open-addressed line -> node table. A set-
- * associative cache keeps `ways` tags per touched set in one array,
- * MRU first, found through the same kind of set -> block table (a
- * one-set geometry is a fully associative cache of `ways` lines and
- * runs as one). Memory grows with what is touched (a node per
- * resident line, `ways` tag slots per touched set), never with the
- * configured capacity.
+ * found through an open-addressed table of node ids keyed by the
+ * node's line. A set-associative cache keeps `ways` tags per touched
+ * set in one array, MRU first, found through the same kind of table
+ * of block ids keyed by the block's set (a one-set geometry is a fully
+ * associative cache of `ways` lines and runs as one). The tables
+ * store 4-byte ids and read each key back from its node or block.
+ * Memory grows with what is touched (a node per resident line, `ways`
+ * tag slots per touched set), never with the configured capacity.
  */
 class LruCache : public TraceSink
 {
@@ -88,30 +94,32 @@ class LruCache : public TraceSink
     static constexpr std::uint32_t kNone = ~0u;
 
     /**
-     * Open-addressed uint64 -> uint32 map: linear probing, Fibonacci
-     * hashing, backward-shift erase (no tombstones). Holds at most
-     * half its slots, doubling as entries arrive.
+     * Open-addressed index of uint32 ids by uint64 key: linear probing,
+     * Fibonacci hashing, backward-shift erase (no tombstones). A slot
+     * holds only an id; the id's key is read back through keyOf(id)
+     * from the array the ids index (a node's line, a block's set), so
+     * a slot costs 4 bytes. Holds at most half its slots, doubling as
+     * ids arrive.
      */
     class IndexTable
     {
       public:
-        /** Value stored for @p key, or kNone. */
-        std::uint32_t find(std::uint64_t key) const;
-        /** Insert @p key, which must be absent. */
-        void insert(std::uint64_t key, std::uint32_t value);
-        /** Remove @p key, which must be present. */
-        void erase(std::uint64_t key);
+        /** The id whose key is @p key, or kNone. */
+        template <typename KeyOf>
+        std::uint32_t find(std::uint64_t key, KeyOf keyOf) const;
+        /** Insert @p id, whose key keyOf(id) must be absent. */
+        template <typename KeyOf>
+        void insert(std::uint32_t id, KeyOf keyOf);
+        /** Remove @p id, which must be present under keyOf(id). */
+        template <typename KeyOf>
+        void erase(std::uint32_t id, KeyOf keyOf);
 
       private:
-        struct Entry
-        {
-            std::uint64_t key;
-            std::uint32_t value; //!< kNone = free slot
-        };
         std::size_t home(std::uint64_t key) const;
-        void grow();
+        template <typename KeyOf>
+        void grow(KeyOf keyOf);
 
-        std::vector<Entry> _entries; //!< power-of-two size, or empty
+        std::vector<std::uint32_t> _slots; //!< power-of-two size, or empty
         std::size_t _count = 0;
         unsigned _shift = 64;
     };
@@ -133,12 +141,13 @@ class LruCache : public TraceSink
     CacheStats _stats;
     std::uint64_t _numSets;    //!< > 1 selects the set-associative path
     std::uint64_t _capacity;   //!< fully associative: lines it holds
-    IndexTable _index;         //!< line -> node, or set -> block
+    IndexTable _index;         //!< nodes by line, or blocks by set
     std::vector<Node> _nodes;  //!< fully associative resident lines
     std::uint32_t _head = kNone; //!< most recently used node
     std::uint32_t _tail = kNone; //!< least recently used node
     std::vector<std::uint64_t> _tags; //!< `ways` tags per block, MRU first
     std::vector<std::uint32_t> _fill; //!< resident tags per block
+    std::vector<std::uint64_t> _blockSet; //!< the set each block holds
 };
 
 /**

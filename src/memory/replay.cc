@@ -24,11 +24,10 @@ bytesNj(std::uint64_t bytes, double pjPerByte)
 
 /** Pricing of a cache run: SRAM line reads + DRAM line fills. */
 double
-cacheEnergyNj(const CacheStats &s, const CacheConfig &cache,
-              const EnergyConstants &energy)
+cacheEnergyNj(const CacheStats &s, const EnergyConstants &energy)
 {
-    return bytesNj(s.accesses * cache.lineBytes, energy.sramPjPerByte) +
-           bytesNj(s.misses * cache.lineBytes, energy.dramRandomPjPerByte);
+    return bytesNj(s.accesses * kCacheLineBytes, energy.sramPjPerByte) +
+           bytesNj(s.misses * kCacheLineBytes, energy.dramRandomPjPerByte);
 }
 
 } // namespace
@@ -43,10 +42,8 @@ runCacheStack(const TraceSourceFn &source, const CacheStackConfig &config)
     interleaver.addSink(&belady);
     source(&interleaver);
     CacheStackResult result{lru.stats(), belady.simulate(), 0.0, 0.0};
-    result.lruEnergyNj =
-        cacheEnergyNj(result.lru, config.cache, config.energy);
-    result.beladyEnergyNj =
-        cacheEnergyNj(result.belady, config.cache, config.energy);
+    result.lruEnergyNj = cacheEnergyNj(result.lru, config.energy);
+    result.beladyEnergyNj = cacheEnergyNj(result.belady, config.energy);
     return result;
 }
 

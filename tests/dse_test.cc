@@ -28,6 +28,7 @@
 #include "memory/cache_model.hh"
 #include "memory/tracefile.hh"
 #include "nerf/models.hh"
+#include "scene/trajectory.hh"
 #include "test_util.hh"
 
 namespace cicero {
@@ -353,7 +354,6 @@ TEST(DseDriverTest, SetAssociativeLruAddsConflictMisses)
     // line 4 conflicts with line 0 in set 0.
     CacheConfig full;
     full.capacityBytes = 4 * 64;
-    full.lineBytes = 64;
     CacheConfig direct = full;
     direct.ways = 1;
     EXPECT_EQ(full.numSets(), 1u);
@@ -465,6 +465,41 @@ struct TempCorpus
     std::unique_ptr<dse::Corpus> corpus;
 };
 
+/** The GPU stack a sweep point runs at @p config. */
+GpuStackConfig
+gpuStackConfig(const dse::DseConfig &config)
+{
+    GpuStackConfig cfg;
+    cfg.gpu.dram.bandwidthGBs = config.dramGBs;
+    cfg.cache.capacityBytes =
+        static_cast<std::uint64_t>(config.cacheMb * (1ull << 20));
+    cfg.cache.ways = config.cacheWays;
+    cfg.warpWays = config.warpWays;
+    return cfg;
+}
+
+/** The GU stack a sweep point runs at @p config. */
+GuStackConfig
+guStackConfig(const dse::DseConfig &config)
+{
+    GuStackConfig cfg;
+    cfg.gu.vftBytes = std::uint64_t{config.guVftKb} * 1024;
+    cfg.gu.banks = config.guBanks;
+    cfg.dram.bandwidthGBs = config.dramGBs;
+    return cfg;
+}
+
+/** The baseline stack a sweep point runs at @p config. */
+BaselineStackConfig
+baselineStackConfig(const dse::DseConfig &config)
+{
+    BaselineStackConfig cfg;
+    cfg.bank.numBanks = config.sramBanks;
+    cfg.bank.concurrentRays = config.concurrentRays;
+    cfg.dram.bandwidthGBs = config.dramGBs;
+    return cfg;
+}
+
 TEST(DseDriverTest, ParallelSweepByteIdenticalToSerial)
 {
     ThreadCountGuard guard;
@@ -518,15 +553,8 @@ TEST(DseDriverTest, CiceroPriceIsPerformanceModelPrice)
 
     for (std::size_t c = 0; c < grid.size(); ++c) {
         const dse::DseConfig &config = grid[c];
-        GpuStackConfig gpuCfg;
-        gpuCfg.gpu.dram.bandwidthGBs = config.dramGBs;
-        gpuCfg.cache.capacityBytes =
-            static_cast<std::uint64_t>(config.cacheMb * (1ull << 20));
-        gpuCfg.cache.ways = config.cacheWays;
-        gpuCfg.warpWays = config.warpWays;
-        GuStackConfig guCfg;
-        guCfg.gu.vftBytes = std::uint64_t{config.guVftKb} * 1024;
-        guCfg.gu.banks = config.guBanks;
+        const GpuStackConfig gpuCfg = gpuStackConfig(config);
+        const GuStackConfig guCfg = guStackConfig(config);
 
         WorkloadInputs inputs;
         inputs.fullFrame = desc.work;
@@ -543,6 +571,53 @@ TEST(DseDriverTest, CiceroPriceIsPerformanceModelPrice)
         EXPECT_GT(want.timeMs, 0.0) << point.configId;
         EXPECT_EQ(point.ciceroTimeMs, want.timeMs) << point.configId;
         EXPECT_EQ(point.ciceroEnergyNj, want.energyNj) << point.configId;
+    }
+}
+
+TEST(DseDriverTest, OnePassPointMatchesPerStackReplays)
+{
+    // A sweep point replays its trace once into all four stacks; each
+    // run*Stack replays it into its own stack alone. Both price alike
+    // on a dense-grid and a hash-grid capture, fully and 8-way
+    // associative, at two bank counts and two ray-slot counts.
+    const Scene scene = makeScene("lego");
+    OrbitParams orbit;
+    orbit.radius = scene.cameraDistance;
+    const Camera cam = Camera::fromFov(8, 8, scene.fovYDeg,
+                                       orbitTrajectory(orbit, 1)[0]);
+
+    dse::SweepAxes axes;
+    axes.cacheMb = {2.0};
+    axes.cacheWays = {0, 8};
+    axes.guVftKb = {32};
+    axes.sramBanks = {8, 16};
+    axes.concurrentRays = {4, 16};
+    const std::vector<dse::DseConfig> grid = dse::expandGrid(axes);
+    ASSERT_EQ(grid.size(), 8u);
+
+    for (ModelKind kind : {ModelKind::DirectVoxGO, ModelKind::InstantNgp}) {
+        SCOPED_TRACE(modelName(kind));
+        const auto model = buildModel(kind, scene);
+        std::vector<std::uint8_t> ctrace;
+        captureWithSummary(*model, cam, 8, ctrace);
+        const TraceFileReader reader(ctrace);
+        const TraceWorkloadDescriptor desc = workloadFromTrace(reader);
+        const TraceSourceFn source = fileSource(reader);
+        for (const dse::DseConfig &config : grid) {
+            SCOPED_TRACE(config.id());
+            const dse::DsePointResult point =
+                dse::evaluatePoint(source, desc, "lego", config);
+            EXPECT_EQ(point.gpuJson,
+                      statsJson(runGpuStack(source, desc,
+                                            gpuStackConfig(config))));
+            EXPECT_EQ(point.npuJson, statsJson(runNpuStack(source, desc)));
+            EXPECT_EQ(point.guJson,
+                      statsJson(runGuStack(source, desc,
+                                           guStackConfig(config))));
+            EXPECT_EQ(point.baselinesJson,
+                      statsJson(runBaselineStack(
+                          source, desc, baselineStackConfig(config))));
+        }
     }
 }
 

@@ -56,7 +56,6 @@ CacheConfig
 tinyCache(std::uint64_t lines)
 {
     CacheConfig cfg;
-    cfg.lineBytes = 64;
     cfg.capacityBytes = lines * 64;
     return cfg;
 }
@@ -117,7 +116,7 @@ class ReferenceLru
 {
   public:
     explicit ReferenceLru(const CacheConfig &config)
-        : _config(config), _sets(config.numSets()),
+        : _sets(config.numSets()),
           _setLines(config.ways ? config.ways : config.numLines())
     {
     }
@@ -125,9 +124,9 @@ class ReferenceLru
     void
     onAccess(const MemAccess &a)
     {
-        const std::uint64_t first = a.addr / _config.lineBytes;
+        const std::uint64_t first = a.addr / kCacheLineBytes;
         const std::uint64_t last =
-            (a.addr + std::max(a.bytes, 1u) - 1) / _config.lineBytes;
+            (a.addr + std::max(a.bytes, 1u) - 1) / kCacheLineBytes;
         for (std::uint64_t l = first; l <= last; ++l) {
             std::list<std::uint64_t> &set = _sets[l % _sets.size()];
             ++stats.accesses;
@@ -148,7 +147,6 @@ class ReferenceLru
     CacheStats stats;
 
   private:
-    CacheConfig _config;
     std::vector<std::list<std::uint64_t>> _sets;
     std::size_t _setLines;
 };

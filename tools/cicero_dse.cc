@@ -21,6 +21,7 @@
  *       Print the per-config summary table of a sweep result.
  */
 
+#include <array>
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
@@ -119,39 +120,34 @@ checkReplayMatchesLive(const Corpus &corpus, const CorpusEntry &entry)
     Camera cam = Camera::fromFov(entry.res, entry.res, scene.fovYDeg,
                                  traj[entry.frame]);
 
-    TraceWorkloadDescriptor live = measureWorkload(*model, cam);
-    TraceSourceFn liveSrc = liveSource(*model, cam);
-
+    // Each side is one pass of its stream into all four stacks.
+    auto stackJsons = [](const TraceSourceFn &source,
+                         const TraceWorkloadDescriptor &desc) {
+        AccelStacks stacks(desc);
+        stacks.attachGpu({});
+        stacks.attachBaselines({});
+        source(&stacks);
+        return std::array<std::string, 4>{
+            statsJson(stacks.gpu()), statsJson(stacks.npu()),
+            statsJson(stacks.gu()), statsJson(stacks.baselines())};
+    };
+    const auto live = stackJsons(liveSource(*model, cam),
+                                 measureWorkload(*model, cam));
     TraceFileReader reader(corpus.tracePath(entry));
-    TraceWorkloadDescriptor replayed = workloadFromTrace(reader);
-    TraceSourceFn fileSrc = fileSource(reader);
+    const auto replayed =
+        stackJsons(fileSource(reader), workloadFromTrace(reader));
 
-    struct Pair
-    {
-        const char *name;
-        std::string liveJson;
-        std::string replayJson;
-    };
-    Pair pairs[] = {
-        {"gpu", statsJson(runGpuStack(liveSrc, live)),
-         statsJson(runGpuStack(fileSrc, replayed))},
-        {"npu", statsJson(runNpuStack(liveSrc, live)),
-         statsJson(runNpuStack(fileSrc, replayed))},
-        {"gu", statsJson(runGuStack(liveSrc, live)),
-         statsJson(runGuStack(fileSrc, replayed))},
-        {"baselines", statsJson(runBaselineStack(liveSrc, live)),
-         statsJson(runBaselineStack(fileSrc, replayed))},
-    };
+    const char *const names[] = {"gpu", "npu", "gu", "baselines"};
     bool ok = true;
-    for (const Pair &p : pairs) {
-        if (p.liveJson != p.replayJson) {
+    for (std::size_t k = 0; k < live.size(); ++k) {
+        if (live[k] != replayed[k]) {
             ok = false;
             std::fprintf(stderr,
                          "cicero_dse: check FAILED: entry \"%s\": %s "
                          "stack replay diverges from live\n  live:   "
                          "%s\n  replay: %s\n",
-                         entry.id.c_str(), p.name, p.liveJson.c_str(),
-                         p.replayJson.c_str());
+                         entry.id.c_str(), names[k], live[k].c_str(),
+                         replayed[k].c_str());
         }
     }
     return ok;
