@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "accel/accel_replay.hh"
 #include "accel/baseline_accels.hh"
 #include "accel/gpu_model.hh"
 #include "bench_util.hh"
@@ -398,21 +399,15 @@ fig04(Lab &lab)
 }
 
 /**
- * The gather stream of @p model at @p res x @p res, captured once into
- * an in-memory .ctrace so several memory configurations can replay it.
+ * The gather stream of @p model at @p cam, captured once into an
+ * in-memory .ctrace so several memory configurations can replay it.
+ * Header only: no memory stack reads a workload summary.
  */
 std::vector<std::uint8_t>
-captureTrace(const Scene &scene, ModelKind kind, const NerfModel &model,
-             const Camera &cam, int res)
+captureTrace(ModelKind kind, const NerfModel &model, const Camera &cam)
 {
-    TraceFileMeta meta;
-    meta.scene = scene.name;
-    meta.encoding = model.encoding().name();
+    TraceFileMeta meta = captureMeta(model, cam);
     meta.model = modelName(kind);
-    meta.width = meta.height = res;
-    meta.threads = static_cast<std::uint32_t>(parallelThreadCount());
-    meta.featureBytes = static_cast<std::uint32_t>(
-        model.encoding().featureDim() * kBytesPerChannel);
     std::vector<std::uint8_t> ctrace;
     TraceFileWriter writer(ctrace, meta);
     model.traceWorkload(cam, &writer);
@@ -434,8 +429,7 @@ fig05(Lab &lab)
     for (ModelKind kind : allModelKinds()) {
         const NerfModel &model = lab.model(kind, GridLayout::Linear);
         Camera cam = Camera::fromFov(64, 64, scene.fovYDeg, traj[0]);
-        std::vector<std::uint8_t> ctrace =
-            captureTrace(scene, kind, model, cam, 64);
+        std::vector<std::uint8_t> ctrace = captureTrace(kind, model, cam);
         TraceFileReader reader(ctrace);
         CacheStackResult res = runCacheStack(fileSource(reader));
 
@@ -468,8 +462,8 @@ fig06(Lab &lab)
     bool sensitivity = true, channelFree = true;
     for (ModelKind kind : allModelKinds()) {
         Camera cam = Camera::fromFov(48, 48, scene.fovYDeg, traj[0]);
-        std::vector<std::uint8_t> ctrace = captureTrace(
-            scene, kind, lab.model(kind, GridLayout::Linear), cam, 48);
+        std::vector<std::uint8_t> ctrace =
+            captureTrace(kind, lab.model(kind, GridLayout::Linear), cam);
         TraceFileReader trace(ctrace);
         auto conflictPct = [&](std::uint32_t banks, std::uint32_t rays,
                                SramLayout layout) {

@@ -522,20 +522,10 @@ BM_DsePoint(benchmark::State &state)
         orbit.radius = benchScene().cameraDistance;
         const Camera cam = Camera::fromFov(8, 8, benchScene().fovYDeg,
                                            orbitTrajectory(orbit, 1)[0]);
-        TraceFileMeta meta;
-        meta.scene = benchScene().name;
-        meta.encoding = model->encoding().name();
-        meta.width = meta.height = 8;
-        meta.featureBytes = static_cast<std::uint32_t>(
-            model->encoding().featureDim() * kBytesPerChannel);
         std::vector<std::uint8_t> ctrace;
-        TraceFileWriter writer(ctrace, meta);
-        TraceWorkloadDescriptor desc;
-        desc.work = model->traceWorkload(cam, &writer);
-        desc.plan = model->encoding().streamingFootprint(
-            model->collectSamplePositions(cam));
-        desc.vertexBytes = meta.featureBytes;
-        writer.setWorkloadSummary(toSummary(desc));
+        TraceFileWriter writer(ctrace, captureMeta(*model, cam));
+        writer.setWorkloadSummary(
+            toSummary(measureWorkload(*model, cam, &writer)));
         writer.close();
         return std::make_unique<TraceFileReader>(ctrace);
     }();

@@ -1,7 +1,8 @@
-#include "dse/accel_replay.hh"
+#include "accel/accel_replay.hh"
 
 #include <stdexcept>
 
+#include "common/parallel.hh"
 #include "common/stats.hh"
 #include "memory/cache_model.hh"
 #include "memory/dram_model.hh"
@@ -50,15 +51,38 @@ fromSummary(const TraceWorkloadSummary &summary)
     return d;
 }
 
+std::uint32_t
+vertexBytes(const NerfModel &model)
+{
+    return static_cast<std::uint32_t>(model.encoding().featureDim() *
+                                      kBytesPerChannel);
+}
+
 TraceWorkloadDescriptor
-measureWorkload(const NerfModel &model, const Camera &cam)
+measureWorkload(const NerfModel &model, const Camera &cam, TraceSink *sink)
 {
     TraceWorkloadDescriptor desc;
-    desc.work = model.traceWorkload(cam, nullptr);
+    desc.work = model.traceWorkload(cam, sink);
     desc.plan = model.encoding().streamingFootprint(
         model.collectSamplePositions(cam));
-    desc.vertexBytes = model.encoding().featureDim() * kBytesPerChannel;
+    desc.vertexBytes = vertexBytes(model);
     return desc;
+}
+
+TraceFileMeta
+captureMeta(const NerfModel &model, const Camera &cam)
+{
+    TraceFileMeta meta;
+    meta.scene = model.scene().name;
+    meta.encoding = model.encoding().name();
+    meta.width = static_cast<std::uint32_t>(cam.width);
+    meta.height = static_cast<std::uint32_t>(cam.height);
+    meta.threads = static_cast<std::uint32_t>(parallelThreadCount());
+    meta.featureBytes = vertexBytes(model);
+    meta.storageMode = model.encoding().featuresFp16()
+                           ? TraceStorageMode::Fp16
+                           : TraceStorageMode::Fp32;
+    return meta;
 }
 
 TraceWorkloadDescriptor
@@ -98,9 +122,7 @@ struct AccelStacks::BaselineSinks
     BankConflictSim sim;
 };
 
-AccelStacks::AccelStacks(const TraceWorkloadDescriptor &desc) : _desc(desc)
-{
-}
+AccelStacks::AccelStacks() = default;
 
 AccelStacks::~AccelStacks() = default;
 
@@ -111,11 +133,11 @@ AccelStacks::attachGpu(const GpuStackConfig &config)
 }
 
 void
-AccelStacks::attachBaselines(const BaselineStackConfig &config)
+AccelStacks::attachBaselines(const BaselineStackConfig &config,
+                             std::uint32_t vertexBytes)
 {
     SramBankConfig bank = config.bank;
-    bank.featureBytes = _desc.vertexBytes ? _desc.vertexBytes
-                                          : bank.featureBytes;
+    bank.featureBytes = vertexBytes ? vertexBytes : bank.featureBytes;
     bank.layout = SramLayout::FeatureMajor;
     _baselines = std::make_unique<BaselineSinks>(config, bank);
 }
@@ -150,7 +172,7 @@ AccelStacks::onFlush()
 }
 
 GpuStackResult
-AccelStacks::gpu() const
+AccelStacks::gpu(const TraceWorkloadDescriptor &desc) const
 {
     if (!_gpu)
         throw std::logic_error("AccelStacks::gpu: no GPU sinks attached");
@@ -163,31 +185,33 @@ AccelStacks::gpu() const
         _gpu->dram.stats().nonStreamingFraction();
 
     GpuModel gpu(config.gpu);
-    result.times = gpu.timeNerfFrame(_desc.work, result.profile);
+    result.times = gpu.timeNerfFrame(desc.work, result.profile);
     result.timeMs = result.times.totalMs();
     result.energyNj =
         gpu.energyNj(result.timeMs) +
-        gpu.gatherDramEnergyNj(_desc.work, result.profile, config.energy);
+        gpu.gatherDramEnergyNj(desc.work, result.profile, config.energy);
     return result;
 }
 
 NpuStackResult
-AccelStacks::npu(const NpuConfig &config,
+AccelStacks::npu(const TraceWorkloadDescriptor &desc,
+                 const NpuConfig &config,
                  const EnergyConstants &energy) const
 {
     NpuModel npu(config);
     NpuStackResult result;
     result.accesses = _accesses;
     result.rays = _rays;
-    result.mlpMs = npu.mlpTimeMs(_desc.work.mlpMacs);
+    result.mlpMs = npu.mlpTimeMs(desc.work.mlpMacs);
     result.timeMs = result.mlpMs;
     result.energyNj = npu.energyNj(result.timeMs) +
-                      npu.macEnergyNj(_desc.work.mlpMacs, energy);
+                      npu.macEnergyNj(desc.work.mlpMacs, energy);
     return result;
 }
 
 GuStackResult
-AccelStacks::gu(const GuStackConfig &config) const
+AccelStacks::gu(const TraceWorkloadDescriptor &desc,
+                const GuStackConfig &config) const
 {
     // The channel-major layout of Sec. IV-B gives every PE its own
     // bank, so each fetch is granted on issue: requests = fetches =
@@ -198,12 +222,12 @@ AccelStacks::gu(const GuStackConfig &config) const
     result.channelMajor.requests = _accesses;
     result.channelMajor.fetches = _accesses;
     result.cost = GatheringUnitModel(config.gu).price(
-        _desc.plan, _desc.vertexBytes, config.dram, config.energy);
+        desc.plan, desc.vertexBytes, config.dram, config.energy);
     return result;
 }
 
 BaselineStackResult
-AccelStacks::baselines() const
+AccelStacks::baselines(const TraceWorkloadDescriptor &desc) const
 {
     if (!_baselines)
         throw std::logic_error(
@@ -214,9 +238,9 @@ AccelStacks::baselines() const
     result.rays = _rays;
     result.bankConflictRate = _baselines->sim.stats().conflictRate();
     result.neurex = NeurexModel(config.neurex)
-                        .price(_desc.work, result.bankConflictRate,
+                        .price(desc.work, result.bankConflictRate,
                                config.dram, config.energy);
-    result.ngpc = NgpcModel(config.ngpc).price(_desc.work, config.energy);
+    result.ngpc = NgpcModel(config.ngpc).price(desc.work, config.energy);
     return result;
 }
 
@@ -225,10 +249,10 @@ runGpuStack(const TraceSourceFn &source,
             const TraceWorkloadDescriptor &desc,
             const GpuStackConfig &config)
 {
-    AccelStacks stacks(desc);
+    AccelStacks stacks;
     stacks.attachGpu(config);
     source(&stacks);
-    return stacks.gpu();
+    return stacks.gpu(desc);
 }
 
 NpuStackResult
@@ -236,18 +260,18 @@ runNpuStack(const TraceSourceFn &source,
             const TraceWorkloadDescriptor &desc, const NpuConfig &config,
             const EnergyConstants &energy)
 {
-    AccelStacks stacks(desc);
+    AccelStacks stacks;
     source(&stacks);
-    return stacks.npu(config, energy);
+    return stacks.npu(desc, config, energy);
 }
 
 GuStackResult
 runGuStack(const TraceSourceFn &source,
            const TraceWorkloadDescriptor &desc, const GuStackConfig &config)
 {
-    AccelStacks stacks(desc);
+    AccelStacks stacks;
     source(&stacks);
-    return stacks.gu(config);
+    return stacks.gu(desc, config);
 }
 
 BaselineStackResult
@@ -255,10 +279,10 @@ runBaselineStack(const TraceSourceFn &source,
                  const TraceWorkloadDescriptor &desc,
                  const BaselineStackConfig &config)
 {
-    AccelStacks stacks(desc);
-    stacks.attachBaselines(config);
+    AccelStacks stacks;
+    stacks.attachBaselines(config, desc.vertexBytes);
     source(&stacks);
-    return stacks.baselines();
+    return stacks.baselines(desc);
 }
 
 namespace {

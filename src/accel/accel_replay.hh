@@ -1,38 +1,41 @@
 /**
  * @file
- * Accelerator-model replay stacks: run every `src/accel/` model — GPU,
- * NPU, Gathering Unit, and the NeuRex/NGPC baselines — from a
- * TraceSourceFn, exactly like the memory-model stacks in
- * memory/replay.hh.
+ * Accelerator-model stacks: run every `src/accel/` model — GPU, NPU,
+ * Gathering Unit, and the NeuRex/NGPC baselines — from a frame's
+ * gather stream, live or replayed, exactly like the memory-model
+ * stacks in memory/replay.hh.
  *
  * The access stream alone does not determine an accelerator price:
  * the models consume derived quantities (StageWork op counts, the
  * encoding's StreamPlan, the vertex feature size) that the renderer
  * measures at capture time. Trace containers therefore persist a
  * TraceWorkloadSummary in the header holding those exact integers;
- * a TraceWorkloadDescriptor is its in-memory form. A live run derives
- * the descriptor with measureWorkload(); a replay run recovers the
- * identical integers with workloadFromTrace() — so replayed
- * accelerator stats are bit-identical to live ones, extending the
- * capture-once / replay-many contract from the memory stacks to the
- * full accelerator models.
+ * a TraceWorkloadDescriptor is its in-memory form. A live frame is
+ * measured by measureWorkload(), whose one traced walk both feeds a
+ * sink and yields the descriptor; a replay run recovers the identical
+ * integers with workloadFromTrace() — so replayed accelerator stats
+ * are bit-identical to live ones, extending the capture-once /
+ * replay-many contract from the memory stacks to the full accelerator
+ * models.
  *
- * A trace is replayed once into AccelStacks, which holds every stack's
- * sinks and prices each stack from what they observed: the GPU stack
- * measures its GatherProfile (cache miss rate, DRAM random fraction)
- * through warp-interleaved cache and DRAM probes, the baseline stack
- * runs a feature-major bank-conflict simulation over the raw stream,
- * and one count of the stream gives all four stacks their accesses
- * and rays — every replayed byte is observed, so a stream/summary
- * mismatch shows up in the stats. The NPU and GU stacks need only that
- * count; the GU needs no simulation, because its channel-major layout
- * is conflict-free by the construction of the Sec. IV-B schedule. A
- * DSE point replays its trace once into all four stacks; each
- * run*Stack replays it into its own stack's sinks alone.
+ * A frame's stream is walked once into AccelStacks, which holds every
+ * stack's sinks and prices each stack from what they observed: the
+ * GPU stack measures its GatherProfile (cache miss rate, DRAM random
+ * fraction) through warp-interleaved cache and DRAM probes, the
+ * baseline stack runs a feature-major bank-conflict simulation over
+ * the raw stream, and one count of the stream gives all four stacks
+ * their accesses and rays — every replayed byte is observed, so a
+ * stream/summary mismatch shows up in the stats. The NPU and GU
+ * stacks need only that count; the GU needs no simulation, because
+ * its channel-major layout is conflict-free by the construction of
+ * the Sec. IV-B schedule. This is the one wiring of those sinks: the
+ * full-frame probe (cicero/probe.hh), the live side of
+ * `cicero_dse --check` and every DSE point walk their frame into it;
+ * each run*Stack walks a stream into its own stack's sinks alone.
  */
 
-#ifndef CICERO_DSE_ACCEL_REPLAY_HH
-#define CICERO_DSE_ACCEL_REPLAY_HH
+#ifndef CICERO_ACCEL_ACCEL_REPLAY_HH
+#define CICERO_ACCEL_ACCEL_REPLAY_HH
 
 #include <cstdint>
 #include <memory>
@@ -43,6 +46,7 @@
 #include "accel/gpu_model.hh"
 #include "accel/npu_model.hh"
 #include "memory/replay.hh"
+#include "memory/tracefile.hh"
 #include "nerf/encoding.hh"
 #include "nerf/renderer.hh"
 #include "nerf/workload.hh"
@@ -67,13 +71,27 @@ TraceWorkloadSummary toSummary(const TraceWorkloadDescriptor &desc);
 /** Convert the container's serialized form back to a descriptor. */
 TraceWorkloadDescriptor fromSummary(const TraceWorkloadSummary &summary);
 
+/** Bytes of one feature vector of @p model: featureDim x 2 B. */
+std::uint32_t vertexBytes(const NerfModel &model);
+
 /**
- * Measure the workload descriptor live: op counts from a functional
- * trace pass, the streaming footprint from the encoding, the vertex
- * size from the feature dimension.
+ * Measure @p model's frame at @p cam live: one traced workload walk,
+ * which streams the frame's gather accesses into @p sink (none when
+ * null) and gives the op counts, plus the footprint walk for the
+ * encoding's StreamPlan. The one way a live frame becomes a measured
+ * workload.
  */
 TraceWorkloadDescriptor measureWorkload(const NerfModel &model,
-                                        const Camera &cam);
+                                        const Camera &cam,
+                                        TraceSink *sink = nullptr);
+
+/**
+ * The container metadata a capture of @p model at @p cam determines:
+ * scene, encoding, size, capture thread count, featureBytes and the
+ * feature storage mode. The model-kind name (`model`) is the
+ * caller's.
+ */
+TraceFileMeta captureMeta(const NerfModel &model, const Camera &cam);
 
 /**
  * Recover the descriptor persisted in a trace container.
@@ -115,9 +133,8 @@ struct GpuStackResult
 };
 
 /**
- * Replay @p source through warp-interleaved cache and DRAM probes (the
- * probe.cc arrangement), then price the frame on the GPU model with the
- * measured profile.
+ * Replay @p source through warp-interleaved cache and DRAM probes,
+ * then price the frame on the GPU model with the measured profile.
  */
 GpuStackResult runGpuStack(const TraceSourceFn &source,
                            const TraceWorkloadDescriptor &desc,
@@ -184,7 +201,7 @@ struct BaselineStackConfig
     NeurexConfig neurex;
     NgpcConfig ngpc;
     SramBankConfig bank; //!< feature-major sim; featureBytes comes from
-                         //!< the descriptor's vertex size
+                         //!< the trace's vertex size
     DramConfig dram;
     EnergyConstants energy;
 };
@@ -207,54 +224,59 @@ BaselineStackResult runBaselineStack(const TraceSourceFn &source,
                                      const BaselineStackConfig &config = {});
 
 // ---------------------------------------------------------------------
-// One replay, every stack
+// One walk, every stack
 // ---------------------------------------------------------------------
 
 /**
- * The accelerator stacks over one replay of a trace: the sinks that
- * observe the stream, and each stack's price of what they observed.
+ * The accelerator stacks over one walk of a frame's stream: the sinks
+ * that observe it, and each stack's price of what they observed.
  *
- * Attach the sinks of the stacks to price, feed the object one trace
- * (`source(&stacks)`), then price them. Every stack's accesses and
- * rays come from the one count this object keeps. The NPU and GU
- * stacks need only that count; the GPU and baseline stacks price what
- * their attached sinks measured. Each run*Stack function above is this
- * object fed for its one stack.
+ * Attach the sinks of the stacks to price, which need only their
+ * configs and the vertex size; walk one stream into the object
+ * (`source(&stacks)`, or `measureWorkload(model, cam, &stacks)` live);
+ * then price the stacks on the frame's descriptor. Every stack's
+ * accesses and rays come from the one count this object keeps. The
+ * NPU and GU stacks need only that count; the GPU and baseline stacks
+ * price what their attached sinks measured. Each run*Stack function
+ * above is this object fed for its one stack.
  */
 class AccelStacks final : public TraceSink
 {
   public:
-    explicit AccelStacks(const TraceWorkloadDescriptor &desc);
+    AccelStacks();
     ~AccelStacks() override;
     AccelStacks(const AccelStacks &) = delete;
     AccelStacks &operator=(const AccelStacks &) = delete;
 
     /** The GPU stack's sinks: warp interleaving in front of the DRAM
-     *  and cache probes (the probe.cc arrangement). */
+     *  and cache probes. */
     void attachGpu(const GpuStackConfig &config);
 
     /** The baseline stack's sink: a feature-major (NeuRex layout)
-     *  bank-conflict simulation of the raw stream. */
-    void attachBaselines(const BaselineStackConfig &config);
+     *  bank-conflict simulation of the raw stream, its vectors
+     *  @p vertexBytes wide (0 keeps config.bank.featureBytes). */
+    void attachBaselines(const BaselineStackConfig &config,
+                         std::uint32_t vertexBytes);
 
     void onAccess(const MemAccess &access) override;
     void onRayEnd(std::uint32_t rayId) override;
     void onFlush() override;
 
     /** GPU price on the measured profile. @pre attachGpu(). */
-    GpuStackResult gpu() const;
-    NpuStackResult npu(const NpuConfig &config = {},
+    GpuStackResult gpu(const TraceWorkloadDescriptor &desc) const;
+    NpuStackResult npu(const TraceWorkloadDescriptor &desc,
+                       const NpuConfig &config = {},
                        const EnergyConstants &energy = {}) const;
-    GuStackResult gu(const GuStackConfig &config = {}) const;
+    GuStackResult gu(const TraceWorkloadDescriptor &desc,
+                     const GuStackConfig &config = {}) const;
     /** Baseline prices on the measured conflict rate.
      *  @pre attachBaselines(). */
-    BaselineStackResult baselines() const;
+    BaselineStackResult baselines(const TraceWorkloadDescriptor &desc) const;
 
   private:
     struct GpuSinks;
     struct BaselineSinks;
 
-    TraceWorkloadDescriptor _desc;
     std::uint64_t _accesses = 0;
     std::uint64_t _rays = 0;
     std::unique_ptr<GpuSinks> _gpu;
@@ -273,4 +295,4 @@ std::string statsJson(const BaselineStackResult &result);
 
 } // namespace cicero
 
-#endif // CICERO_DSE_ACCEL_REPLAY_HH
+#endif // CICERO_ACCEL_ACCEL_REPLAY_HH

@@ -2,8 +2,7 @@
 
 #include <cassert>
 
-#include "memory/cache_model.hh"
-#include "memory/sram_bank_model.hh"
+#include "accel/accel_replay.hh"
 
 namespace cicero {
 
@@ -37,33 +36,24 @@ probeFullFrame(const NerfModel &model, const Pose &pose,
     Camera cam = Camera::fromFov(options.traceRes, options.traceRes,
                                  options.fovYDeg, pose);
 
+    // One traced walk into the GPU and baseline stacks' sinks gives
+    // the stage work, the gather profile and the bank conflict rate.
+    AccelStacks stacks;
+    GpuStackConfig gpu;
+    gpu.warpWays = options.interleaveWays;
+    stacks.attachGpu(gpu);
+    stacks.attachBaselines({}, vertexBytes(model));
+    const TraceWorkloadDescriptor desc = measureWorkload(model, cam, &stacks);
+
     WorkloadInputs inputs;
     inputs.window = options.window;
     inputs.framePixels =
         static_cast<std::uint64_t>(options.targetRes) * options.targetRes;
-    inputs.vertexBytes =
-        model.encoding().featureDim() * kBytesPerChannel;
-
-    DramModel dram;
-    LruCache cache;
-    BankConflictSim bank;
-    WarpInterleaver interleaver(options.interleaveWays);
-    interleaver.addSink(&dram);
-    interleaver.addSink(&cache);
-    TraceTee tee;
-    tee.addSink(&interleaver);
-    tee.addSink(&bank); // the bank sim does its own ray slotting
-
-    StageWork work = model.traceWorkload(cam, &tee);
-    inputs.fullFrame = work.scaled(k);
-    inputs.gatherProfile.cacheMissRate = cache.stats().missRate();
-    inputs.gatherProfile.randomFraction =
-        dram.stats().nonStreamingFraction();
-    inputs.bankConflictRate = bank.stats().conflictRate();
-
-    StreamPlan plan = model.encoding().streamingFootprint(
-        model.collectSamplePositions(cam));
-    inputs.fullStreamPlan = scalePlan(plan, k);
+    inputs.vertexBytes = desc.vertexBytes;
+    inputs.fullFrame = desc.work.scaled(k);
+    inputs.gatherProfile = stacks.gpu(desc).profile;
+    inputs.bankConflictRate = stacks.baselines(desc).bankConflictRate;
+    inputs.fullStreamPlan = scalePlan(desc.plan, k);
     return inputs;
 }
 

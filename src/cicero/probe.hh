@@ -33,7 +33,10 @@ struct ProbeOptions
 /**
  * Measure the full-frame workload of @p model at @p pose: stage work,
  * gather profile (cache miss + streaming fraction), feature-major bank
- * conflict rate, and the FS streaming plan — all scaled to targetRes.
+ * conflict rate of the model's feature vectors, and the FS streaming
+ * plan — all scaled to targetRes. The frame is walked once into the
+ * GPU and baseline stacks of accel/accel_replay.hh, so at traceRes ==
+ * targetRes the profile and conflict rate are those stacks' own.
  */
 WorkloadInputs probeFullFrame(const NerfModel &model, const Pose &pose,
                               const ProbeOptions &options = {});

@@ -178,11 +178,11 @@ evaluatePoint(const TraceSourceFn &source,
     baseCfg.dram.bandwidthGBs = config.dramGBs;
 
     // One replay of the trace feeds all four stacks.
-    AccelStacks stacks(desc);
+    AccelStacks stacks;
     stacks.attachGpu(gpuCfg);
-    stacks.attachBaselines(baseCfg);
+    stacks.attachBaselines(baseCfg, desc.vertexBytes);
     source(&stacks);
-    const GpuStackResult gpu = stacks.gpu();
+    const GpuStackResult gpu = stacks.gpu(desc);
 
     DsePointResult point;
     point.traceId = traceId;
@@ -207,9 +207,9 @@ evaluatePoint(const TraceSourceFn &source,
     point.gpuEnergyNj = gpu.energyNj;
 
     point.gpuJson = statsJson(gpu);
-    point.npuJson = statsJson(stacks.npu());
-    point.guJson = statsJson(stacks.gu(guCfg));
-    point.baselinesJson = statsJson(stacks.baselines());
+    point.npuJson = statsJson(stacks.npu(desc));
+    point.guJson = statsJson(stacks.gu(desc, guCfg));
+    point.baselinesJson = statsJson(stacks.baselines(desc));
     return point;
 }
 

@@ -6,7 +6,7 @@
  * size and bank count, DRAM bandwidth, baseline SRAM banking,
  * concurrent rays) expands into a full cartesian config grid; the
  * driver prices every (trace, config) pair by replaying the trace once
- * into all four accelerator stacks of dse/accel_replay.hh
+ * into all four accelerator stacks of accel/accel_replay.hh
  * (AccelStacks). The Cicero frame price comes from PerformanceModel
  * (cicero/pipeline.hh) on the GatherProfile the GPU stack measured:
  * GPU indexing + compositing, then gather on the GU overlapped with
@@ -33,7 +33,7 @@
 #include <string>
 #include <vector>
 
-#include "dse/accel_replay.hh"
+#include "accel/accel_replay.hh"
 #include "dse/corpus.hh"
 
 namespace cicero::dse {

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "accel/accel_replay.hh"
 #include "cicero/pipeline.hh"
 #include "cicero/probe.hh"
 #include "test_util.hh"
@@ -236,6 +237,34 @@ expectSamePlan(const StreamPlan &a, const StreamPlan &b)
     EXPECT_EQ(a.randomBytes, b.randomBytes);
     EXPECT_EQ(a.ritEntries, b.ritEntries);
     EXPECT_EQ(a.ritBytes, b.ritBytes);
+}
+
+TEST(ProbeTest, FullFrameIsTheStacksMeasurement)
+{
+    // At traceRes == targetRes nothing is scaled, so the probe's stage
+    // work, gather profile, feature-major conflict rate and streaming
+    // plan are what the GPU and baseline stacks and measureWorkload
+    // give for the same camera's live stream.
+    auto model = test::tinyModel();
+    ProbeOptions opts;
+    opts.traceRes = opts.targetRes = 24;
+    const Pose pose = test::tinyOrbit(2)[0];
+    const WorkloadInputs in = probeFullFrame(*model, pose, opts);
+
+    const Camera cam = Camera::fromFov(opts.traceRes, opts.traceRes,
+                                       opts.fovYDeg, pose);
+    const TraceWorkloadDescriptor desc = measureWorkload(*model, cam);
+    const TraceSourceFn live = liveSource(*model, cam);
+    const GatherProfile profile = runGpuStack(live, desc).profile;
+    EXPECT_EQ(bits(in.gatherProfile.cacheMissRate),
+              bits(profile.cacheMissRate));
+    EXPECT_EQ(bits(in.gatherProfile.randomFraction),
+              bits(profile.randomFraction));
+    EXPECT_EQ(bits(in.bankConflictRate),
+              bits(runBaselineStack(live, desc).bankConflictRate));
+    EXPECT_EQ(in.vertexBytes, desc.vertexBytes);
+    expectSameWork(in.fullFrame, desc.work);
+    expectSamePlan(in.fullStreamPlan, desc.plan);
 }
 
 void

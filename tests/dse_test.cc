@@ -19,9 +19,9 @@
 #include <string>
 #include <vector>
 
+#include "accel/accel_replay.hh"
 #include "cicero/pipeline.hh"
 #include "common/parallel.hh"
-#include "dse/accel_replay.hh"
 #include "dse/corpus.hh"
 #include "dse/driver.hh"
 #include "dse/minijson.hh"
@@ -38,36 +38,6 @@ struct ThreadCountGuard
 {
     ~ThreadCountGuard() { setParallelThreadCount(0); }
 };
-
-TraceFileMeta
-metaFor(const NerfModel &model, const std::string &scene, int res)
-{
-    TraceFileMeta meta;
-    meta.scene = scene;
-    meta.encoding = model.encoding().name();
-    meta.width = meta.height = static_cast<std::uint32_t>(res);
-    meta.threads = static_cast<std::uint32_t>(parallelThreadCount());
-    meta.featureBytes = static_cast<std::uint32_t>(
-        model.encoding().featureDim() * kBytesPerChannel);
-    return meta;
-}
-
-/** Capture one frame into @p ctrace with its workload summary. */
-TraceWorkloadDescriptor
-captureWithSummary(const NerfModel &model, const Camera &cam, int res,
-                   std::vector<std::uint8_t> &ctrace)
-{
-    TraceFileMeta meta = metaFor(model, "tiny", res);
-    TraceFileWriter writer(ctrace, meta);
-    TraceWorkloadDescriptor desc;
-    desc.work = model.traceWorkload(cam, &writer);
-    desc.plan = model.encoding().streamingFootprint(
-        model.collectSamplePositions(cam));
-    desc.vertexBytes = meta.featureBytes;
-    writer.setWorkloadSummary(toSummary(desc));
-    writer.close();
-    return desc;
-}
 
 // ---------------------------------------------------------------------
 // Accelerator replay: live vs file source
@@ -94,7 +64,10 @@ TEST(DseAccelReplayTest, ReplayStatsBitIdenticalToLiveAllStacks)
     for (int threads : {1, 4}) {
         setParallelThreadCount(threads);
         std::vector<std::uint8_t> ctrace;
-        captureWithSummary(*model, cam, res, ctrace);
+        TraceFileWriter writer(ctrace, captureMeta(*model, cam));
+        writer.setWorkloadSummary(
+            toSummary(measureWorkload(*model, cam, &writer)));
+        writer.close();
 
         TraceFileReader reader(ctrace);
         ASSERT_TRUE(reader.hasWorkloadSummary());
@@ -139,7 +112,10 @@ TEST(DseAccelReplayTest, WorkloadSummaryRoundTrip)
     // And through the container: the persisted summary recovers the
     // identical integers.
     std::vector<std::uint8_t> ctrace;
-    captureWithSummary(*model, cam, 16, ctrace);
+    TraceFileWriter writer(ctrace, captureMeta(*model, cam));
+    writer.setWorkloadSummary(
+        toSummary(measureWorkload(*model, cam, &writer)));
+    writer.close();
     TraceFileReader reader(ctrace);
     TraceWorkloadDescriptor fromFile = workloadFromTrace(reader);
     EXPECT_EQ(desc.work.mlpMacs, fromFile.work.mlpMacs);
@@ -156,7 +132,7 @@ TEST(DseAccelReplayTest, TraceWithoutSummaryThrows)
 
     std::vector<std::uint8_t> ctrace;
     {
-        TraceFileWriter writer(ctrace, metaFor(*model, "tiny", 16));
+        TraceFileWriter writer(ctrace, captureMeta(*model, cam));
         model->traceWorkload(cam, &writer);
         writer.close();
     }
@@ -426,7 +402,10 @@ struct TempCorpus
         auto model = test::tinyModel();
         Camera cam = test::tinyCamera(20);
         std::vector<std::uint8_t> ctrace;
-        captureWithSummary(*model, cam, 20, ctrace);
+        TraceFileWriter writer(ctrace, captureMeta(*model, cam));
+        writer.setWorkloadSummary(
+            toSummary(measureWorkload(*model, cam, &writer)));
+        writer.close();
         for (int f = 0; f < frames; ++f) {
             dse::CorpusEntry entry;
             entry.id = "tiny_f" + std::to_string(f);
@@ -599,7 +578,10 @@ TEST(DseDriverTest, OnePassPointMatchesPerStackReplays)
         SCOPED_TRACE(modelName(kind));
         const auto model = buildModel(kind, scene);
         std::vector<std::uint8_t> ctrace;
-        captureWithSummary(*model, cam, 8, ctrace);
+        TraceFileWriter writer(ctrace, captureMeta(*model, cam));
+        writer.setWorkloadSummary(
+            toSummary(measureWorkload(*model, cam, &writer)));
+        writer.close();
         const TraceFileReader reader(ctrace);
         const TraceWorkloadDescriptor desc = workloadFromTrace(reader);
         const TraceSourceFn source = fileSource(reader);

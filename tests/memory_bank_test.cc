@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "cicero/interleave.hh"
 #include "common/rng.hh"
 #include "memory/sram_bank_model.hh"
 
@@ -283,34 +282,6 @@ TEST(BankConflictTest, MidRayFlushEndsOpenRay)
     expectStats(sim, 3, 1, 2, 2);
     sim.onFlush(); // nothing left to hand over
     expectStats(sim, 3, 1, 2, 2);
-}
-
-TEST(InterleaveTest, FeatureMajorMapsWholeVectors)
-{
-    FeatureMajorMap map{16};
-    EXPECT_EQ(map.bankOf(0), 0u);
-    EXPECT_EQ(map.bankOf(17), 1u);
-    EXPECT_EQ(map.rowOf(17), 1u);
-}
-
-TEST(InterleaveTest, ChannelMajorDedicatesPeToBank)
-{
-    ChannelMajorMap map{16};
-    for (std::uint32_t ch = 0; ch < 64; ++ch)
-        EXPECT_EQ(map.peOf(ch), map.bankOf(ch));
-    // Channels wrap when featureDim > banks.
-    EXPECT_EQ(map.bankOf(16), 0u);
-    EXPECT_EQ(map.rowOf(3, 16, 32), 3u * 2 + 1);
-}
-
-TEST(InterleaveTest, NoTwoPesShareABank)
-{
-    // Structural property: distinct PEs (channels mod B) touch distinct
-    // banks within one cycle, for any vertex.
-    ChannelMajorMap map{16};
-    for (std::uint32_t c1 = 0; c1 < 16; ++c1)
-        for (std::uint32_t c2 = c1 + 1; c2 < 16; ++c2)
-            EXPECT_NE(map.bankOf(c1), map.bankOf(c2));
 }
 
 } // namespace

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "accel/accel_replay.hh"
 #include "common/parallel.hh"
 #include "memory/replay.hh"
 #include "memory/tracefile.hh"
@@ -48,19 +49,6 @@ struct EventRecorder : public TraceSink
     void onFlush() override { events.push_back("F"); }
 };
 
-TraceFileMeta
-metaFor(const NerfModel &model, const std::string &scene, int res)
-{
-    TraceFileMeta meta;
-    meta.scene = scene;
-    meta.encoding = model.encoding().name();
-    meta.width = meta.height = static_cast<std::uint32_t>(res);
-    meta.threads = static_cast<std::uint32_t>(parallelThreadCount());
-    meta.featureBytes = static_cast<std::uint32_t>(
-        model.encoding().featureDim() * kBytesPerChannel);
-    return meta;
-}
-
 // ---------------------------------------------------------------------
 // Round-trip byte identity
 // ---------------------------------------------------------------------
@@ -90,8 +78,7 @@ TEST(TraceFileTest, RoundTripByteIdentityAcrossEncodingsAndThreads)
             setParallelThreadCount(threads);
             std::vector<std::uint8_t> ctrace;
             {
-                TraceFileWriter writer(ctrace,
-                                       metaFor(*model, scene.name, res));
+                TraceFileWriter writer(ctrace, captureMeta(*model, cam));
                 model->traceWorkload(cam, &writer);
                 writer.close();
             }
@@ -114,7 +101,7 @@ TEST(TraceFileTest, ReaderReplaysRepeatedly)
 
     std::vector<std::uint8_t> ctrace;
     {
-        TraceFileWriter writer(ctrace, metaFor(*model, "tiny", 16));
+        TraceFileWriter writer(ctrace, captureMeta(*model, cam));
         model->traceWorkload(cam, &writer);
         writer.close();
     }
@@ -137,7 +124,7 @@ TEST(TraceFileTest, EventBreakdownBytesSumToPayload)
 
     std::vector<std::uint8_t> ctrace;
     {
-        TraceFileWriter writer(ctrace, metaFor(*model, "tiny", 16));
+        TraceFileWriter writer(ctrace, captureMeta(*model, cam));
         model->traceWorkload(cam, &writer);
         writer.close();
     }
@@ -167,7 +154,7 @@ TEST(TraceFileTest, CompressedTraceIsAtMostQuarterOfRawStream)
 
     std::vector<std::uint8_t> ctrace;
     {
-        TraceFileWriter writer(ctrace, metaFor(*model, scene.name, 48));
+        TraceFileWriter writer(ctrace, captureMeta(*model, cam));
         model->render(cam, &writer);
         writer.close();
     }
@@ -275,22 +262,19 @@ TEST(TraceFileTest, StorageModeRoundTripsAndFlagsMismatch)
 
 TEST(TraceFileTest, QuantizedEncodingTagsCaptureFp16)
 {
-    // End-to-end: a capture over an fp16-quantized encoding records
-    // Fp16 and is consistent; the same capture without quantization
-    // records Fp32 and is flagged.
+    // End-to-end: the header captureMeta builds for a capture over an
+    // fp16-quantized encoding records Fp16 and is consistent; the same
+    // capture without quantization records Fp32 and is flagged.
     ThreadCountGuard guard;
     setParallelThreadCount(1);
     auto model = test::tinyModel();
 
     auto capture = [&](TraceStorageMode tagged) {
-        TraceFileMeta meta = metaFor(*model, "tiny", 12);
-        meta.storageMode = model->encoding().featuresFp16()
-                               ? TraceStorageMode::Fp16
-                               : TraceStorageMode::Fp32;
+        Camera cam = test::tinyCamera(12);
+        TraceFileMeta meta = captureMeta(*model, cam);
         EXPECT_EQ(meta.storageMode, tagged);
         std::vector<std::uint8_t> buf;
         TraceFileWriter writer(buf, meta);
-        Camera cam = test::tinyCamera(12);
         model->traceWorkload(cam, &writer);
         writer.close();
         return buf;
@@ -543,7 +527,7 @@ TEST(TraceFileTest, ReplayedStatsJsonBitIdenticalToLive)
 
     std::vector<std::uint8_t> ctrace;
     {
-        TraceFileWriter writer(ctrace, metaFor(*model, "tiny", 32));
+        TraceFileWriter writer(ctrace, captureMeta(*model, cam));
         model->traceWorkload(cam, &writer);
         writer.close();
     }

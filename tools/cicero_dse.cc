@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <exception>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -120,22 +121,32 @@ checkReplayMatchesLive(const Corpus &corpus, const CorpusEntry &entry)
     Camera cam = Camera::fromFov(entry.res, entry.res, scene.fovYDeg,
                                  traj[entry.frame]);
 
-    // Each side is one pass of its stream into all four stacks.
-    auto stackJsons = [](const TraceSourceFn &source,
-                         const TraceWorkloadDescriptor &desc) {
-        AccelStacks stacks(desc);
-        stacks.attachGpu({});
-        stacks.attachBaselines({});
-        source(&stacks);
-        return std::array<std::string, 4>{
-            statsJson(stacks.gpu()), statsJson(stacks.npu()),
-            statsJson(stacks.gu()), statsJson(stacks.baselines())};
-    };
-    const auto live = stackJsons(liveSource(*model, cam),
-                                 measureWorkload(*model, cam));
+    // Each side is one walk of its stream into all four stacks: live,
+    // measureWorkload's traced walk, which also gives the descriptor;
+    // replayed, the payload, priced on the header's descriptor.
+    const auto stackJsons =
+        [](std::uint32_t vertexBytes,
+           const std::function<TraceWorkloadDescriptor(TraceSink *)> &walk) {
+            AccelStacks stacks;
+            stacks.attachGpu({});
+            stacks.attachBaselines({}, vertexBytes);
+            const TraceWorkloadDescriptor desc = walk(&stacks);
+            return std::array<std::string, 4>{
+                statsJson(stacks.gpu(desc)), statsJson(stacks.npu(desc)),
+                statsJson(stacks.gu(desc)),
+                statsJson(stacks.baselines(desc))};
+        };
+    const auto live =
+        stackJsons(vertexBytes(*model), [&](TraceSink *sink) {
+            return measureWorkload(*model, cam, sink);
+        });
     TraceFileReader reader(corpus.tracePath(entry));
+    const TraceWorkloadDescriptor desc = workloadFromTrace(reader);
     const auto replayed =
-        stackJsons(fileSource(reader), workloadFromTrace(reader));
+        stackJsons(desc.vertexBytes, [&](TraceSink *sink) {
+            reader.replay(sink);
+            return desc;
+        });
 
     const char *const names[] = {"gpu", "npu", "gu", "baselines"};
     bool ok = true;

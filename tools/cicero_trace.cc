@@ -4,8 +4,9 @@
  * replay-many workflow:
  *
  *   cicero_trace capture --scene lego --model dvgo --res 64 -o t.ctrace
- *       Render (workload-trace) a scene frame and persist the gather
- *       access stream as a compressed .ctrace file.
+ *       Walk a scene frame's workload once (measureWorkload) and
+ *       persist its gather access stream as a compressed .ctrace file,
+ *       with the workload summary accelerator replays price.
  *
  *   cicero_trace replay t.ctrace --stack cache
  *       Stream a persisted trace through a memory-model stack (cache,
@@ -49,9 +50,8 @@
 #include <sys/stat.h>
 
 #include "cli.hh"
+#include "accel/accel_replay.hh"
 #include "common/errors.hh"
-#include "common/parallel.hh"
-#include "dse/accel_replay.hh"
 #include "dse/corpus.hh"
 #include "dse/minijson.hh"
 #include "memory/replay.hh"
@@ -73,14 +73,13 @@ usage()
         "commands:\n"
         "  capture -o FILE [--scene NAME] [--model ngp|dvgo|tensorf|enerf]\n"
         "          [--res N] [--frame K] [--preset fast|full]\n"
-        "          [--layout linear|mvoxel] [--mode workload|render]\n"
-        "          [--fp16]\n"
-        "      render one frame and persist its gather access stream;\n"
-        "      --fp16 quantizes feature storage first, so the trace's\n"
-        "      2 B/channel featureBytes accounting matches the run\n"
+        "          [--layout linear|mvoxel] [--fp16]\n"
+        "      walk one frame's workload and persist its gather access\n"
+        "      stream; --fp16 quantizes feature storage first, so the\n"
+        "      trace's 2 B/channel featureBytes accounting matches the run\n"
         "  capture-set -o DIR [--scenes A,B] [--models A,B] [--res N]\n"
         "          [--frames K] [--preset fast|full] [--layout ...]\n"
-        "          [--mode workload|render] [--fp16]\n"
+        "          [--fp16]\n"
         "      capture one trace per scene x model x frame into DIR and\n"
         "      write a corpus.json manifest (DSE corpus input)\n"
         "  replay FILE [--stack cache|bank|dram|gpu|npu|gu|accels]\n"
@@ -168,14 +167,13 @@ struct CaptureSpec
     std::uint32_t frame = 0;
     ModelBuildOptions opts;
     bool fp16 = false;
-    bool renderMode = false; //!< full render instead of workload trace
 };
 
 /**
- * Capture one trace to @p outPath: builds the model, renders the frame
- * into a TraceFileWriter, and embeds the workload summary (StageWork +
- * streaming footprint + vertex size) that replay-driven accelerator
- * runs read back.
+ * Capture one trace to @p outPath: one measureWorkload walk of the
+ * frame streams its gather accesses into a TraceFileWriter and gives
+ * the workload summary (StageWork + streaming footprint + vertex size)
+ * that replay-driven accelerator runs read back.
  */
 void
 captureOne(const CaptureSpec &spec, const NerfModel &model,
@@ -187,31 +185,11 @@ captureOne(const CaptureSpec &spec, const NerfModel &model,
     Camera cam = Camera::fromFov(spec.res, spec.res, scene.fovYDeg,
                                  traj[spec.frame]);
 
-    TraceFileMeta meta;
-    meta.scene = scene.name;
-    meta.encoding = model.encoding().name();
+    TraceFileMeta meta = captureMeta(model, cam);
     meta.model = modelName(spec.kind);
-    meta.width = spec.res;
-    meta.height = spec.res;
-    meta.threads = static_cast<std::uint32_t>(parallelThreadCount());
-    meta.featureBytes = static_cast<std::uint32_t>(
-        model.encoding().featureDim() * kBytesPerChannel);
-    meta.storageMode = model.encoding().featuresFp16()
-                           ? TraceStorageMode::Fp16
-                           : TraceStorageMode::Fp32;
-
     TraceFileWriter writer(outPath, meta);
-    TraceWorkloadDescriptor desc;
-    if (spec.renderMode) {
-        RenderResult result = model.render(cam, &writer);
-        desc.work = result.work;
-    } else {
-        desc.work = model.traceWorkload(cam, &writer);
-    }
-    desc.plan = model.encoding().streamingFootprint(
-        model.collectSamplePositions(cam));
-    desc.vertexBytes = meta.featureBytes;
-    writer.setWorkloadSummary(toSummary(desc));
+    writer.setWorkloadSummary(
+        toSummary(measureWorkload(model, cam, &writer)));
     writer.close();
 
     double ratio =
@@ -237,18 +215,15 @@ parseCaptureOpts(const cli::Args &cli, CaptureSpec &spec)
     if (!cli.optUint("--res", 64, 1, 4096, spec.res) ||
         !cli.optUint("--frame", 0, 0, 100000, spec.frame))
         return false;
-    std::string mode = cli.optValueOr("--mode", "workload");
     if (!parseModelPreset(cli.optValueOr("--preset", "fast"),
                           spec.opts.preset) ||
         !parseGridLayout(cli.optValueOr("--layout", "linear"),
-                         spec.opts.gridLayout) ||
-        (mode != "workload" && mode != "render")) {
-        std::fprintf(stderr, "capture: unknown --preset, --layout "
-                             "or --mode value\n");
+                         spec.opts.gridLayout)) {
+        std::fprintf(stderr,
+                     "capture: unknown --preset or --layout value\n");
         return false;
     }
     spec.fp16 = cli.optFlag("--fp16");
-    spec.renderMode = mode == "render";
     return true;
 }
 
