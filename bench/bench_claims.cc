@@ -215,14 +215,9 @@ priceOnGpu(const WorkloadInputs &in)
 {
     GpuModel gpu;
     GpuStageTimes t = gpu.timeNerfFrame(in.fullFrame, in.gatherProfile);
-    const StreamPlan &plan = in.fullStreamPlan;
-    double streamMs = plan.streamedBytes /
-                      (gpu.config().dram.bandwidthGBs * 1e9) * 1e3;
-    double issueMs = plan.ritEntries * 8.0 /
-                     (0.4 * gpu.config().fetchIssueRate) * 1e3;
     return {t.totalMs(),
-            t.indexMs + std::max(streamMs, issueMs) + t.mlpMs +
-                t.compositeMs,
+            t.indexMs + gpu.streamingGatherMs(in.fullStreamPlan) +
+                t.mlpMs + t.compositeMs,
             gpu.timeNerfFrame(in.sparsePerFrame, in.gatherProfile)
                     .totalMs() *
                 gpu.config().sparseDispatchOverhead,
@@ -377,22 +372,14 @@ fig04(Lab &lab)
     const Scene &scene = lab.scene("lego");
     auto traj = sceneOrbit(scene, 2);
 
-    Table table({"model", "non-streaming % (ours)", "accesses (M)",
-                 "paper"});
+    Table table({"model", "non-streaming % (ours)", "paper"});
     Summary mean;
     for (ModelKind kind : allModelKinds()) {
-        Camera cam = Camera::fromFov(64, 64, scene.fovYDeg, traj[0]);
-        DramModel dram;
-        WarpInterleaver interleaver(32);
-        interleaver.addSink(&dram);
-        lab.model(kind, GridLayout::Linear).traceWorkload(cam, &interleaver);
-        double pct = 100.0 * dram.stats().nonStreamingFraction();
+        const NerfModel &model = lab.model(kind, GridLayout::Linear);
+        double pct = 100.0 * probeFullFrame(model, traj[0])
+                                 .gatherProfile.randomFraction;
         mean.add(pct);
-        table.row()
-            .cell(modelName(kind))
-            .cell(pct, 1)
-            .cell(dram.stats().accesses / 1e6, 1)
-            .cell(">81% avg");
+        table.row().cell(modelName(kind)).cell(pct, 1).cell(">81% avg");
     }
     table.print();
     return {{formatDouble(mean.mean(), 1) + "%", mean.mean() > 81.0}};
@@ -841,27 +828,22 @@ fig21(Lab &lab)
         // measured random/streaming mix.
         double baseBytes = static_cast<double>(
             gpu.gatherDramBytes(in.fullFrame, in.gatherProfile));
-        double rf = in.gatherProfile.randomFraction;
-        double pricePerByte = rf * energy.dramRandomPjPerByte +
-                              (1.0 - rf) * energy.dramStreamPjPerByte;
-        double baseNj = baseBytes * pricePerByte * 1e-3;
+        double baseNj = gpu.gatherDramEnergyNj(in.fullFrame,
+                                               in.gatherProfile, energy);
+        double pricePerByte = baseNj * 1e3 / baseBytes;
 
         // FS traffic: streamed MVoxels once + hashed-level residue.
         const StreamPlan &plan = in.fullStreamPlan;
         double fsBytes = static_cast<double>(plan.streamedBytes +
                                              plan.randomBytes);
-        double fsNj =
-            plan.streamedBytes * energy.dramStreamPjPerByte * 1e-3 +
-            plan.randomBytes * energy.dramRandomPjPerByte * 1e-3;
+        double fsNj = energy.dramNj(plan.streamedBytes, plan.randomBytes);
 
         double saving = baseNj - fsNj;
         // Two effects compose: fewer bytes move (traffic reduction) and
         // the bytes that move become streaming. Attribute by Shapley
         // value (average over both application orders), which is
         // order-independent.
-        double fsPricePerByte =
-            fsBytes > 0.0 ? fsNj * 1e3 / fsBytes
-                          : energy.dramStreamPjPerByte;
+        double fsPricePerByte = fsNj * 1e3 / fsBytes;
         double trafficFirst =
             (baseBytes - fsBytes) * pricePerByte * 1e-3;
         double trafficSecond =
@@ -958,7 +940,6 @@ fig23(Lab &lab)
     auto *grid =
         dynamic_cast<const DenseGridEncoding *>(&model.encoding());
     const std::uint32_t vertexBytes = grid->vertexBytes();
-    const double k = (800.0 * 800.0) / (64.0 * 64.0);
 
     Table table({"VFT KB", "MVoxel edge", "GU uJ", "normalized"});
     std::vector<double> energy;
@@ -970,9 +951,9 @@ fig23(Lab &lab)
         // only; no re-bake needed for address accounting).
         DenseGridEncoding layout(grid->voxelsPerAxis(),
                                  GridLayout::MVoxelBlocked, edge);
-        StreamPlan plan = layout.streamingFootprint(positions);
-        plan.ritEntries = static_cast<std::uint64_t>(plan.ritEntries * k);
-        plan.ritBytes = static_cast<std::uint64_t>(plan.ritBytes * k);
+        StreamPlan plan =
+            scalePlan(layout.streamingFootprint(positions),
+                      scaleFactor(ProbeOptions{}));
 
         GatheringUnitConfig cfg;
         cfg.vftBytes = vftBytes;

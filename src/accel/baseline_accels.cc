@@ -50,9 +50,8 @@ NeurexModel::price(const StageWork &work, double bankConflictRate,
     cost.mlpMs = _npu.mlpTimeMs(work.mlpMacs);
     cost.timeMs = cost.gatherMs + cost.mlpMs;
 
-    double sramNj = work.vertexFetches * 32.0 * energy.sramPjPerByte *
-                    1e-3 * stall;
-    double dramNj = missBytes * energy.dramRandomPjPerByte * 1e-3;
+    double sramNj = energy.sramNj(work.vertexFetches * 32.0) * stall;
+    double dramNj = energy.dramNj(0.0, missBytes);
     double macNj = work.mlpMacs * energy.macPj * 1e-3;
     double staticNj = _config.activePowerW * cost.timeMs * 1e6;
     cost.energyNj = sramNj + dramNj + macNj + staticNj;

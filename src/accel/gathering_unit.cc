@@ -5,6 +5,13 @@
 
 namespace cicero {
 
+double
+planDramEnergyNj(const StreamPlan &plan, const EnergyConstants &energy)
+{
+    return energy.dramNj(plan.streamedBytes, plan.randomBytes) +
+           energy.dramNj(plan.ritBytes, 0.0);
+}
+
 GatheringUnitModel::GatheringUnitModel(const GatheringUnitConfig &config)
     : _config(config)
 {
@@ -75,11 +82,9 @@ GatheringUnitModel::price(const StreamPlan &plan,
                     energy.sramPjPerByte * scale * 1e-3;
     double reducerNj =
         plan.ritEntries * 8.0 * channels * energy.aluOpPj * 1e-3;
-    double dramNj = plan.streamedBytes * energy.dramStreamPjPerByte * 1e-3 +
-                    plan.randomBytes * energy.dramRandomPjPerByte * 1e-3 +
-                    plan.ritBytes * energy.dramStreamPjPerByte * 1e-3;
+    cost.dramEnergyNj = planDramEnergyNj(plan, energy);
     double staticNj = _config.activePowerW * cost.timeMs * 1e6;
-    cost.energyNj = sramNj + reducerNj + dramNj + staticNj;
+    cost.energyNj = sramNj + reducerNj + cost.dramEnergyNj + staticNj;
     return cost;
 }
 

@@ -49,8 +49,17 @@ struct GuCost
     double dramMs = 0.0;    //!< MVoxel + residual streaming time
     double timeMs = 0.0;    //!< max of the two (double buffering)
     double energyNj = 0.0;
+    double dramEnergyNj = 0.0; //!< the planDramEnergyNj share of energyNj
     std::uint64_t cycles = 0;
 };
+
+/**
+ * DRAM energy of a memory-centric gather over @p plan, in nJ: MVoxels
+ * and the RIT at the streaming price, the hashed-level residue at the
+ * random price. The GU and the software streaming gather both pay it.
+ */
+double planDramEnergyNj(const StreamPlan &plan,
+                        const EnergyConstants &energy);
 
 /**
  * Analytic GU model. The workload is a StreamPlan (from

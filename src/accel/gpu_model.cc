@@ -40,9 +40,21 @@ GpuModel::gatherDramEnergyNj(const StageWork &work,
 {
     std::uint64_t bytes = gatherDramBytes(work, profile);
     double randomBytes = bytes * profile.randomFraction;
-    double streamBytes = bytes - randomBytes;
-    return randomBytes * energy.dramRandomPjPerByte * 1e-3 +
-           streamBytes * energy.dramStreamPjPerByte * 1e-3;
+    return energy.dramNj(bytes - randomBytes, randomBytes);
+}
+
+double
+GpuModel::streamingGatherMs(const StreamPlan &plan) const
+{
+    double bandwidth = _config.dram.bandwidthGBs * 1e9;
+    double streamMs = plan.streamedBytes / bandwidth * 1e3;
+    double randomMs =
+        plan.randomBytes / (bandwidth / _config.randomPenalty) * 1e3;
+    // A software RIT walk (decode, address, interpolate, scatter to the
+    // ray) sustains ~40% of the raw load-issue rate.
+    double issueMs =
+        plan.ritEntries * 8.0 / (0.4 * _config.fetchIssueRate) * 1e3;
+    return std::max(streamMs + randomMs, issueMs);
 }
 
 GpuStageTimes

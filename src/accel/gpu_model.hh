@@ -16,6 +16,7 @@
 
 #include "memory/dram_model.hh"
 #include "memory/energy_model.hh"
+#include "nerf/encoding.hh"
 #include "nerf/workload.hh"
 
 namespace cicero {
@@ -101,6 +102,13 @@ class GpuModel
     {
         return points / _config.pointOpsPerSecond * 1e3;
     }
+
+    /**
+     * Time of the fully-streaming gather run in software, in ms: the
+     * slower of @p plan's DRAM time (streamed bytes at full bandwidth
+     * plus random bytes derated) and issuing 8 fetches per RIT entry.
+     */
+    double streamingGatherMs(const StreamPlan &plan) const;
 
     /** DRAM traffic the gather stage generates, in bytes. */
     std::uint64_t gatherDramBytes(const StageWork &work,

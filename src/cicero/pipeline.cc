@@ -37,7 +37,6 @@ PerformanceModel::nerfCost(SystemVariant variant, const StageWork &work,
                            std::uint32_t vertexBytes) const
 {
     FramePrice price;
-    const DramConfig &dram = _localGpu.config().dram;
 
     // Indexing always runs on the GPU (Fig. 14).
     GpuStageTimes t = _localGpu.timeNerfFrame(work, profile);
@@ -46,6 +45,7 @@ PerformanceModel::nerfCost(SystemVariant variant, const StageWork &work,
     double gatherMs = 0.0;
     double dramNj = 0.0;
     double guNj = 0.0;
+    double guDramNj = 0.0;
 
     switch (variant) {
       case SystemVariant::Baseline:
@@ -61,24 +61,10 @@ PerformanceModel::nerfCost(SystemVariant variant, const StageWork &work,
         // Memory-centric gather in software: the RIT (built against the
         // occupancy grid during Indexing) prunes empty samples, every
         // MVoxel is read once and streaming; hashed-level residue stays
-        // random. Fetch issue covers only RIT entries.
-        double streamMs =
-            plan.streamedBytes / (dram.bandwidthGBs * 1e9) * 1e3;
-        double randomMs = plan.randomBytes /
-                          (dram.bandwidthGBs * 1e9 /
-                           _localGpu.config().randomPenalty) *
-                          1e3;
-        // Software gathering out of on-chip storage still pays the
-        // feature-major SRAM bank conflicts of Fig. 6 — only the GU's
-        // channel-major layout removes them. Sustained software gather
-        // throughput is ~40% of the raw load-issue rate.
-        double issueMs = plan.ritEntries * 8.0 /
-                         (0.4 * _localGpu.config().fetchIssueRate) * 1e3;
-        gatherMs = std::max(streamMs + randomMs, issueMs);
-        dramNj =
-            plan.streamedBytes * _energy.dramStreamPjPerByte * 1e-3 +
-            plan.randomBytes * _energy.dramRandomPjPerByte * 1e-3 +
-            plan.ritBytes * _energy.dramStreamPjPerByte * 1e-3;
+        // random. GpuModel::streamingGatherMs prices that loop; its 40%
+        // issue rate is what a software RIT walk sustains.
+        gatherMs = _localGpu.streamingGatherMs(plan);
+        dramNj = planDramEnergyNj(plan, _energy);
         gpuMs += gatherMs;
         break;
       }
@@ -89,6 +75,7 @@ PerformanceModel::nerfCost(SystemVariant variant, const StageWork &work,
                               _localGpu.config().dram, _energy);
         gatherMs = gu.timeMs;
         guNj = gu.energyNj; // includes its DRAM traffic
+        guDramNj = gu.dramEnergyNj;
         break;
       }
     }
@@ -105,9 +92,7 @@ PerformanceModel::nerfCost(SystemVariant variant, const StageWork &work,
         price.timeMs = gpuMs + npuMs;
     }
     price.energyNj = gpuNj + npuNj + dramNj + guNj;
-    price.dramEnergyNj = dramNj + (variant == SystemVariant::Cicero
-                                       ? guNj // GU ledger includes DRAM
-                                       : 0.0);
+    price.dramEnergyNj = dramNj + guDramNj;
     price.fullFrameMs = price.timeMs;
     return price;
 }
@@ -122,6 +107,19 @@ PerformanceModel::warpCost(std::uint64_t points) const
     price.timeMs = price.warpMs;
     price.energyNj = _localGpu.energyNj(price.timeMs);
     return price;
+}
+
+std::pair<FramePrice, FramePrice>
+PerformanceModel::targetFrameCost(SystemVariant variant,
+                                  const WorkloadInputs &inputs) const
+{
+    FramePrice sparse =
+        nerfCost(variant, inputs.sparsePerFrame, inputs.gatherProfile,
+                 inputs.sparseStreamPlan, inputs.vertexBytes);
+    double overhead = _localGpu.config().sparseDispatchOverhead;
+    sparse.timeMs *= overhead;
+    sparse.energyNj *= overhead;
+    return {sparse, warpCost(inputs.warpPointsPerFrame)};
 }
 
 FramePrice
@@ -142,13 +140,7 @@ PerformanceModel::priceLocal(SystemVariant variant,
     // Reference frames amortize over the window but contend for the
     // same device resources, so their time adds (Sec. VI-C).
     FramePrice ref = priceFullFrame(variant, inputs);
-    FramePrice sparse =
-        nerfCost(variant, inputs.sparsePerFrame, inputs.gatherProfile,
-                 inputs.sparseStreamPlan, inputs.vertexBytes);
-    double overhead = _localGpu.config().sparseDispatchOverhead;
-    sparse.timeMs *= overhead;
-    sparse.energyNj *= overhead;
-    FramePrice warp = warpCost(inputs.warpPointsPerFrame);
+    auto [sparse, warp] = targetFrameCost(variant, inputs);
 
     FramePrice price;
     double n = std::max(1, inputs.window);
@@ -200,13 +192,7 @@ PerformanceModel::priceRemote(SystemVariant variant,
     double refCommBytes = inputs.framePixels * bytesPerPixelRef;
     double refCommMs = refCommBytes / wirelessBps * 1e3;
 
-    FramePrice sparse =
-        nerfCost(variant, inputs.sparsePerFrame, inputs.gatherProfile,
-                 inputs.sparseStreamPlan, inputs.vertexBytes);
-    double overhead = _localGpu.config().sparseDispatchOverhead;
-    sparse.timeMs *= overhead;
-    sparse.energyNj *= overhead;
-    FramePrice warp = warpCost(inputs.warpPointsPerFrame);
+    auto [sparse, warp] = targetFrameCost(variant, inputs);
 
     FramePrice price;
     double localMs = sparse.timeMs + warp.timeMs;
@@ -230,13 +216,10 @@ PerformanceModel::priceGatherOnly(const WorkloadInputs &inputs) const
     GpuStageTimes t = _localGpu.timeNerfFrame(inputs.fullFrame,
                                               inputs.gatherProfile);
     out.gpuMs = t.gatherMs;
-    std::uint64_t bytes =
-        _localGpu.gatherDramBytes(inputs.fullFrame, inputs.gatherProfile);
-    double randomBytes = bytes * inputs.gatherProfile.randomFraction;
     out.gpuEnergyNj = _localGpu.energyNj(out.gpuMs) +
-                      randomBytes * _energy.dramRandomPjPerByte * 1e-3 +
-                      (bytes - randomBytes) *
-                          _energy.dramStreamPjPerByte * 1e-3;
+                      _localGpu.gatherDramEnergyNj(inputs.fullFrame,
+                                                   inputs.gatherProfile,
+                                                   _energy);
 
     GuCost gu = _gu.price(inputs.fullStreamPlan, inputs.vertexBytes,
                           _localGpu.config().dram, _energy);

@@ -23,6 +23,8 @@
 #ifndef CICERO_CICERO_PIPELINE_HH
 #define CICERO_CICERO_PIPELINE_HH
 
+#include <utility>
+
 #include "accel/baseline_accels.hh"
 #include "accel/gathering_unit.hh"
 #include "accel/gpu_model.hh"
@@ -77,7 +79,7 @@ struct FramePrice
     double sparseMs = 0.0;    //!< sparse NeRF share
     double warpMs = 0.0;      //!< warping + projection share
     double otherMs = 0.0;     //!< comm/misc share
-    double dramEnergyNj = 0.0;
+    double dramEnergyNj = 0.0; //!< the DRAM share of energyNj
 };
 
 /**
@@ -131,6 +133,12 @@ class PerformanceModel
 
     /** Warping cost (Eqs. 1-3 + depth test) on the local GPU. */
     FramePrice warpCost(std::uint64_t points) const;
+
+    /** A SPARW target frame's sparse NeRF (times the GPU's
+     *  sparseDispatchOverhead) and warp. */
+    std::pair<FramePrice, FramePrice>
+    targetFrameCost(SystemVariant variant,
+                    const WorkloadInputs &inputs) const;
 
     GpuModel _localGpu;
     NpuModel _npu;

@@ -6,8 +6,6 @@
 
 namespace cicero {
 
-namespace {
-
 double
 scaleFactor(const ProbeOptions &options)
 {
@@ -25,8 +23,6 @@ scalePlan(const StreamPlan &plan, double k)
     out.randomBytes = static_cast<std::uint64_t>(plan.randomBytes * k);
     return out;
 }
-
-} // namespace
 
 WorkloadInputs
 probeFullFrame(const NerfModel &model, const Pose &pose,

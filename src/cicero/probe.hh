@@ -30,6 +30,12 @@ struct ProbeOptions
     float fovYDeg = 40.0f;
 };
 
+/** Pixel-count ratio of targetRes to traceRes: the work scale. */
+double scaleFactor(const ProbeOptions &options);
+
+/** A traceRes stream plan scaled by @p k, as the file comment says. */
+StreamPlan scalePlan(const StreamPlan &plan, double k);
+
 /**
  * Measure the full-frame workload of @p model at @p pose: stage work,
  * gather profile (cache miss + streaming fraction), feature-major bank

@@ -74,12 +74,7 @@ struct JsonValue
     std::vector<std::pair<std::string, JsonValue>>
         members;                  //!< Object members, source order
 
-    bool isNull() const { return kind == Kind::Null; }
     bool isObject() const { return kind == Kind::Object; }
-    bool isArray() const { return kind == Kind::Array; }
-    bool isString() const { return kind == Kind::String; }
-    bool isNumber() const { return kind == Kind::Number; }
-    bool isBool() const { return kind == Kind::Bool; }
 
     /** Member lookup on an object; nullptr when absent or not object. */
     const JsonValue *find(const std::string &key) const;

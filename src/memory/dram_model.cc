@@ -47,9 +47,7 @@ DramModel::reset()
 double
 DramModel::energyNj(const EnergyConstants &energy) const
 {
-    double pj = _stats.streamingBytes * energy.dramStreamPjPerByte +
-                _stats.randomBytes * energy.dramRandomPjPerByte;
-    return pj * 1e-3;
+    return energy.dramNj(_stats.streamingBytes, _stats.randomBytes);
 }
 
 double

@@ -28,6 +28,17 @@ struct EnergyConstants
     double wirelessNjPerByte = 100.0;
     double wirelessMBps = 10.0;
     double socStaticW = 1.5;       //!< SoC-wide static power floor
+
+    /** Energy of @p bytes of SRAM traffic, in nJ. */
+    double sramNj(double bytes) const { return bytes * sramPjPerByte * 1e-3; }
+
+    /** Energy of streaming plus random DRAM bytes, in nJ. */
+    double
+    dramNj(double streamBytes, double randomBytes) const
+    {
+        return streamBytes * dramStreamPjPerByte * 1e-3 +
+               randomBytes * dramRandomPjPerByte * 1e-3;
+    }
 };
 
 } // namespace cicero

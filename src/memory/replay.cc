@@ -15,19 +15,12 @@ cacheStatsFields(const CacheStats &s)
            ", \"miss_rate\": " + formatDouble(s.missRate(), 6);
 }
 
-/** Nanojoules of moving @p bytes at @p pjPerByte. */
-double
-bytesNj(std::uint64_t bytes, double pjPerByte)
-{
-    return bytes * pjPerByte * 1e-3;
-}
-
 /** Pricing of a cache run: SRAM line reads + DRAM line fills. */
 double
 cacheEnergyNj(const CacheStats &s, const EnergyConstants &energy)
 {
-    return bytesNj(s.accesses * kCacheLineBytes, energy.sramPjPerByte) +
-           bytesNj(s.misses * kCacheLineBytes, energy.dramRandomPjPerByte);
+    return energy.sramNj(s.accesses * kCacheLineBytes) +
+           energy.dramNj(0.0, s.misses * kCacheLineBytes);
 }
 
 } // namespace
@@ -56,10 +49,8 @@ runBankStack(const TraceSourceFn &source, const SramBankConfig &config,
     BankStackResult result{sim.stats(), 0.0};
     // Completed fetches read a feature vector from SRAM; every stalled
     // attempt re-issues, paying the access again.
-    result.energyNj = bytesNj((result.stats.fetches +
-                               result.stats.stalls) *
-                                  config.featureBytes,
-                              energy.sramPjPerByte);
+    result.energyNj = energy.sramNj(
+        (result.stats.fetches + result.stats.stalls) * config.featureBytes);
     return result;
 }
 

@@ -76,7 +76,6 @@ class DenseGridEncoding : public Encoding
     int voxelsPerAxis() const { return _n; }
     int vertsPerAxis() const { return _v; }
     GridLayout layout() const { return _layout; }
-    void setLayout(GridLayout layout) { _layout = layout; }
 
     std::uint32_t vertexBytes() const
     {

@@ -99,10 +99,7 @@ class AnalyticField
     void addPrimitive(const Primitive &prim) { _prims.push_back(prim); }
     const std::vector<Primitive> &primitives() const { return _prims; }
 
-    void setBounds(const Aabb &b) { _bounds = b; }
     const Aabb &bounds() const { return _bounds; }
-
-    void setLightDir(const Vec3 &d) { _lightDir = d.normalized(); }
     const Vec3 &lightDir() const { return _lightDir; }
 
     /** Volume density at @p p; zero outside the bounds. */

@@ -36,6 +36,23 @@ inputs()
     return in;
 }
 
+/**
+ * inputs() with a full-frame plan whose hashed-level residue bounds
+ * the software streaming gather on the default GPU (25.6 GB/s, 8x
+ * random derating, 1 G fetches/s): 256 MB streamed take 10 ms, 32 MB
+ * random another 10 ms, and 100 k RIT entries issue in 2 ms.
+ */
+WorkloadInputs
+randomHeavyInputs()
+{
+    WorkloadInputs w = inputs();
+    w.fullStreamPlan.streamedBytes = 256'000'000;
+    w.fullStreamPlan.randomBytes = 32'000'000;
+    w.fullStreamPlan.ritEntries = 100'000;
+    w.fullStreamPlan.ritBytes = 4'800'000;
+    return w;
+}
+
 TEST(PerformanceModelTest, LocalVariantOrdering)
 {
     PerformanceModel pm;
@@ -165,6 +182,39 @@ TEST(PerformanceModelTest, FsReducesDramEnergy)
     FramePrice sparw = pm.priceFullFrame(SystemVariant::Sparw, inputs());
     FramePrice fs = pm.priceFullFrame(SystemVariant::SparwFs, inputs());
     EXPECT_LT(fs.dramEnergyNj, sparw.dramEnergyNj);
+}
+
+TEST(PerformanceModelTest, SoftwareFsGatherPaysItsRandomResidue)
+{
+    PerformanceModel pm;
+    const WorkloadInputs w = randomHeavyInputs();
+    const GpuModel &gpu = pm.localGpu();
+    const double gatherMs = gpu.streamingGatherMs(w.fullStreamPlan);
+    // Streamed and random DRAM time add; the 2 ms of issue does not bind.
+    EXPECT_NEAR(gatherMs, 20.0, 1e-9);
+
+    GpuStageTimes t = gpu.timeNerfFrame(w.fullFrame, w.gatherProfile);
+    double want = t.indexMs + t.compositeMs + gatherMs +
+                  pm.npu().mlpTimeMs(w.fullFrame.mlpMacs);
+    EXPECT_EQ(pm.priceFullFrame(SystemVariant::SparwFs, w).timeMs, want);
+}
+
+TEST(PerformanceModelTest, GuAndSoftwareFsChargeOnePlanDramEnergy)
+{
+    PerformanceModel pm;
+    const WorkloadInputs w = randomHeavyInputs();
+    GuCost gu = pm.gu().price(w.fullStreamPlan, w.vertexBytes,
+                              pm.localGpu().config().dram, pm.energy());
+    EXPECT_EQ(pm.priceFullFrame(SystemVariant::SparwFs, w).dramEnergyNj,
+              gu.dramEnergyNj);
+    EXPECT_EQ(pm.priceFullFrame(SystemVariant::Cicero, w).dramEnergyNj,
+              gu.dramEnergyNj);
+    // MVoxels and the RIT at the streaming price, the residue at the
+    // random price.
+    const EnergyConstants &e = pm.energy();
+    double want = (256e6 + 4.8e6) * e.dramStreamPjPerByte * 1e-3 +
+                  32e6 * e.dramRandomPjPerByte * 1e-3;
+    EXPECT_NEAR(gu.dramEnergyNj, want, want * 1e-12);
 }
 
 TEST(PerformanceModelTest, VariantNames)
