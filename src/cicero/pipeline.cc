@@ -119,6 +119,7 @@ PerformanceModel::targetFrameCost(SystemVariant variant,
     double overhead = _localGpu.config().sparseDispatchOverhead;
     sparse.timeMs *= overhead;
     sparse.energyNj *= overhead;
+    sparse.dramEnergyNj *= overhead; // still the DRAM share of energyNj
     return {sparse, warpCost(inputs.warpPointsPerFrame)};
 }
 

@@ -6,20 +6,11 @@
 
 namespace cicero {
 
-namespace {
-
-/**
- * Shared warp implementation; when @p gbuffer is non-null, each splat's
- * color is re-shaded from the reference view direction to the target
- * view direction using the per-pixel material attributes (the
- * radiance-transfer extension).
- */
 WarpOutput
-warpImpl(const Image &refImage, const DepthMap &refDepth,
-         const GBuffer *gbuffer, const Camera &refCam,
-         const Camera &tgtCam, const OccupancyGrid *occupancy,
-         const Vec3 &background, const Vec3 &lightDir,
-         const WarpParams &params)
+warpFrame(const Image &refImage, const DepthMap &refDepth,
+          const Camera &refCam, const Camera &tgtCam,
+          const OccupancyGrid *occupancy, const Vec3 &background,
+          const WarpParams &params)
 {
     WarpOutput out;
     out.image = Image(tgtCam.width, tgtCam.height);
@@ -50,10 +41,10 @@ warpImpl(const Image &refImage, const DepthMap &refDepth,
     {
         float x, y, z;
         float tol; //!< depth-test tolerance (gradient-aware)
-        Vec3 color; //!< (possibly re-shaded) source color
+        Vec3 color; //!< source color
     };
 
-    // Stage A — transform / angle-test / re-shade / project every
+    // Stage A — transform / angle-test / project every
     // reference pixel (Eqs. 1-3, the compute-heavy part). Row chunks
     // run in parallel, each producing an ordered local splat list and
     // local counters; concatenating in chunk order reproduces the
@@ -99,25 +90,6 @@ warpImpl(const Image &refImage, const DepthMap &refDepth,
 
             Vec3 color = refImage.at(
                 static_cast<std::size_t>(py) * refCam.width + px);
-            if (gbuffer) {
-                // Radiance transfer (Sec. VIII): replace the
-                // view-dependent shading of the reference ray with that
-                // of the target ray; keep the unmodeled residual.
-                const BakedPoint &m = gbuffer->at(
-                    static_cast<std::size_t>(py) * refCam.width + px);
-                // Only re-shade where the material estimate is
-                // unambiguous: a (near-)opaque single surface. Blended
-                // G-buffer entries (silhouettes, semi-transparent
-                // stacks) carry averaged normals whose predicted
-                // highlight would be wrong.
-                if (m.sigma > 0.7f && m.specular > 1e-3f) {
-                    Vec3 shadeRef = shadePoint(m, -toRef, lightDir);
-                    Vec3 shadeTgt = shadePoint(m, -toTgt, lightDir);
-                    color += (shadeTgt - shadeRef) * m.sigma;
-                    color = Vec3::max(
-                        Vec3{}, Vec3::min(color, Vec3{1.f, 1.f, 1.f}));
-                }
-            }
 
             Vec3 pTgt = refToTgt.transformPoint(pRef);
 
@@ -357,30 +329,6 @@ warpImpl(const Image &refImage, const DepthMap &refDepth,
     }
 
     return out;
-}
-
-} // namespace
-
-WarpOutput
-warpFrame(const Image &refImage, const DepthMap &refDepth,
-          const Camera &refCam, const Camera &tgtCam,
-          const OccupancyGrid *occupancy, const Vec3 &background,
-          const WarpParams &params)
-{
-    return warpImpl(refImage, refDepth, nullptr, refCam, tgtCam,
-                    occupancy, background, Vec3{0.0f, 1.0f, 0.0f},
-                    params);
-}
-
-WarpOutput
-warpFrameTransfer(const Image &refImage, const DepthMap &refDepth,
-                  const GBuffer &gbuffer, const Camera &refCam,
-                  const Camera &tgtCam, const OccupancyGrid *occupancy,
-                  const Vec3 &background, const Vec3 &lightDir,
-                  const WarpParams &params)
-{
-    return warpImpl(refImage, refDepth, &gbuffer, refCam, tgtCam,
-                    occupancy, background, lightDir, params);
 }
 
 } // namespace cicero

@@ -20,7 +20,6 @@
 
 #include "common/geometry.hh"
 #include "common/image.hh"
-#include "nerf/renderer.hh"
 #include "nerf/sampler.hh"
 
 namespace cicero {
@@ -86,34 +85,6 @@ WarpOutput warpFrame(const Image &refImage, const DepthMap &refDepth,
                      const OccupancyGrid *occupancy,
                      const Vec3 &background,
                      const WarpParams &params = {});
-
-/**
- * Radiance-transfer warping — the Sec. VIII extension implemented.
- *
- * Plain SPARW reuses a pixel's radiance unchanged (an identity
- * transfer function), which breaks on non-diffuse surfaces when the
- * view angle changes. With the reference frame's G-buffer (per-pixel
- * normal / diffuse / specular material attributes), the view-dependent
- * part of each warped pixel can be *re-shaded* for the target view:
- *
- *   L_tgt = shade(material, dir_tgt) + [L_ref - shade(material, dir_ref)]
- *
- * The bracketed residual keeps whatever the shading model does not
- * capture. This removes the warping threshold's quality/speed
- * trade-off for specular content (see bench_ext_transfer).
- *
- * @param gbuffer  material buffer rendered with the reference frame
- *                 (NerfModel::render(..., wantGBuffer = true))
- * @param lightDir scene light direction (Scene::field.lightDir())
- */
-WarpOutput warpFrameTransfer(const Image &refImage,
-                             const DepthMap &refDepth,
-                             const GBuffer &gbuffer,
-                             const Camera &refCam, const Camera &tgtCam,
-                             const OccupancyGrid *occupancy,
-                             const Vec3 &background,
-                             const Vec3 &lightDir,
-                             const WarpParams &params = {});
 
 } // namespace cicero
 

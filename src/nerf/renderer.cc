@@ -1,24 +1,11 @@
 #include "nerf/renderer.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/parallel.hh"
 #include "nerf/volume_renderer.hh"
 
 namespace cicero {
-
-namespace {
-
-/**
- * Batched decode block sizing: start small and grow. Most rays
- * early-terminate a few samples into the first surface, so a large
- * fixed block would gather and decode features the compositor never
- * consumes; geometric growth keeps that waste below one small block
- * while long rays still reach the wide, vectorizing block size.
- */
-constexpr int kFirstDecodeBlock = 8;
-constexpr int kMaxDecodeBlock = 64;
 
 /**
  * The rays one walk visits, in canonical (serial) order: the rows
@@ -86,6 +73,18 @@ struct RaySet
             fn(packet, count);
     }
 };
+
+namespace {
+
+/**
+ * Batched decode block sizing: start small and grow. Most rays
+ * early-terminate a few samples into the first surface, so a large
+ * fixed block would gather and decode features the compositor never
+ * consumes; geometric growth keeps that waste below one small block
+ * while long rays still reach the wide, vectorizing block size.
+ */
+constexpr int kFirstDecodeBlock = 8;
+constexpr int kMaxDecodeBlock = 64;
 
 /** A render walk's per-chunk accumulator. */
 struct RenderAcc
@@ -220,12 +219,6 @@ struct PacketLane
     int computed = 0; //!< samples consumed by the compositor
     bool live = false;
     Compositor comp;
-
-    // Opacity-weighted material attributes for the G-buffer,
-    // normalized when the ray retires.
-    BakedPoint gAcc;
-    Vec3 gNormal;
-    float gWeight = 0.0f;
 };
 
 } // namespace
@@ -245,8 +238,8 @@ FusionStats::operator+=(const FusionStats &o)
 void
 NerfModel::renderPacket(const Camera &camera, const PixelRay *rays,
                         int count, Image &image, DepthMap &depth,
-                        GBuffer *gbuffer, StageWork &work,
-                        FusionStats &fusion, TraceSink *trace) const
+                        StageWork &work, FusionStats &fusion,
+                        TraceSink *trace) const
 {
     constexpr std::size_t kRoundSamples =
         static_cast<std::size_t>(kPacketRays) * kMaxDecodeBlock;
@@ -271,12 +264,6 @@ NerfModel::renderPacket(const Camera &camera, const PixelRay *rays,
         L.live = L.n > 0;
         L.comp = Compositor{};
         L.accesses.clear();
-        L.gAcc = BakedPoint{};
-        L.gAcc.diffuse = Vec3{};
-        L.gAcc.specular = 0.0f;
-        L.gAcc.shininess = 0.0f;
-        L.gNormal = Vec3{};
-        L.gWeight = 0.0f;
     }
 
     // One round per block: every live ray appends its next block's
@@ -332,22 +319,6 @@ NerfModel::renderPacket(const Camera &camera, const PixelRay *rays,
             while (j < m && !stopped) {
                 const RaySample &s = L.samples[L.base + j];
                 const DecodedSample &d = blk.out[j];
-                if (gbuffer && d.sigma > 0.0f) {
-                    // Reads the sample's channels out of the
-                    // channel-major round buffer.
-                    const float alpha = 1.0f - std::exp(-d.sigma * s.dt);
-                    const float w = L.comp.transmittance() * alpha;
-                    float feature[kFeatureDim];
-                    for (int ch = 0; ch < kFeatureDim; ++ch)
-                        feature[ch] =
-                            blk.features[ch * blk.featureStride + j];
-                    const BakedPoint bp = decodeBakedFeature(feature);
-                    L.gAcc.diffuse += bp.diffuse * w;
-                    L.gNormal += bp.normal * w;
-                    L.gAcc.specular += bp.specular * w;
-                    L.gAcc.shininess += bp.shininess * w;
-                    L.gWeight += w;
-                }
                 stopped = !L.comp.add(d.sigma, d.rgb, s.t, s.dt);
                 ++j;
             }
@@ -365,21 +336,6 @@ NerfModel::renderPacket(const Camera &camera, const PixelRay *rays,
         PacketLane &L = lanes[r];
         const int px = rays[r].px;
         const int py = rays[r].py;
-        if (gbuffer) {
-            BakedPoint &g = gbuffer->at(px, py);
-            if (L.gWeight > 1e-4f) {
-                const float inv = 1.0f / L.gWeight;
-                g.diffuse = L.gAcc.diffuse * inv;
-                g.normal = L.gNormal.normalized();
-                g.specular = L.gAcc.specular * inv;
-                g.shininess = L.gAcc.shininess * inv;
-                g.sigma = L.gWeight; // records accumulated opacity
-            } else {
-                g = BakedPoint{};
-                g.sigma = 0.0f;
-            }
-        }
-
         chargeRay(work, L.n, L.computed, L.computed);
 
         if (trace) {
@@ -410,25 +366,29 @@ NerfModel::chargeRay(StageWork &work, std::uint64_t marched,
     work.compositeOps += shaded * 12;
 }
 
+StageWork
+NerfModel::renderRays(const Camera &camera, const RaySet &rays,
+                      Image &image, DepthMap &depth,
+                      TraceSink *trace) const
+{
+    return walkRays<RenderAcc>(
+               rays, trace, Walk::Parallel,
+               [&](RenderAcc &acc, const PixelRay *packet, int count,
+                   TraceSink *sink) {
+                   renderPacket(camera, packet, count, image, depth,
+                                acc.work, acc.fusion, sink);
+               })
+        .work;
+}
+
 RenderResult
-NerfModel::render(const Camera &camera, TraceSink *trace,
-                  bool wantGBuffer) const
+NerfModel::render(const Camera &camera, TraceSink *trace) const
 {
     RenderResult out;
     out.image = Image(camera.width, camera.height);
     out.depth = DepthMap(camera.width, camera.height);
-    if (wantGBuffer)
-        out.gbuffer = GBuffer(camera.width, camera.height);
-    out.work =
-        walkRays<RenderAcc>(
-            RaySet::rows(camera, 0, camera.height), trace, Walk::Parallel,
-            [&](RenderAcc &acc, const PixelRay *rays, int count,
-                TraceSink *sink) {
-                renderPacket(camera, rays, count, out.image, out.depth,
-                             wantGBuffer ? &out.gbuffer : nullptr,
-                             acc.work, acc.fusion, sink);
-            })
-            .work;
+    out.work = renderRays(camera, RaySet::rows(camera, 0, camera.height),
+                          out.image, out.depth, trace);
     return out;
 }
 
@@ -440,8 +400,8 @@ NerfModel::renderServeRows(const Camera &camera, int rowBegin,
     const RenderAcc acc = walkRays<RenderAcc>(
         RaySet::rows(camera, rowBegin, rowEnd), nullptr, Walk::Serial,
         [&](RenderAcc &a, const PixelRay *rays, int count, TraceSink *) {
-            renderPacket(camera, rays, count, image, depth, nullptr,
-                         a.work, a.fusion, nullptr);
+            renderPacket(camera, rays, count, image, depth, a.work,
+                         a.fusion, nullptr);
         });
     if (fusion)
         *fusion += acc.fusion;
@@ -454,14 +414,8 @@ NerfModel::renderPixels(const Camera &camera,
                         Image &image, DepthMap &depth,
                         TraceSink *trace) const
 {
-    return walkRays<RenderAcc>(
-               RaySet::list(camera, pixelIds), trace, Walk::Parallel,
-               [&](RenderAcc &acc, const PixelRay *rays, int count,
-                   TraceSink *sink) {
-                   renderPacket(camera, rays, count, image, depth, nullptr,
-                                acc.work, acc.fusion, sink);
-               })
-        .work;
+    return renderRays(camera, RaySet::list(camera, pixelIds), image, depth,
+                      trace);
 }
 
 void
@@ -471,55 +425,57 @@ NerfModel::quantizeFp16()
     _decoder.quantizeWeightsFp16();
 }
 
-void
-NerfModel::traceOne(const Camera &camera, int px, int py,
-                    std::uint32_t rayId, StageWork &work,
-                    TraceSink *trace) const
+StageWork
+NerfModel::traceRays(const Camera &camera, const RaySet &rays,
+                     TraceSink *trace) const
 {
-    thread_local std::vector<RaySample> samples;
-    thread_local std::vector<MemAccess> accessBuf;
-    thread_local std::vector<Vec3> posBuf;
+    return walkRays<StageWork>(
+        rays, trace, Walk::Parallel,
+        [&](StageWork &work, const PixelRay *packet, int count,
+            TraceSink *sink) {
+            thread_local std::vector<RaySample> samples;
+            thread_local std::vector<MemAccess> accessBuf;
+            thread_local std::vector<Vec3> posBuf;
 
-    Ray ray = camera.generateRay(px, py);
-    int n = _workloadSampler.sample(ray, samples);
+            for (int r = 0; r < count; ++r) {
+                const PixelRay &pr = packet[r];
+                Ray ray = camera.generateRay(pr.px, pr.py);
+                int n = _workloadSampler.sample(ray, samples);
 
-    if (trace && n > 0) {
-        // Workload mode never early-terminates, so the whole ray's
-        // access stream comes from one batched gather (sample-major,
-        // identical to the scalar per-sample emission order).
-        posBuf.resize(n);
-        for (int i = 0; i < n; ++i)
-            posBuf[i] = samples[i].pn;
-        accessBuf.clear();
-        _encoding->gatherAccessesBatch(posBuf.data(), n, rayId,
-                                       accessBuf);
-        for (const MemAccess &a : accessBuf)
-            trace->onAccess(a);
-    }
+                if (sink && n > 0) {
+                    // Workload mode never early-terminates, so the
+                    // whole ray's access stream comes from one batched
+                    // gather (sample-major, identical to the scalar
+                    // per-sample emission order).
+                    posBuf.resize(n);
+                    for (int i = 0; i < n; ++i)
+                        posBuf[i] = samples[i].pn;
+                    accessBuf.clear();
+                    _encoding->gatherAccessesBatch(posBuf.data(), n, pr.id,
+                                                   accessBuf);
+                    for (const MemAccess &a : accessBuf)
+                        sink->onAccess(a);
+                }
 
-    std::uint64_t shaded = 0;
-    for (int i = 0; i < n; ++i) {
-        // Only samples in occupied space reach Feature Computation.
-        if (_occupancy.occupiedNormalized(samples[i].pn))
-            ++shaded;
-    }
-    if (trace)
-        trace->onRayEnd(rayId);
+                std::uint64_t shaded = 0;
+                for (int i = 0; i < n; ++i) {
+                    // Only samples in occupied space reach Feature
+                    // Computation.
+                    if (_occupancy.occupiedNormalized(samples[i].pn))
+                        ++shaded;
+                }
+                if (sink)
+                    sink->onRayEnd(pr.id);
 
-    chargeRay(work, n, n, shaded);
+                chargeRay(work, n, n, shaded);
+            }
+        });
 }
 
 StageWork
 NerfModel::traceWorkload(const Camera &camera, TraceSink *trace) const
 {
-    return walkRays<StageWork>(
-        RaySet::rows(camera, 0, camera.height), trace, Walk::Parallel,
-        [&](StageWork &w, const PixelRay *rays, int count,
-            TraceSink *sink) {
-            for (int r = 0; r < count; ++r)
-                traceOne(camera, rays[r].px, rays[r].py, rays[r].id, w,
-                         sink);
-        });
+    return traceRays(camera, RaySet::rows(camera, 0, camera.height), trace);
 }
 
 StageWork
@@ -527,14 +483,7 @@ NerfModel::traceWorkloadPixels(const Camera &camera,
                                const std::vector<std::uint32_t> &pixelIds,
                                TraceSink *trace) const
 {
-    return walkRays<StageWork>(
-        RaySet::list(camera, pixelIds), trace, Walk::Parallel,
-        [&](StageWork &w, const PixelRay *rays, int count,
-            TraceSink *sink) {
-            for (int r = 0; r < count; ++r)
-                traceOne(camera, rays[r].px, rays[r].py, rays[r].id, w,
-                         sink);
-        });
+    return traceRays(camera, RaySet::list(camera, pixelIds), trace);
 }
 
 std::vector<Vec3>

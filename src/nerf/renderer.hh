@@ -25,37 +25,6 @@
 namespace cicero {
 
 /**
- * Per-pixel geometry/material buffer: the opacity-weighted baked
- * attributes (normal, diffuse, specular, shininess) accumulated along
- * each ray. This is the input to the *radiance transfer* warping
- * extension (paper Sec. VIII): with materials known, a warped pixel's
- * radiance can be re-shaded for the new view instead of reused as-is.
- */
-class GBuffer
-{
-  public:
-    GBuffer() = default;
-    GBuffer(int w, int h) : _width(w), _points(std::size_t(w) * h) {}
-
-    bool empty() const { return _points.empty(); }
-
-    const BakedPoint &at(int x, int y) const
-    {
-        return _points[std::size_t(y) * _width + x];
-    }
-    BakedPoint &at(int x, int y)
-    {
-        return _points[std::size_t(y) * _width + x];
-    }
-    const BakedPoint &at(std::size_t i) const { return _points[i]; }
-    BakedPoint &at(std::size_t i) { return _points[i]; }
-
-  private:
-    int _width = 0;
-    std::vector<BakedPoint> _points;
-};
-
-/**
  * How densely a walk's ray packets fed the decoder. A pass is one
  * Decoder::decodeBlocksFused call over the current blocks of a
  * packet's live rays (see NerfModel::render).
@@ -85,6 +54,9 @@ struct FusionStats
  */
 constexpr int kPacketRays = 8;
 
+/** The rays one walk visits (defined in renderer.cc). */
+struct RaySet;
+
 /** One camera ray of a walk: its pixel and its id (y * width + x). */
 struct PixelRay
 {
@@ -99,7 +71,6 @@ struct RenderResult
     Image image;
     DepthMap depth;
     StageWork work;
-    GBuffer gbuffer; //!< filled only when requested
 };
 
 /**
@@ -149,12 +120,9 @@ class NerfModel
      * memory-model access-order contract).
      *
      * @param trace optional sink receiving every gather access.
-     * @param wantGBuffer also accumulate the per-pixel material buffer
-     *        (used by the radiance-transfer warping extension).
      */
     RenderResult render(const Camera &camera,
-                        TraceSink *trace = nullptr,
-                        bool wantGBuffer = false) const;
+                        TraceSink *trace = nullptr) const;
 
     /**
      * Serving-path render of the contiguous row range
@@ -232,19 +200,31 @@ class NerfModel
 
   private:
     /**
-     * Render one packet of rays into @p image / @p depth (and
-     * @p gbuffer when given), charging @p work and @p fusion. Each
-     * ray's consumed accesses and its onRayEnd reach @p trace in ray
-     * order once the whole packet has terminated.
+     * The pool-parallel render walk behind render() and
+     * renderPixels(): renders every ray of @p rays into @p image /
+     * @p depth and returns their StageWork.
+     */
+    StageWork renderRays(const Camera &camera, const RaySet &rays,
+                         Image &image, DepthMap &depth,
+                         TraceSink *trace) const;
+
+    /**
+     * Render one packet of rays into @p image / @p depth, charging
+     * @p work and @p fusion. Each ray's consumed accesses and its
+     * onRayEnd reach @p trace in ray order once the whole packet has
+     * terminated.
      */
     void renderPacket(const Camera &camera, const PixelRay *rays,
                       int count, Image &image, DepthMap &depth,
-                      GBuffer *gbuffer, StageWork &work,
-                      FusionStats &fusion, TraceSink *trace) const;
+                      StageWork &work, FusionStats &fusion,
+                      TraceSink *trace) const;
 
-    void traceOne(const Camera &camera, int px, int py,
-                  std::uint32_t rayId, StageWork &work,
-                  TraceSink *trace) const;
+    /**
+     * The workload-trace walk behind traceWorkload() and
+     * traceWorkloadPixels().
+     */
+    StageWork traceRays(const Camera &camera, const RaySet &rays,
+                        TraceSink *trace) const;
 
     /**
      * Charge one ray to @p work: @p marched samples indexed,

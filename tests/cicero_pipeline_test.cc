@@ -5,6 +5,7 @@
  * Figs. 17-24 as invariants.
  */
 
+#include <algorithm>
 #include <cstring>
 
 #include <gtest/gtest.h>
@@ -215,6 +216,30 @@ TEST(PerformanceModelTest, GuAndSoftwareFsChargeOnePlanDramEnergy)
     double want = (256e6 + 4.8e6) * e.dramStreamPjPerByte * 1e-3 +
                   32e6 * e.dramRandomPjPerByte * 1e-3;
     EXPECT_NEAR(gu.dramEnergyNj, want, want * 1e-12);
+}
+
+TEST(PerformanceModelTest, SparseDramShareScalesWithDispatchOverhead)
+{
+    PerformanceModel pm;
+    const WorkloadInputs &w = inputs();
+    // The sparse pixels priced alone, before the dispatch overhead.
+    WorkloadInputs sparseOnly = w;
+    sparseOnly.fullFrame = w.sparsePerFrame;
+    sparseOnly.fullStreamPlan = w.sparseStreamPlan;
+    const double overhead = pm.localGpu().config().sparseDispatchOverhead;
+    const double n = std::max(1, w.window);
+    for (SystemVariant v : {SystemVariant::Sparw, SystemVariant::SparwFs,
+                            SystemVariant::Cicero}) {
+        const double sparse = pm.priceFullFrame(v, sparseOnly).dramEnergyNj;
+        ASSERT_GT(sparse, 0.0) << variantName(v);
+        EXPECT_DOUBLE_EQ(pm.priceLocal(v, w).dramEnergyNj,
+                         pm.priceFullFrame(v, w).dramEnergyNj / n +
+                             overhead * sparse)
+            << variantName(v);
+        EXPECT_DOUBLE_EQ(pm.priceRemote(v, w).dramEnergyNj,
+                         overhead * sparse)
+            << variantName(v);
+    }
 }
 
 TEST(PerformanceModelTest, VariantNames)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Differential tests for the ray-packet walk. Every render entry point
- * (render with a G-buffer, renderPixels, renderServeRows) is checked
+ * (render, renderPixels, renderServeRows) is checked
  * bit for bit against a test-local per-ray scalar walk — sample,
  * Encoding::gatherFeature, Decoder::decode, Compositor — on the packet
  * edge cases: packets that mix 1-sample and longest rays, packets of
@@ -38,7 +38,6 @@ struct ScalarRay
 {
     Vec3 rgb;
     float depth = 0.0f;
-    BakedPoint gbuffer;
     int marched = 0;  //!< samples the sampler produced
     int consumed = 0; //!< samples the compositor consumed
     int blocks = 0;   //!< decode blocks the packet walk spends on it
@@ -47,9 +46,8 @@ struct ScalarRay
 };
 
 /**
- * One ray, one sample at a time. The G-buffer follows the renderer's
- * documented opacity-weighted accumulation; the block count follows
- * its documented 8-sample first block doubling to 64.
+ * One ray, one sample at a time. The block count follows the
+ * renderer's documented 8-sample first block doubling to 64.
  */
 ScalarRay
 scalarRay(const NerfModel &model, const Camera &camera, int px, int py)
@@ -60,12 +58,6 @@ scalarRay(const NerfModel &model, const Camera &camera, int px, int py)
     out.marched = model.sampler().sample(ray, samples);
 
     Compositor comp;
-    BakedPoint gAcc;
-    gAcc.diffuse = Vec3{};
-    gAcc.specular = 0.0f;
-    gAcc.shininess = 0.0f;
-    Vec3 gNormal;
-    float gWeight = 0.0f;
     const std::uint32_t rayId =
         static_cast<std::uint32_t>(py) * camera.width + px;
     for (int i = 0; i < out.marched; ++i) {
@@ -75,29 +67,8 @@ scalarRay(const NerfModel &model, const Camera &camera, int px, int py)
         model.encoding().gatherAccesses(s.pn, rayId, out.accesses);
         const DecodedSample d = model.decoder().decode(feature, ray.dir);
         ++out.consumed;
-        if (d.sigma > 0.0f) {
-            const float alpha = 1.0f - std::exp(-d.sigma * s.dt);
-            const float w = comp.transmittance() * alpha;
-            const BakedPoint bp = decodeBakedFeature(feature);
-            gAcc.diffuse += bp.diffuse * w;
-            gNormal += bp.normal * w;
-            gAcc.specular += bp.specular * w;
-            gAcc.shininess += bp.shininess * w;
-            gWeight += w;
-        }
         if (!comp.add(d.sigma, d.rgb, s.t, s.dt))
             break;
-    }
-    if (gWeight > 1e-4f) {
-        const float inv = 1.0f / gWeight;
-        out.gbuffer.diffuse = gAcc.diffuse * inv;
-        out.gbuffer.normal = gNormal.normalized();
-        out.gbuffer.specular = gAcc.specular * inv;
-        out.gbuffer.shininess = gAcc.shininess * inv;
-        out.gbuffer.sigma = gWeight;
-    } else {
-        out.gbuffer = BakedPoint{};
-        out.gbuffer.sigma = 0.0f;
     }
     const CompositeResult r = comp.finish(model.scene().background);
     out.rgb = r.rgb;
@@ -170,16 +141,6 @@ mismatches(const std::vector<ScalarRay> &ref, const Image &image,
             ++bad;
     }
     return bad;
-}
-
-bool
-sameGBuffer(const BakedPoint &a, const BakedPoint &b)
-{
-    return a.sigma == b.sigma && a.diffuse.x == b.diffuse.x &&
-           a.diffuse.y == b.diffuse.y && a.diffuse.z == b.diffuse.z &&
-           a.normal.x == b.normal.x && a.normal.y == b.normal.y &&
-           a.normal.z == b.normal.z && a.specular == b.specular &&
-           a.shininess == b.shininess;
 }
 
 bool
@@ -272,18 +233,10 @@ TEST(PacketWalkTest, RenderMatchesScalarWalk)
             for (int threads : kThreadCounts) {
                 setParallelThreadCount(threads);
                 RecordingSink sink;
-                const RenderResult out =
-                    model->render(cam, &sink, /*wantGBuffer=*/true);
+                const RenderResult out = model->render(cam, &sink);
                 EXPECT_EQ(mismatches(ref, out.image, out.depth, ids), 0)
                     << mc.name << " " << wh[0] << "x" << wh[1]
                     << " threads " << threads;
-                int badG = 0;
-                for (std::uint32_t id : ids)
-                    badG += sameGBuffer(out.gbuffer.at(id),
-                                        ref[id].gbuffer)
-                                ? 0
-                                : 1;
-                EXPECT_EQ(badG, 0) << mc.name << " threads " << threads;
                 EXPECT_TRUE(sameStream(sink.events, stream))
                     << mc.name << " " << wh[0] << "x" << wh[1]
                     << " threads " << threads;

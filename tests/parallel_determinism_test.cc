@@ -95,31 +95,6 @@ TEST(ParallelDeterminismTest, RenderIsBitIdenticalAcrossThreadCounts)
     expectWorkIdentical(serial.work, parallel.work);
 }
 
-TEST(ParallelDeterminismTest, GBufferRenderMatchesAcrossThreadCounts)
-{
-    ThreadCountGuard guard;
-    auto model = test::tinyModel();
-    Camera cam = test::tinyCamera(32);
-
-    setParallelThreadCount(1);
-    RenderResult serial = model->render(cam, nullptr, true);
-    setParallelThreadCount(4);
-    RenderResult parallel = model->render(cam, nullptr, true);
-
-    expectImagesIdentical(serial.image, parallel.image);
-    int mismatches = 0;
-    for (int y = 0; y < cam.height; ++y)
-        for (int x = 0; x < cam.width; ++x) {
-            const BakedPoint &a = serial.gbuffer.at(x, y);
-            const BakedPoint &b = parallel.gbuffer.at(x, y);
-            if (a.sigma != b.sigma || a.diffuse.x != b.diffuse.x ||
-                a.normal.x != b.normal.x || a.specular != b.specular ||
-                a.shininess != b.shininess)
-                ++mismatches;
-        }
-    EXPECT_EQ(mismatches, 0);
-}
-
 TEST(ParallelDeterminismTest, SparsePixelsMatchAcrossThreadCounts)
 {
     ThreadCountGuard guard;
