@@ -42,7 +42,11 @@ struct CorpusEntry
     std::uint32_t frame = 0; //!< orbit frame index captured
     std::string preset = "fast"; //!< model build preset
     std::string layout = "linear"; //!< grid layout ("linear"/"mvoxel")
-    bool fp16 = false;    //!< capture used fp16 feature storage
+    /**
+     * Capture used an fp16 model (NerfModel::quantizeFp16: feature
+     * storage and MLP weights); a live check quantizes the same way.
+     */
+    bool fp16 = false;
 };
 
 /**

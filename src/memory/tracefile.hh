@@ -262,7 +262,8 @@ class TraceFileWriter : public TraceSink
     /**
      * Attach the captured frame's workload summary; must be called
      * before close(). Capture paths fill it from the StageWork the
-     * traced render returned plus the encoding's streaming footprint.
+     * traced workload walk returned plus the encoding's streaming
+     * footprint.
      */
     void
     setWorkloadSummary(const TraceWorkloadSummary &summary)

@@ -1,5 +1,6 @@
 #include "nerf/decoder.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <vector>
@@ -97,9 +98,7 @@ Decoder::quantizeWeightsFp16()
 }
 
 void
-Decoder::decodeChunk(const float *features, std::size_t featureStride,
-                     int count, const Vec3 &viewDir,
-                     const Vec3 &viewNorm, DecodedSample *out) const
+Decoder::decodeRun(const DecodeBlock *blocks, int numBlocks) const
 {
     // Fixed-capacity TLS scratch: sized once for kDecodeChunk items and
     // hard-checked against, never silently regrown — a chunked caller
@@ -109,60 +108,81 @@ Decoder::decodeChunk(const float *features, std::size_t featureStride,
     // unconditional, not an assert: release builds (-DNDEBUG) are the
     // only builds this project ships, and overflowing the scratch
     // would be silent heap corruption.
-    if (count < 1 || count > kDecodeChunk)
+    int total = 0;
+    bool negative = false;
+    for (int k = 0; k < numBlocks; ++k) {
+        total += blocks[k].count;
+        negative |= blocks[k].count < 0;
+    }
+    if (negative || total > kDecodeChunk)
         std::abort();
+    if (total == 0)
+        return;
     constexpr int inDim = kFeatureDim + 3;
     thread_local std::vector<float> mlpIn(
         static_cast<std::size_t>(inDim) * kDecodeChunk);
     thread_local std::vector<float> mlpOut(
         static_cast<std::size_t>(4) * kDecodeChunk);
 
-    // The gathered features are already channel-major: one contiguous
-    // copy per channel (the old sample-major layout needed a full
-    // strided transposition here), then the normalized view direction
-    // broadcast into the last three channels.
-    const std::size_t nC = static_cast<std::size_t>(count);
-    for (int c = 0; c < kFeatureDim; ++c) {
-        const float *src = features + static_cast<std::size_t>(c) *
-                                          featureStride;
-        float *dst = mlpIn.data() + static_cast<std::size_t>(c) * nC;
-        for (int b = 0; b < count; ++b)
-            dst[b] = src[b];
-    }
-    for (int b = 0; b < count; ++b) {
-        mlpIn[(kFeatureDim + 0) * nC + b] = viewNorm.x;
-        mlpIn[(kFeatureDim + 1) * nC + b] = viewNorm.y;
-        mlpIn[(kFeatureDim + 2) * nC + b] = viewNorm.z;
-    }
-
-    // One blocked pass instead of count virtual-call round trips. The
-    // residual of empty (sigma <= 0) samples is computed and discarded;
-    // their decode below never reads it, matching the scalar path's
-    // early return.
-    _mlp.forwardBatch(mlpIn.data(), mlpOut.data(), count);
-
-    float feature[kFeatureDim];
-    for (int b = 0; b < count; ++b) {
-        for (int c = 0; c < kFeatureDim; ++c)
-            feature[c] =
-                features[static_cast<std::size_t>(c) * featureStride + b];
-        BakedPoint pt = decodeBakedFeature(feature);
-
-        DecodedSample d;
-        d.sigma = pt.sigma;
-        if (pt.sigma > 0.0f) {
-            d.rgb = shadePoint(pt, viewDir, _lightDir);
-            d.rgb.x = clamp(d.rgb.x +
-                                _residualAmp * std::tanh(mlpOut[1 * nC + b]),
-                            0.0f, 1.0f);
-            d.rgb.y = clamp(d.rgb.y +
-                                _residualAmp * std::tanh(mlpOut[2 * nC + b]),
-                            0.0f, 1.0f);
-            d.rgb.z = clamp(d.rgb.z +
-                                _residualAmp * std::tanh(mlpOut[3 * nC + b]),
-                            0.0f, 1.0f);
+    // Stage: each block's channel-major features copied channel by
+    // channel into its own columns of the packed layout, its
+    // normalized view direction broadcast into the three direction
+    // channels of those columns.
+    const std::size_t n = static_cast<std::size_t>(total);
+    std::size_t off = 0;
+    for (int k = 0; k < numBlocks; ++k) {
+        const DecodeBlock &blk = blocks[k];
+        for (int c = 0; c < kFeatureDim; ++c) {
+            const float *src =
+                blk.features + static_cast<std::size_t>(c) * blk.featureStride;
+            float *dst = mlpIn.data() + static_cast<std::size_t>(c) * n + off;
+            for (int j = 0; j < blk.count; ++j)
+                dst[j] = src[j];
         }
-        out[b] = d;
+        const Vec3 v = blk.viewDir.normalized();
+        for (int j = 0; j < blk.count; ++j) {
+            mlpIn[(kFeatureDim + 0) * n + off + j] = v.x;
+            mlpIn[(kFeatureDim + 1) * n + off + j] = v.y;
+            mlpIn[(kFeatureDim + 2) * n + off + j] = v.z;
+        }
+        off += static_cast<std::size_t>(blk.count);
+    }
+
+    // One blocked pass instead of per-sample virtual-call round trips.
+    // The residual of empty (sigma <= 0) samples is computed and
+    // discarded; their decode below never reads it, matching the
+    // scalar path's early return.
+    _mlp.forwardBatch(mlpIn.data(), mlpOut.data(), total);
+
+    // Finish every sample with decode()'s math, reading the staged
+    // copies (same bits as the source buffers).
+    off = 0;
+    for (int k = 0; k < numBlocks; ++k) {
+        const DecodeBlock &blk = blocks[k];
+        float feature[kFeatureDim];
+        for (int j = 0; j < blk.count; ++j) {
+            const std::size_t i = off + static_cast<std::size_t>(j);
+            for (int c = 0; c < kFeatureDim; ++c)
+                feature[c] = mlpIn[static_cast<std::size_t>(c) * n + i];
+            BakedPoint pt = decodeBakedFeature(feature);
+
+            DecodedSample d;
+            d.sigma = pt.sigma;
+            if (pt.sigma > 0.0f) {
+                d.rgb = shadePoint(pt, blk.viewDir, _lightDir);
+                d.rgb.x = clamp(d.rgb.x +
+                                    _residualAmp * std::tanh(mlpOut[1 * n + i]),
+                                0.0f, 1.0f);
+                d.rgb.y = clamp(d.rgb.y +
+                                    _residualAmp * std::tanh(mlpOut[2 * n + i]),
+                                0.0f, 1.0f);
+                d.rgb.z = clamp(d.rgb.z +
+                                    _residualAmp * std::tanh(mlpOut[3 * n + i]),
+                                0.0f, 1.0f);
+            }
+            blk.out[j] = d;
+        }
+        off += static_cast<std::size_t>(blk.count);
     }
 }
 
@@ -171,13 +191,12 @@ Decoder::decodeBatchSoA(const float *features, std::size_t featureStride,
                         int count, const Vec3 &viewDir,
                         DecodedSample *out) const
 {
-    if (count <= 0)
-        return;
-    const Vec3 viewNorm = viewDir.normalized();
-    for (int b0 = 0; b0 < count; b0 += kDecodeChunk)
-        decodeChunk(features + b0, featureStride,
-                    std::min(kDecodeChunk, count - b0), viewDir, viewNorm,
-                    out + b0);
+    for (int b0 = 0; b0 < count; b0 += kDecodeChunk) {
+        const DecodeBlock slice{features + b0, featureStride,
+                                std::min(kDecodeChunk, count - b0), viewDir,
+                                out + b0};
+        decodeRun(&slice, 1);
+    }
 }
 
 void
@@ -185,97 +204,22 @@ Decoder::decodeBlocksFused(const DecodeBlock *blocks, int numBlocks) const
 {
     faultCheck(FaultSite::MlpDecode);
 
-    constexpr int inDim = kFeatureDim + 3;
-    thread_local std::vector<float> mlpIn(
-        static_cast<std::size_t>(inDim) * kDecodeChunk);
-    thread_local std::vector<float> mlpOut(
-        static_cast<std::size_t>(4) * kDecodeChunk);
-
     int b = 0;
     while (b < numBlocks) {
-        // Greedily pack consecutive blocks into one staging pass. A
-        // single block wider than the staging buffer goes through the
-        // chunked per-block path instead (its internal chunking
-        // preserves sample order, so bits are unchanged).
-        int total = 0;
-        int e = b;
-        while (e < numBlocks &&
-               total + blocks[e].count <= kDecodeChunk &&
-               blocks[e].count > 0) {
-            total += blocks[e].count;
-            ++e;
-        }
-        if (e == b) {
-            const DecodeBlock &blk = blocks[b];
-            if (blk.count > 0)
-                decodeBatchSoA(blk.features, blk.featureStride, blk.count,
-                               blk.viewDir, blk.out);
-            ++b;
+        // A block wider than the staging buffer is decoded in slices
+        // of its own; otherwise consecutive blocks are packed greedily
+        // into one run.
+        if (blocks[b].count > kDecodeChunk) {
+            const DecodeBlock &blk = blocks[b++];
+            decodeBatchSoA(blk.features, blk.featureStride, blk.count,
+                           blk.viewDir, blk.out);
             continue;
         }
-
-        // Stage: each block's feature channels copied into the packed
-        // channel-major layout, its normalized view direction broadcast
-        // into the three direction channels of its own columns.
-        const std::size_t n = static_cast<std::size_t>(total);
-        std::size_t off = 0;
-        for (int k = b; k < e; ++k) {
-            const DecodeBlock &blk = blocks[k];
-            for (int c = 0; c < kFeatureDim; ++c) {
-                const float *src =
-                    blk.features +
-                    static_cast<std::size_t>(c) * blk.featureStride;
-                float *dst = mlpIn.data() +
-                             static_cast<std::size_t>(c) * n + off;
-                for (int j = 0; j < blk.count; ++j)
-                    dst[j] = src[j];
-            }
-            const Vec3 v = blk.viewDir.normalized();
-            for (int j = 0; j < blk.count; ++j) {
-                mlpIn[(kFeatureDim + 0) * n + off + j] = v.x;
-                mlpIn[(kFeatureDim + 1) * n + off + j] = v.y;
-                mlpIn[(kFeatureDim + 2) * n + off + j] = v.z;
-            }
-            off += static_cast<std::size_t>(blk.count);
-        }
-
-        // One MLP pass for every fused block.
-        _mlp.forwardBatch(mlpIn.data(), mlpOut.data(), total);
-
-        // Per-block epilogue — identical per-sample math to
-        // decodeChunk(), reading the staged copies (same bits as the
-        // source buffers).
-        off = 0;
-        for (int k = b; k < e; ++k) {
-            const DecodeBlock &blk = blocks[k];
-            float feature[kFeatureDim];
-            for (int j = 0; j < blk.count; ++j) {
-                for (int c = 0; c < kFeatureDim; ++c)
-                    feature[c] =
-                        mlpIn[static_cast<std::size_t>(c) * n + off + j];
-                BakedPoint pt = decodeBakedFeature(feature);
-
-                DecodedSample d;
-                d.sigma = pt.sigma;
-                if (pt.sigma > 0.0f) {
-                    d.rgb = shadePoint(pt, blk.viewDir, _lightDir);
-                    d.rgb.x = clamp(d.rgb.x + _residualAmp *
-                                                  std::tanh(mlpOut[1 * n +
-                                                                   off + j]),
-                                    0.0f, 1.0f);
-                    d.rgb.y = clamp(d.rgb.y + _residualAmp *
-                                                  std::tanh(mlpOut[2 * n +
-                                                                   off + j]),
-                                    0.0f, 1.0f);
-                    d.rgb.z = clamp(d.rgb.z + _residualAmp *
-                                                  std::tanh(mlpOut[3 * n +
-                                                                   off + j]),
-                                    0.0f, 1.0f);
-                }
-                blk.out[j] = d;
-            }
-            off += static_cast<std::size_t>(blk.count);
-        }
+        int total = 0;
+        int e = b;
+        while (e < numBlocks && total + blocks[e].count <= kDecodeChunk)
+            total += blocks[e++].count;
+        decodeRun(blocks + b, e - b);
         b = e;
     }
 }

@@ -102,8 +102,9 @@ class Decoder
 
     /**
      * Decode @p count feature vectors sharing one ray direction in
-     * batched MLP passes, channel-major (SoA): channel c of sample i
-     * lives at features[c * featureStride + i] — the layout
+     * batched MLP passes of at most kDecodeChunk samples, channel-major
+     * (SoA): channel c of sample i lives at
+     * features[c * featureStride + i] — the layout
      * Encoding::gatherFeatureBatch produces (featureStride = block
      * size) and the layout the batched MLP kernel consumes, so no
      * feature transposition happens per call (sample-major buffers go
@@ -117,17 +118,18 @@ class Decoder
     /**
      * Fused batched decode of @p numBlocks ray blocks (one per live
      * ray of a renderer packet): consecutive blocks are packed into
-     * one channel-major staging buffer and pushed through a single Mlp::forwardBatch pass per
-     * <= kDecodeChunk samples, with each block's own view direction in
-     * the direction channels. Because forwardBatch accumulates every
-     * item independently in the same channel order at any batch size,
-     * each block's results are bit-identical to a solo
-     * decodeBatchSoA() call on that block — batching composition never
-     * changes bits. What fusion buys is kernel efficiency: full vector
-     * lanes instead of per-block remainders, and (in fp16 weight mode)
-     * one weight-widening pass amortized over every fused block.
-     * Every render walk decodes through here, so this is the
-     * `mlp_decode` fault-injection site. Thread-safe.
+     * one channel-major staging buffer and pushed through a single
+     * Mlp::forwardBatch pass per <= kDecodeChunk samples, with each
+     * block's own view direction in the direction channels; a block
+     * wider than kDecodeChunk is decoded in slices of its own.
+     * Because forwardBatch accumulates every item independently in
+     * the same channel order at any batch size, every sample gets the
+     * bits of a scalar decode() call — batching composition never
+     * changes bits. What fusion buys is kernel efficiency: full
+     * vector lanes instead of per-block remainders, and (in fp16
+     * weight mode) one weight-widening pass amortized over every
+     * fused block. Every render walk decodes through here, so this
+     * is the `mlp_decode` fault-injection site. Thread-safe.
      */
     void decodeBlocksFused(const DecodeBlock *blocks,
                            int numBlocks) const;
@@ -150,10 +152,13 @@ class Decoder
     std::uint64_t weightBytes() const { return _mlp.weightBytes(); }
 
   private:
-    /** One <= kDecodeChunk chunk through the fixed-capacity scratch. */
-    void decodeChunk(const float *features, std::size_t featureStride,
-                     int count, const Vec3 &viewDir, const Vec3 &viewNorm,
-                     DecodedSample *out) const;
+    /**
+     * The one batched decode: stages the at most kDecodeChunk samples
+     * of @p blocks in the fixed-capacity scratch, runs one
+     * Mlp::forwardBatch over them and finishes every sample. Aborts
+     * on more samples than the scratch holds or a negative count.
+     */
+    void decodeRun(const DecodeBlock *blocks, int numBlocks) const;
 
     Vec3 _lightDir;
     Mlp _mlp;

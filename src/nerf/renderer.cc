@@ -74,6 +74,12 @@ struct RaySet
     }
 };
 
+enum class Walk
+{
+    Parallel, //!< chunked on the global pool
+    Serial,   //!< one chunk on the calling thread
+};
+
 namespace {
 
 /**
@@ -118,13 +124,6 @@ foldChunks(const std::vector<std::vector<Vec3>> &parts)
 {
     return concatChunks(parts);
 }
-
-/** Where a walk runs: chunked on the global pool, or inline. */
-enum class Walk
-{
-    Parallel,
-    Serial, //!< one chunk on the calling thread
-};
 
 /**
  * The one frame-level pixel walk behind every NerfModel entry point:
@@ -204,14 +203,10 @@ NerfModel::modelBytes() const
 
 namespace {
 
-/**
- * One ray of a packet in flight: its samples, compositing state and,
- * when traced, the accesses of the samples it consumed so far.
- */
+/** One ray of a packet in flight: its samples and compositing state. */
 struct PacketLane
 {
     std::vector<RaySample> samples;
-    std::vector<MemAccess> accesses;
     Vec3 dir;
     int n = 0;        //!< samples marched
     int base = 0;     //!< first sample of the current block
@@ -238,8 +233,7 @@ FusionStats::operator+=(const FusionStats &o)
 void
 NerfModel::renderPacket(const Camera &camera, const PixelRay *rays,
                         int count, Image &image, DepthMap &depth,
-                        StageWork &work, FusionStats &fusion,
-                        TraceSink *trace) const
+                        StageWork &work, FusionStats &fusion) const
 {
     constexpr std::size_t kRoundSamples =
         static_cast<std::size_t>(kPacketRays) * kMaxDecodeBlock;
@@ -249,9 +243,6 @@ NerfModel::renderPacket(const Camera &camera, const PixelRay *rays,
     thread_local std::vector<Vec3> posBuf(kRoundSamples);
     DecodeBlock blocks[kPacketRays];
     int blockLane[kPacketRays];
-
-    const std::uint32_t accessesPerSample =
-        trace ? _encoding->fetchesPerSample() : 0;
 
     for (int r = 0; r < count; ++r) {
         PacketLane &L = lanes[r];
@@ -263,7 +254,6 @@ NerfModel::renderPacket(const Camera &camera, const PixelRay *rays,
         L.computed = 0;
         L.live = L.n > 0;
         L.comp = Compositor{};
-        L.accesses.clear();
     }
 
     // One round per block: every live ray appends its next block's
@@ -271,10 +261,7 @@ NerfModel::renderPacket(const Camera &camera, const PixelRay *rays,
     // features of the whole round into one channel-major buffer
     // (stride = the round's sample count; each block starts at its
     // first sample's column, the layout the decoder consumes without
-    // transposition), then one fused call decodes every block. When
-    // tracing, each block's accesses are appended to its ray's log and
-    // cut back to the samples the compositor consumed, so accesses of
-    // samples past the early-termination point are never emitted.
+    // transposition), then one fused call decodes every block.
     for (;;) {
         int nb = 0;
         int total = 0;
@@ -286,9 +273,6 @@ NerfModel::renderPacket(const Camera &camera, const PixelRay *rays,
             Vec3 *pos = posBuf.data() + total;
             for (int j = 0; j < m; ++j)
                 pos[j] = L.samples[L.base + j].pn;
-            if (trace)
-                _encoding->gatherAccessesBatch(pos, m, rays[r].id,
-                                               L.accesses);
             blocks[nb] = DecodeBlock{featureBuf.data() + total, 0, m,
                                      L.dir, decodedBuf.data() + total};
             blockLane[nb++] = r;
@@ -323,9 +307,6 @@ NerfModel::renderPacket(const Camera &camera, const PixelRay *rays,
                 ++j;
             }
             L.computed += j;
-            if (trace)
-                L.accesses.resize(static_cast<std::size_t>(L.computed) *
-                                  accessesPerSample);
             L.base += m;
             L.block = std::min(2 * L.block, kMaxDecodeBlock);
             L.live = !stopped && L.base < L.n;
@@ -337,13 +318,6 @@ NerfModel::renderPacket(const Camera &camera, const PixelRay *rays,
         const int px = rays[r].px;
         const int py = rays[r].py;
         chargeRay(work, L.n, L.computed, L.computed);
-
-        if (trace) {
-            for (const MemAccess &a : L.accesses)
-                trace->onAccess(a);
-            trace->onRayEnd(rays[r].id);
-        }
-
         const CompositeResult c = L.comp.finish(_scene.background);
         image.at(px, py) = c.rgb;
         depth.at(px, py) = c.depth;
@@ -367,28 +341,29 @@ NerfModel::chargeRay(StageWork &work, std::uint64_t marched,
 }
 
 StageWork
-NerfModel::renderRays(const Camera &camera, const RaySet &rays,
+NerfModel::renderRays(const Camera &camera, const RaySet &rays, Walk mode,
                       Image &image, DepthMap &depth,
-                      TraceSink *trace) const
+                      FusionStats *fusion) const
 {
-    return walkRays<RenderAcc>(
-               rays, trace, Walk::Parallel,
-               [&](RenderAcc &acc, const PixelRay *packet, int count,
-                   TraceSink *sink) {
-                   renderPacket(camera, packet, count, image, depth,
-                                acc.work, acc.fusion, sink);
-               })
-        .work;
+    const RenderAcc acc = walkRays<RenderAcc>(
+        rays, nullptr, mode,
+        [&](RenderAcc &a, const PixelRay *packet, int count, TraceSink *) {
+            renderPacket(camera, packet, count, image, depth, a.work,
+                         a.fusion);
+        });
+    if (fusion)
+        *fusion += acc.fusion;
+    return acc.work;
 }
 
 RenderResult
-NerfModel::render(const Camera &camera, TraceSink *trace) const
+NerfModel::render(const Camera &camera) const
 {
     RenderResult out;
     out.image = Image(camera.width, camera.height);
     out.depth = DepthMap(camera.width, camera.height);
     out.work = renderRays(camera, RaySet::rows(camera, 0, camera.height),
-                          out.image, out.depth, trace);
+                          Walk::Parallel, out.image, out.depth, nullptr);
     return out;
 }
 
@@ -397,25 +372,17 @@ NerfModel::renderServeRows(const Camera &camera, int rowBegin,
                            int rowEnd, Image &image, DepthMap &depth,
                            FusionStats *fusion) const
 {
-    const RenderAcc acc = walkRays<RenderAcc>(
-        RaySet::rows(camera, rowBegin, rowEnd), nullptr, Walk::Serial,
-        [&](RenderAcc &a, const PixelRay *rays, int count, TraceSink *) {
-            renderPacket(camera, rays, count, image, depth, a.work,
-                         a.fusion, nullptr);
-        });
-    if (fusion)
-        *fusion += acc.fusion;
-    return acc.work;
+    return renderRays(camera, RaySet::rows(camera, rowBegin, rowEnd),
+                      Walk::Serial, image, depth, fusion);
 }
 
 StageWork
 NerfModel::renderPixels(const Camera &camera,
                         const std::vector<std::uint32_t> &pixelIds,
-                        Image &image, DepthMap &depth,
-                        TraceSink *trace) const
+                        Image &image, DepthMap &depth) const
 {
-    return renderRays(camera, RaySet::list(camera, pixelIds), image, depth,
-                      trace);
+    return renderRays(camera, RaySet::list(camera, pixelIds),
+                      Walk::Parallel, image, depth, nullptr);
 }
 
 void

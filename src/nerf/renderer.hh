@@ -57,6 +57,9 @@ constexpr int kPacketRays = 8;
 /** The rays one walk visits (defined in renderer.cc). */
 struct RaySet;
 
+/** Where a walk runs: on the pool or inline (defined in renderer.cc). */
+enum class Walk;
+
 /** One camera ray of a walk: its pixel and its id (y * width + x). */
 struct PixelRay
 {
@@ -108,21 +111,14 @@ class NerfModel
      * Encoding::gatherFeatureBatch call gathers the next sample block
      * (8 samples, doubling to 64) of every live ray of a packet and
      * the packet decodes all of those blocks in one
-     * Decoder::decodeBlocksFused call. The fused decode is
-     * per-block bit-identical to a lone decodeBatchSoA and each ray
-     * sees the same block sequence, so the packet width never changes
-     * bits. Runs tile-parallel on the global pool (common/parallel.hh) with
-     * bit-identical output at any thread count. Traced runs also go
-     * parallel: each pool chunk of rows records its rays' gather
-     * accesses into its own event log, and the logs are delivered in
-     * chunk order as soon as every earlier chunk has been, so @p trace
-     * sees a stream byte-identical to the serial walk (the
-     * memory-model access-order contract).
-     *
-     * @param trace optional sink receiving every gather access.
+     * Decoder::decodeBlocksFused call. The fused decode gives every
+     * sample the bits of a scalar Decoder::decode() and each ray sees
+     * the same block sequence, so the packet width never changes
+     * bits. Runs tile-parallel on the global pool (common/parallel.hh)
+     * with bit-identical output at any thread count. The render walk
+     * records no gather trace: traceWorkload() is the one traced walk.
      */
-    RenderResult render(const Camera &camera,
-                        TraceSink *trace = nullptr) const;
+    RenderResult render(const Camera &camera) const;
 
     /**
      * Serving-path render of the contiguous row range
@@ -148,8 +144,7 @@ class NerfModel
      */
     StageWork renderPixels(const Camera &camera,
                            const std::vector<std::uint32_t> &pixelIds,
-                           Image &image, DepthMap &depth,
-                           TraceSink *trace = nullptr) const;
+                           Image &image, DepthMap &depth) const;
 
     /**
      * Workload-trace mode: walk the frame the way the *real* renderer
@@ -200,24 +195,23 @@ class NerfModel
 
   private:
     /**
-     * The pool-parallel render walk behind render() and
-     * renderPixels(): renders every ray of @p rays into @p image /
-     * @p depth and returns their StageWork.
+     * The one render walk behind render(), renderPixels() and
+     * renderServeRows(): renders every ray of @p rays into @p image /
+     * @p depth, on the pool or on the calling thread as @p mode says,
+     * adds the packet decode counts to @p fusion when given and
+     * returns the rays' StageWork.
      */
     StageWork renderRays(const Camera &camera, const RaySet &rays,
-                         Image &image, DepthMap &depth,
-                         TraceSink *trace) const;
+                         Walk mode, Image &image, DepthMap &depth,
+                         FusionStats *fusion) const;
 
     /**
      * Render one packet of rays into @p image / @p depth, charging
-     * @p work and @p fusion. Each ray's consumed accesses and its
-     * onRayEnd reach @p trace in ray order once the whole packet has
-     * terminated.
+     * @p work and @p fusion.
      */
     void renderPacket(const Camera &camera, const PixelRay *rays,
                       int count, Image &image, DepthMap &depth,
-                      StageWork &work, FusionStats &fusion,
-                      TraceSink *trace) const;
+                      StageWork &work, FusionStats &fusion) const;
 
     /**
      * The workload-trace walk behind traceWorkload() and

@@ -144,7 +144,8 @@ TEST(TraceFileTest, CompressedTraceIsAtMostQuarterOfRawStream)
 {
     // Acceptance bound: the .ctrace is <= 25% of the raw
     // sizeof(MemAccess)-stream size on the quickstart scene + model
-    // (lego / DirectVoxGO), through the quickstart render path.
+    // (lego / DirectVoxGO), through the workload walk every capture
+    // writes.
     Scene scene = makeScene("lego");
     auto model = buildModel(ModelKind::DirectVoxGO, scene);
     OrbitParams orbit;
@@ -155,7 +156,7 @@ TEST(TraceFileTest, CompressedTraceIsAtMostQuarterOfRawStream)
     std::vector<std::uint8_t> ctrace;
     {
         TraceFileWriter writer(ctrace, captureMeta(*model, cam));
-        model->render(cam, &writer);
+        model->traceWorkload(cam, &writer);
         writer.close();
     }
     TraceFileReader reader(ctrace);

@@ -323,26 +323,24 @@ blockFeatures(int count, int salt)
 /**
  * decodeBlocksFused over blocks of mixed widths — a zero-count block,
  * one wider than kDecodeChunk, and enough 64-sample blocks that the
- * staging buffer fills more than once — must give every block the
- * bits of a lone decodeBatchSoA call on it, and leave the zero-count
- * block's output untouched.
+ * staging buffer fills more than once — must give every sample the
+ * bits of a scalar Decoder::decode() call on it, and leave the
+ * zero-count block's output untouched.
  */
 void
-expectFusedMatchesSolo(const Decoder &decoder)
+expectFusedMatchesScalar(const Decoder &decoder)
 {
     const std::vector<int> counts{8,  16, 13, 0,  32, 5,
                                   kDecodeChunk + 44, 64, 64, 64, 64, 7};
     const int numBlocks = static_cast<int>(counts.size());
     std::vector<std::vector<float>> feats;
-    std::vector<std::vector<DecodedSample>> fused(numBlocks),
-        solo(numBlocks);
+    std::vector<std::vector<DecodedSample>> fused(numBlocks);
     std::vector<DecodeBlock> blocks(numBlocks);
     DecodedSample sentinel;
     sentinel.sigma = -7.0f;
     for (int i = 0; i < numBlocks; ++i) {
         feats.push_back(blockFeatures(counts[i], i));
         fused[i].assign(std::max(counts[i], 1), sentinel);
-        solo[i].resize(counts[i]);
         blocks[i].features = feats[i].data();
         blocks[i].featureStride = static_cast<std::size_t>(counts[i]);
         blocks[i].count = counts[i];
@@ -353,26 +351,28 @@ expectFusedMatchesSolo(const Decoder &decoder)
     decoder.decodeBlocksFused(blocks.data(), numBlocks);
 
     for (int i = 0; i < numBlocks; ++i) {
-        decoder.decodeBatchSoA(feats[i].data(),
-                               static_cast<std::size_t>(counts[i]),
-                               counts[i], blocks[i].viewDir,
-                               solo[i].data());
         if (counts[i] == 0) {
             EXPECT_EQ(fused[i][0].sigma, sentinel.sigma) << "block " << i;
         }
+        const std::size_t stride = blocks[i].featureStride;
         for (int b = 0; b < counts[i]; ++b) {
-            EXPECT_EQ(fused[i][b].sigma, solo[i][b].sigma)
+            float feature[kFeatureDim];
+            for (int c = 0; c < kFeatureDim; ++c)
+                feature[c] = feats[i][c * stride + b];
+            const DecodedSample scalar =
+                decoder.decode(feature, blocks[i].viewDir);
+            EXPECT_EQ(fused[i][b].sigma, scalar.sigma)
                 << "block " << i << " sample " << b;
-            EXPECT_EQ(fused[i][b].rgb.x, solo[i][b].rgb.x);
-            EXPECT_EQ(fused[i][b].rgb.y, solo[i][b].rgb.y);
-            EXPECT_EQ(fused[i][b].rgb.z, solo[i][b].rgb.z);
+            EXPECT_EQ(fused[i][b].rgb.x, scalar.rgb.x);
+            EXPECT_EQ(fused[i][b].rgb.y, scalar.rgb.y);
+            EXPECT_EQ(fused[i][b].rgb.z, scalar.rgb.z);
         }
     }
 }
 
 TEST(DecoderTest, FusedBlocksMatchSoloDecodeFp32)
 {
-    expectFusedMatchesSolo(Decoder(Vec3{0.3f, 0.8f, 0.5f}));
+    expectFusedMatchesScalar(Decoder(Vec3{0.3f, 0.8f, 0.5f}));
 }
 
 TEST(DecoderTest, FusedBlocksMatchSoloDecodeFp16)
@@ -380,7 +380,7 @@ TEST(DecoderTest, FusedBlocksMatchSoloDecodeFp16)
     Decoder decoder(Vec3{0.3f, 0.8f, 0.5f});
     decoder.quantizeWeightsFp16();
     ASSERT_TRUE(decoder.fp16Weights());
-    expectFusedMatchesSolo(decoder);
+    expectFusedMatchesScalar(decoder);
 }
 
 TEST(DecoderTest, RgbStaysInRange)

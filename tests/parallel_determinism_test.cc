@@ -146,18 +146,45 @@ TEST(ParallelDeterminismTest, WorkloadTraceMatchesAcrossThreadCounts)
     EXPECT_EQ(mismatches, 0);
 }
 
+/** Records accesses and, as {~0, 0, rayId}, onRayEnd calls in order. */
+struct EventRecorder : TraceSink
+{
+    std::vector<MemAccess> events;
+
+    void onAccess(const MemAccess &a) override { events.push_back(a); }
+    void onRayEnd(std::uint32_t rayId) override
+    {
+        events.push_back(MemAccess{~0ull, 0, rayId});
+    }
+};
+
+/** Events where @p a and @p b differ (the longer size if sizes do). */
+std::size_t
+eventMismatches(const std::vector<MemAccess> &a,
+                const std::vector<MemAccess> &b)
+{
+    if (a.size() != b.size())
+        return std::max(a.size(), b.size());
+    std::size_t bad = 0;
+    for (std::size_t i = 0; i < a.size(); ++i)
+        if (a[i].addr != b[i].addr || a[i].bytes != b[i].bytes ||
+            a[i].rayId != b[i].rayId)
+            ++bad;
+    return bad;
+}
+
 TEST(ParallelDeterminismTest, TracedWorkloadStreamIsByteIdentical)
 {
     // A traced run parallelizes through per-chunk event logs
     // delivered in chunk order: the TraceSink stream at N threads must
-    // equal the 1-thread stream access-by-access, and the downstream
-    // DRAM/cache models (which are order-sensitive) must land on
-    // identical counters.
+    // equal the 1-thread stream event by event (accesses and onRayEnd
+    // order), and the downstream DRAM/cache models (which are
+    // order-sensitive) must land on identical counters.
     ThreadCountGuard guard;
     auto model = test::tinyModel();
     Camera cam = test::tinyCamera(24);
 
-    auto run = [&](TraceRecorder &rec, DramModel &dram, LruCache &cache,
+    auto run = [&](EventRecorder &rec, DramModel &dram, LruCache &cache,
                    StageWork &work) {
         TraceTee tee;
         tee.addSink(&rec);
@@ -166,7 +193,7 @@ TEST(ParallelDeterminismTest, TracedWorkloadStreamIsByteIdentical)
         work = model->traceWorkload(cam, &tee);
     };
 
-    TraceRecorder rec1, rec4;
+    EventRecorder rec1, rec4;
     DramModel dram1, dram4;
     LruCache cache1, cache4;
     StageWork w1, w4;
@@ -177,17 +204,7 @@ TEST(ParallelDeterminismTest, TracedWorkloadStreamIsByteIdentical)
     run(rec4, dram4, cache4, w4);
 
     expectWorkIdentical(w1, w4);
-
-    ASSERT_EQ(rec1.trace().size(), rec4.trace().size());
-    int mismatches = 0;
-    for (std::size_t i = 0; i < rec1.trace().size(); ++i) {
-        const MemAccess &a = rec1.trace()[i];
-        const MemAccess &b = rec4.trace()[i];
-        if (a.addr != b.addr || a.bytes != b.bytes ||
-            a.rayId != b.rayId)
-            ++mismatches;
-    }
-    EXPECT_EQ(mismatches, 0);
+    EXPECT_EQ(eventMismatches(rec1.events, rec4.events), 0u);
 
     EXPECT_EQ(dram1.stats().accesses, dram4.stats().accesses);
     EXPECT_EQ(dram1.stats().randomAccesses, dram4.stats().randomAccesses);
@@ -197,48 +214,37 @@ TEST(ParallelDeterminismTest, TracedWorkloadStreamIsByteIdentical)
     EXPECT_EQ(cache1.stats().accesses, cache4.stats().accesses);
     EXPECT_EQ(cache1.stats().hits, cache4.stats().hits);
     EXPECT_EQ(cache1.stats().misses, cache4.stats().misses);
-}
 
-TEST(ParallelDeterminismTest, TracedRenderStreamIsByteIdentical)
-{
-    // Same contract for the image-producing traced render (early
-    // termination included) and for the sparse-pixel variant.
-    ThreadCountGuard guard;
-    auto model = test::tinyModel();
-    Camera cam = test::tinyCamera(24);
+    // The sparse probe's walk (traceWorkloadPixels) over a pixel list
+    // with gaps whose length is not a multiple of kPacketRays, so the
+    // last packet is partial and pool chunks end mid-packet.
     std::vector<std::uint32_t> ids;
-    for (std::uint32_t id = 0; id < 24 * 24; id += 5)
+    for (std::uint32_t id = 3; id < 24 * 24; id += 7)
         ids.push_back(id);
+    ASSERT_NE(ids.size() % kPacketRays, 0u);
 
-    setParallelThreadCount(1);
-    TraceRecorder full1, sparse1;
-    RenderResult r1 = model->render(cam, &full1);
-    Image img1(24, 24);
-    DepthMap dep1(24, 24);
-    model->renderPixels(cam, ids, img1, dep1, &sparse1);
-
-    setParallelThreadCount(4);
-    TraceRecorder full4, sparse4;
-    RenderResult r4 = model->render(cam, &full4);
-    Image img4(24, 24);
-    DepthMap dep4(24, 24);
-    model->renderPixels(cam, ids, img4, dep4, &sparse4);
-
-    expectImagesIdentical(r1.image, r4.image);
-    expectImagesIdentical(img1, img4);
-
-    ASSERT_EQ(full1.trace().size(), full4.trace().size());
-    int mismatches = 0;
-    for (std::size_t i = 0; i < full1.trace().size(); ++i)
-        if (full1.trace()[i].addr != full4.trace()[i].addr ||
-            full1.trace()[i].rayId != full4.trace()[i].rayId)
-            ++mismatches;
-    ASSERT_EQ(sparse1.trace().size(), sparse4.trace().size());
-    for (std::size_t i = 0; i < sparse1.trace().size(); ++i)
-        if (sparse1.trace()[i].addr != sparse4.trace()[i].addr ||
-            sparse1.trace()[i].rayId != sparse4.trace()[i].rayId)
-            ++mismatches;
-    EXPECT_EQ(mismatches, 0);
+    std::vector<MemAccess> serialEvents;
+    StageWork serialWork;
+    for (int threads : {1, 4, 7}) {
+        setParallelThreadCount(threads);
+        EventRecorder rec;
+        const StageWork work = model->traceWorkloadPixels(cam, ids, &rec);
+        ASSERT_EQ(work.rays, ids.size());
+        if (threads == 1) {
+            serialEvents = rec.events;
+            serialWork = work;
+            continue;
+        }
+        expectWorkIdentical(serialWork, work);
+        EXPECT_EQ(eventMismatches(serialEvents, rec.events), 0u)
+            << threads << " threads";
+    }
+    // Every listed ray ends once, in list order.
+    std::vector<std::uint32_t> ends;
+    for (const MemAccess &e : serialEvents)
+        if (e.addr == ~0ull)
+            ends.push_back(e.rayId);
+    EXPECT_EQ(ends, ids);
 }
 
 TEST(ParallelDeterminismTest, WarpIsBitIdenticalAcrossThreadCounts)

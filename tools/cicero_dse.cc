@@ -113,7 +113,7 @@ checkReplayMatchesLive(const Corpus &corpus, const CorpusEntry &entry)
     Scene scene = makeScene(entry.scene);
     auto model = buildModel(kind, scene, opts);
     if (entry.fp16)
-        model->encoding().quantizeFeaturesFp16();
+        model->quantizeFp16();
 
     OrbitParams orbit;
     orbit.radius = scene.cameraDistance;

@@ -75,7 +75,8 @@ usage()
         "          [--res N] [--frame K] [--preset fast|full]\n"
         "          [--layout linear|mvoxel] [--fp16]\n"
         "      walk one frame's workload and persist its gather access\n"
-        "      stream; --fp16 quantizes feature storage first, so the\n"
+        "      stream; --fp16 first quantizes the model (feature storage\n"
+        "      and MLP weights, as cicero_serve --fp16 does), so the\n"
         "      trace's 2 B/channel featureBytes accounting matches the run\n"
         "  capture-set -o DIR [--scenes A,B] [--models A,B] [--res N]\n"
         "          [--frames K] [--preset fast|full] [--layout ...]\n"
@@ -249,7 +250,7 @@ cmdCapture(const cli::Args &cli)
     Scene scene = makeScene(spec.sceneName);
     auto model = buildModel(spec.kind, scene, spec.opts);
     if (spec.fp16)
-        model->encoding().quantizeFeaturesFp16();
+        model->quantizeFp16();
     captureOne(spec, *model, scene, out);
     return 0;
 }
@@ -320,7 +321,7 @@ cmdCaptureSet(const cli::Args &cli)
             Scene scene = makeScene(sceneName);
             auto model = buildModel(spec.kind, scene, spec.opts);
             if (spec.fp16)
-                model->encoding().quantizeFeaturesFp16();
+                model->quantizeFp16();
             for (std::uint32_t f = 0; f < frames; ++f) {
                 spec.frame = f;
                 dse::CorpusEntry entry;
