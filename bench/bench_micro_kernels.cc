@@ -8,12 +8,14 @@
  * pool width (the render engine's parallel speedup).
  *
  * The JSON context carries a "simd_backend" key (avx2|neon|scalar —
- * the backend the process actually dispatches to, so a
- * CICERO_SIMD=scalar run is labeled scalar) and the batched-kernel
- * benchmarks report samples/s ("items_per_second") plus a GFLOP/s
- * counter, so BENCH trajectories are comparable across machines and
- * backends: run once natively and once under CICERO_SIMD=scalar to get
- * the kernel speedup on a given host.
+ * the backend the binary was compiled for; every kernel runs its
+ * vector form on it) and the batched-kernel benchmarks report
+ * samples/s ("items_per_second") plus a GFLOP/s counter, so BENCH
+ * trajectories are comparable across machines and backends. The
+ * kernel speedup on a host is a native build against a
+ * -DCICERO_FORCE_SCALAR=ON build, or, for the gathers, in one process:
+ * BM_*Gather (the per-sample scalar reference) against
+ * BM_*GatherBatch.
  */
 
 #include <benchmark/benchmark.h>

@@ -54,15 +54,11 @@ estimatePoseVelocity(const Pose &prev, const Pose &curr, float dtSeconds)
 
 Pose
 extrapolatePose(const Pose &curr, const PoseVelocity &vel,
-                float aheadSeconds, float maxAheadSeconds)
+                float aheadSeconds)
 {
-    float ahead = aheadSeconds;
-    if (maxAheadSeconds >= 0.0f)
-        ahead = std::min(ahead, maxAheadSeconds);
-
     Pose out;
-    out.pos = curr.pos + vel.linear * ahead;
-    float angle = vel.angularRadPerS * ahead;
+    out.pos = curr.pos + vel.linear * aheadSeconds;
+    float angle = vel.angularRadPerS * aheadSeconds;
     if (std::fabs(angle) < 1e-8f) {
         out.rot = curr.rot;
         return out;
@@ -75,13 +71,14 @@ extrapolatePose(const Pose &curr, const PoseVelocity &vel,
 
 Pose
 extrapolateReferencePose(const Pose &prev, const Pose &curr,
-                         float dtSeconds, int window, int leadFrames)
+                         float dtSeconds, int window)
 {
     // Eq. 5: velocity from the last two rendered poses; Eq. 6 projects
-    // it t_r = (leadFrames + N/2) Δt ahead, near the window center.
+    // it t_r = (kReferenceLeadFrames + N/2) Δt ahead, near the window
+    // center.
     float dt = std::max(dtSeconds, kMinPoseDtSeconds);
     PoseVelocity vel = estimatePoseVelocity(prev, curr, dt);
-    float framesAhead = leadFrames + 0.5f * window;
+    float framesAhead = kReferenceLeadFrames + 0.5f * window;
     return extrapolatePose(curr, vel, framesAhead * dt);
 }
 

@@ -9,12 +9,12 @@
  * reference-to-target dependency and lets reference rendering overlap
  * target rendering (Fig. 11b).
  *
- * The real-time SPARW mode extends the same idea to the per-frame
- * level: it estimates a PoseVelocity from the last two delivered poses
- * and renders ahead of the *predicted* pose so a frame is ready by its
- * deadline. estimatePoseVelocity/extrapolatePose are that reusable
- * core; extrapolateReferencePose is the window-level convenience the
- * offline pipeline uses.
+ * Both SPARW drivers, the offline run() and the real-time
+ * runRealtime(), resolve every window's reference through
+ * extrapolateReferencePose; runRealtime renders the next window's
+ * reference at that predicted pose while the current window is warped.
+ * estimatePoseVelocity/extrapolatePose are its two steps (Eq. 5, then
+ * Eq. 6) and never clamp the horizon.
  */
 
 #ifndef CICERO_CICERO_POSE_EXTRAPOLATION_HH
@@ -56,13 +56,17 @@ PoseVelocity estimatePoseVelocity(const Pose &prev, const Pose &curr,
 /**
  * Project @p curr forward by @p aheadSeconds at velocity @p vel
  * (Eq. 6: constant linear velocity, constant-rate rotation about the
- * estimated axis). When @p maxAheadSeconds is non-negative the horizon
- * is clamped to it — long prediction horizons amplify velocity noise,
- * so real-time callers bound them; window-level extrapolation passes a
- * negative value and keeps the full horizon.
+ * estimated axis).
  */
 Pose extrapolatePose(const Pose &curr, const PoseVelocity &vel,
-                     float aheadSeconds, float maxAheadSeconds = -1.0f);
+                     float aheadSeconds);
+
+/**
+ * Frames between the latest known pose and the start of the next
+ * window: the window a reference serves begins one frame after the
+ * two poses it is extrapolated from.
+ */
+constexpr int kReferenceLeadFrames = 1;
 
 /**
  * Extrapolate the reference pose for the *next* warping window.
@@ -71,18 +75,15 @@ Pose extrapolatePose(const Pose &curr, const PoseVelocity &vel,
  * @param curr       pose T_k (latest known pose)
  * @param dtSeconds  frame interval Δt
  * @param window     N, the number of target frames per reference
- * @param leadFrames extra frames between `curr` and the start of the
- *                   next window (how far ahead the window begins)
  *
  * Position follows Eq. 6: R = T_k + v * t_r with v = (T_k - T_{k-1})/Δt
- * and t_r = (leadFrames + N/2) * Δt, placing the reference near the
- * center of its window. Orientation extrapolates the relative rotation
- * at its estimated angular rate. The horizon is *not* clamped here —
+ * and t_r = (kReferenceLeadFrames + N/2) * Δt, placing the reference
+ * near the center of its window. Orientation extrapolates the relative
+ * rotation at its estimated angular rate. The horizon is not clamped —
  * large windows legitimately look many frames ahead.
  */
 Pose extrapolateReferencePose(const Pose &prev, const Pose &curr,
-                              float dtSeconds, int window,
-                              int leadFrames = 1);
+                              float dtSeconds, int window);
 
 } // namespace cicero
 

@@ -30,14 +30,12 @@ probeFullFrame(const NerfModel &model, const Pose &pose,
 {
     const double k = scaleFactor(options);
     Camera cam = Camera::fromFov(options.traceRes, options.traceRes,
-                                 options.fovYDeg, pose);
+                                 model.scene().fovYDeg, pose);
 
     // One traced walk into the GPU and baseline stacks' sinks gives
     // the stage work, the gather profile and the bank conflict rate.
     AccelStacks stacks;
-    GpuStackConfig gpu;
-    gpu.warpWays = options.interleaveWays;
-    stacks.attachGpu(gpu);
+    stacks.attachGpu({});
     stacks.attachBaselines({}, vertexBytes(model));
     const TraceWorkloadDescriptor desc = measureWorkload(model, cam, &stacks);
 
@@ -60,7 +58,7 @@ probeSparseFrame(WorkloadInputs &inputs, const NerfModel &model,
 {
     const double k = scaleFactor(options);
     Camera refCam = Camera::fromFov(options.traceRes, options.traceRes,
-                                    options.fovYDeg, refPose);
+                                    model.scene().fovYDeg, refPose);
     Camera tgtCam = refCam;
     tgtCam.pose = tgtPose;
 

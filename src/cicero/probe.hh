@@ -20,14 +20,15 @@
 
 namespace cicero {
 
-/** Probe configuration. */
+/**
+ * Probe configuration. The probe's cameras take the model scene's
+ * field of view, and its GPU stack the default GpuStackConfig.
+ */
 struct ProbeOptions
 {
     int traceRes = 64;           //!< trace image resolution (square)
     int targetRes = 800;         //!< resolution results are scaled to
-    std::uint32_t interleaveWays = 32; //!< GPU warp interleaving model
     int window = 16;             //!< SPARW window for sparse stats
-    float fovYDeg = 40.0f;
 };
 
 /** Pixel-count ratio of targetRes to traceRes: the work scale. */

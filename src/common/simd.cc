@@ -1,10 +1,5 @@
 #include "common/simd.hh"
 
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-
 namespace cicero {
 namespace simd {
 
@@ -22,55 +17,12 @@ backendName(Backend b)
     return "scalar";
 }
 
-namespace {
-
-/** -1 = follow environment, 0 = native, 1 = scalar. */
-std::atomic<int> gOverride{-1};
-
-Backend
-backendFromEnv()
-{
-    const char *env = std::getenv("CICERO_SIMD");
-    if (!env || !*env || std::strcmp(env, "native") == 0)
-        return kCompiledBackend;
-    if (std::strcmp(env, "scalar") == 0)
-        return Backend::Scalar;
-    std::fprintf(stderr,
-                 "cicero: ignoring invalid CICERO_SIMD='%s' "
-                 "(expected scalar|native)\n",
-                 env);
-    return kCompiledBackend;
-}
-
-} // namespace
-
-Backend
-activeBackend()
-{
-    const int ov = gOverride.load(std::memory_order_relaxed);
-    if (ov == 0)
-        return kCompiledBackend;
-    if (ov == 1)
-        return Backend::Scalar;
-    static const Backend env = backendFromEnv();
-    return env;
-}
-
-void
-setSimdBackendOverride(bool forceScalar, bool reset)
-{
-    gOverride.store(reset ? -1 : (forceScalar ? 1 : 0),
-                    std::memory_order_relaxed);
-}
-
 void
 convertF16ToF32(const std::uint16_t *src, float *dst, std::size_t n)
 {
     std::size_t i = 0;
-    if (simdActive()) {
-        for (; i + VecF::kLanes <= n; i += VecF::kLanes)
-            loadF16(src + i).store(dst + i);
-    }
+    for (; i + VecF::kLanes <= n; i += VecF::kLanes)
+        loadF16(src + i).store(dst + i);
     for (; i < n; ++i)
         dst[i] = f16ToF32(src[i]);
 }
@@ -79,10 +31,8 @@ void
 convertF32ToF16(const float *src, std::uint16_t *dst, std::size_t n)
 {
     std::size_t i = 0;
-    if (simdActive()) {
-        for (; i + VecF::kLanes <= n; i += VecF::kLanes)
-            storeF16(dst + i, VecF::load(src + i));
-    }
+    for (; i + VecF::kLanes <= n; i += VecF::kLanes)
+        storeF16(dst + i, VecF::load(src + i));
     for (; i < n; ++i)
         dst[i] = f32ToF16(src[i]);
 }

@@ -19,11 +19,12 @@
  *    F16C/NEON hardware; the scalar bit-twiddling versions are the
  *    reference the vector paths are tested against.
  *
- * Backend selection can be overridden at runtime for determinism
- * debugging: `CICERO_SIMD=scalar` makes `simdActive()` report false so
- * kernels fall back to their scalar reference paths (`CICERO_SIMD=native`
- * or unset keeps the compiled backend). Tests flip the override
- * programmatically via setSimdBackendOverride().
+ * There is one kernel path per build and no runtime switch: every
+ * kernel above this layer runs its vector form on every backend, the
+ * emulated one included, so a -DCICERO_FORCE_SCALAR=ON build executes
+ * the same block structure lane by lane. The plain scalar loops the
+ * kernels are written against (the fp16 conversions below, each
+ * encoding's gatherFeature, Mlp::forward) stay as the test oracles.
  */
 
 #ifndef CICERO_COMMON_SIMD_HH
@@ -65,26 +66,12 @@ constexpr Backend kCompiledBackend =
 /** "avx2" | "neon" | "scalar". */
 const char *backendName(Backend b);
 
-/**
- * The backend kernels should dispatch on: the compiled backend, unless
- * the CICERO_SIMD environment variable (read once) or a test override
- * forces scalar. Thread-safe after first call.
- */
-Backend activeBackend();
-
-/** True when vector kernels should run (activeBackend() != Scalar). */
-inline bool
-simdActive()
+/** The backend the kernels run on: always the compiled one. */
+constexpr Backend
+activeBackend()
 {
-    return activeBackend() != Backend::Scalar;
+    return kCompiledBackend;
 }
-
-/**
- * Test hook: force scalar (true) / compiled (false) dispatch, or reset
- * to the environment-derived default with reset=true. Not thread-safe
- * against concurrent kernels — call between kernel invocations only.
- */
-void setSimdBackendOverride(bool forceScalar, bool reset = false);
 
 // ---------------------------------------------------------------------
 // fp16 <-> fp32 scalar conversions (exact, hardware-equivalent)

@@ -185,7 +185,7 @@ DenseGridEncoding::gatherFeatureBatch(const Vec3 *pn, int n,
     const bool indexable =
         static_cast<std::uint64_t>(_v) * _v * _v * kFeatureDim <=
         0x7fffffffull;
-    if (!simd::simdActive() || !indexable) {
+    if (!indexable) {
         Encoding::gatherFeatureBatch(pn, n, out);
         return;
     }

@@ -21,10 +21,12 @@
  *
  * The base class's batch loops over the per-sample queries are every
  * encoding's scalar path: the in-tree encodings override
- * gatherFeatureBatch with one vector kernel and call the base loop
- * when the vector backend is off (CICERO_SIMD=scalar, a scalar build)
- * or their table is too large for int32 lanes; gatherAccessesBatch is
- * one non-virtual walker over gatherAccesses() for every encoding.
+ * gatherFeatureBatch with one vector kernel, which runs on every
+ * backend (the emulated one of a scalar build included), and call the
+ * base loop only when their table is too large for int32 lanes; the
+ * per-sample gatherFeature() is the kernels' test oracle.
+ * gatherAccessesBatch is one non-virtual walker over gatherAccesses()
+ * for every encoding.
  */
 
 #ifndef CICERO_NERF_ENCODING_HH

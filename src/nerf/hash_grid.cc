@@ -163,7 +163,7 @@ HashGridEncoding::gatherFeatureBatch(const Vec3 *pn, int n,
         indexable = indexable &&
                     static_cast<std::uint64_t>(lvl.slots) * kFeatureDim <=
                         0x7fffffffull;
-    if (!simd::simdActive() || !indexable) {
+    if (!indexable) {
         Encoding::gatherFeatureBatch(pn, n, out);
         return;
     }

@@ -63,8 +63,10 @@ gemmTile(const float *src, std::size_t srcStride, float *dst,
 
 /**
  * Scalar items [k, bn) of a dense layer — the tail the vector tiles
- * leave, and the whole layer under the scalar backend. Same channel
- * order and unfused arithmetic as the tiles.
+ * leave, and the whole layer for a block narrower than one vector
+ * (forward() is forwardBatch at width 1, so it runs only this loop and
+ * is the tiles' oracle). Same channel order and unfused arithmetic as
+ * the tiles.
  */
 inline void
 denseLayerScalarCols(const float *src, std::size_t srcStride, float *dst,
@@ -96,29 +98,27 @@ denseLayerScalarCols(const float *src, std::size_t srcStride, float *dst,
 inline void
 denseLayer(const float *src, std::size_t srcStride, float *dst,
            std::size_t dstStride, const float *w, const float *bias,
-           int ni, int no, int bn, bool relu, bool useSimd)
+           int ni, int no, int bn, bool relu)
 {
     constexpr int L = VecF::kLanes;
     int k = 0;
-    if (useSimd) {
-        for (; k + 2 * L <= bn; k += 2 * L) {
-            int o = 0;
-            for (; o + 4 <= no; o += 4)
-                gemmTile<4, 2>(src, srcStride, dst, dstStride, w, bias,
-                               ni, o, k, relu);
-            for (; o < no; ++o)
-                gemmTile<1, 2>(src, srcStride, dst, dstStride, w, bias,
-                               ni, o, k, relu);
-        }
-        for (; k + L <= bn; k += L) {
-            int o = 0;
-            for (; o + 4 <= no; o += 4)
-                gemmTile<4, 1>(src, srcStride, dst, dstStride, w, bias,
-                               ni, o, k, relu);
-            for (; o < no; ++o)
-                gemmTile<1, 1>(src, srcStride, dst, dstStride, w, bias,
-                               ni, o, k, relu);
-        }
+    for (; k + 2 * L <= bn; k += 2 * L) {
+        int o = 0;
+        for (; o + 4 <= no; o += 4)
+            gemmTile<4, 2>(src, srcStride, dst, dstStride, w, bias, ni, o,
+                           k, relu);
+        for (; o < no; ++o)
+            gemmTile<1, 2>(src, srcStride, dst, dstStride, w, bias, ni, o,
+                           k, relu);
+    }
+    for (; k + L <= bn; k += L) {
+        int o = 0;
+        for (; o + 4 <= no; o += 4)
+            gemmTile<4, 1>(src, srcStride, dst, dstStride, w, bias, ni, o,
+                           k, relu);
+        for (; o < no; ++o)
+            gemmTile<1, 1>(src, srcStride, dst, dstStride, w, bias, ni, o,
+                           k, relu);
     }
     if (k < bn)
         denseLayerScalarCols(src, srcStride, dst, dstStride, w, bias, ni,
@@ -208,13 +208,10 @@ Mlp::forwardBatch(const float *in, float *out, int count) const
         scratchB.resize(need);
     }
 
-    // One dispatch decision per call; the kernels below never re-check.
-    const bool useSimd = simd::simdActive();
-
     // fp16 weight storage: widen every layer's halves to fp32 once per
-    // call (vectorized F16C/NEON under SIMD, the exact scalar
-    // conversion otherwise — identical floats either way), then run the
-    // same fp32 kernel. The widening cost is O(params), amortized over
+    // call (F16C/NEON, or the emulated backend's exact scalar
+    // conversion — identical floats either way), then run the same
+    // fp32 kernel. The widening cost is O(params), amortized over
     // the O(params * count) accumulation work.
     thread_local std::vector<float> weightsF, biasesF;
     thread_local std::vector<const float *> wPtr, bPtr;
@@ -271,7 +268,7 @@ Mlp::forwardBatch(const float *in, float *out, int count) const
                      : static_cast<std::size_t>(bn);
 
             denseLayer(src, srcStride, dst, dstStride, wPtr[l], bPtr[l],
-                       ni, no, bn, !last, useSimd);
+                       ni, no, bn, !last);
             src = dst;
             srcStride = dstStride;
         }

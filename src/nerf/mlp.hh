@@ -6,10 +6,12 @@
  *
  * Two entry points exist: the scalar forward() and the batched
  * forwardBatch(), which evaluates many inputs through one blocked,
- * register-tiled SIMD GEMM microkernel (src/common/simd.hh; scalar
- * reference under CICERO_SIMD=scalar). Both accumulate input channels
- * in the same ascending order with unfused multiply-adds, so every
- * path — scalar, SIMD, any batch size — is bit-identical. Scratch
+ * register-tiled GEMM microkernel on the build's vector backend
+ * (src/common/simd.hh — AVX2, NEON or the 8-lane emulation). forward()
+ * is forwardBatch at width 1, which runs only the scalar column loop,
+ * so it is the kernel's reference. Both accumulate input channels in
+ * the same ascending order with unfused multiply-adds, so every batch
+ * size on every backend is bit-identical to forward(). Scratch
  * buffers live in thread-local storage: concurrent forward passes on
  * one model from many threads are safe.
  *
@@ -17,9 +19,9 @@
  * switches the model to 2-byte (IEEE binary16) weight storage matching
  * the DRAM model priced by weightBytes(). In fp16 mode the kernel
  * widens the stored halves to fp32 on load (F16C/NEON or the exact
- * scalar conversion) and computes in fp32: scalar and SIMD stay
- * bit-identical to each other, while outputs differ from the fp32
- * model only by the weight quantization (|dw/w| <= 2^-11 per weight).
+ * scalar conversion) and computes in fp32: forwardBatch stays
+ * bit-identical to forward(), while outputs differ from the fp32 model
+ * only by the weight quantization (|dw/w| <= 2^-11 per weight).
  */
 
 #ifndef CICERO_NERF_MLP_HH

@@ -283,7 +283,7 @@ TensoRFEncoding::gatherFeatureBatch(const Vec3 *pn, int n,
         static_cast<std::uint64_t>(_config.res) * _config.res *
             _config.ranks * kFeatureDim <=
         0x7fffffffull;
-    if (!simd::simdActive() || !indexable) {
+    if (!indexable) {
         Encoding::gatherFeatureBatch(pn, n, out);
         return;
     }

@@ -327,7 +327,7 @@ TEST(ProbeTest, FullFrameIsTheStacksMeasurement)
     const WorkloadInputs in = probeFullFrame(*model, pose, opts);
 
     const Camera cam = Camera::fromFov(opts.traceRes, opts.traceRes,
-                                       opts.fovYDeg, pose);
+                                       model->scene().fovYDeg, pose);
     const TraceWorkloadDescriptor desc = measureWorkload(*model, cam);
     const TraceSourceFn live = liveSource(*model, cam);
     const GatherProfile profile = runGpuStack(live, desc).profile;

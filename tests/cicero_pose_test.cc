@@ -39,8 +39,7 @@ TEST(PoseExtrapolationTest, RotationExtrapolates)
     Pose prev, curr;
     prev.rot = Mat3::identity();
     curr.rot = Mat3::rotationY(deg2rad(2.0f));
-    Pose ref =
-        extrapolateReferencePose(prev, curr, 1.0f / 30.0f, 4, 1);
+    Pose ref = extrapolateReferencePose(prev, curr, 1.0f / 30.0f, 4);
     // 3 frames ahead at 2 deg/frame => 2 + 6 = 8 degrees total.
     Mat3 expect = Mat3::rotationY(deg2rad(8.0f));
     for (std::size_t i = 0; i < 9; ++i)
@@ -128,30 +127,11 @@ TEST(PoseExtrapolationTest, DegenerateDtIsClampedAndFinite)
         // Clamping means the velocity equals delta / kMinPoseDtSeconds.
         EXPECT_NEAR(vel.linear.x, 0.01f / kMinPoseDtSeconds,
                     0.01f / kMinPoseDtSeconds * 1e-3f);
-        Pose ahead = extrapolatePose(curr, vel, 0.5f, 1.0f);
+        Pose ahead = extrapolatePose(curr, vel, 0.5f);
         EXPECT_TRUE(std::isfinite(ahead.pos.x));
         for (std::size_t i = 0; i < 9; ++i)
             EXPECT_TRUE(std::isfinite(ahead.rot.m[i]));
     }
-}
-
-TEST(PoseExtrapolationTest, HorizonClampBoundsPrediction)
-{
-    Pose curr;
-    PoseVelocity vel;
-    vel.linear = {1.0f, 0.0f, 0.0f};
-    vel.axis = {0.0f, 1.0f, 0.0f};
-    vel.angularRadPerS = deg2rad(10.0f);
-
-    // Clamped: 10 s ahead with a 0.5 s ceiling moves 0.5 units.
-    Pose clamped = extrapolatePose(curr, vel, 10.0f, 0.5f);
-    EXPECT_NEAR(clamped.pos.x, 0.5f, 1e-5f);
-    // Unclamped (negative ceiling): the full horizon applies.
-    Pose full = extrapolatePose(curr, vel, 10.0f, -1.0f);
-    EXPECT_NEAR(full.pos.x, 10.0f, 1e-4f);
-    // A horizon under the ceiling is untouched.
-    Pose under = extrapolatePose(curr, vel, 0.25f, 0.5f);
-    EXPECT_NEAR(under.pos.x, 0.25f, 1e-5f);
 }
 
 TEST(PoseExtrapolationTest, OrbitErrorBoundedAcrossAllWindows)
@@ -203,9 +183,9 @@ TEST(PoseExtrapolationTest, HeadJitterErrorStaysBounded)
             worstAngleDeg, rad2deg(angleBetween(ref.forward(),
                                                 actualMid.forward())));
     }
-    // Noise amplified by the (leadFrames + N/2) horizon: the bound is
-    // looser than the smooth orbit's but still a small fraction of the
-    // 2.5-unit orbit radius.
+    // Noise amplified by the (kReferenceLeadFrames + N/2) horizon: the
+    // bound is looser than the smooth orbit's but still a small
+    // fraction of the 2.5-unit orbit radius.
     EXPECT_LT(worstPos, 0.25f);
     EXPECT_LT(worstAngleDeg, 10.0f);
 }

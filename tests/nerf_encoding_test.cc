@@ -396,10 +396,9 @@ TEST(TensoRFTest, StreamingFootprintAllStreamable)
 }
 
 // ---------------------------------------------------------------------
-// Batched gather: every encoding's gatherFeatureBatch must be
-// bit-identical to per-sample gatherFeature — under the SIMD backend
-// and under the forced-scalar backend — writing the channel-major
-// (SoA) layout, and gatherAccessesBatch must append the exact
+// Batched gather: every encoding's gatherFeatureBatch, on the build's
+// vector backend, must be bit-identical to per-sample gatherFeature,
+// writing the channel-major (SoA) layout, and gatherAccessesBatch must append the exact
 // per-sample access stream (sample-major, fetchesPerSample() entries
 // per sample).
 // ---------------------------------------------------------------------
@@ -465,35 +464,26 @@ expectBatchMatchesScalar(const Encoding &enc, unsigned seed)
     // come back untouched.
     constexpr int kGuard = 16;
     constexpr float kGuardValue = -12345.5f;
-    for (bool forceScalar : {false, true}) {
-        simd::setSimdBackendOverride(forceScalar);
-        for (int n : sizes) {
-            const std::vector<Vec3> in(pos.begin(), pos.begin() + n);
-            const std::size_t outSize = static_cast<std::size_t>(n) * dim;
-            std::vector<float> batch(outSize + kGuard, kGuardValue);
-            enc.gatherFeatureBatch(in.data(), n, batch.data());
-            int guardsHit = 0;
-            for (int g = 0; g < kGuard; ++g)
-                guardsHit += batch[outSize + g] != kGuardValue;
-            EXPECT_EQ(guardsHit, 0)
-                << enc.name() << " n=" << n
-                << (forceScalar ? " (scalar)" : " (simd)");
+    for (int n : sizes) {
+        const std::vector<Vec3> in(pos.begin(), pos.begin() + n);
+        const std::size_t outSize = static_cast<std::size_t>(n) * dim;
+        std::vector<float> batch(outSize + kGuard, kGuardValue);
+        enc.gatherFeatureBatch(in.data(), n, batch.data());
+        int guardsHit = 0;
+        for (int g = 0; g < kGuard; ++g)
+            guardsHit += batch[outSize + g] != kGuardValue;
+        EXPECT_EQ(guardsHit, 0) << enc.name() << " n=" << n;
 
-            int featureMismatches = 0;
-            std::vector<float> one(dim);
-            for (int i = 0; i < n; ++i) {
-                enc.gatherFeature(pos[i], one.data());
-                for (int ch = 0; ch < dim; ++ch)
-                    if (one[ch] !=
-                        batch[static_cast<std::size_t>(ch) * n + i])
-                        ++featureMismatches;
-            }
-            EXPECT_EQ(featureMismatches, 0)
-                << enc.name() << " n=" << n
-                << (forceScalar ? " (scalar)" : " (simd)");
+        int featureMismatches = 0;
+        std::vector<float> one(dim);
+        for (int i = 0; i < n; ++i) {
+            enc.gatherFeature(pos[i], one.data());
+            for (int ch = 0; ch < dim; ++ch)
+                if (one[ch] != batch[static_cast<std::size_t>(ch) * n + i])
+                    ++featureMismatches;
         }
+        EXPECT_EQ(featureMismatches, 0) << enc.name() << " n=" << n;
     }
-    simd::setSimdBackendOverride(false, /*reset=*/true);
 
     const int n = static_cast<int>(pos.size());
     std::vector<MemAccess> scalarAcc, batchAcc;

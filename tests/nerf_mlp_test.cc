@@ -19,16 +19,6 @@
 namespace cicero {
 namespace {
 
-/** RAII scalar-backend override for A/B kernel comparisons. */
-struct ScopedScalarBackend
-{
-    ScopedScalarBackend() { simd::setSimdBackendOverride(true); }
-    ~ScopedScalarBackend()
-    {
-        simd::setSimdBackendOverride(false, /*reset=*/true);
-    }
-};
-
 std::vector<float>
 testBatchInput(int dim, int count)
 {
@@ -107,10 +97,32 @@ TEST(MlpTest, DeterministicInit)
         EXPECT_FLOAT_EQ(oa[i], ob[i]);
 }
 
+/**
+ * forward() on every column of a channel-major batch: the scalar
+ * reference the vector kernel of forwardBatch is held to (forward() is
+ * forwardBatch at width 1, which runs only the scalar column loop).
+ */
+std::vector<float>
+forwardEachColumn(const Mlp &mlp, const std::vector<float> &in, int count)
+{
+    const int ni = mlp.inputDim();
+    const int no = mlp.outputDim();
+    std::vector<float> out(static_cast<std::size_t>(no) * count);
+    std::vector<float> col(ni), res(no);
+    for (int b = 0; b < count; ++b) {
+        for (int c = 0; c < ni; ++c)
+            col[c] = in[static_cast<std::size_t>(c) * count + b];
+        mlp.forward(col.data(), res.data());
+        for (int c = 0; c < no; ++c)
+            out[static_cast<std::size_t>(c) * count + b] = res[c];
+    }
+    return out;
+}
+
 // ---------------------------------------------------------------------
-// Kernel identity: the SIMD forwardBatch must be bit-identical to the
-// scalar backend at every batch size — full vector tiles, partial
-// tiles, scalar tails, and multi-block batches.
+// Kernel identity: forwardBatch, on the build's vector backend, must be
+// bit-identical to forward() at every batch size — full vector tiles,
+// partial tiles, scalar tails, and multi-block batches.
 // ---------------------------------------------------------------------
 
 TEST(MlpTest, SimdMatchesScalarBitExactly)
@@ -125,18 +137,14 @@ TEST(MlpTest, SimdMatchesScalarBitExactly)
         Mlp mlp(dims, 1234);
         for (int count : counts) {
             std::vector<float> in = testBatchInput(dims.front(), count);
-            std::vector<float> simdOut(
+            std::vector<float> batchOut(
                 static_cast<std::size_t>(dims.back()) * count, -9.0f);
-            std::vector<float> scalarOut(simdOut.size(), 9.0f);
-
-            mlp.forwardBatch(in.data(), simdOut.data(), count);
-            {
-                ScopedScalarBackend scalar;
-                mlp.forwardBatch(in.data(), scalarOut.data(), count);
-            }
+            mlp.forwardBatch(in.data(), batchOut.data(), count);
+            const std::vector<float> scalarOut =
+                forwardEachColumn(mlp, in, count);
             int mismatches = 0;
-            for (std::size_t i = 0; i < simdOut.size(); ++i)
-                if (simdOut[i] != scalarOut[i])
+            for (std::size_t i = 0; i < batchOut.size(); ++i)
+                if (batchOut[i] != scalarOut[i])
                     ++mismatches;
             ASSERT_EQ(mismatches, 0)
                 << "dims[0]=" << dims.front() << " count=" << count;
@@ -179,16 +187,13 @@ TEST(MlpTest, Fp16SimdMatchesFp16ScalarBitExactly)
     mlp.quantizeWeightsFp16();
     for (int count : {1, 7, 64, 129}) {
         std::vector<float> in = testBatchInput(12, count);
-        std::vector<float> simdOut(static_cast<std::size_t>(4) * count);
-        std::vector<float> scalarOut(simdOut.size());
-        mlp.forwardBatch(in.data(), simdOut.data(), count);
-        {
-            ScopedScalarBackend scalar;
-            mlp.forwardBatch(in.data(), scalarOut.data(), count);
-        }
-        for (std::size_t i = 0; i < simdOut.size(); ++i)
-            ASSERT_EQ(simdOut[i], scalarOut[i]) << "count=" << count
-                                                << " i=" << i;
+        std::vector<float> batchOut(static_cast<std::size_t>(4) * count);
+        mlp.forwardBatch(in.data(), batchOut.data(), count);
+        const std::vector<float> scalarOut =
+            forwardEachColumn(mlp, in, count);
+        for (std::size_t i = 0; i < batchOut.size(); ++i)
+            ASSERT_EQ(batchOut[i], scalarOut[i]) << "count=" << count
+                                                 << " i=" << i;
     }
 }
 
